@@ -13,6 +13,7 @@ quadratic constraint, weight 1/3!) so that validity is ``residual(spec).is_zero`
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .tensor_core import Matrix, invert, rational
@@ -128,22 +129,29 @@ def _check_vec(spec, vec):
         raise ValueError(f"vector length {len(vec)} does not match dim {spec.dim}")
 
 
+def _nonzero(vec) -> list:
+    return [(i, v) for i, v in enumerate(vec) if v]
+
+
 def bracket(spec: AlgebraSpec, x: Sequence, y: Sequence) -> tuple:
-    """[x, y] componentwise: result_k = sum_ij c[k][i][j] x_i y_j."""
+    """[x, y] componentwise: result_k = sum_ij c[k][i][j] x_i y_j.
+
+    Only the nonzero components of x and y are visited.
+    """
     _check_vec(spec, x)
     _check_vec(spec, y)
-    n = spec.dim
+    xs, ys = _nonzero(x), _nonzero(y)
     return tuple(
-        sum(spec.c[k][i][j] * x[i] * y[j] for i in range(n) for j in range(n) if spec.c[k][i][j])
-        for k in range(n))
+        sum(ck[i][j] * xi * yj for i, xi in xs for j, yj in ys if ck[i][j])
+        for ck in spec.c)
 
 
 def omega_value(spec: AlgebraSpec, x: Sequence, y: Sequence):
-    """omega(x, y)."""
+    """omega(x, y); only the nonzero components of x and y are visited."""
     _check_vec(spec, x)
     _check_vec(spec, y)
-    n = spec.dim
-    return sum(spec.omega[i][j] * x[i] * y[j] for i in range(n) for j in range(n) if spec.omega[i][j])
+    om, ys = spec.omega, _nonzero(y)
+    return sum(om[i][j] * xi * yj for i, xi in _nonzero(x) for j, yj in ys if om[i][j])
 
 
 def jacobiator(spec: AlgebraSpec, a: Sequence, b: Sequence, c: Sequence) -> tuple:
@@ -162,8 +170,7 @@ def omega_rhs(spec: AlgebraSpec, a: Sequence, b: Sequence, c: Sequence) -> tuple
     return tuple(wbc * a[m] + wab * c[m] + wca * b[m] for m in range(spec.dim))
 
 
-# The six permutations of three slots with their signs, for weight-1/3!
-# antisymmetrization.
+# The six permutations of three slots with their signs.
 _PERM3 = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
           ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
 
@@ -175,55 +182,83 @@ class ResidualTensor:
     Component (m, l, j, k) is the weight-1/3! antisymmetrization over
     (l, j, k) of  sum_i c[m][i][l] c[i][j][k] + delta(m,l) omega[j][k].
     On basis triples, jacobiator minus omega_rhs equals -3 times this.
+
+    Only the nonzero components are stored, as ``nonzero``: pairs of
+    1-based (m, l, j, k) and value, in lexicographic index order.
+    ``components`` is the dense [m][l][j][k] view (0-based, zeros as int
+    0), built on first access.
     """
 
     dim: int
-    components: tuple  # [m][l][j][k], 0-based
+    nonzero: tuple  # (((m, l, j, k) 1-based, value), ...), lexicographic
 
     @property
     def is_zero(self) -> bool:
-        return all(x == 0 for m in self.components for l in m for j in l for x in j)
+        return not self.nonzero
 
     def nonzero_components(self):
         """Yield ((m, l, j, k) 1-based, value) for every nonzero component."""
+        return iter(self.nonzero)
+
+    @cached_property
+    def components(self) -> tuple:
         n = self.dim
-        for m in range(n):
-            for l in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        v = self.components[m][l][j][k]
-                        if v != 0:
-                            yield (m + 1, l + 1, j + 1, k + 1), v
+        dense = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        for (m, l, j, k), v in self.nonzero:
+            dense[m - 1][l - 1][j - 1][k - 1] = v
+        return tuple(tuple(tuple(tuple(row) for row in plane) for plane in block)
+                     for block in dense)
 
 
 def residual(spec: AlgebraSpec) -> ResidualTensor:
-    """The validity defect tensor; ``residual(spec).is_zero`` decides validity."""
+    """The validity defect tensor; ``residual(spec).is_zero`` decides validity.
+
+    The cost follows the nonzero structure constants, not dim^5: only
+    products of two nonzero c entries and the nonzero omega entries are
+    visited.  Because c[i][j][k] and omega[j][k] are skew in (j, k), the
+    weight-1/3! antisymmetrization over (l, j, k) equals the cyclic sum
+    divided by 3, so each term  c[m][i][l] c[i][j][k]  (j < k) adds, with
+    the sign of the permutation sorting (l, j, k), to the one component
+    with sorted indices; the other five orderings follow by sign.
+    """
     _require_skew(spec)
     n = spec.dim
-    c, om = spec.c, spec.omega
+    # into[i]: (m, l, c[m][i][l]) for every nonzero c[m][i][l]
+    into = [[] for _ in range(n)]
+    pairs = []  # (i, j, k, c[i][j][k]) for every nonzero c[i][j][k], j < k
+    for m, plane in enumerate(spec.c):
+        for i, row in enumerate(plane):
+            for l, v in enumerate(row):
+                if v:
+                    into[i].append((m, l, v))
+                    if i < l:
+                        pairs.append((m, i, l, v))
+    terms = [(m, l, j, k, cmil * cijk)
+             for i, j, k, cijk in pairs for m, l, cmil in into[i] if l != j and l != k]
+    terms.extend((m, m, j, k, w)
+                 for j, row in enumerate(spec.omega) for k, w in enumerate(row)
+                 if j < k and w for m in range(n) if m != j and m != k)
 
-    def t_comp(m, l, j, k):
-        acc = sum(c[m][i][l] * c[i][j][k] for i in range(n))
-        if m == l:
-            acc += om[j][k]
-        return acc
+    acc = {}  # (m, l, j, k) with l < j < k -> cyclic sum over (l, j, k)
+    for m, l, j, k, v in terms:
+        if l < j:
+            key = (m, l, j, k)
+        elif l < k:
+            key, v = (m, j, l, k), -v
+        else:
+            key = (m, j, k, l)
+        acc[key] = acc.get(key, 0) + v
 
-    six = rational(6)  # weight 1/3!; keeps Fractions exact, floats stay floats
-    # The antisymmetrization makes the result totally antisymmetric in
-    # (l, j, k), so only l < j < k is computed; the rest is sign bookkeeping.
-    comps = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for m in range(n):
-        for l in range(n):
-            for j in range(l + 1, n):
-                for k in range(j + 1, n):
-                    val = sum(
-                        sign * t_comp(m, (l, j, k)[p0], (l, j, k)[p1], (l, j, k)[p2])
-                        for (p0, p1, p2), sign in _PERM3) / six
-                    for (p0, p1, p2), sign in _PERM3:
-                        comps[m][(l, j, k)[p0]][(l, j, k)[p1]][(l, j, k)[p2]] = sign * val
-    return ResidualTensor(n, tuple(
-        tuple(tuple(tuple(row) for row in plane) for plane in block)
-        for block in comps))
+    three = rational(3)  # keeps Fractions exact, floats stay floats
+    entries = []
+    for (m, l, j, k), total in acc.items():
+        if total != 0:
+            val = total / three
+            idx = (l + 1, j + 1, k + 1)
+            entries.extend(((m + 1, idx[p0], idx[p1], idx[p2]), val if sign > 0 else -val)
+                           for (p0, p1, p2), sign in _PERM3)
+    entries.sort(key=lambda entry: entry[0])
+    return ResidualTensor(n, tuple(entries))
 
 
 def transport(spec: AlgebraSpec, p: Matrix) -> AlgebraSpec:

@@ -32,31 +32,47 @@ class GeneralSplit:
 
 
 def split_trace(spec: AlgebraSpec) -> GeneralSplit:
-    """Split off the trace part; requires dim >= 2 (divides by dim - 1)."""
+    """Split off the trace part; requires dim >= 2 (divides by dim - 1).
+
+    alpha differs from c only in the planes' row and column i (where
+    i == j or i == k), and only at the nonzero components of a.
+    """
     n = spec.dim
     if n < 2:
         raise ValueError("split_trace requires dim >= 2")
     c = spec.c
-    a = tuple(sum(c[i][i][k] for i in range(n)) / Fraction(n - 1) for k in range(n))
-    alpha = tuple(
-        tuple(
-            tuple(c[i][j][k] - (a[k] if i == j else 0) + (a[j] if i == k else 0)
-                  for k in range(n))
-            for j in range(n))
-        for i in range(n))
-    return GeneralSplit(n, alpha, a)
+    a = tuple(sum(c[i][i][k] for i in range(n) if c[i][i][k]) / Fraction(n - 1)
+              for k in range(n))
+    support = [(k, ak) for k, ak in enumerate(a) if ak]
+    if not support:
+        return GeneralSplit(n, c, a)
+    alpha = []
+    for i, plane in enumerate(c):
+        rows = [list(row) for row in plane]
+        for k, ak in support:
+            rows[i][k] -= ak
+            rows[k][i] += ak
+        alpha.append(tuple(map(tuple, rows)))
+    return GeneralSplit(n, tuple(alpha), a)
 
 
 def induced_omega(split: GeneralSplit) -> tuple:
-    """Candidate 2-form omega_jk = (dim-1)/(dim-2) a_i alpha[i][j][k]; dim >= 3."""
+    """Candidate 2-form omega_jk = (dim-1)/(dim-2) a_i alpha[i][j][k]; dim >= 3.
+
+    The sum runs over the nonzero a_i and the nonzero alpha entries only.
+    """
     n = split.dim
     if n <= 2:
         raise ValueError("induced_omega requires dim >= 3")
     factor = Fraction(n - 1, n - 2)
-    return tuple(
-        tuple(factor * sum(split.a[i] * split.alpha[i][j][k] for i in range(n))
-              for k in range(n))
-        for j in range(n))
+    om = [[0] * n for _ in range(n)]
+    for ai, plane in zip(split.a, split.alpha):
+        if ai:
+            for j, row in enumerate(plane):
+                for k, v in enumerate(row):
+                    if v:
+                        om[j][k] += ai * v
+    return tuple(tuple(factor * x for x in row) for row in om)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ input that is not an omega-deformed Lie algebra, 2 parse or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -54,7 +55,10 @@ def _as_rational(value, where):
     if isinstance(value, str):
         if not _RATIONAL_RE.match(value):
             raise DocumentError(f"{where}: malformed rational {value!r}; write 'p' or 'p/q'")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError:  # more digits than int() converts from a string
+            raise DocumentError(f"{where}: rational has too many digits") from None
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise DocumentError(f"{where}: values must be rational strings, got {value!r}")
@@ -114,6 +118,8 @@ def parse(text: str) -> AlgebraSpec:
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except ValueError:  # a bare integer with more digits than int() converts
+        raise DocumentError("document holds an integer with too many digits") from None
     return parse_object(obj)
 
 
@@ -453,7 +459,10 @@ def _cmd_deformability(args):
 # argument parsing and dispatch
 
 
+@functools.cache
 def _build_parser():
+    # Built once per process: argparse looks up sys.stdout and sys.stderr
+    # when it prints, not when it is built, so swapped streams still work.
     parser = argparse.ArgumentParser(
         prog="omegalie",
         description="Exact tools for omega-deformed Lie algebras: validation, "

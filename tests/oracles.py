@@ -2,9 +2,12 @@
 
 Everything here is deliberately naive: permutation expansions for
 determinants, characteristic polynomial + Descartes' rule of signs for
-inertia, and direct evaluation of the deformed Jacobi identity on basis
-triples.  Slow but obviously correct, and sharing no code paths with the
-package under test.
+inertia, direct evaluation of the deformed Jacobi identity on basis
+triples, and the dense O(dim^5) component formula of the residual tensor.
+Slow but obviously correct, and sharing no code paths with the package
+under test (``deformed_identity_holds`` uses the library's ``jacobiator``
+and ``omega_rhs``, which tests compare against ``dense_bracket`` and
+``dense_omega``).
 """
 
 from fractions import Fraction
@@ -102,3 +105,52 @@ def deformed_identity_holds(spec: AlgebraSpec) -> bool:
                 if jacobiator(spec, a, b, c) != omega_rhs(spec, a, b, c):
                     return False
     return True
+
+
+def dense_bracket(c, x, y):
+    """[x, y]_k = sum over every i, j of c[k][i][j] x_i y_j, zeros included."""
+    n = len(c)
+    return tuple(sum(c[k][i][j] * x[i] * y[j] for i in range(n) for j in range(n))
+                 for k in range(n))
+
+
+def dense_omega(omega, x, y):
+    """omega(x, y) = sum over every i, j of omega[i][j] x_i y_j."""
+    n = len(omega)
+    return sum(omega[i][j] * x[i] * y[j] for i in range(n) for j in range(n))
+
+
+# the six permutations of three slots with their signs
+_PERM3 = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+          ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
+
+
+def dense_residual(spec: AlgebraSpec):
+    """The residual tensor [m][l][j][k], 0-based, by its defining formula.
+
+    Component (m, l, j, k) is the weight-1/3! antisymmetrization over
+    (l, j, k) of  sum_i c[m][i][l] c[i][j][k] + delta(m,l) omega[j][k],
+    every term of every permutation evaluated.  Entries with a repeated
+    index among (l, j, k) are int 0; the others are Fractions for exact
+    input.
+    """
+    n = spec.dim
+    c, om = spec.c, spec.omega
+
+    def t_comp(m, l, j, k):
+        acc = sum(c[m][i][l] * c[i][j][k] for i in range(n))
+        if m == l:
+            acc += om[j][k]
+        return acc
+
+    comps = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for m in range(n):
+        for l in range(n):
+            for j in range(l + 1, n):
+                for k in range(j + 1, n):
+                    idx = (l, j, k)
+                    val = sum(sign * t_comp(m, idx[p0], idx[p1], idx[p2])
+                              for (p0, p1, p2), sign in _PERM3) / Fraction(6)
+                    for (p0, p1, p2), sign in _PERM3:
+                        comps[m][idx[p0]][idx[p1]][idx[p2]] = sign * val
+    return comps

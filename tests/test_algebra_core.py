@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from omegalie import (AlgebraSpec, SingularMatrixError, SkewViolationError,
-                      Matrix, bracket, generate, jacobiator, omega_rhs,
-                      omega_rhs_is_identically_zero, omega_value, residual,
-                      transport, validate_skew)
-from oracles import deformed_identity_holds
+                      Matrix, bracket, check_deformability, generate,
+                      jacobiator, omega_rhs, omega_rhs_is_identically_zero,
+                      omega_value, residual, transport, validate_skew)
+from oracles import (deformed_identity_holds, dense_bracket, dense_omega,
+                     dense_residual)
 
 
 def rand_spec(rng, dim=3, valid_omega=False):
@@ -159,6 +160,88 @@ def test_residual_nonzero_components_are_one_based():
     for (m, l, j, k), v in residual(s).nonzero_components():
         assert 1 <= min(m, l, j, k) and max(m, l, j, k) <= 3
         assert v == residual(s).components[m - 1][l - 1][j - 1][k - 1]
+
+
+def sparse_spec(rng, dim, density):
+    """Random spec with each independent c and omega entry nonzero with
+    probability ``density``."""
+    def value():
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+
+    c_entries = [(i, j, k, value()) for i in range(1, dim) for j in range(i + 1, dim + 1)
+                 for k in range(1, dim + 1) if rng.random() < density]
+    om_entries = [(i, j, value()) for i in range(1, dim) for j in range(i + 1, dim + 1)
+                  if rng.random() < density]
+    return AlgebraSpec.from_entries(dim, c_entries, om_entries)
+
+
+def residual_cases():
+    # random sparsity from empty to full; each bracket also with its trace
+    # candidate omega (often valid) and with integer-entry tuples
+    rng = random.Random(18)
+    for dim in range(2, 8):
+        for density in (0.0, 0.1, 0.25, 0.5, 1.0):
+            s = sparse_spec(rng, dim, density)
+            yield s
+            if dim >= 3:
+                yield AlgebraSpec(dim, s.c, check_deformability(s.c).candidate)
+        filiform = AlgebraSpec.from_entries(dim, [(1, i, i + 1, 1) for i in range(2, dim)])
+        yield filiform
+        yield AlgebraSpec(dim, tuple(tuple(tuple(int(x) for x in row) for row in plane)
+                                     for plane in filiform.c),
+                          tuple(tuple(int(i < j) - int(j < i) for j in range(dim))
+                                for i in range(dim)))
+
+
+def test_residual_matches_dense_reference():
+    valid = invalid = 0
+    for s in residual_cases():
+        n = s.dim
+        ref = dense_residual(s)
+        r = residual(s)
+        assert r.components == tuple(tuple(tuple(tuple(row) for row in plane)
+                                           for plane in block) for block in ref)
+        expected = [((m + 1, l + 1, j + 1, k + 1), ref[m][l][j][k])
+                    for m in range(n) for l in range(n) for j in range(n)
+                    for k in range(n) if ref[m][l][j][k] != 0]
+        assert list(r.nonzero_components()) == expected
+        for _, v in r.nonzero_components():
+            assert type(v) is Fraction
+        for block in r.components:
+            for plane in block:
+                for row in plane:
+                    assert all(type(x) is Fraction for x in row if x != 0)
+        assert r.is_zero == (not expected)
+        valid += r.is_zero
+        invalid += not r.is_zero
+    assert valid >= 10 and invalid >= 10  # both verdicts exercised
+
+
+def test_bracket_and_forms_match_naive_sums():
+    rng = random.Random(19)
+
+    def vector(dim, density):
+        return tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                     if rng.random() < density else Fraction(0) for _ in range(dim))
+
+    for dim in range(2, 8):
+        for density in (0.0, 0.25, 0.5, 1.0):
+            s = sparse_spec(rng, dim, density)
+            x, y, z = (vector(dim, rng.choice((0.3, 0.7, 1.0))) for _ in range(3))
+            xy = bracket(s, x, y)
+            assert xy == dense_bracket(s.c, x, y)
+            assert omega_value(s, x, y) == dense_omega(s.omega, x, y)
+            jac = tuple(sum(t) for t in zip(
+                dense_bracket(s.c, x, dense_bracket(s.c, y, z)),
+                dense_bracket(s.c, z, dense_bracket(s.c, x, y)),
+                dense_bracket(s.c, y, dense_bracket(s.c, z, x))))
+            assert jacobiator(s, x, y, z) == jac
+            wyz, wxy, wzx = (dense_omega(s.omega, *pair)
+                             for pair in ((y, z), (x, y), (z, x)))
+            assert omega_rhs(s, x, y, z) == tuple(
+                wyz * x[m] + wxy * z[m] + wzx * y[m] for m in range(dim))
+            for v in xy + jacobiator(s, x, y, z) + omega_rhs(s, x, y, z):
+                assert isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 
 def test_dim2_residual_always_zero():

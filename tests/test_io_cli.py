@@ -1,14 +1,17 @@
 """Document format and command-line behavior, including exit codes."""
 
+import io
 import json
 import random
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 from omegalie import (AlgebraSpec, DocumentError, ExactnessError, generate,
                       parse, serialize)
-from omegalie.io_cli import SCHEMA_VERSION, document_object, run
+from omegalie.io_cli import SCHEMA_VERSION, _build_parser, document_object, run
 from test_decomp3d import rand_spec
 
 
@@ -291,3 +294,70 @@ def test_cli_usage_errors_exit_2(capsys):
     assert run(["no-such-command"]) == 2
     assert run([]) == 2
     assert run(["--help"]) == 0
+
+
+def test_cli_numerals_beyond_the_int_digit_limit_exit_2(monkeypatch):
+    huge = "1" * 5000
+    for value in (f'"{huge}"', f'"1/{huge}"', huge):
+        text = f'{{"dim": 3, "c_entries": [[1, 2, 3, {value}]], "omega_entries": []}}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert run(["validate", "--json"]) == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and "too many digits" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+
+def test_cli_parser_is_reused_across_swapped_streams(monkeypatch):
+    doc = serialize(generate("IX_a", 2))
+    calls = [["validate", "--json"], ["no-such-command"], ["--help"],
+             ["validate", "--help"], ["validate"], ["classify", "--float-tol"]]
+
+    def call(argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+        return code, out, err
+
+    def read(results):
+        # read every buffer after all calls: a later call writing to an
+        # earlier call's stream would show here
+        return [(code, out.getvalue(), err.getvalue()) for code, out, err in results]
+
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(call(argv))
+    fresh = read(fresh)
+    reused = read([call(argv) for argv in calls + calls])
+    assert _build_parser.cache_info().misses == 1
+    assert reused == fresh + fresh
+    codes = [code for code, _, _ in fresh]
+    assert codes == [0, 2, 0, 0, 0, 2]
+    for code, out, err in fresh:
+        assert out if code == 0 else (err and not out)
+
+
+def filiform_document(dim):
+    """The filiform nilpotent algebra [e1, e_i] = e_{i+1}, i = 2..dim-1."""
+    return serialize(AlgebraSpec.from_entries(
+        dim, [(1, i, i + 1, 1) for i in range(2, dim)]))
+
+
+def test_cli_dim24_filiform_within_budget(monkeypatch):
+    # the cost of validate and deformability follows the nonzero structure
+    # constants; a dense O(dim^5) residual takes tens of seconds here
+    doc = filiform_document(24)
+    for command, key, budget in (("validate", "valid", 2.0),
+                                 ("deformability", "deformable", 2.0)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        out = io.StringIO()
+        started = time.perf_counter()
+        with redirect_stdout(out):
+            code = run([command, "--json"])
+        elapsed = time.perf_counter() - started
+        assert elapsed < budget, f"{command} overran: {elapsed:.2f}s >= {budget}s"
+        assert code == 0
+        assert json.loads(out.getvalue())[key] is True
