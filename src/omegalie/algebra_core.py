@@ -266,24 +266,58 @@ def transport(spec: AlgebraSpec, p: Matrix) -> AlgebraSpec:
 
     c'[i][j][k] = inv(p)[i][q] c[q][r][s] p[r][j] p[s][k];
     omega'[i][j] = p[w][i] p[v][j] omega[w][v].
+
+    Only the nonzero c[q][r][s] and omega[w][v] with r < s, w < v are
+    visited.  By skewness each meets the 2x2 minor of rows r, s of p,
+    p[r][j] p[s][k] - p[s][j] p[r][k], and only the j < k outputs are
+    computed; the j > k half is their negative.  Exact input gives
+    Fraction entries (int entries included), float input float entries.
     """
     n = spec.dim
     if p.dim != n:
         raise ValueError("transform dimension does not match spec")
+    _require_skew(spec)
     pinv = invert(p)
-    c = spec.c
-    # half-transformed bracket: u[q][j][k] = c[q][r][s] p[r][j] p[s][k]
-    u = [[[sum(c[q][r][s] * p[r][j] * p[s][k] for r in range(n) for s in range(n))
-           for k in range(n)] for j in range(n)] for q in range(n)]
-    c_new = tuple(
-        tuple(tuple(sum(pinv[i][q] * u[q][j][k] for q in range(n)) for k in range(n))
-              for j in range(n))
-        for i in range(n))
+    rows = p.rows
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    zero = abs(pinv[0][0] * spec.omega[0][0])  # 0 in the result's scalar type
+    minors = {}
+
+    def half_transform(terms):
+        # sum of v * minor(r, s) over the (r, s, v) terms, at every j < k
+        acc = [zero] * len(pairs)
+        for r, s, v in terms:
+            minor = minors.get((r, s))
+            if minor is None:
+                pr, ps = rows[r], rows[s]
+                minor = minors[r, s] = [pr[j] * ps[k] - ps[j] * pr[k] for j, k in pairs]
+            for idx, x in enumerate(minor):
+                if x:
+                    acc[idx] += v * x
+        return acc
+
+    def skew(upper):
+        m = [[zero] * n for _ in range(n)]
+        for (j, k), v in zip(pairs, upper):
+            m[j][k], m[k][j] = v, -v
+        return m
+
+    # u[q][jk] = c[q][r][s] p[r][j] p[s][k], for the q with a nonzero c[q]
+    u = []
+    for q, plane in enumerate(spec.c):
+        terms = [(r, s, v) for r, s in pairs if (v := plane[r][s])]
+        if terms:
+            u.append((q, half_transform(terms)))
+    c_new = []
+    for prow in pinv.rows:
+        upper = [zero] * len(pairs)
+        for q, uq in u:
+            f = prow[q]
+            if f:
+                upper = [x + f * y for x, y in zip(upper, uq)]
+        c_new.append(skew(upper))
     om = spec.omega
-    om_new = tuple(
-        tuple(sum(p[w][i] * p[v][j] * om[w][v] for w in range(n) for v in range(n))
-              for j in range(n))
-        for i in range(n))
+    om_new = skew(half_transform([(w, v, x) for w, v in pairs if (x := om[w][v])]))
     return AlgebraSpec(n, c_new, om_new)
 
 

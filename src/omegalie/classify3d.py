@@ -11,6 +11,13 @@ and the continuous parameters are decided in exact rational arithmetic:
 * for rank-2 n with a in its kernel the ratio (a x a) / adjugate(n), which
   is invariant because the adjugate transforms by plain congruence.
 
+``classify`` decomposes once and runs one congruence diagonalization
+s n s^T = diag(d); the discrete label reads its inertia from d, and the
+reduction starts from the same (s, d).  The exact stages of the reduction
+(sign sorting, the global flip, kernel shears, the VI_y gauge swap and sign
+scalings) act on (d, a, P) by index: a signed permutation or diagonal
+scaling moves entries and columns, and a kernel shear leaves n unchanged,
+so only a and P change.  Every value stays a Fraction up to that point.
 Floats enter only when building the canonical basis transform (square roots
 for the +-1 normalization, rotations and boosts) and the reported parameter.
 
@@ -32,7 +39,7 @@ from typing import Optional, Sequence
 from .algebra_core import AlgebraSpec, transport
 from .decomp3d import NabTriple, decompose, forced_b, reconstruct, t_vector
 from .tensor_core import (Inertia, Matrix, adjugate, congruence_diagonalize,
-                          inertia, invert, rational)
+                          invert, rational)
 
 
 class NotAnAlgebraError(ValueError):
@@ -125,6 +132,7 @@ class NormalForm:
     certificates: ExactCertificates
     notes: tuple
     transform_error: float     # max deviation of the transform check
+    decomposition: NabTriple   # exact (n, a, b) of the input
 
     @property
     def parameter(self):
@@ -309,9 +317,10 @@ _AZERO_LABELS = {(0, 0, 3): "I", (1, 0, 2): "II", (1, 1, 1): "VI0",
                  (2, 0, 1): "VII0", (2, 1, 0): "VIII", (3, 0, 0): "IX"}
 
 
-def _discrete_classify(n: Matrix, a):
-    """Label, squared-parameter invariant, and exact certificates of (n, a)."""
-    inert = inertia(n)
+def _discrete_classify(n: Matrix, a, d):
+    """Label, squared-parameter invariant, and exact certificates of (n, a);
+    d is a congruence diagonal of n."""
+    inert = Inertia.of_diagonal(d)
     praw, qraw = inert.positive, inert.negative
     canon = Inertia(max(praw, qraw), min(praw, qraw), inert.zero)
     rank = canon.rank
@@ -378,111 +387,134 @@ def _act_nab(n: Matrix, a, p: Matrix):
     return n2, p.transpose().apply(a)
 
 
-def _permutation_det1(order):
-    # column j picks basis vector order[j]; odd permutations get the last
-    # column negated so det = +1 and diagonal n entries just permute
-    cols = [[0] * 3 for _ in range(3)]
-    parity = Matrix(tuple(tuple(1 if q == order[j] else 0 for j in range(3))
-                          for q in range(3))).det()
-    for j in range(3):
-        cols[order[j]][j] = 1
-    if parity < 0:
-        for q in range(3):
-            cols[q][2] = -cols[q][2]
-    return Matrix(cols)
+# The exact stages act on a frame (d, a, cols): n is diag(d) and a the
+# covector in the current basis, and cols[j] is the j-th current basis
+# vector in input coordinates, i.e. column j of the accumulated transform P.
+# A basis change e'_j = Q[q][j] e_q sends n to det(Q) Q^-1 n Q^-T and a to
+# Q^T a; each stage below applies that by index for its kind of Q.
+
+
+def _parity(order) -> int:
+    inversions = sum(1 for i in range(3) for j in range(i + 1, 3) if order[i] > order[j])
+    return -1 if inversions % 2 else 1
+
+
+def _permute(frame, order, signs):
+    # e'_j = signs[j] e_order[j]; n stays diagonal with d'_j = det(Q) d_order[j]
+    d, a, cols = frame
+    det = _parity(order) * signs[0] * signs[1] * signs[2]
+    return ([det * d[o] for o in order],
+            [sg * a[o] for o, sg in zip(order, signs)],
+            [[sg * x for x in cols[o]] for o, sg in zip(order, signs)])
+
+
+def _scale(frame, lams):
+    # e'_i = lams[i] e_i; d'_i = det(Q) d_i / lams[i]^2
+    d, a, cols = frame
+    det = lams[0] * lams[1] * lams[2]
+    return ([det * x / (lam * lam) if x else x for x, lam in zip(d, lams)],
+            [lam * x for x, lam in zip(a, lams)],
+            [[lam * x for x in col] for col, lam in zip(cols, lams)])
+
+
+def _recombine(frame, new):
+    # e'_m = sum of coef e_q over (q, coef) in new[m]; the other vectors stay.
+    # Callers rewrite only kernel vectors of n (d_m = 0), with determinant 1
+    # on them or n = 0, so n is unchanged.
+    d, a, cols = frame
+    a2, cols2 = list(a), list(cols)
+    for m, terms in new.items():
+        a2[m] = sum(coef * a[q] for q, coef in terms)
+        cols2[m] = [sum(coef * cols[q][r] for q, coef in terms) for r in range(3)]
+    return d, a2, cols2
+
+
+def _sort_signs(frame):
+    # positives, then negatives, then zeros; an odd order negates the last
+    # new vector, so det = +1 and the diagonal of n just permutes
+    d = frame[0]
+    order = sorted(range(3), key=lambda i: 0 if d[i] > 0 else (1 if d[i] < 0 else 2))
+    if order == [0, 1, 2]:
+        return frame
+    return _permute(frame, order, (1, 1, _parity(order)))
+
+
+def _exact_stages(a, label: str, s: Matrix, d):
+    """Exact part of the reduction of (n, a), given s n s^T = diag(d).
+
+    Returns (d, a, P) in Fractions with det(P) P^-1 n P^-T = diag(d) and
+    P^T a_input = a: n diagonal with its signs sorted, positives >= negatives,
+    then the per-label shears, gauge swap and sign scalings.
+    """
+    p = invert(s)  # the transport by s^-1 carries n to diag(d) / det(s)
+    det_s = s.det()
+    cols = [list(col) for col in zip(*p.rows)]
+    frame = ([x / det_s for x in d],
+             [sum(x * y for x, y in zip(col, a)) for col in cols],
+             cols)
+    frame = _sort_signs(frame)
+    d = frame[0]
+    if sum(1 for x in d if x > 0) < sum(1 for x in d if x < 0):
+        frame = _sort_signs(_scale(frame, (1, 1, -1)))  # determinant -1 flips every sign of n
+
+    a = frame[1]
+    if label == "V":
+        i0 = max(range(3), key=lambda i: abs(a[i]))
+        others = [j for j in range(3) if j != i0]
+        new = {m: ((j, 1), (i0, -a[j] / a[i0])) for m, j in enumerate(others)}
+        new[2] = ((i0, 1 / a[i0]),)
+        frame = _recombine(frame, new)  # a -> (0, 0, 1); n = 0 is unconstrained
+    elif label == "IV":
+        a2, a3 = a[1], a[2]
+        if a3 != 0:
+            new = {1: ((1, a3), (2, -a2)), 2: ((2, 1 / a3),)}
+        else:
+            new = {1: ((2, -a2),), 2: ((1, 1 / a2),)}
+        frame = _recombine(frame, new)  # unimodular on the kernel plane: (a2, a3) -> (0, 1)
+    elif label == "IV_x":
+        a1 = a[0]
+        frame = _recombine(frame, {1: ((1, 1), (0, -a[1] / a1)), 2: ((2, 1), (0, -a[2] / a1))})
+        frame = _scale(frame, (1 / a1, 1 / a1, 1))
+    elif label in ("VI_a", "VII_a"):
+        if a[2] < 0:
+            frame = _scale(frame, (1, -1, -1))
+    elif label in ("VI_x", "VI_n", "VII_x"):
+        if a[2] != 0:  # shear the kernel component away along the larger entry
+            src = 0 if abs(a[0]) >= abs(a[1]) else 1
+            frame = _recombine(frame, {2: ((2, 1), (src, -a[2] / a[src]))})
+        d, a, _ = frame
+        if label == "VI_x" and sum(d[i] * a[i] * a[i] for i in range(3)) < 0:
+            frame = _permute(frame, (1, 0, 2), (1, 1, 1))  # VI_y -> VI_x gauge
+        if label == "VI_n" and a[0] * a[1] < 0:
+            frame = _scale(frame, (1, -1, -1))
+    elif label in ("VIII_a", "VIII_na") and a[2] < 0:
+        frame = _scale(frame, (1, -1, -1))
+
+    d, a, cols = frame
+    return tuple(d), tuple(a), Matrix(tuple(zip(*cols)))
 
 
 def _rotation12(c, s):
     return Matrix(((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0)))
 
 
-def _reduce(n: Matrix, a, label: str):
+def _reduce(a, label: str, s: Matrix, d):
     """Float basis transform carrying (n, a) onto its canonical table data.
 
-    Exact stages run first: congruence diagonalization, sign-class sorting,
-    the global sign flip enforcing positives >= negatives, shears killing
-    mixed kernel components, gauge swaps and finite sign scalings.  Floats
+    The exact stages (``_exact_stages``) run first, in Fractions.  Floats
     appear afterwards for the +-1 normalization of n and the rotation /
     boost / rescale stages; boost magnitudes are computed from exact
     discriminants so their domain constraints cannot be lost to rounding.
     """
-    state_n, state_a = n, tuple(a)
-    p_acc = Matrix.identity(3)
+    d_exact, a_exact, p_exact = _exact_stages(a, label, s, d)
+    state_n = Matrix.diagonal(tuple(float(x) for x in d_exact))
+    state_a = tuple(float(x) for x in a_exact)
+    p_acc = p_exact.astype_float()
 
     def apply(p):
         nonlocal state_n, state_a, p_acc
         p_acc = p_acc @ p
         state_n, state_a = _act_nab(state_n, state_a, p)
-
-    s, _ = congruence_diagonalize(state_n)
-    apply(invert(s))
-
-    def diag_vals():
-        return tuple(state_n[i][i] for i in range(3))
-
-    def sort_stage():
-        d = diag_vals()
-        order = sorted(range(3), key=lambda i: (0 if d[i] > 0 else (1 if d[i] < 0 else 2)))
-        if order != [0, 1, 2]:
-            apply(_permutation_det1(order))
-
-    sort_stage()
-    d = diag_vals()
-    if sum(1 for x in d if x > 0) < sum(1 for x in d if x < 0):
-        apply(Matrix.diagonal((1, 1, -1)))  # determinant -1 flips every sign of n
-        sort_stage()
-
-    # exact per-label reductions
-    if label == "V":
-        av = state_a
-        i0 = max(range(3), key=lambda i: abs(av[i]))
-        rows = []
-        for j in range(3):
-            if j != i0:
-                row = [Fraction(0)] * 3
-                row[j], row[i0] = Fraction(1), -Fraction(av[j]) / av[i0]
-                rows.append(row)
-        last = [Fraction(0)] * 3
-        last[i0] = 1 / Fraction(av[i0])
-        rows.append(last)
-        apply(Matrix(rows).transpose())  # a -> (0, 0, 1); n = 0 is unconstrained
-    elif label == "IV":
-        a2, a3 = state_a[1], state_a[2]
-        if a3 != 0:
-            bt = ((Fraction(a3), Fraction(-a2)), (Fraction(0), 1 / Fraction(a3)))
-        else:
-            bt = ((Fraction(0), Fraction(-a2)), (1 / Fraction(a2), Fraction(0)))
-        apply(Matrix((
-            (1, 0, 0),
-            (0, bt[0][0], bt[1][0]),
-            (0, bt[0][1], bt[1][1]),
-        )))  # unimodular on the kernel plane: (a2, a3) -> (0, 1)
-    elif label == "IV_x":
-        a1, a2, a3 = state_a
-        apply(Matrix(((1, -Fraction(a2) / a1, -Fraction(a3) / a1), (0, 1, 0), (0, 0, 1))))
-        a1 = state_a[0]
-        apply(Matrix.diagonal((1 / Fraction(a1), 1 / Fraction(a1), Fraction(1))))
-    elif label in ("VI_a", "VII_a"):
-        if state_a[2] < 0:
-            apply(Matrix.diagonal((1, -1, -1)))
-    elif label in ("VI_x", "VI_n", "VII_x"):
-        a1, a2, a3 = state_a
-        if a3 != 0:  # shear the kernel component away along the larger entry
-            if abs(a1) >= abs(a2):
-                apply(Matrix(((1, 0, -Fraction(a3) / a1), (0, 1, 0), (0, 0, 1))))
-            else:
-                apply(Matrix(((1, 0, 0), (0, 1, -Fraction(a3) / a2), (0, 0, 1))))
-        if label == "VI_x":
-            dd, av = diag_vals(), state_a
-            if sum(dd[i] * av[i] * av[i] for i in range(3)) < 0:
-                apply(Matrix(((0, 1, 0), (1, 0, 0), (0, 0, 1))))  # VI_y -> VI_x gauge
-        if label == "VI_n" and state_a[0] * state_a[1] < 0:
-            apply(Matrix.diagonal((1, -1, -1)))
-    elif label in ("VIII_a", "VIII_na") and state_a[2] < 0:
-        apply(Matrix.diagonal((1, -1, -1)))
-
-    d_exact = diag_vals()
-    a_exact = state_a
 
     # normalize n to signs: mu_i = sqrt(|d_i|)/g with g = prod sqrt(|d_i|)
     g2 = Fraction(1)
@@ -495,9 +527,6 @@ def _reduce(n: Matrix, a, label: str):
     asq = tuple(Fraction(a_exact[i]) ** 2 * (abs(d_exact[i]) if d_exact[i] != 0 else 1) / g2
                 for i in range(3))
 
-    state_n = state_n.astype_float()
-    state_a = tuple(float(x) for x in state_a)
-    p_acc = p_acc.astype_float()
     apply(Matrix.diagonal(mu))
 
     pipeline_param = None
@@ -596,8 +625,9 @@ def classify(spec: AlgebraSpec, *, float_tol: float = 1e-9) -> NormalForm:
     if any(x != 0 for x in t):
         raise NotAnAlgebraError(t)
 
-    label, param2, certs = _discrete_classify(trip.n, trip.a)
-    p_total, _, _, pipeline_param = _reduce(trip.n, trip.a, label)
+    s, d = congruence_diagonalize(trip.n)
+    label, param2, certs = _discrete_classify(trip.n, trip.a, d)
+    p_total, _, _, pipeline_param = _reduce(trip.a, label, s, d)
 
     if param2 is not None:
         parameter = math.sqrt(param2)
@@ -618,7 +648,7 @@ def classify(spec: AlgebraSpec, *, float_tol: float = 1e-9) -> NormalForm:
         notes.append(f"canonical transform check exceeded tolerance: max deviation {err:.3e}")
 
     return NormalForm(BianchiLabel(label, parameter), canonical, p_total,
-                      certs, tuple(notes), err)
+                      certs, tuple(notes), err, trip)
 
 
 def _spec_is_rational(spec: AlgebraSpec) -> bool:

@@ -11,6 +11,12 @@ The validity defect collapses to the single vector
     t = 4 n a + 2 b,
 
 so a bracket admits exactly one compatible omega: the one with b = -2 n a.
+
+With indices mod 3 each eps sum is a single term: the dual matrix is
+cm[i][l] = c[i][l+1][l+2], n is its symmetric part, a_m = (cm[m+1][m+2] -
+cm[m+2][m+1]) / 2 and b^k = omega[k+1][k+2], so ``decompose`` and
+``reconstruct`` touch each independent entry once.  Exact input gives
+Fraction entries (int entries included); float input stays float.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra_core import AlgebraSpec, _require_skew
-from .tensor_core import Matrix, levi_civita
+from .tensor_core import Matrix, _field
 
 
 @dataclass(frozen=True)
@@ -48,50 +54,61 @@ class NabTriple:
         return all(x == y for x, y in zip(self.b, forced_b(self.n, self.a)))
 
 
+# (l + 1, l + 2) mod 3 for l = 0, 1, 2: the pair with eps_{jkl} = +1
+_CYCLIC = ((1, 2), (2, 0), (0, 1))
+
+
 def dual_c(c) -> Matrix:
-    """Dual matrix of a 3d skew bracket: c^{il} = (1/2) c[i][j][k] eps^{jkl}."""
+    """Dual matrix of a 3d skew bracket: c^{il} = (1/2) c[i][j][k] eps^{jkl}.
+
+    For skew c the sum is one entry, c^{il} = c[i][l+1][l+2] (indices mod 3).
+    """
     if len(c) != 3:
         raise ValueError("dual_c requires a 3-dimensional bracket")
-    half = Fraction(1, 2)
-    return Matrix(tuple(
-        tuple(half * sum(c[i][j][k] * levi_civita(j + 1, k + 1, l + 1)
-                         for j in range(3) for k in range(3))
-              for l in range(3))
-        for i in range(3)))
+    return Matrix(tuple(tuple(_field(ci[j][k]) for j, k in _CYCLIC) for ci in c))
 
 
 def decompose(spec: AlgebraSpec) -> NabTriple:
     """Extract (n, a, b): n the symmetric part and a the skew part of the dual
-    matrix, b^k = (1/2) eps^{ijk} omega_ij."""
+    matrix, b^k = (1/2) eps^{ijk} omega_ij = omega[k+1][k+2]."""
     if spec.dim != 3:
         raise ValueError("decompose requires dim 3")
     _require_skew(spec)
     cm = dual_c(spec.c)
     half = Fraction(1, 2)
-    n = Matrix(tuple(tuple(half * (cm[i][l] + cm[l][i]) for l in range(3)) for i in range(3)))
-    a = tuple(half * sum(levi_civita(m + 1, i + 1, l + 1) * cm[i][l]
-                         for i in range(3) for l in range(3))
-              for m in range(3))
-    b = tuple(half * sum(levi_civita(i + 1, j + 1, k + 1) * spec.omega[i][j]
-                         for i in range(3) for j in range(3))
-              for k in range(3))
-    return NabTriple(n, a, b)
+    # a_m = (1/2) eps^{mil} cm[i][l]; the symmetric part shares its pairs
+    sym = {}
+    a = []
+    for i, l in _CYCLIC:
+        sym[i, l] = sym[l, i] = half * (cm[i][l] + cm[l][i])
+        a.append(half * (cm[i][l] - cm[l][i]))
+    n = Matrix(tuple(tuple(cm[i][i] if i == l else sym[i, l] for l in range(3))
+                     for i in range(3)))
+    b = tuple(_field(spec.omega[j][k]) for j, k in _CYCLIC)
+    return NabTriple(n, tuple(a), b)
 
 
 def reconstruct(t: NabTriple) -> AlgebraSpec:
-    """Inverse of decompose: assemble the AlgebraSpec with this (n, a, b)."""
-    n, a, b = t.n, t.a, t.b
-    c = tuple(
-        tuple(
-            tuple(
-                sum(n[i][l] * levi_civita(j + 1, k + 1, l + 1) for l in range(3))
-                - (a[k] if i == j else 0) + (a[j] if i == k else 0)
-                for k in range(3))
-            for j in range(3))
-        for i in range(3))
-    om = tuple(
-        tuple(sum(levi_civita(i + 1, j + 1, k + 1) * b[k] for k in range(3)) for j in range(3))
-        for i in range(3))
+    """Inverse of decompose: assemble the AlgebraSpec with this (n, a, b).
+
+    c[i][j][k] = n[i][l] - delta_ij a_k + delta_ik a_j for the cyclic
+    (j, k) = (l+1, l+2), and omega[l+1][l+2] = b^l; skewness gives the rest.
+    """
+    n = [[_field(x) for x in row] for row in t.n.rows]
+    a = [_field(x) for x in t.a]
+    zero = n[0][0] - n[0][0]  # 0 in the input's scalar type
+    c = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
+    om = [[zero] * 3 for _ in range(3)]
+    for l, (j, k) in enumerate(_CYCLIC):
+        for i in range(3):
+            v = n[i][l]
+            if i == j:
+                v = v - a[k]
+            elif i == k:
+                v = v + a[j]
+            c[i][j][k], c[i][k][j] = v, -v
+        bl = _field(t.b[l])
+        om[j][k], om[k][j] = bl, -bl
     return AlgebraSpec(3, c, om)
 
 

@@ -172,7 +172,13 @@ class _Usage(Exception):
 
 
 def _rat_str(x):
-    return str(Fraction(x))
+    # the one formatter of exact report values: a value within the input's
+    # digit limit can still have a product or sum past it
+    try:
+        return str(Fraction(x))
+    except ValueError:
+        raise _Usage("a result value has more digits than the integer-to-text "
+                     f"conversion limit ({sys.get_int_max_str_digits()}) allows") from None
 
 
 def _vec(v):
@@ -230,7 +236,7 @@ def _force_omega(spec: AlgebraSpec) -> AlgebraSpec:
 
 def _residual_report(res, limit=20):
     comps = list(res.nonzero_components())
-    lines = [f"  residual[m={m} l={l} j={j} k={k}] = {v}"
+    lines = [f"  residual[m={m} l={l} j={j} k={k}] = {_rat_str(v)}"
              for (m, l, j, k), v in comps[:limit]]
     if len(comps) > limit:
         lines.append(f"  ... and {len(comps) - limit} more")
@@ -305,7 +311,7 @@ def _cmd_classify(args):
         raise _Failure(f"not an omega-deformed Lie algebra: {exc}",
                        {"command": "classify", "valid": False,
                         "t": [str(x) for x in exc.t]}) from None
-    trip = decompose(spec)
+    trip = nf.decomposition
     nd, apat, brow = _canonical_row(nf.label.name)
     certs = nf.certificates
     p = nf.parameter
@@ -434,8 +440,10 @@ def _cmd_deformability(args):
     report = {"command": "deformability", "dim": spec.dim,
               "deformable": result.compatible}
     if result.compatible:
-        probe = AlgebraSpec(spec.dim, spec.c, result.candidate)
-        report["candidate_omega"] = document_object(probe)["omega_entries"]
+        cand, dim = result.candidate, spec.dim
+        report["candidate_omega"] = [[i + 1, j + 1, _rat_str(cand[i][j])]
+                                     for i in range(dim) for j in range(i + 1, dim)
+                                     if cand[i][j] != 0]
         report["matches_document_omega"] = result.candidate == spec.omega
         lines = ["deformable: the trace candidate omega closes the deformed Jacobi identity"]
         entries = report["candidate_omega"]

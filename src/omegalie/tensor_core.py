@@ -2,9 +2,12 @@
 
 Everything in this module stays in Q: scalars are ``fractions.Fraction``,
 matrices are immutable row tuples, and congruence diagonalization / inertia
-counting never take square roots.  The classification layer reuses ``Matrix``
-with float entries for its final basis transforms; the exact routines
-(``congruence_diagonalize``, ``inertia``) are only meant for rational input.
+counting never take square roots.  ``det``, ``invert`` and ``adjugate``
+divide in the field of their entries: int entries are taken as Fractions,
+so exact input gives Fraction output, and float input stays float.  The
+classification layer reuses ``Matrix`` with float entries for its final
+basis transforms; the exact routines (``congruence_diagonalize``,
+``inertia``) are only meant for rational input.
 """
 
 from __future__ import annotations
@@ -46,6 +49,12 @@ _EPS3 = {
     (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
     (3, 2, 1): -1, (1, 3, 2): -1, (2, 1, 3): -1,
 }
+
+
+def _field(value):
+    """An int as a Fraction, so that ``/`` on it stays exact; Fractions and
+    floats are returned unchanged."""
+    return Fraction(value) if isinstance(value, int) else value
 
 
 def levi_civita(i: int, j: int, k: int) -> int:
@@ -147,13 +156,13 @@ class Matrix:
     def det(self):
         """Determinant by elimination with partial pivoting (largest |pivot|)."""
         n = self.dim
-        a = [list(r) for r in self.rows]
+        a = [[_field(x) for x in r] for r in self.rows]
         sign = 1
         result = 1
         for col in range(n):
             piv = max(range(col, n), key=lambda r: abs(a[r][col]))
             if a[piv][col] == 0:
-                return 0 * result
+                return a[piv][col]
             if piv != col:
                 a[piv], a[col] = a[col], a[piv]
                 sign = -sign
@@ -168,7 +177,8 @@ class Matrix:
 def invert(m: Matrix) -> Matrix:
     """Inverse by Gauss-Jordan elimination with partial pivoting."""
     n = m.dim
-    a = [list(r) for r in m.rows]
+    a = [[_field(x) for x in r] for r in m.rows]
+    # every row of inv is divided by a pivot of a, which fixes its type
     inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(a[r][col]))
@@ -192,7 +202,7 @@ def adjugate(m: Matrix) -> Matrix:
     """Adjugate (transposed cofactor matrix); satisfies m @ adj(m) = det(m) I."""
     n = m.dim
     if n == 1:
-        return Matrix(((1,),))
+        return Matrix(((1.0 if isinstance(m[0][0], float) else Fraction(1),),))
 
     def minor_det(rows, skip_r, skip_c):
         sub = [[rows[r][c] for c in range(n) if c != skip_c] for r in range(n) if r != skip_r]
@@ -268,10 +278,14 @@ class Inertia:
     def swapped(self) -> "Inertia":
         return Inertia(self.negative, self.positive, self.zero)
 
+    @classmethod
+    def of_diagonal(cls, d: Sequence) -> "Inertia":
+        """Sign counts of a congruence diagonal (Sylvester's law of inertia)."""
+        pos = sum(1 for x in d if x > 0)
+        neg = sum(1 for x in d if x < 0)
+        return cls(pos, neg, len(d) - pos - neg)
+
 
 def inertia(m: Matrix) -> Inertia:
     """Signature (positive, negative, zero) of a symmetric rational matrix."""
-    _, d = congruence_diagonalize(m)
-    pos = sum(1 for x in d if x > 0)
-    neg = sum(1 for x in d if x < 0)
-    return Inertia(pos, neg, len(d) - pos - neg)
+    return Inertia.of_diagonal(congruence_diagonalize(m)[1])

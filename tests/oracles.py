@@ -3,11 +3,12 @@
 Everything here is deliberately naive: permutation expansions for
 determinants, characteristic polynomial + Descartes' rule of signs for
 inertia, direct evaluation of the deformed Jacobi identity on basis
-triples, and the dense O(dim^5) component formula of the residual tensor.
-Slow but obviously correct, and sharing no code paths with the package
-under test (``deformed_identity_holds`` uses the library's ``jacobiator``
-and ``omega_rhs``, which tests compare against ``dense_bracket`` and
-``dense_omega``).
+triples, the dense O(dim^5) component formula of the residual tensor,
+the 27-term Levi-Civita sums of the dimension-3 dictionary and the dense
+basis change of a spec.  Slow but obviously correct, and sharing no code
+paths with the package under test (``deformed_identity_holds`` uses the
+library's ``jacobiator`` and ``omega_rhs``, which tests compare against
+``dense_bracket`` and ``dense_omega``).
 """
 
 from fractions import Fraction
@@ -154,3 +155,59 @@ def dense_residual(spec: AlgebraSpec):
                     for (p0, p1, p2), sign in _PERM3:
                         comps[m][idx[p0]][idx[p1]][idx[p2]] = sign * val
     return comps
+
+
+def eps3(i, j, k):
+    """Levi-Civita symbol on 0-based indices, as a permutation sign."""
+    if len({i, j, k}) < 3:
+        return 0
+    return _perm_sign((i, j, k))
+
+
+def eps_dual_c(c):
+    """c^{il} = (1/2) sum over j, k of c[i][j][k] eps^{jkl}, all 27 terms."""
+    half = Fraction(1, 2)
+    return [[half * sum(c[i][j][k] * eps3(j, k, l) for j in range(3) for k in range(3))
+             for l in range(3)] for i in range(3)]
+
+
+def eps_decompose(spec: AlgebraSpec):
+    """(n rows, a, b) of a dim-3 spec by the full eps sums."""
+    cm = eps_dual_c(spec.c)
+    half = Fraction(1, 2)
+    n = [[half * (cm[i][l] + cm[l][i]) for l in range(3)] for i in range(3)]
+    a = [half * sum(eps3(m, i, l) * cm[i][l] for i in range(3) for l in range(3))
+         for m in range(3)]
+    b = [half * sum(eps3(i, j, k) * spec.omega[i][j] for i in range(3) for j in range(3))
+         for k in range(3)]
+    return n, a, b
+
+
+def eps_reconstruct(n, a, b):
+    """(c, omega) with c[i][j][k] = n[i][l] eps_{jkl} - delta_ij a_k +
+    delta_ik a_j and omega_ij = eps_ijk b^k, every term summed."""
+    c = [[[sum(n[i][l] * eps3(j, k, l) for l in range(3))
+           - (a[k] if i == j else 0) + (a[j] if i == k else 0)
+           for k in range(3)] for j in range(3)] for i in range(3)]
+    om = [[sum(eps3(i, j, k) * b[k] for k in range(3)) for j in range(3)]
+          for i in range(3)]
+    return c, om
+
+
+def dense_transport(spec: AlgebraSpec, p):
+    """(c, omega) after the basis change e'_j = p[q][j] e_q, every term of
+    c'[i][j][k] = inv(p)[i][q] c[q][r][s] p[r][j] p[s][k] and
+    omega'[i][j] = p[w][i] p[v][j] omega[w][v] summed; inv(p) is the
+    permutation-expanded adjugate over the determinant."""
+    n = spec.dim
+    det = perm_det(p)
+    pinv = [[x / det for x in row] for row in perm_adjugate(p)]
+    c, om = spec.c, spec.omega
+    rng = range(n)
+    u = [[[sum(c[q][r][s] * p[r][j] * p[s][k] for r in rng for s in rng)
+           for k in rng] for j in rng] for q in rng]
+    c_new = [[[sum(pinv[i][q] * u[q][j][k] for q in rng) for k in rng] for j in rng]
+             for i in rng]
+    om_new = [[sum(p[w][i] * p[v][j] * om[w][v] for w in rng for v in rng) for j in rng]
+              for i in rng]
+    return c_new, om_new

@@ -1,5 +1,6 @@
 """Spec container, bracket evaluation, residual tensor, basis transport."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from omegalie import (AlgebraSpec, SingularMatrixError, SkewViolationError,
                       jacobiator, omega_rhs, omega_rhs_is_identically_zero,
                       omega_value, residual, transport, validate_skew)
 from oracles import (deformed_identity_holds, dense_bracket, dense_omega,
-                     dense_residual)
+                     dense_residual, dense_transport)
 
 
 def rand_spec(rng, dim=3, valid_omega=False):
@@ -309,3 +310,47 @@ def test_transport_rejects_singular():
     s = AlgebraSpec.zero(3)
     with pytest.raises(SingularMatrixError):
         transport(s, Matrix(((1, 0, 0), (0, 1, 0), (1, 1, 0))))
+
+
+def as_scalars(spec, p, kind):
+    """spec and p with every entry an int, Fraction or float."""
+    conv = {"int": lambda x: int(x * 6), "fraction": Fraction, "float": float}[kind]
+    c = tuple(tuple(tuple(conv(x) for x in row) for row in plane) for plane in spec.c)
+    om = tuple(tuple(conv(x) for x in row) for row in spec.omega)
+    return AlgebraSpec(spec.dim, c, om), Matrix(tuple(tuple(conv(x) for x in r) for r in p.rows))
+
+
+def test_transport_matches_dense_reference():
+    rng = random.Random(32)
+    for dim in range(2, 6):
+        for density in (0.0, 0.2, 0.5, 1.0):
+            s = sparse_spec(rng, dim, density)
+            p = rand_transport(rng, dim)
+            while Matrix(tuple(tuple(int(x * 6) for x in r) for r in p.rows)).det() == 0:
+                p = rand_transport(rng, dim)
+            for kind in ("int", "fraction", "float"):
+                spec, pk = as_scalars(s, p, kind)
+                got = transport(spec, pk)
+                ref_c, ref_om = dense_transport(spec, pk.rows)
+                got_all = [x for plane in got.c for row in plane for x in row] + \
+                          [x for row in got.omega for x in row]
+                ref_all = [x for plane in ref_c for row in plane for x in row] + \
+                          [x for row in ref_om for x in row]
+                if kind == "float":  # summation order differs from the reference
+                    assert all(math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
+                               for x, y in zip(got_all, ref_all)), (dim, density)
+                    assert {type(x) for x in got_all} == {float}
+                else:
+                    assert got_all == ref_all, (dim, density, kind)
+                    assert {type(x) for x in got_all} == {Fraction}, (dim, density, kind)
+
+
+def test_transport_rejects_non_skew_specs():
+    zero = AlgebraSpec.zero(3)
+    c = [[list(row) for row in plane] for plane in zero.c]
+    c[2][0][1] = 1  # [e1, e2] = e3 without [e2, e1] = -e3
+    with pytest.raises(SkewViolationError):
+        transport(AlgebraSpec(3, c, zero.omega), Matrix.identity(3))
+    om = ((0, 1, 0), (1, 0, 0), (0, 0, 0))
+    with pytest.raises(SkewViolationError):
+        transport(AlgebraSpec(3, zero.c, om), Matrix.identity(3))

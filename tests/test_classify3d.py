@@ -8,8 +8,11 @@ import pytest
 
 from omegalie import (AlgebraSpec, BianchiLabel, Matrix, NabTriple,
                       NotAnAlgebraError, PARAMETRIC_LABELS, causal_character,
-                      classify, decompose, forced_b, generate, orbit_sample,
-                      reconstruct, residual_scalings, table_row, transport)
+                      classify, congruence_diagonalize, decompose, forced_b,
+                      generate, orbit_sample, reconstruct, residual_scalings,
+                      table_row, transport)
+from omegalie.classify3d import _exact_stages
+from oracles import perm_adjugate, perm_det
 
 ALL_LABELS = ("I", "II", "VI0", "VII0", "VIII", "IX", "V", "IV", "IV_x",
               "VI_a", "VI_x", "VI_y", "VI_n", "VII_a", "VII_x", "VIII_a",
@@ -180,7 +183,11 @@ def test_classify_certificate_inertia_is_canonically_ordered():
 def test_vi_x_vi_y_witness_transform():
     # the determinant -1 axis swap carries the VI_x row exactly onto VI_y
     swap = Matrix(((0, 1, 0), (1, 0, 0), (0, 0, 1)))
-    assert transport(generate("VI_x"), swap) == generate("VI_y")
+    moved = transport(generate("VI_x"), swap)
+    assert moved == generate("VI_y")
+    # == alone passes with float entries, since 1.0 == Fraction(1)
+    assert all(type(x) is Fraction for m in moved.c for r in m for x in r)
+    assert all(type(x) is Fraction for r in moved.omega for x in r)
     nf = classify(generate("VI_y"))
     assert nf.label.name == "VI_x"
     assert any("VI_y" in note for note in nf.notes)
@@ -191,6 +198,33 @@ def test_viii_na_note_and_pipeline_parameter():
     assert nf.label.name == "VIII_na"
     assert nf.parameter == pytest.approx(3.0, abs=1e-12)
     assert any("null" in note for note in nf.notes)
+
+
+def test_exact_stages_hand_an_exact_witness_to_the_float_stage():
+    # (d, a, P) at the float boundary: all Fractions, n carried exactly onto
+    # diag(d) (det(P) P^-1 n P^-T = adj(P) n adj(P)^T / det(P)) and a onto
+    # P^T a, with the sign pattern of the table row
+    rng = random.Random(48)
+    for label in ALL_LABELS:
+        for _ in range(4):
+            p = Fraction(rng.randint(1, 6), rng.randint(1, 4)) \
+                if label in PARAMETRIC_LABELS else None
+            spec = orbit_sample(label, p, seed=rng.randrange(2 ** 31))
+            name = classify(spec).label.name
+            trip = decompose(spec)
+            s, d0 = congruence_diagonalize(trip.n)
+            d, a, pm = _exact_stages(trip.a, name, s, d0)
+            entries = list(d) + list(a) + [x for r in pm.rows for x in r]
+            assert all(type(x) is Fraction for x in entries), label
+            rows = [list(r) for r in pm.rows]
+            adj = Matrix(perm_adjugate(rows))
+            moved_n = (adj @ trip.n @ adj.transpose()).scale(1 / perm_det(rows))
+            assert moved_n == Matrix.diagonal(d), label
+            assert pm.transpose().apply(trip.a) == a, label
+            nd, apat, _ = table_row(name)
+            assert tuple((x > 0) - (x < 0) for x in d) == nd, label
+            # on the kernel of n only the row's own a components survive
+            assert all((a[i] != 0) == (apat[i] != 0) for i in range(3) if d[i] == 0), label
 
 
 # --- classify: exact invariants on messy representatives -------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from omegalie import (AlgebraSpec, Matrix, NabTriple, decompose, dual_c,
                       forced_b, forced_omega, generate, reconstruct, residual,
                       t_vector)
+from oracles import eps_decompose, eps_dual_c, eps_reconstruct
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
@@ -155,6 +156,52 @@ def test_forced_omega_matches_forced_b_route():
         rebuilt = reconstruct(NabTriple(trip.n, trip.a, forced_b(trip.n, trip.a)))
         assert om == rebuilt.omega
         assert residual(AlgebraSpec(3, spec.c, om)).is_zero
+
+
+def nested(x):
+    return [nested(y) for y in x] if isinstance(x, (tuple, list)) else x
+
+
+def flat(x):
+    return [z for y in x for z in flat(y)] if isinstance(x, (tuple, list)) else [x]
+
+
+def test_dictionary_matches_eps_sums():
+    # the cyclic-index kernels against the 27-term Levi-Civita sums, on
+    # skew c and omega with int, Fraction and float entries
+    rng = random.Random(26)
+    for _ in range(60):
+        c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+        om = [[0] * 3 for _ in range(3)]
+        for j, k in ((0, 1), (0, 2), (1, 2)):
+            for i in range(3):
+                v = rng.choice((0, rng.randint(-9, 9)))
+                c[i][j][k], c[i][k][j] = v, -v
+            w = rng.choice((0, rng.randint(-9, 9)))
+            om[j][k], om[k][j] = w, -w
+        den = rng.randint(1, 4)
+        for kind, conv in (("int", int), ("fraction", lambda x: Fraction(x, den)),
+                           ("float", float)):
+            spec = AlgebraSpec(3, [[[conv(x) for x in r] for r in p] for p in c],
+                               [[conv(x) for x in r] for r in om])
+            want = float if kind == "float" else Fraction
+            cm = dual_c(spec.c)
+            assert nested(cm.rows) == eps_dual_c(spec.c)
+            trip = decompose(spec)
+            assert (nested(trip.n.rows), list(trip.a), list(trip.b)) == eps_decompose(spec)
+            rebuilt = reconstruct(trip)
+            assert (nested(rebuilt.c), nested(rebuilt.omega)) == eps_reconstruct(
+                nested(trip.n.rows), trip.a, trip.b)
+            assert rebuilt == spec
+            raw = NabTriple(Matrix(tuple(tuple(conv(x) for x in r) for r in
+                                         ((2, 1, 0), (1, -3, 5), (0, 5, 0)))),
+                            tuple(conv(x) for x in c[0][1]), tuple(conv(x) for x in om[2]))
+            from_raw = reconstruct(raw)
+            assert (nested(from_raw.c), nested(from_raw.omega)) == eps_reconstruct(
+                nested(raw.n.rows), raw.a, raw.b)
+            for out in (cm.rows, trip.n.rows, trip.a, trip.b, rebuilt.c, rebuilt.omega,
+                        from_raw.c, from_raw.omega):
+                assert {type(x) for x in flat(out)} == {want}, kind
 
 
 def test_decompose_requires_dim3():

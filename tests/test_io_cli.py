@@ -309,6 +309,22 @@ def test_cli_numerals_beyond_the_int_digit_limit_exit_2(monkeypatch):
         assert "Traceback" not in err.getvalue()
 
 
+def test_cli_report_values_beyond_the_int_digit_limit_exit_2(monkeypatch):
+    # every input is under the limit, but the residual and the trace
+    # candidate hold products of two 3,000-digit entries
+    big = "7" * 3000
+    text = json.dumps({"dim": 4, "c_entries": [[1, 2, 3, big], [3, 4, 1, big]],
+                       "omega_entries": []})
+    for argv in (["validate", "--json"], ["validate"],
+                 ["deformability", "--json"], ["deformability"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert run(argv) == 2, argv
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("error: ") and "digits" in err.getvalue(), argv
+
+
 def test_cli_parser_is_reused_across_swapped_streams(monkeypatch):
     doc = serialize(generate("IX_a", 2))
     calls = [["validate", "--json"], ["no-such-command"], ["--help"],

@@ -134,6 +134,30 @@ def test_adjugate_identity_and_oracle():
         assert [list(r) for r in adj.rows] == perm_adjugate([list(r) for r in m.rows])
 
 
+def entry_types(m):
+    return {type(x) for r in m.rows for x in r}
+
+
+def test_kernels_divide_exactly_on_int_entries():
+    # 1.0 == Fraction(1), so only the type shows a float leak
+    ints = [Matrix.identity(3), Matrix(((2, 1), (1, 1))), Matrix(((5,),)),
+            Matrix(((0, 1, 0), (1, 0, 0), (0, 0, 1))), Matrix(((1, 2, 3), (0, 1, 4), (5, 6, 0))),
+            Matrix(((1, 2, 3), (2, 4, 6), (0, 1, 1)))]
+    for m in ints:
+        assert type(m.det()) is Fraction, m
+        assert entry_types(adjugate(m)) == {Fraction}, m
+        if m.det() != 0:
+            assert entry_types(invert(m)) == {Fraction}, m
+            assert m @ invert(m) == Matrix.identity(m.dim)
+    assert Matrix(((2, 1), (1, 1))).det() == 1
+    assert type(Matrix(((0, 1), (0, 1))).det()) is Fraction
+    floats = Matrix(((2.0, 1.0), (1.0, 1.0)))
+    assert type(floats.det()) is float
+    assert entry_types(invert(floats)) == {float}
+    assert entry_types(adjugate(floats)) == {float}
+    assert entry_types(adjugate(Matrix(((5.0,),)))) == {float}
+
+
 # --- congruence diagonalization and inertia -----------------------------
 
 def test_congruence_diagonalize_structure():
