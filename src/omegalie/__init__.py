@@ -19,9 +19,8 @@ from .algebra_core import (AlgebraSpec, ResidualTensor, SkewViolation,
                            omega_value, residual, transport, validate_skew)
 from .classify3d import (FIRST_TABLE_ORDER, PARAMETRIC_LABELS,
                          SECOND_TABLE_ORDER, BianchiLabel, ExactCertificates,
-                         NormalForm, NotAnAlgebraError, ScalingGroup,
-                         causal_character, classify, generate, orbit_sample,
-                         residual_scalings, table_row)
+                         NormalForm, NotAnAlgebraError, classify, generate,
+                         orbit_sample, table_row)
 from .decomp3d import (NabTriple, decompose, dual_c, forced_b, forced_omega,
                        reconstruct, t_vector)
 from .decomp_nd import (DeformabilityResult, GeneralSplit,
@@ -31,7 +30,7 @@ from .io_cli import (DocumentError, ExactnessError, document_object, parse,
                      serialize)
 from .tensor_core import (Inertia, Matrix, Scalar, SingularMatrixError,
                           adjugate, congruence_diagonalize, inertia, invert,
-                          levi_civita, rational)
+                          rational)
 
 __version__ = "0.1.0"
 
@@ -40,14 +39,12 @@ __all__ = [
     "ExactCertificates", "ExactnessError", "FIRST_TABLE_ORDER",
     "GeneralSplit", "Inertia", "Matrix", "NabTriple", "NormalForm",
     "NotAnAlgebraError", "PARAMETRIC_LABELS", "ResidualTensor",
-    "SECOND_TABLE_ORDER", "Scalar", "ScalingGroup", "SingularMatrixError",
-    "SkewViolation", "SkewViolationError", "adjugate", "bracket",
-    "causal_character", "check_deformability", "classify",
-    "congruence_diagonalize", "decompose", "deformability",
+    "SECOND_TABLE_ORDER", "Scalar", "SingularMatrixError", "SkewViolation",
+    "SkewViolationError", "adjugate", "bracket", "check_deformability",
+    "classify", "congruence_diagonalize", "decompose", "deformability",
     "document_object", "dual_c", "forced_b", "forced_omega", "generate",
-    "induced_omega", "inertia", "invert", "jacobiator", "levi_civita",
-    "omega_rhs", "omega_rhs_is_identically_zero", "omega_value",
-    "orbit_sample", "parse", "rational", "reconstruct", "residual",
-    "residual_scalings", "serialize", "split_trace", "t_vector",
-    "table_row", "transport", "validate_skew",
+    "induced_omega", "inertia", "invert", "jacobiator", "omega_rhs",
+    "omega_rhs_is_identically_zero", "omega_value", "orbit_sample",
+    "parse", "rational", "reconstruct", "residual", "serialize",
+    "split_trace", "t_vector", "table_row", "transport", "validate_skew",
 ]

@@ -13,13 +13,18 @@ and the continuous parameters are decided in exact rational arithmetic:
 
 ``classify`` decomposes once and runs one congruence diagonalization
 s n s^T = diag(d); the discrete label reads its inertia from d, and the
-reduction starts from the same (s, d).  The exact stages of the reduction
-(sign sorting, the global flip, kernel shears, the VI_y gauge swap and sign
-scalings) act on (d, a, P) by index: a signed permutation or diagonal
-scaling moves entries and columns, and a kernel shear leaves n unchanged,
-so only a and P change.  Every value stays a Fraction up to that point.
-Floats enter only when building the canonical basis transform (square roots
-for the +-1 normalization, rotations and boosts) and the reported parameter.
+reduction starts from the same (s, d).  Every stage of the reduction acts
+on one frame (d, a, P) by index: a signed permutation or diagonal scaling
+moves entries and columns, and a recombination by a basis change in the
+stabiliser of n (kernel shears, rotations, boosts) leaves n unchanged, so
+only a and P change.  The exact stages (sign sorting, the global flip,
+kernel shears, the VI_y gauge swap and sign scalings) run in Fractions.
+Floats enter only after them, in the same frame: square roots for the +-1
+normalization of n, the rotations and boosts, and the reported parameter.
+
+VI_y and every VIII_na parameter are not orbits of their own: both report
+on a canonical representative (VI_x, VIII_na at parameter 1) with a note
+giving the exact witness basis change.
 
 Canonical commutation relations of every table row (b = -2 n a throughout):
 
@@ -34,7 +39,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebra_core import AlgebraSpec, transport
 from .decomp3d import NabTriple, decompose, forced_b, reconstruct, t_vector
@@ -47,10 +52,18 @@ class NotAnAlgebraError(ValueError):
 
     def __init__(self, t):
         self.t = tuple(t)
-        ts = ", ".join(str(x) for x in self.t)
+        ts = ", ".join(_brief(x) for x in self.t)
         super().__init__(
             f"omega does not satisfy the deformed Jacobi identity: t = 4 n a + 2 b = ({ts}); "
             "the unique compatible choice is b = -2 n a")
+
+
+def _brief(x) -> str:
+    # t can pass the int-to-text digit limit on inputs within it
+    try:
+        return str(x)
+    except ValueError:
+        return "<more digits than the int-to-text limit>"
 
 
 # label -> (n diagonal, a pattern, has continuous parameter)
@@ -88,10 +101,11 @@ _VI_COLLAPSE_NOTE = (
     "VI_x and VI_y lie on one orbit: the basis swap e1 <-> e2 (determinant -1) "
     "preserves n = diag(1, -1, 0) and exchanges their a data; VI_x is the "
     "canonical representative reported here.")
-_NULL_PARAM_NOTE = (
-    "the null-family parameter is pipeline-determined and may not separate "
-    "orbits (boosts rescale null covectors); only the label and the null "
-    "certificate are certified.")
+_VIII_NA_COLLAPSE_NOTE = (
+    "VIII_na rows of every parameter lie on one orbit: the boost "
+    "[[5/4, 0, 3/4], [0, 1, 0], [3/4, 0, 5/4]] (determinant 1) preserves "
+    "n = diag(1, 1, -1) and doubles the null a = (p, 0, p); VIII_na at "
+    "parameter 1 is the canonical representative reported here.")
 
 
 @dataclass(frozen=True)
@@ -137,116 +151,6 @@ class NormalForm:
     @property
     def parameter(self):
         return self.label.parameter
-
-
-@dataclass(frozen=True)
-class ScalingGroup:
-    """Diagonal basis scalings preserving a normalized diagonal n.
-
-    A scaling diag(l1, l2, l3) preserves n_i exactly when (l_j l_k - l_i)
-    n_i = 0 for each cyclic (i, j, k), so each nonzero n_i activates one
-    constraint.  With all three active the group is the finite four-element
-    sign group; otherwise continuous factors remain.
-    """
-
-    n_diag: tuple
-    active: tuple  # active[i] <-> constraint l_j l_k = l_i is in force
-
-    @property
-    def dimension(self) -> int:
-        return (3, 2, 1, 0)[sum(self.active)]
-
-    @property
-    def is_finite(self) -> bool:
-        return self.dimension == 0
-
-    def finite_solutions(self) -> tuple:
-        if not self.is_finite:
-            raise ValueError("the admissible set has continuous factors")
-        return ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
-
-    def is_admissible(self, lam: Sequence) -> bool:
-        if len(lam) != 3 or any(x == 0 for x in lam):
-            return False
-        l1, l2, l3 = lam
-        checks = (l2 * l3 == l1, l3 * l1 == l2, l1 * l2 == l3)
-        return all(c for c, act in zip(checks, self.active) if act)
-
-    def sample(self, rng: random.Random) -> tuple:
-        """A pseudorandom admissible scaling with small rational entries."""
-        def nz():
-            v = 0
-            while v == 0:
-                v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            return v
-
-        count = sum(self.active)
-        if count == 0:
-            lam = (nz(), nz(), nz())
-        elif count == 1:
-            i = self.active.index(True)
-            lam = [None, None, None]
-            lam[(i + 1) % 3] = nz()
-            lam[(i + 2) % 3] = nz()
-            lam[i] = lam[(i + 1) % 3] * lam[(i + 2) % 3]
-            lam = tuple(lam)
-        elif count == 2:
-            k = self.active.index(False)
-            i, j = (k + 1) % 3, (k + 2) % 3
-            s = rng.choice((1, -1))
-            t = nz()
-            lam = [None, None, None]
-            lam[k], lam[i], lam[j] = s, t, t * s
-            lam = tuple(lam)
-        else:
-            lam = rng.choice(self.finite_solutions())
-        assert self.is_admissible(lam)
-        return lam
-
-
-def _check_normalized_diag(n_diag):
-    nd = tuple(n_diag)
-    if len(nd) != 3 or any(x not in (-1, 0, 1) for x in nd):
-        raise ValueError("n must be a normalized diagonal with entries in {-1, 0, 1}")
-    return nd
-
-
-def residual_scalings(n_diag) -> ScalingGroup:
-    """Admissible diagonal scalings of a normalized diagonal n."""
-    nd = _check_normalized_diag(n_diag)
-    return ScalingGroup(nd, tuple(x != 0 for x in nd))
-
-
-def causal_character(n_diag, a) -> str:
-    """Causal type of the covector a against a normalized diagonal n.
-
-    Returns one of zero, kernel-only, mixed, spacelike, timelike, null:
-    a splits into its range part (components on nonzero n_i) and kernel
-    part; "mixed" flags a nonzero kernel part next to a nonzero range part,
-    otherwise the sign of q = sum n_i a_i^2 decides.
-    """
-    nd = _check_normalized_diag(n_diag)
-    classes = [0 if x > 0 else (1 if x < 0 else 2) for x in nd]
-    if classes != sorted(classes) or nd.count(1) < nd.count(-1):
-        raise ValueError("n must be ordered positives, negatives, zeros "
-                         "with positive count >= negative count")
-    av = tuple(a)
-    if len(av) != 3:
-        raise ValueError("a must have three components")
-    if all(x == 0 for x in av):
-        return "zero"
-    range_part = any(av[i] != 0 for i in range(3) if nd[i] != 0)
-    kernel_part = any(av[i] != 0 for i in range(3) if nd[i] == 0)
-    if not range_part:
-        return "kernel-only"
-    if kernel_part:
-        return "mixed"
-    q = sum(nd[i] * av[i] * av[i] for i in range(3))
-    if q > 0:
-        return "spacelike"
-    if q < 0:
-        return "timelike"
-    return "null"
 
 
 def table_row(label: str) -> tuple:
@@ -379,15 +283,7 @@ def _discrete_classify(n: Matrix, a, d):
 # canonical basis transform
 
 
-def _act_nab(n: Matrix, a, p: Matrix):
-    # how (n, a) respond to the transport e'_j = p[q][j] e_q:
-    # n picks up det(p) (it is a weight-one density), a is a plain covector
-    pinv = invert(p)
-    n2 = (pinv @ n @ pinv.transpose()).scale(p.det())
-    return n2, p.transpose().apply(a)
-
-
-# The exact stages act on a frame (d, a, cols): n is diag(d) and a the
+# The reduction acts on a frame (d, a, cols): n is diag(d) and a the
 # covector in the current basis, and cols[j] is the j-th current basis
 # vector in input coordinates, i.e. column j of the accumulated transform P.
 # A basis change e'_j = Q[q][j] e_q sends n to det(Q) Q^-1 n Q^-T and a to
@@ -419,14 +315,20 @@ def _scale(frame, lams):
 
 def _recombine(frame, new):
     # e'_m = sum of coef e_q over (q, coef) in new[m]; the other vectors stay.
-    # Callers rewrite only kernel vectors of n (d_m = 0), with determinant 1
-    # on them or n = 0, so n is unchanged.
+    # Callers pass a Q in the stabiliser of n (det(Q) Q^-1 n Q^-T = n), so
+    # d is unchanged.
     d, a, cols = frame
     a2, cols2 = list(a), list(cols)
     for m, terms in new.items():
         a2[m] = sum(coef * a[q] for q, coef in terms)
         cols2[m] = [sum(coef * cols[q][r] for q, coef in terms) for r in range(3)]
     return d, a2, cols2
+
+
+def _plane(i, j, c, s, t):
+    # e'_i = c e_i + s e_j and e'_j = t e_i + c e_j: a rotation for t = -s,
+    # a boost for t = s
+    return {i: ((i, c), (j, s)), j: ((i, t), (j, c))}
 
 
 def _sort_signs(frame):
@@ -442,9 +344,10 @@ def _sort_signs(frame):
 def _exact_stages(a, label: str, s: Matrix, d):
     """Exact part of the reduction of (n, a), given s n s^T = diag(d).
 
-    Returns (d, a, P) in Fractions with det(P) P^-1 n P^-T = diag(d) and
-    P^T a_input = a: n diagonal with its signs sorted, positives >= negatives,
-    then the per-label shears, gauge swap and sign scalings.
+    Returns the frame (d, a, cols) in Fractions, cols the columns of a P
+    with det(P) P^-1 n P^-T = diag(d) and P^T a_input = a: n diagonal with
+    its signs sorted, positives >= negatives, then the per-label shears,
+    gauge swap and sign scalings.
     """
     p = invert(s)  # the transport by s^-1 carries n to diag(d) / det(s)
     det_s = s.det()
@@ -490,31 +393,19 @@ def _exact_stages(a, label: str, s: Matrix, d):
     elif label in ("VIII_a", "VIII_na") and a[2] < 0:
         frame = _scale(frame, (1, -1, -1))
 
-    d, a, cols = frame
-    return tuple(d), tuple(a), Matrix(tuple(zip(*cols)))
+    return frame
 
 
-def _rotation12(c, s):
-    return Matrix(((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0)))
-
-
-def _reduce(a, label: str, s: Matrix, d):
-    """Float basis transform carrying (n, a) onto its canonical table data.
+def _reduce(a, label: str, s: Matrix, d) -> Matrix:
+    """Float basis transform P carrying (n, a) onto its canonical table data.
 
     The exact stages (``_exact_stages``) run first, in Fractions.  Floats
-    appear afterwards for the +-1 normalization of n and the rotation /
-    boost / rescale stages; boost magnitudes are computed from exact
-    discriminants so their domain constraints cannot be lost to rounding.
+    appear afterwards, on the same frame, for the +-1 normalization of n and
+    the rotation / boost / rescale stages; boost magnitudes are computed
+    from exact discriminants so their domain constraints cannot be lost to
+    rounding.
     """
-    d_exact, a_exact, p_exact = _exact_stages(a, label, s, d)
-    state_n = Matrix.diagonal(tuple(float(x) for x in d_exact))
-    state_a = tuple(float(x) for x in a_exact)
-    p_acc = p_exact.astype_float()
-
-    def apply(p):
-        nonlocal state_n, state_a, p_acc
-        p_acc = p_acc @ p
-        state_n, state_a = _act_nab(state_n, state_a, p)
+    d_exact, a_exact, cols = _exact_stages(a, label, s, d)
 
     # normalize n to signs: mu_i = sqrt(|d_i|)/g with g = prod sqrt(|d_i|)
     g2 = Fraction(1)
@@ -524,58 +415,48 @@ def _reduce(a, label: str, s: Matrix, d):
     g = math.sqrt(g2)
     mu = tuple((math.sqrt(abs(x)) if x != 0 else 1.0) / g for x in d_exact)
     # exact squares of the normalized a components, for boost discriminants
-    asq = tuple(Fraction(a_exact[i]) ** 2 * (abs(d_exact[i]) if d_exact[i] != 0 else 1) / g2
+    asq = tuple(a_exact[i] ** 2 * (abs(d_exact[i]) if d_exact[i] != 0 else 1) / g2
                 for i in range(3))
 
-    apply(Matrix.diagonal(mu))
-
-    pipeline_param = None
+    frame = _scale(([float(x) for x in d_exact], [float(x) for x in a_exact],
+                    [[float(x) for x in col] for col in cols]), mu)
+    a = frame[1]
     if label == "IV":
-        r = state_a[2]
-        apply(Matrix.diagonal((1.0 / r, 1.0, 1.0 / r)))
-    elif label == "VI_n":
-        t = 1.0 / state_a[0]
-        apply(Matrix.diagonal((t, t, 1.0)))
+        r = a[2]
+        frame = _scale(frame, (1.0 / r, 1.0, 1.0 / r))
     elif label == "VI_x":
         tau2 = asq[1] / asq[0]  # < 1 exactly: the gauge swap made q positive
         if tau2 != 0:
-            sign = -1.0 if state_a[0] * state_a[1] > 0 else 1.0
+            sign = -1.0 if a[0] * a[1] > 0 else 1.0
             tau = sign * math.sqrt(float(tau2))
             ch = 1.0 / math.sqrt(float(1 - tau2))
-            sh = tau * ch
-            apply(Matrix(((ch, sh, 0.0), (sh, ch, 0.0), (0.0, 0.0, 1.0))))
-        t = 1.0 / state_a[0]
-        apply(Matrix.diagonal((t, t, 1.0)))
-    elif label == "VII_x":
-        a1, a2 = state_a[0], state_a[1]
-        rho = math.hypot(a1, a2)
-        apply(_rotation12(a1 / rho, a2 / rho))
-        t = 1.0 / state_a[0]
-        apply(Matrix.diagonal((t, t, 1.0)))
-    elif label in ("VIII_a", "VIII_xa", "VIII_na"):
-        a1, a2 = state_a[0], state_a[1]
+            frame = _recombine(frame, _plane(0, 1, ch, tau * ch, tau * ch))
+    elif label in ("VII_x", "VIII_a", "VIII_xa", "VIII_na"):
+        a1, a2 = a[0], a[1]
         if a1 != 0.0 or a2 != 0.0:
             rho = math.hypot(a1, a2)
-            apply(_rotation12(a1 / rho, a2 / rho))
+            frame = _recombine(frame, _plane(0, 1, a1 / rho, a2 / rho, -a2 / rho))
         if label == "VIII_a":
             tau2 = (asq[0] + asq[1]) / asq[2]
             if tau2 != 0:
                 tau = -math.sqrt(float(tau2))  # rotation left a1 >= 0, flip left a3 > 0
                 ch = 1.0 / math.sqrt(float(1 - tau2))
-                apply(Matrix(((ch, 0.0, tau * ch), (0.0, 1.0, 0.0), (tau * ch, 0.0, ch))))
+                frame = _recombine(frame, _plane(0, 2, ch, tau * ch, tau * ch))
         elif label == "VIII_xa":
             tau2 = asq[2] / (asq[0] + asq[1])
             if tau2 != 0:
-                sign = -1.0 if state_a[2] > 0 else 1.0
+                sign = -1.0 if frame[1][2] > 0 else 1.0
                 tau = sign * math.sqrt(float(tau2))
                 ch = 1.0 / math.sqrt(float(1 - tau2))
-                apply(Matrix(((ch, 0.0, tau * ch), (0.0, 1.0, 0.0), (tau * ch, 0.0, ch))))
-        else:
-            pipeline_param = state_a[0]
+                frame = _recombine(frame, _plane(0, 2, ch, tau * ch, tau * ch))
+        elif label == "VIII_na":
+            # the null a = (r, 0, r) goes to (1, 0, 1) under the boost of rapidity -ln r
+            r = math.sqrt(float(asq[2]))
+            ch, sh = (1 / r + r) / 2, (1 / r - r) / 2
+            frame = _recombine(frame, _plane(0, 2, ch, sh, sh))
     elif label == "IX_a":
-        av = state_a
-        norm = math.sqrt(sum(x * x for x in av))
-        w = tuple(x / norm for x in av)
+        norm = math.sqrt(sum(x * x for x in a))
+        w = tuple(x / norm for x in a)
         m = min(range(3), key=lambda i: abs(w[i]))
         seed_vec = [0.0, 0.0, 0.0]
         seed_vec[m] = 1.0
@@ -584,14 +465,18 @@ def _reduce(a, label: str, s: Matrix, d):
         un = math.sqrt(sum(x * x for x in u))
         u = [x / un for x in u]
         v = (w[1] * u[2] - w[2] * u[1], w[2] * u[0] - w[0] * u[2], w[0] * u[1] - w[1] * u[0])
-        apply(Matrix((tuple(u), v, w)).transpose())  # rows (u, v, w) are SO(3)
-
-    return p_acc, state_n, state_a, pipeline_param
+        # (u, v, w) is an SO(3) frame
+        frame = _recombine(frame, {0: tuple(enumerate(u)), 1: tuple(enumerate(v)),
+                                   2: tuple(enumerate(w))})
+    if label in ("VI_n", "VI_x", "VII_x"):
+        t = 1.0 / frame[1][0]
+        frame = _scale(frame, (t, t, 1.0))
+    return Matrix(tuple(zip(*frame[2])))
 
 
 def _canonical_spec(label: str, parameter) -> AlgebraSpec:
-    nd, apat, parametric = _TABLE[label]
-    p = float(parameter) if parametric else 1.0
+    nd, apat, _ = _TABLE[label]
+    p = 1.0 if parameter is None else float(parameter)
     nmat = Matrix.diagonal(tuple(float(x) for x in nd))
     a = tuple(float(x) * p for x in apat)
     return reconstruct(NabTriple(nmat, a, forced_b(nmat, a)))
@@ -627,15 +512,8 @@ def classify(spec: AlgebraSpec, *, float_tol: float = 1e-9) -> NormalForm:
 
     s, d = congruence_diagonalize(trip.n)
     label, param2, certs = _discrete_classify(trip.n, trip.a, d)
-    p_total, _, _, pipeline_param = _reduce(trip.a, label, s, d)
-
-    if param2 is not None:
-        parameter = math.sqrt(param2)
-    elif label == "VIII_na":
-        parameter = pipeline_param
-    else:
-        parameter = None
-
+    p_total = _reduce(trip.a, label, s, d)
+    parameter = None if param2 is None else math.sqrt(param2)
     canonical = _canonical_spec(label, parameter)
     err = _max_deviation(transport(spec.astype_float(), p_total), canonical)
 
@@ -643,7 +521,7 @@ def classify(spec: AlgebraSpec, *, float_tol: float = 1e-9) -> NormalForm:
     if label == "VI_x":
         notes.append(_VI_COLLAPSE_NOTE)
     if label == "VIII_na":
-        notes.append(_NULL_PARAM_NOTE)
+        notes.append(_VIII_NA_COLLAPSE_NOTE)
     if err > float_tol:
         notes.append(f"canonical transform check exceeded tolerance: max deviation {err:.3e}")
 

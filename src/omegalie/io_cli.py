@@ -310,7 +310,7 @@ def _cmd_classify(args):
     except NotAnAlgebraError as exc:
         raise _Failure(f"not an omega-deformed Lie algebra: {exc}",
                        {"command": "classify", "valid": False,
-                        "t": [str(x) for x in exc.t]}) from None
+                        "t": _vec(exc.t)}) from None
     trip = nf.decomposition
     nd, apat, brow = _canonical_row(nf.label.name)
     certs = nf.certificates

@@ -45,24 +45,10 @@ def rational(value) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational scalar")
 
 
-_EPS3 = {
-    (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
-    (3, 2, 1): -1, (1, 3, 2): -1, (2, 1, 3): -1,
-}
-
-
 def _field(value):
     """An int as a Fraction, so that ``/`` on it stays exact; Fractions and
     floats are returned unchanged."""
     return Fraction(value) if isinstance(value, int) else value
-
-
-def levi_civita(i: int, j: int, k: int) -> int:
-    """Sign of the permutation (i, j, k) of (1, 2, 3); 0 on a repeated index."""
-    for idx in (i, j, k):
-        if idx not in (1, 2, 3):
-            raise IndexError(f"levi_civita index {idx} out of range 1..3")
-    return _EPS3.get((i, j, k), 0)
 
 
 class Matrix:
@@ -93,14 +79,6 @@ class Matrix:
     def diagonal(cls, values: Sequence) -> "Matrix":
         n = len(values)
         return cls(tuple(tuple(values[i] if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zero(cls, n: int) -> "Matrix":
-        return cls(tuple((0,) * n for _ in range(n)))
-
-    @classmethod
-    def from_rational(cls, rows) -> "Matrix":
-        return cls(tuple(tuple(rational(x) for x in r) for r in rows))
 
     @property
     def dim(self) -> int:
@@ -274,9 +252,6 @@ class Inertia:
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.positive, self.negative, self.zero)
-
-    def swapped(self) -> "Inertia":
-        return Inertia(self.negative, self.positive, self.zero)
 
     @classmethod
     def of_diagonal(cls, d: Sequence) -> "Inertia":

@@ -114,9 +114,11 @@ def test_criterion_4_orbit_stability():
                 runs += 1
                 assert nf.label.name == label, (label, p, seed)
                 assert nf.certificates.causal == canonical.certificates.causal
+                assert nf.transform_error <= 1e-9, (label, p, seed)
                 if p is not None:
                     assert abs(nf.parameter - float(p)) <= 1e-9, (label, p, seed)
-    # collapsing / gauge-dependent rows: label class and causal certificate
+    # collapsing rows: the canonical representative's label, causal
+    # certificate and transform
     for label, expect_label, expect_causal in (
             ("VI_x", "VI_x", "spacelike"), ("VI_y", "VI_x", "spacelike")):
         for seed in range(100):
@@ -124,14 +126,18 @@ def test_criterion_4_orbit_stability():
             runs += 1
             assert nf.label.name == expect_label, (label, seed)
             assert nf.certificates.causal == expect_causal, (label, seed)
+            assert nf.transform_error <= 1e-9, (label, seed)
     for p in PARAMS:
         for seed in range(100):
             nf = classify(orbit_sample("VIII_na", p, seed=seed))
             runs += 1
             assert nf.label.name == "VIII_na", ("VIII_na", p, seed)
             assert nf.certificates.causal == "null", ("VIII_na", p, seed)
+            assert nf.parameter is None, ("VIII_na", p, seed)
+            assert nf.transform_error <= 1e-9, ("VIII_na", p, seed)
     finish(4, "orbit stability", 60.0, started,
-           f"{runs} transported classifications, parameters within 1e-9")
+           f"{runs} transported classifications, parameters and transforms "
+           "within 1e-9")
 
 
 def test_criterion_5_dimension_2_impossibility():

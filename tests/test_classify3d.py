@@ -1,4 +1,4 @@
-"""Normal-form tables, exact certificates, scalings, and the classifier."""
+"""Normal-form tables, exact certificates, the classifier and the public API."""
 
 import math
 import random
@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+import omegalie
 from omegalie import (AlgebraSpec, BianchiLabel, Matrix, NabTriple,
-                      NotAnAlgebraError, PARAMETRIC_LABELS, causal_character,
-                      classify, congruence_diagonalize, decompose, forced_b,
-                      generate, orbit_sample, reconstruct, residual_scalings,
-                      table_row, transport)
+                      NotAnAlgebraError, PARAMETRIC_LABELS, classify,
+                      congruence_diagonalize, decompose, forced_b, generate,
+                      orbit_sample, reconstruct, t_vector, table_row,
+                      transport)
 from omegalie.classify3d import _exact_stages
 from oracles import perm_adjugate, perm_det
 
@@ -34,86 +35,6 @@ def nab_spec(n_diag, a):
     n = Matrix.diagonal(tuple(Fraction(x) for x in n_diag))
     av = tuple(Fraction(x) for x in a)
     return reconstruct(NabTriple(n, av, forced_b(n, av)))
-
-
-# --- residual_scalings ----------------------------------------------------
-
-def test_scaling_group_dimensions():
-    assert residual_scalings((0, 0, 0)).dimension == 3
-    assert residual_scalings((1, 0, 0)).dimension == 2
-    assert residual_scalings((1, -1, 0)).dimension == 1
-    assert residual_scalings((1, 1, -1)).dimension == 0
-    assert residual_scalings((1, 1, 1)).is_finite
-
-
-def test_scaling_group_finite_solutions():
-    g = residual_scalings((1, 1, 1))
-    assert g.finite_solutions() == ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
-    with pytest.raises(ValueError):
-        residual_scalings((1, 0, 0)).finite_solutions()
-
-
-def test_scaling_group_admissibility():
-    g = residual_scalings((1, 0, 0))  # only lam2 lam3 = lam1 in force
-    assert g.is_admissible((6, 2, 3))
-    assert not g.is_admissible((5, 2, 3))
-    assert not g.is_admissible((0, 2, 3))
-    g2 = residual_scalings((1, -1, 0))  # one-parameter branches (t, +-t, +-1)
-    assert g2.is_admissible((2, 2, 1))
-    assert g2.is_admissible((2, -2, -1))
-    assert not g2.is_admissible((2, 3, 1))
-    assert residual_scalings((0, 0, 0)).is_admissible((Fraction(1, 2), -3, 7))
-
-
-def test_scaling_group_sample_is_admissible():
-    rng = random.Random(41)
-    for nd in ((0, 0, 0), (1, 0, 0), (1, -1, 0), (1, 1, 0), (1, 1, -1), (1, 1, 1)):
-        g = residual_scalings(nd)
-        for _ in range(25):
-            assert g.is_admissible(g.sample(rng))
-
-
-def test_scaling_rejects_non_normalized_diagonal():
-    with pytest.raises(ValueError):
-        residual_scalings((2, 0, 0))
-    with pytest.raises(ValueError):
-        residual_scalings((1, 1))
-
-
-def test_sampled_scalings_preserve_table_n():
-    # diag(lam) transports fix n exactly when the active constraints hold
-    rng = random.Random(42)
-    for label in ("II", "VI0", "VII0", "VIII", "IX", "V"):
-        spec = generate(label)
-        nd = decompose(spec).n
-        g = residual_scalings(tuple(nd[i][i] for i in range(3)))
-        for _ in range(10):
-            lam = g.sample(rng)
-            moved = transport(spec, Matrix.diagonal(lam))
-            assert decompose(moved).n == nd, (label, lam)
-
-
-# --- causal_character -----------------------------------------------------
-
-def test_causal_character_cases():
-    assert causal_character((1, 1, -1), (0, 0, 0)) == "zero"
-    assert causal_character((1, -1, 0), (0, 0, 3)) == "kernel-only"
-    assert causal_character((1, -1, 0), (1, 0, 1)) == "mixed"
-    assert causal_character((1, 1, 0), (1, 2, 0)) == "spacelike"
-    assert causal_character((1, 1, -1), (0, 0, 1)) == "timelike"
-    assert causal_character((1, 1, -1), (1, 0, 1)) == "null"
-    assert causal_character((0, 0, 0), (0, 0, 1)) == "kernel-only"
-
-
-def test_causal_character_validates_diagonal():
-    with pytest.raises(ValueError):
-        causal_character((1, 0, -1), (0, 0, 0))  # zeros before negatives
-    with pytest.raises(ValueError):
-        causal_character((1, -1, -1), (0, 0, 0))  # more negatives than positives
-    with pytest.raises(ValueError):
-        causal_character((2, 0, 0), (0, 0, 0))
-    with pytest.raises(ValueError):
-        causal_character((1, 1, 0), (1, 2))
 
 
 # --- generate / table_row / BianchiLabel -----------------------------------
@@ -167,7 +88,9 @@ def test_classify_is_idempotent_on_tables():
             nf = classify(generate(label, p))
             expected = "VI_x" if label == "VI_y" else label
             assert nf.label.name == expected, label
-            if p is not None:
+            if label == "VIII_na":
+                assert nf.parameter is None
+            elif p is not None:
                 assert nf.parameter == pytest.approx(float(p), abs=1e-12)
             assert nf.certificates.causal == EXPECTED_CAUSAL[expected]
             assert nf.transform_error <= 1e-12, (label, nf.transform_error)
@@ -193,11 +116,26 @@ def test_vi_x_vi_y_witness_transform():
     assert any("VI_y" in note for note in nf.notes)
 
 
-def test_viii_na_note_and_pipeline_parameter():
-    nf = classify(generate("VIII_na", 3))
-    assert nf.label.name == "VIII_na"
-    assert nf.parameter == pytest.approx(3.0, abs=1e-12)
-    assert any("null" in note for note in nf.notes)
+def test_viii_na_witness_transform():
+    # boosts in the (e1, e3) plane preserve n = diag(1, 1, -1) and rescale
+    # the null a = (p, 0, p), so every parameter lies on one orbit
+    for shear, target in ((Fraction(3, 4), 2), (Fraction(-3, 4), Fraction(1, 2))):
+        boost = Matrix(((Fraction(5, 4), 0, shear), (0, 1, 0),
+                        (shear, 0, Fraction(5, 4))))
+        assert boost.det() == 1
+        moved = transport(generate("VIII_na", 1), boost)
+        assert moved == generate("VIII_na", target)
+        # == alone passes with float entries, since 1.0 == Fraction(1)
+        assert all(type(x) is Fraction for m in moved.c for r in m for x in r)
+        assert all(type(x) is Fraction for r in moved.omega for x in r)
+    for p in (Fraction(1, 2), 1, 2):
+        nf = classify(generate("VIII_na", p))
+        assert nf.label.name == "VIII_na"
+        assert nf.parameter is None
+        assert str(nf.label) == "VIII_na"
+        assert any("[[5/4, 0, 3/4]" in note for note in nf.notes)
+        assert nf.canonical == generate("VIII_na", 1).astype_float()
+        assert nf.transform_error <= 1e-12, (p, nf.transform_error)
 
 
 def test_exact_stages_hand_an_exact_witness_to_the_float_stage():
@@ -213,14 +151,15 @@ def test_exact_stages_hand_an_exact_witness_to_the_float_stage():
             name = classify(spec).label.name
             trip = decompose(spec)
             s, d0 = congruence_diagonalize(trip.n)
-            d, a, pm = _exact_stages(trip.a, name, s, d0)
+            d, a, cols = _exact_stages(trip.a, name, s, d0)
+            pm = Matrix(tuple(zip(*cols)))
             entries = list(d) + list(a) + [x for r in pm.rows for x in r]
             assert all(type(x) is Fraction for x in entries), label
             rows = [list(r) for r in pm.rows]
             adj = Matrix(perm_adjugate(rows))
             moved_n = (adj @ trip.n @ adj.transpose()).scale(1 / perm_det(rows))
             assert moved_n == Matrix.diagonal(d), label
-            assert pm.transpose().apply(trip.a) == a, label
+            assert pm.transpose().apply(trip.a) == tuple(a), label
             nd, apat, _ = table_row(name)
             assert tuple((x > 0) - (x < 0) for x in d) == nd, label
             # on the kernel of n only the row's own a components survive
@@ -260,7 +199,7 @@ def test_classify_null_families():
     nf = classify(nab_spec((1, 1, -1), (3, 0, 3)))
     assert nf.label.name == "VIII_na"
     assert nf.certificates.causal == "null"
-    assert nf.parameter == pytest.approx(3.0, abs=1e-12)
+    assert nf.transform_error <= 1e-12
     assert classify(nab_spec((1, -1, 0), (2, 2, 0))).label.name == "VI_n"
     assert classify(nab_spec((1, -1, 0), (2, -2, 0))).label.name == "VI_n"
 
@@ -279,6 +218,14 @@ def test_classify_rejects_incompatible_omega():
     with pytest.raises(NotAnAlgebraError) as exc:
         classify(s)
     assert exc.value.t == (0, 0, 2)
+    # t past the int-to-text digit limit: .t stays exact, the message is text
+    big = int("7" * 3000)
+    s = AlgebraSpec.from_entries(3, [(1, 2, 3, big), (2, 3, 2, big)], [(1, 2, 1)])
+    with pytest.raises(NotAnAlgebraError) as exc:
+        classify(s)
+    assert all(type(x) is Fraction for x in exc.value.t)
+    assert exc.value.t == t_vector(decompose(s))
+    assert "more digits than the int-to-text limit" in str(exc.value)
 
 
 def test_classify_rejects_wrong_dim_and_floats():
@@ -336,3 +283,15 @@ def test_classify_certificates_are_transport_invariant():
         for seed in (1, 2, 3):
             cert = classify(orbit_sample(label, p, seed=seed)).certificates
             assert cert == base
+
+
+# --- public API ---------------------------------------------------------------
+
+def test_public_api_resolves_without_test_only_names():
+    for name in omegalie.__all__:
+        getattr(omegalie, name)
+    deleted = ("ScalingGroup", "residual_scalings", "causal_character", "levi_civita")
+    assert not set(deleted) & set(omegalie.__all__)
+    assert not any(hasattr(omegalie, name) for name in deleted)
+    assert not any(hasattr(Matrix, name) for name in ("zero", "from_rational"))
+    assert not hasattr(omegalie.Inertia, "swapped")

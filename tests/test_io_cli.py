@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from omegalie import (AlgebraSpec, DocumentError, ExactnessError, generate,
-                      parse, serialize)
+                      orbit_sample, parse, serialize)
 from omegalie.io_cli import SCHEMA_VERSION, _build_parser, document_object, run
 from test_decomp3d import rand_spec
 
@@ -172,6 +172,21 @@ def test_cli_classify_json(tmp_path, capsys):
     assert report["transform_error"] < 1e-9
 
 
+def test_cli_classify_viii_na_reports_the_parameter_1_row(tmp_path, capsys):
+    path = write_doc(tmp_path, orbit_sample("VIII_na", Fraction(5, 2), seed=3))
+    assert run(["classify", "--json", path]) == 0
+    report = json_out(capsys)
+    assert report["label"] == "VIII_na"
+    assert report["parameter"] is None
+    assert report["canonical_row"]["a"] == [1, 0, 1]
+    assert report["canonical_row"]["b"] == [-2, 0, 2]
+    assert report["transform_error"] < 1e-9
+    assert any("one orbit" in note for note in report["notes"])
+    assert run(["classify", path]) == 0
+    out = capsys.readouterr().out
+    assert "label: VIII_na\n" in out and "a = (1, 0, 1)" in out
+
+
 def test_cli_classify_not_an_algebra_exit_1(tmp_path, capsys):
     bad = AlgebraSpec.from_entries(
         3, [(2, 3, 1, 1), (1, 3, 2, -1), (1, 2, 3, 1)], [(1, 2, 1)])
@@ -310,13 +325,17 @@ def test_cli_numerals_beyond_the_int_digit_limit_exit_2(monkeypatch):
 
 
 def test_cli_report_values_beyond_the_int_digit_limit_exit_2(monkeypatch):
-    # every input is under the limit, but the residual and the trace
-    # candidate hold products of two 3,000-digit entries
+    # every input is under the limit, but the residual, the trace candidate
+    # and t hold products of two 3,000-digit entries
     big = "7" * 3000
-    text = json.dumps({"dim": 4, "c_entries": [[1, 2, 3, big], [3, 4, 1, big]],
+    dim4 = json.dumps({"dim": 4, "c_entries": [[1, 2, 3, big], [3, 4, 1, big]],
                        "omega_entries": []})
-    for argv in (["validate", "--json"], ["validate"],
-                 ["deformability", "--json"], ["deformability"]):
+    dim3 = json.dumps({"dim": 3, "c_entries": [[1, 2, 3, big], [2, 3, 2, big]],
+                       "omega_entries": [[1, 2, "1"]]})
+    for text, argv in ((dim4, ["validate", "--json"]), (dim4, ["validate"]),
+                       (dim4, ["deformability", "--json"]), (dim4, ["deformability"]),
+                       (dim3, ["classify", "--json"]), (dim3, ["classify"]),
+                       (dim3, ["deformability", "--json"])):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):

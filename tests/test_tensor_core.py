@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegalie import (Inertia, Matrix, SingularMatrixError, adjugate,
-                      congruence_diagonalize, inertia, invert, levi_civita,
-                      rational)
+                      congruence_diagonalize, inertia, invert, rational)
 from oracles import descartes_inertia, perm_adjugate, perm_det
 
 rationals = st.fractions(min_value=-60, max_value=60, max_denominator=9)
@@ -45,22 +44,6 @@ def test_rational_rejects_floats_and_bools():
 @settings(deadline=None)
 def test_rational_is_identity_on_fractions(x):
     assert rational(x) == x and isinstance(rational(x), Fraction)
-
-
-# --- levi_civita --------------------------------------------------------
-
-def test_levi_civita_values():
-    assert levi_civita(1, 2, 3) == 1
-    assert levi_civita(3, 1, 2) == 1
-    assert levi_civita(2, 1, 3) == -1
-    assert levi_civita(1, 1, 2) == 0
-
-
-def test_levi_civita_range():
-    with pytest.raises(IndexError):
-        levi_civita(0, 1, 2)
-    with pytest.raises(IndexError):
-        levi_civita(1, 2, 4)
 
 
 # --- Matrix basics ------------------------------------------------------
@@ -201,7 +184,6 @@ def test_inertia_known_cases():
 def test_inertia_dataclass():
     i = Inertia(2, 1, 0)
     assert i.rank == 3
-    assert i.swapped() == Inertia(1, 2, 0)
     assert i.as_tuple() == (2, 1, 0)
 
 
