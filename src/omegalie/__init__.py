@@ -15,22 +15,19 @@ JSON document format plus the ``omegalie`` command line around it all.
 
 from .algebra_core import (AlgebraSpec, ResidualTensor, SkewViolation,
                            SkewViolationError, bracket, jacobiator,
-                           omega_rhs, omega_rhs_is_identically_zero,
-                           omega_value, residual, transport, validate_skew)
+                           omega_rhs, omega_value, residual, transport)
 from .classify3d import (FIRST_TABLE_ORDER, PARAMETRIC_LABELS,
                          SECOND_TABLE_ORDER, BianchiLabel, ExactCertificates,
                          NormalForm, NotAnAlgebraError, classify, generate,
                          orbit_sample, table_row)
-from .decomp3d import (NabTriple, decompose, dual_c, forced_b, forced_omega,
-                       reconstruct, t_vector)
+from .decomp3d import (NabTriple, decompose, dual_c, forced_b, reconstruct,
+                       t_vector)
 from .decomp_nd import (DeformabilityResult, GeneralSplit,
-                        check_deformability, deformability, induced_omega,
-                        split_trace)
+                        check_deformability, induced_omega, split_trace)
 from .io_cli import (DocumentError, ExactnessError, document_object, parse,
                      serialize)
 from .tensor_core import (Inertia, Matrix, Scalar, SingularMatrixError,
-                          adjugate, congruence_diagonalize, inertia, invert,
-                          rational)
+                          adjugate, congruence_diagonalize, invert, rational)
 
 __version__ = "0.1.0"
 
@@ -41,10 +38,9 @@ __all__ = [
     "NotAnAlgebraError", "PARAMETRIC_LABELS", "ResidualTensor",
     "SECOND_TABLE_ORDER", "Scalar", "SingularMatrixError", "SkewViolation",
     "SkewViolationError", "adjugate", "bracket", "check_deformability",
-    "classify", "congruence_diagonalize", "decompose", "deformability",
-    "document_object", "dual_c", "forced_b", "forced_omega", "generate",
-    "induced_omega", "inertia", "invert", "jacobiator", "omega_rhs",
-    "omega_rhs_is_identically_zero", "omega_value", "orbit_sample",
-    "parse", "rational", "reconstruct", "residual", "serialize",
-    "split_trace", "t_vector", "table_row", "transport", "validate_skew",
+    "classify", "congruence_diagonalize", "decompose", "document_object",
+    "dual_c", "forced_b", "generate", "induced_omega", "invert",
+    "jacobiator", "omega_rhs", "omega_value", "orbit_sample", "parse",
+    "rational", "reconstruct", "residual", "serialize", "split_trace",
+    "t_vector", "table_row", "transport",
 ]

@@ -1,8 +1,13 @@
 """Omega-deformed Lie algebras in any finite dimension.
 
-An algebra is a skew bracket plus a skew 2-form omega.  The bracket is stored
-as structure constants ``c[k][i][j]`` (0-based nested tuples): the e_{k+1}
-component of [e_{i+1}, e_{j+1}].  Validity means the deformed Jacobi identity
+An algebra is a skew bracket plus a skew 2-form omega.  ``AlgebraSpec``
+stores only their independent part, which is also the shape of a document:
+the nonzero structure constants c[k][i][j] with i < j (the e_{k+1}
+component of [e_{i+1}, e_{j+1}], 0-based) and the nonzero omega[i][j] with
+i < j.  Skewness therefore holds by construction, and every kernel below
+costs in the number of stored entries, not in dim^3: an empty document of
+any dimension is checked at once.  Validity means the deformed Jacobi
+identity
 
     [A,[B,C]] + [C,[A,B]] + [B,[C,A]] = omega(B,C) A + omega(A,B) C + omega(C,A) B
 
@@ -12,7 +17,8 @@ quadratic constraint, weight 1/3!) so that validity is ``residual(spec).is_zero`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -30,61 +36,112 @@ class SkewViolationError(ValueError):
         super().__init__(f"bracket/omega not skew: {self.violations}")
 
 
-@dataclass(frozen=True)
+def _positive_dim(dim):
+    if not isinstance(dim, int) or dim < 1:
+        raise ValueError("dim must be a positive integer")
+    return dim
+
+
+@dataclass(frozen=True, init=False)
 class AlgebraSpec:
-    """Structure constants and 2-form of one algebra, dimension ``dim``."""
+    """Structure constants and 2-form of one algebra, dimension ``dim``.
+
+    The store: ``c_upper`` maps 0-based (i, j, k) with i < j to the nonzero
+    c[k][i][j], and ``omega_upper`` maps (i, j) with i < j to the nonzero
+    omega[i][j], both in lexicographic key order, the order of a document.
+    Values keep the scalar type they were given; ``zero_value`` is 0 in
+    that type and fills the dense views.
+
+    ``AlgebraSpec(dim, c, omega)`` takes the dense c[k][i][j] and
+    omega[i][j], checks shape and skewness once, and raises
+    SkewViolationError listing every violating index pair.
+    ``from_entries`` fills the store directly.  ``c`` and ``omega`` are
+    dense views, built on first access.
+    """
 
     dim: int
-    c: tuple      # c[k][i][j], 0-based
-    omega: tuple  # omega[i][j], 0-based
+    c_upper: dict
+    omega_upper: dict
+    zero_value: object = field(default=0, compare=False, repr=False)
 
-    def __post_init__(self):
-        n = self.dim
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("dim must be a positive integer")
-        c = tuple(tuple(tuple(plane) for plane in mat) for mat in self.c)
-        om = tuple(tuple(row) for row in self.omega)
+    def __init__(self, dim, c, omega):
+        n = _positive_dim(dim)
+        c = tuple(tuple(tuple(plane) for plane in mat) for mat in c)
+        om = tuple(tuple(row) for row in omega)
         if len(c) != n or any(len(m) != n or any(len(r) != n for r in m) for m in c):
             raise ValueError("c must have shape dim x dim x dim")
         if len(om) != n or any(len(r) != n for r in om):
             raise ValueError("omega must have shape dim x dim")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "omega", om)
+        violations = [SkewViolation("c", (k + 1, i + 1, j + 1)) for k in range(n)
+                      for i in range(n) for j in range(i, n) if c[k][i][j] != -c[k][j][i]]
+        violations += [SkewViolation("omega", (i + 1, j + 1)) for i in range(n)
+                       for j in range(i, n) if om[i][j] != -om[j][i]]
+        if violations:
+            raise SkewViolationError(violations)
+        self._set(n, {(i, j, k): c[k][i][j] for i in range(n) for j in range(i + 1, n)
+                      for k in range(n)},
+                  {(i, j): om[i][j] for i in range(n) for j in range(i + 1, n)}, om[0][0])
+
+    @classmethod
+    def _from_upper(cls, dim, c_upper, omega_upper, zero_value=Fraction(0)) -> "AlgebraSpec":
+        """The spec whose store holds these i < j entries (the kernels' constructor)."""
+        spec = object.__new__(cls)
+        spec._set(_positive_dim(dim), c_upper, omega_upper, zero_value)
+        return spec
+
+    def _set(self, dim, c_upper, omega_upper, zero_value):
+        # zero values are dropped and the keys sorted
+        for name, value in (("dim", dim), ("zero_value", zero_value),
+                            ("c_upper", dict(sorted(x for x in c_upper.items() if x[1]))),
+                            ("omega_upper", dict(sorted(x for x in omega_upper.items() if x[1])))):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self):
+        return hash((self.dim, tuple(self.c_upper.items()), tuple(self.omega_upper.items())))
 
     @classmethod
     def zero(cls, dim: int) -> "AlgebraSpec":
-        z = tuple(tuple((0,) * dim for _ in range(dim)) for _ in range(dim))
-        return cls(dim, z, tuple((0,) * dim for _ in range(dim)))
+        return cls._from_upper(dim, {}, {}, 0)
 
     @classmethod
     def from_entries(cls, dim, c_entries=(), omega_entries=()) -> "AlgebraSpec":
-        """Build a spec from sparse 1-based entries with implicit skew completion.
+        """Build a spec from sparse 1-based entries, the document's own form.
 
         ``c_entries``: iterable of (i, j, k, value) meaning the e_k component of
         [e_i, e_j], with i < j.  ``omega_entries``: (i, j, value) with i < j.
         """
-        c = [[[rational(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        om = [[rational(0)] * dim for _ in range(dim)]
-        seen_c, seen_om = set(), set()
+        c, om = {}, {}
         for (i, j, k, value) in c_entries:
             if not (1 <= i < j <= dim and 1 <= k <= dim):
                 raise ValueError(f"c entry ({i},{j},{k}) out of range for dim {dim}")
-            if (i, j, k) in seen_c:
+            if (i - 1, j - 1, k - 1) in c:
                 raise ValueError(f"duplicate c entry ({i},{j},{k})")
-            seen_c.add((i, j, k))
-            v = rational(value)
-            c[k - 1][i - 1][j - 1] = v
-            c[k - 1][j - 1][i - 1] = -v
+            c[i - 1, j - 1, k - 1] = rational(value)
         for (i, j, value) in omega_entries:
             if not (1 <= i < j <= dim):
                 raise ValueError(f"omega entry ({i},{j}) out of range for dim {dim}")
-            if (i, j) in seen_om:
+            if (i - 1, j - 1) in om:
                 raise ValueError(f"duplicate omega entry ({i},{j})")
-            seen_om.add((i, j))
-            v = rational(value)
-            om[i - 1][j - 1] = v
-            om[j - 1][i - 1] = -v
-        return cls(dim, tuple(map(tuple, (map(tuple, m) for m in c))), tuple(map(tuple, om)))
+            om[i - 1, j - 1] = rational(value)
+        return cls._from_upper(dim, c, om)
+
+    @cached_property
+    def c(self) -> tuple:
+        """Dense c[k][i][j], 0-based."""
+        n = self.dim
+        dense = [[[self.zero_value] * n for _ in range(n)] for _ in range(n)]
+        for (i, j, k), v in self.c_upper.items():
+            dense[k][i][j], dense[k][j][i] = v, -v
+        return tuple(tuple(map(tuple, plane)) for plane in dense)
+
+    @cached_property
+    def omega(self) -> tuple:
+        """Dense omega[i][j], 0-based."""
+        n = self.dim
+        dense = [[self.zero_value] * n for _ in range(n)]
+        for (i, j), v in self.omega_upper.items():
+            dense[i][j], dense[j][i] = v, -v
+        return tuple(map(tuple, dense))
 
     def c_at(self, k: int, i: int, j: int):
         """1-based accessor: the e_k component of [e_i, e_j]."""
@@ -93,35 +150,9 @@ class AlgebraSpec:
     def omega_at(self, i: int, j: int):
         return self.omega[i - 1][j - 1]
 
-    def basis(self) -> tuple:
-        return tuple(tuple(1 if i == j else 0 for j in range(self.dim)) for i in range(self.dim))
-
     def astype_float(self) -> "AlgebraSpec":
-        c = tuple(tuple(tuple(float(x) for x in r) for r in m) for m in self.c)
-        om = tuple(tuple(float(x) for x in r) for r in self.omega)
-        return AlgebraSpec(self.dim, c, om)
-
-
-def validate_skew(spec: AlgebraSpec) -> tuple[SkewViolation, ...]:
-    """Every index pair violating skewness of c or omega; empty means valid."""
-    out = []
-    n = spec.dim
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                if spec.c[k][i][j] != -spec.c[k][j][i]:
-                    out.append(SkewViolation("c", (k + 1, i + 1, j + 1)))
-    for i in range(n):
-        for j in range(i, n):
-            if spec.omega[i][j] != -spec.omega[j][i]:
-                out.append(SkewViolation("omega", (i + 1, j + 1)))
-    return tuple(out)
-
-
-def _require_skew(spec: AlgebraSpec):
-    violations = validate_skew(spec)
-    if violations:
-        raise SkewViolationError(violations)
+        return AlgebraSpec._from_upper(self.dim, {k: float(v) for k, v in self.c_upper.items()},
+                                       {k: float(v) for k, v in self.omega_upper.items()}, 0.0)
 
 
 def _check_vec(spec, vec):
@@ -129,29 +160,29 @@ def _check_vec(spec, vec):
         raise ValueError(f"vector length {len(vec)} does not match dim {spec.dim}")
 
 
-def _nonzero(vec) -> list:
-    return [(i, v) for i, v in enumerate(vec) if v]
-
-
 def bracket(spec: AlgebraSpec, x: Sequence, y: Sequence) -> tuple:
-    """[x, y] componentwise: result_k = sum_ij c[k][i][j] x_i y_j.
+    """[x, y]_k = sum over the stored c[k][i][j] of c[k][i][j] (x_i y_j - x_j y_i).
 
-    Only the nonzero components of x and y are visited.
+    Entries where x vanishes at both i and j are skipped.
     """
     _check_vec(spec, x)
     _check_vec(spec, y)
-    xs, ys = _nonzero(x), _nonzero(y)
-    return tuple(
-        sum(ck[i][j] * xi * yj for i, xi in xs for j, yj in ys if ck[i][j])
-        for ck in spec.c)
+    out = [0] * spec.dim
+    for (i, j, k), v in spec.c_upper.items():
+        xi, xj = x[i], x[j]
+        if xi or xj:
+            w = xi * y[j] - xj * y[i]
+            if w:
+                out[k] += v * w
+    return tuple(out)
 
 
 def omega_value(spec: AlgebraSpec, x: Sequence, y: Sequence):
-    """omega(x, y); only the nonzero components of x and y are visited."""
+    """omega(x, y), summed over the stored omega[i][j] like ``bracket``."""
     _check_vec(spec, x)
     _check_vec(spec, y)
-    om, ys = spec.omega, _nonzero(y)
-    return sum(om[i][j] * xi * yj for i, xi in _nonzero(x) for j, yj in ys if om[i][j])
+    return sum(v * (x[i] * y[j] - x[j] * y[i])
+               for (i, j), v in spec.omega_upper.items() if x[i] or x[j])
 
 
 def jacobiator(spec: AlgebraSpec, a: Sequence, b: Sequence, c: Sequence) -> tuple:
@@ -213,31 +244,24 @@ class ResidualTensor:
 def residual(spec: AlgebraSpec) -> ResidualTensor:
     """The validity defect tensor; ``residual(spec).is_zero`` decides validity.
 
-    The cost follows the nonzero structure constants, not dim^5: only
-    products of two nonzero c entries and the nonzero omega entries are
-    visited.  Because c[i][j][k] and omega[j][k] are skew in (j, k), the
-    weight-1/3! antisymmetrization over (l, j, k) equals the cyclic sum
-    divided by 3, so each term  c[m][i][l] c[i][j][k]  (j < k) adds, with
+    The cost follows the stored entries, not dim^5: only products of two
+    nonzero c entries and the nonzero omega entries are visited.  Because
+    c[i][j][k] and omega[j][k] are skew in (j, k), the weight-1/3!
+    antisymmetrization over (l, j, k) equals the cyclic sum divided by 3,
+    so each term  c[m][i][l] c[i][j][k]  (j < k, a stored entry) adds, with
     the sign of the permutation sorting (l, j, k), to the one component
     with sorted indices; the other five orderings follow by sign.
     """
-    _require_skew(spec)
     n = spec.dim
-    # into[i]: (m, l, c[m][i][l]) for every nonzero c[m][i][l]
+    # into[i]: (m, l, c[m][i][l]) for every nonzero c[m][i][l], both orientations
     into = [[] for _ in range(n)]
-    pairs = []  # (i, j, k, c[i][j][k]) for every nonzero c[i][j][k], j < k
-    for m, plane in enumerate(spec.c):
-        for i, row in enumerate(plane):
-            for l, v in enumerate(row):
-                if v:
-                    into[i].append((m, l, v))
-                    if i < l:
-                        pairs.append((m, i, l, v))
-    terms = [(m, l, j, k, cmil * cijk)
-             for i, j, k, cijk in pairs for m, l, cmil in into[i] if l != j and l != k]
-    terms.extend((m, m, j, k, w)
-                 for j, row in enumerate(spec.omega) for k, w in enumerate(row)
-                 if j < k and w for m in range(n) if m != j and m != k)
+    for (i, l, m), v in spec.c_upper.items():
+        into[i].append((m, l, v))
+        into[l].append((m, i, -v))
+    terms = [(m, l, j, k, cmil * cijk) for (j, k, i), cijk in spec.c_upper.items()
+             for m, l, cmil in into[i] if l != j and l != k]
+    terms.extend((m, m, j, k, w) for (j, k), w in spec.omega_upper.items()
+                 for m in range(n) if m != j and m != k)
 
     acc = {}  # (m, l, j, k) with l < j < k -> cyclic sum over (l, j, k)
     for m, l, j, k, v in terms:
@@ -267,80 +291,45 @@ def transport(spec: AlgebraSpec, p: Matrix) -> AlgebraSpec:
     c'[i][j][k] = inv(p)[i][q] c[q][r][s] p[r][j] p[s][k];
     omega'[i][j] = p[w][i] p[v][j] omega[w][v].
 
-    Only the nonzero c[q][r][s] and omega[w][v] with r < s, w < v are
-    visited.  By skewness each meets the 2x2 minor of rows r, s of p,
+    Only the stored c[q][r][s] and omega[w][v] (r < s, w < v) are visited.
+    By skewness each meets the 2x2 minor of rows r, s of p,
     p[r][j] p[s][k] - p[s][j] p[r][k], and only the j < k outputs are
-    computed; the j > k half is their negative.  Exact input gives
-    Fraction entries (int entries included), float input float entries.
+    computed: they are the new store.  Exact input gives Fraction entries
+    (int entries included), float input float entries.
     """
     n = spec.dim
     if p.dim != n:
         raise ValueError("transform dimension does not match spec")
-    _require_skew(spec)
     pinv = invert(p)
     rows = p.rows
     pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-    zero = abs(pinv[0][0] * spec.omega[0][0])  # 0 in the result's scalar type
+    zero = abs(pinv[0][0] * spec.zero_value)  # 0 in the result's scalar type
     minors = {}
 
-    def half_transform(terms):
-        # sum of v * minor(r, s) over the (r, s, v) terms, at every j < k
-        acc = [zero] * len(pairs)
-        for r, s, v in terms:
-            minor = minors.get((r, s))
-            if minor is None:
-                pr, ps = rows[r], rows[s]
-                minor = minors[r, s] = [pr[j] * ps[k] - ps[j] * pr[k] for j, k in pairs]
-            for idx, x in enumerate(minor):
-                if x:
-                    acc[idx] += v * x
-        return acc
+    def add_minor(acc, r, s, v):
+        # acc[jk] += v * minor(r, s), at every j < k
+        minor = minors.get((r, s))
+        if minor is None:
+            pr, ps = rows[r], rows[s]
+            minor = minors[r, s] = [pr[j] * ps[k] - ps[j] * pr[k] for j, k in pairs]
+        for idx, x in enumerate(minor):
+            if x:
+                acc[idx] += v * x
 
-    def skew(upper):
-        m = [[zero] * n for _ in range(n)]
-        for (j, k), v in zip(pairs, upper):
-            m[j][k], m[k][j] = v, -v
-        return m
-
-    # u[q][jk] = c[q][r][s] p[r][j] p[s][k], for the q with a nonzero c[q]
-    u = []
-    for q, plane in enumerate(spec.c):
-        terms = [(r, s, v) for r, s in pairs if (v := plane[r][s])]
-        if terms:
-            u.append((q, half_transform(terms)))
-    c_new = []
-    for prow in pinv.rows:
+    # u[q][jk] = c[q][r][s] p[r][j] p[s][k], for the q with a nonzero c[q];
+    # the store visits each plane's (r, s) in order
+    u = {}
+    for (r, s, q), v in spec.c_upper.items():
+        add_minor(u.setdefault(q, [zero] * len(pairs)), r, s, v)
+    om_new = [zero] * len(pairs)
+    for (w, v), x in spec.omega_upper.items():
+        add_minor(om_new, w, v, x)
+    c_new = {}
+    for i, prow in enumerate(pinv.rows):
         upper = [zero] * len(pairs)
-        for q, uq in u:
+        for q in sorted(u):
             f = prow[q]
             if f:
-                upper = [x + f * y for x, y in zip(upper, uq)]
-        c_new.append(skew(upper))
-    om = spec.omega
-    om_new = skew(half_transform([(w, v, x) for w, v in pairs if (x := om[w][v])]))
-    return AlgebraSpec(n, c_new, om_new)
-
-
-def omega_rhs_is_identically_zero(omega) -> bool:
-    """Whether the deformation side vanishes on all basis triples.
-
-    In dimension 2 this holds for every skew omega (no deformation is ever
-    visible); in dimension != 2 it forces omega = 0.  Decided by brute
-    evaluation, not by the dimension shortcut.
-    """
-    om = tuple(tuple(row) for row in omega)
-    n = len(om)
-    if any(len(r) != n for r in om):
-        raise ValueError("omega must be square")
-    if any(om[i][j] != -om[j][i] for i in range(n) for j in range(i, n)):
-        raise ValueError("omega must be skew")
-    for l in range(n):
-        for j in range(n):
-            for k in range(n):
-                for m in range(n):
-                    val = om[j][k] * (1 if m == l else 0) \
-                        + om[l][j] * (1 if m == k else 0) \
-                        + om[k][l] * (1 if m == j else 0)
-                    if val != 0:
-                        return False
-    return True
+                upper = [x + f * y for x, y in zip(upper, u[q])]
+        c_new.update(((j, k, i), x) for (j, k), x in zip(pairs, upper))
+    return AlgebraSpec._from_upper(n, c_new, dict(zip(pairs, om_new)), zero)

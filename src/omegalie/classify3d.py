@@ -96,6 +96,7 @@ FIRST_TABLE_ORDER = ("I", "II", "VI0", "VII0", "VIII", "IX")
 SECOND_TABLE_ORDER = ("V", "IV", "IV_x", "VI_a", "VI_x", "VI_y", "VI_n",
                       "VII_a", "VII_x", "VIII_a", "VIII_xa", "VIII_na", "IX_a")
 PARAMETRIC_LABELS = frozenset(l for l, (_, _, p) in _TABLE.items() if p)
+FLOAT_TOL = 1e-9  # bound on transform_error before classify adds a note
 
 _VI_COLLAPSE_NOTE = (
     "VI_x and VI_y lie on one orbit: the basis swap e1 <-> e2 (determinant -1) "
@@ -484,17 +485,13 @@ def _canonical_spec(label: str, parameter) -> AlgebraSpec:
 
 def _max_deviation(s1: AlgebraSpec, s2: AlgebraSpec) -> float:
     err = 0.0
-    for m1, m2 in zip(s1.c, s2.c):
-        for r1, r2 in zip(m1, m2):
-            for x, y in zip(r1, r2):
-                err = max(err, abs(x - y))
-    for r1, r2 in zip(s1.omega, s2.omega):
-        for x, y in zip(r1, r2):
-            err = max(err, abs(x - y))
+    for mine, other in ((s1.c_upper, s2.c_upper), (s1.omega_upper, s2.omega_upper)):
+        for key in mine.keys() | other.keys():
+            err = max(err, abs(mine.get(key, 0.0) - other.get(key, 0.0)))
     return err
 
 
-def classify(spec: AlgebraSpec, *, float_tol: float = 1e-9) -> NormalForm:
+def classify(spec: AlgebraSpec) -> NormalForm:
     """Classify a valid 3-dimensional spec onto its normal-form table row.
 
     Raises NotAnAlgebraError (reporting t = 4 n a + 2 b) when the supplied
@@ -522,7 +519,7 @@ def classify(spec: AlgebraSpec, *, float_tol: float = 1e-9) -> NormalForm:
         notes.append(_VI_COLLAPSE_NOTE)
     if label == "VIII_na":
         notes.append(_VIII_NA_COLLAPSE_NOTE)
-    if err > float_tol:
+    if err > FLOAT_TOL:
         notes.append(f"canonical transform check exceeded tolerance: max deviation {err:.3e}")
 
     return NormalForm(BianchiLabel(label, parameter), canonical, p_total,
@@ -532,5 +529,4 @@ def classify(spec: AlgebraSpec, *, float_tol: float = 1e-9) -> NormalForm:
 def _spec_is_rational(spec: AlgebraSpec) -> bool:
     def ok(v):
         return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-    return (all(ok(x) for m in spec.c for r in m for x in r)
-            and all(ok(x) for r in spec.omega for x in r))
+    return all(map(ok, (spec.zero_value, *spec.c_upper.values(), *spec.omega_upper.values())))

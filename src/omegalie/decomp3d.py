@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra_core import AlgebraSpec, _require_skew
+from .algebra_core import AlgebraSpec
 from .tensor_core import Matrix, _field
 
 
@@ -49,13 +49,16 @@ class NabTriple:
         object.__setattr__(self, "a", tuple(self.a))
         object.__setattr__(self, "b", tuple(self.b))
 
-    @property
-    def satisfies_forced_b(self) -> bool:
-        return all(x == y for x, y in zip(self.b, forced_b(self.n, self.a)))
 
-
-# (l + 1, l + 2) mod 3 for l = 0, 1, 2: the pair with eps_{jkl} = +1
+# (l + 1, l + 2) mod 3 for l = 0, 1, 2: the pair with eps_{jkl} = +1, and
+# the same pair as a store key j < k with the sign of the reordering
 _CYCLIC = ((1, 2), (2, 0), (0, 1))
+_UPPER = tuple((min(j, k), max(j, k), 1 if j < k else -1) for j, k in _CYCLIC)
+
+
+def _cyclic(store, zero, *plane):
+    # the values at the three cyclic pairs, read from an i < j store
+    return [_field(sign * store.get((j, k, *plane), zero)) for j, k, sign in _UPPER]
 
 
 def dual_c(c) -> Matrix:
@@ -73,8 +76,7 @@ def decompose(spec: AlgebraSpec) -> NabTriple:
     matrix, b^k = (1/2) eps^{ijk} omega_ij = omega[k+1][k+2]."""
     if spec.dim != 3:
         raise ValueError("decompose requires dim 3")
-    _require_skew(spec)
-    cm = dual_c(spec.c)
+    cm = [_cyclic(spec.c_upper, spec.zero_value, i) for i in range(3)]  # the dual matrix
     half = Fraction(1, 2)
     # a_m = (1/2) eps^{mil} cm[i][l]; the symmetric part shares its pairs
     sym = {}
@@ -84,7 +86,7 @@ def decompose(spec: AlgebraSpec) -> NabTriple:
         a.append(half * (cm[i][l] - cm[l][i]))
     n = Matrix(tuple(tuple(cm[i][i] if i == l else sym[i, l] for l in range(3))
                      for i in range(3)))
-    b = tuple(_field(spec.omega[j][k]) for j, k in _CYCLIC)
+    b = tuple(_cyclic(spec.omega_upper, spec.zero_value))
     return NabTriple(n, tuple(a), b)
 
 
@@ -92,24 +94,23 @@ def reconstruct(t: NabTriple) -> AlgebraSpec:
     """Inverse of decompose: assemble the AlgebraSpec with this (n, a, b).
 
     c[i][j][k] = n[i][l] - delta_ij a_k + delta_ik a_j for the cyclic
-    (j, k) = (l+1, l+2), and omega[l+1][l+2] = b^l; skewness gives the rest.
+    (j, k) = (l+1, l+2), and omega[l+1][l+2] = b^l, each stored at its
+    j < k key.
     """
     n = [[_field(x) for x in row] for row in t.n.rows]
     a = [_field(x) for x in t.a]
     zero = n[0][0] - n[0][0]  # 0 in the input's scalar type
-    c = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
-    om = [[zero] * 3 for _ in range(3)]
-    for l, (j, k) in enumerate(_CYCLIC):
+    c, om = {}, {}
+    for l, ((j, k), (uj, uk, sign)) in enumerate(zip(_CYCLIC, _UPPER)):
         for i in range(3):
             v = n[i][l]
             if i == j:
                 v = v - a[k]
             elif i == k:
                 v = v + a[j]
-            c[i][j][k], c[i][k][j] = v, -v
-        bl = _field(t.b[l])
-        om[j][k], om[k][j] = bl, -bl
-    return AlgebraSpec(3, c, om)
+            c[uj, uk, i] = sign * v
+        om[uj, uk] = sign * _field(t.b[l])
+    return AlgebraSpec._from_upper(3, c, om, zero)
 
 
 def forced_b(n: Matrix, a: Sequence) -> tuple:
@@ -123,12 +124,3 @@ def t_vector(t: NabTriple) -> tuple:
     """Validity defect t = 4 n a + 2 b; zero iff the triple is a valid algebra."""
     na = t.n.apply(t.a)
     return tuple(4 * x + 2 * y for x, y in zip(na, t.b))
-
-
-def forced_omega(c) -> tuple:
-    """The unique compatible 2-form of a 3d skew bracket, as a full matrix."""
-    spec_c = tuple(tuple(tuple(row) for row in plane) for plane in c)
-    probe = AlgebraSpec(3, spec_c, AlgebraSpec.zero(3).omega)
-    trip = decompose(probe)
-    b = forced_b(trip.n, trip.a)
-    return reconstruct(NabTriple(trip.n, trip.a, b)).omega

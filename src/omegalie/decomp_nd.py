@@ -17,94 +17,108 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .algebra_core import AlgebraSpec, ResidualTensor, residual
 
 
 @dataclass(frozen=True)
 class GeneralSplit:
-    """Trace-free part alpha and trace covector a of one skew bracket."""
+    """Trace-free part alpha and trace covector a of one skew bracket.
 
-    dim: int
-    alpha: tuple  # alpha[i][j][k], 0-based, trace-free in (i, j)
+    alpha is skew in its lower pair like a bracket, so it is stored as the
+    bracket of ``trace_free`` (omega = 0); ``alpha`` is its dense view
+    alpha[i][j][k], 0-based.
+    """
+
+    trace_free: AlgebraSpec
     a: tuple      # covector
+
+    @property
+    def dim(self) -> int:
+        return self.trace_free.dim
+
+    @property
+    def alpha(self) -> tuple:
+        return self.trace_free.c
 
 
 def split_trace(spec: AlgebraSpec) -> GeneralSplit:
     """Split off the trace part; requires dim >= 2 (divides by dim - 1).
 
-    alpha differs from c only in the planes' row and column i (where
-    i == j or i == k), and only at the nonzero components of a.
+    The trace c[i][i][k] reads the stored entries with k in the lower pair,
+    and alpha differs from c only at the entries (i, k) of plane i, for the
+    nonzero components a_k.
     """
     n = spec.dim
     if n < 2:
         raise ValueError("split_trace requires dim >= 2")
-    c = spec.c
-    a = tuple(sum(c[i][i][k] for i in range(n) if c[i][i][k]) / Fraction(n - 1)
-              for k in range(n))
-    support = [(k, ak) for k, ak in enumerate(a) if ak]
-    if not support:
-        return GeneralSplit(n, c, a)
-    alpha = []
-    for i, plane in enumerate(c):
-        rows = [list(row) for row in plane]
-        for k, ak in support:
-            rows[i][k] -= ak
-            rows[k][i] += ak
-        alpha.append(tuple(map(tuple, rows)))
-    return GeneralSplit(n, tuple(alpha), a)
+    trace = [0] * n
+    for (i, j, k), v in spec.c_upper.items():
+        if k == i:
+            trace[j] += v   # c[i][i][j]
+        elif k == j:
+            trace[i] -= v   # c[j][j][i] = -c[j][i][j]
+    a = tuple(x / Fraction(n - 1) for x in trace)
+    alpha = dict(spec.c_upper)
+    for k, ak in enumerate(a):
+        if ak:
+            for i in range(n):
+                if i < k:    # alpha[i][i][k] = c[i][i][k] - a_k
+                    alpha[i, k, i] = alpha.get((i, k, i), 0) - ak
+                elif i > k:  # alpha[i][k][i] = c[i][k][i] + a_k
+                    alpha[k, i, i] = alpha.get((k, i, i), 0) + ak
+    return GeneralSplit(AlgebraSpec._from_upper(n, alpha, {}, spec.zero_value), a)
+
+
+def _induced_upper(split: GeneralSplit) -> dict:
+    # the candidate omega as (j, k) -> value, j < k
+    n = split.dim
+    if n <= 2:
+        raise ValueError("induced_omega requires dim >= 3")
+    a, om = split.a, {}
+    for (j, k, i), v in split.trace_free.c_upper.items():
+        if a[i]:
+            om[j, k] = om.get((j, k), 0) + a[i] * v
+    factor = Fraction(n - 1, n - 2)
+    return {jk: factor * x for jk, x in om.items()}
 
 
 def induced_omega(split: GeneralSplit) -> tuple:
     """Candidate 2-form omega_jk = (dim-1)/(dim-2) a_i alpha[i][j][k]; dim >= 3.
 
-    The sum runs over the nonzero a_i and the nonzero alpha entries only.
+    The sum runs over the nonzero a_i and the stored alpha entries only;
+    the result is the dense omega[j][k].
     """
-    n = split.dim
-    if n <= 2:
-        raise ValueError("induced_omega requires dim >= 3")
-    factor = Fraction(n - 1, n - 2)
-    om = [[0] * n for _ in range(n)]
-    for ai, plane in zip(split.a, split.alpha):
-        if ai:
-            for j, row in enumerate(plane):
-                for k, v in enumerate(row):
-                    if v:
-                        om[j][k] += ai * v
-    return tuple(tuple(factor * x for x in row) for row in om)
+    return AlgebraSpec._from_upper(split.dim, {}, _induced_upper(split)).omega
 
 
 @dataclass(frozen=True)
 class DeformabilityResult:
-    """Outcome of the forced-omega check, keeping the candidate either way."""
+    """Outcome of the forced-omega check, keeping the candidate either way.
 
-    candidate: tuple
-    compatible: bool
+    ``spec`` is the bracket with the candidate omega, ``candidate`` the
+    dense candidate omega[i][j].
+    """
+
+    spec: AlgebraSpec
     defect: ResidualTensor
 
     @property
-    def omega(self) -> Optional[tuple]:
-        return self.candidate if self.compatible else None
+    def compatible(self) -> bool:
+        return self.defect.is_zero
+
+    @property
+    def candidate(self) -> tuple:
+        return self.spec.omega
 
 
-def check_deformability(c) -> DeformabilityResult:
-    """Full result of the forced-omega check for a skew bracket, dim >= 3."""
-    n = len(c)
-    if n < 3:
-        raise ValueError("deformability requires dim >= 3")
-    zero_omega = tuple((0,) * n for _ in range(n))
-    probe = AlgebraSpec(n, c, zero_omega)
-    candidate = induced_omega(split_trace(probe))
-    defect = residual(AlgebraSpec(n, c, candidate))
-    return DeformabilityResult(candidate, defect.is_zero, defect)
+def check_deformability(spec: AlgebraSpec) -> DeformabilityResult:
+    """Full result of the forced-omega check for the bracket of ``spec``, dim >= 3.
 
-
-def deformability(c) -> Optional[tuple]:
-    """The unique 2-form making this bracket a valid algebra, or None.
-
-    Uniqueness: any compatible omega must be the induced candidate, so a
-    failing candidate means no omega works.  Use ``check_deformability`` when
-    the failing candidate itself is wanted for debugging.
+    The omega of ``spec`` is ignored.
     """
-    return check_deformability(c).omega
+    if spec.dim < 3:
+        raise ValueError("deformability requires dim >= 3")
+    forced = AlgebraSpec._from_upper(spec.dim, spec.c_upper,
+                                     _induced_upper(split_trace(spec)), spec.zero_value)
+    return DeformabilityResult(forced, residual(forced))

@@ -10,8 +10,11 @@ The on-disk format is a single JSON object:
 
 Rationals travel as strings ("p" or "p/q", lowest terms on output) so no
 binary float ever enters the exact pipeline; bare JSON integers are also
-accepted on input.  Only the i < j orientation is stored, the parser
-materializes both.  An optional "meta" object is accepted and ignored.
+accepted on input.  Only the i < j orientation is written, and the parser
+keeps exactly that: the nonzero entries become the spec's store, so parsing
+and ``document_object`` cost in the number of entries, never in dim^3.  An
+optional "meta" object is accepted and ignored; a document nested too
+deeply to decode is a DocumentError like any other.
 
 Subcommands: validate, decompose, classify, generate, tables,
 orbit-sample, deformability.  Exit codes: 0 success/valid, 1 well-formed
@@ -28,7 +31,7 @@ import sys
 from fractions import Fraction
 
 from .algebra_core import AlgebraSpec, residual
-from .classify3d import (FIRST_TABLE_ORDER, PARAMETRIC_LABELS,
+from .classify3d import (FIRST_TABLE_ORDER, FLOAT_TOL, PARAMETRIC_LABELS,
                          SECOND_TABLE_ORDER, NotAnAlgebraError, classify,
                          generate, orbit_sample, table_row)
 from .decomp3d import NabTriple, decompose, forced_b, reconstruct, t_vector
@@ -120,6 +123,8 @@ def parse(text: str) -> AlgebraSpec:
             f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except ValueError:  # a bare integer with more digits than int() converts
         raise DocumentError("document holds an integer with too many digits") from None
+    except RecursionError:
+        raise DocumentError("document nests arrays or objects too deeply") from None
     return parse_object(obj)
 
 
@@ -132,21 +137,13 @@ def _exact(value, where):
 
 
 def document_object(spec: AlgebraSpec) -> dict:
-    """The canonical document object for a rational spec: sparse i < j
-    entries, lexicographic (i, j) then k ordering, lowest-terms values."""
-    c_entries = []
-    for i in range(1, spec.dim + 1):
-        for j in range(i + 1, spec.dim + 1):
-            for k in range(1, spec.dim + 1):
-                v = _exact(spec.c_at(k, i, j), f"c^{k}_{i}{j}")
-                if v != 0:
-                    c_entries.append([i, j, k, str(v)])
-    omega_entries = []
-    for i in range(1, spec.dim + 1):
-        for j in range(i + 1, spec.dim + 1):
-            v = _exact(spec.omega_at(i, j), f"omega_{i}{j}")
-            if v != 0:
-                omega_entries.append([i, j, str(v)])
+    """The canonical document object for a rational spec: the store's
+    i < j entries, lexicographic (i, j) then k ordering, lowest-terms values."""
+    _exact(spec.zero_value, "the zero entries")  # a float spec is refused even when empty
+    c_entries = [[i + 1, j + 1, k + 1, str(_exact(v, f"c^{k + 1}_{i + 1}{j + 1}"))]
+                 for (i, j, k), v in spec.c_upper.items()]
+    omega_entries = [[i + 1, j + 1, str(_exact(v, f"omega_{i + 1}{j + 1}"))]
+                     for (i, j), v in spec.omega_upper.items()]
     return {"dim": spec.dim, "c_entries": c_entries, "omega_entries": omega_entries}
 
 
@@ -214,7 +211,7 @@ def _read_text(path):
 
 def _load_spec(args) -> AlgebraSpec:
     spec = parse(_read_text(args.file))
-    if getattr(args, "force_omega", False):
+    if args.force_omega:
         spec = _force_omega(spec)
     return spec
 
@@ -226,12 +223,12 @@ def _force_omega(spec: AlgebraSpec) -> AlgebraSpec:
     if spec.dim == 3:
         trip = decompose(spec)
         return reconstruct(NabTriple(trip.n, trip.a, forced_b(trip.n, trip.a)))
-    result = check_deformability(spec.c)
+    result = check_deformability(spec)
     if not result.compatible:
         raise _Failure("no compatible omega exists for this bracket; the trace "
                        "candidate leaves a nonzero defect",
                        {"valid": False, "deformable": False})
-    return AlgebraSpec(spec.dim, spec.c, result.candidate)
+    return result.spec
 
 
 def _residual_report(res, limit=20):
@@ -306,7 +303,7 @@ def _cmd_classify(args):
     if spec.dim != 3:
         raise _Usage(f"classify requires dim 3, got dim {spec.dim}")
     try:
-        nf = classify(spec, float_tol=args.float_tol)
+        nf = classify(spec)
     except NotAnAlgebraError as exc:
         raise _Failure(f"not an omega-deformed Lie algebra: {exc}",
                        {"command": "classify", "valid": False,
@@ -344,7 +341,7 @@ def _cmd_classify(args):
             certs.n_inertia.as_tuple(), "zero" if certs.a_is_zero else "nonzero", certs.causal),
         f"canonical row: n = diag{tuple(nd)}, a = {scaled(apat)}, b = {scaled(brow)}"
         "   [b = -2 n a]",
-        f"transform error: {nf.transform_error:.3e} (tolerance {args.float_tol:g})",
+        f"transform error: {nf.transform_error:.3e} (tolerance {FLOAT_TOL:g})",
     ]
     lines.extend(f"note: {note}" for note in nf.notes)
     _emit(args, report, lines)
@@ -436,15 +433,13 @@ def _cmd_deformability(args):
     spec = _load_spec(args)
     if spec.dim < 3:
         raise _Usage(f"deformability requires dim >= 3, got dim {spec.dim}")
-    result = check_deformability(spec.c)
+    result = check_deformability(spec)
     report = {"command": "deformability", "dim": spec.dim,
               "deformable": result.compatible}
     if result.compatible:
-        cand, dim = result.candidate, spec.dim
-        report["candidate_omega"] = [[i + 1, j + 1, _rat_str(cand[i][j])]
-                                     for i in range(dim) for j in range(i + 1, dim)
-                                     if cand[i][j] != 0]
-        report["matches_document_omega"] = result.candidate == spec.omega
+        cand = result.spec.omega_upper
+        report["candidate_omega"] = [[i + 1, j + 1, _rat_str(v)] for (i, j), v in cand.items()]
+        report["matches_document_omega"] = cand == spec.omega_upper
         lines = ["deformable: the trace candidate omega closes the deformed Jacobi identity"]
         entries = report["candidate_omega"]
         lines.append("candidate omega entries (i, j, value): "
@@ -479,10 +474,6 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a machine-readable JSON report (schema-versioned)")
-    common.add_argument("--float-tol", type=float, default=1e-9, metavar="T",
-                        help="tolerance for the canonical transform check (default 1e-9)")
-    common.add_argument("--force-omega", action="store_true",
-                        help="replace the supplied omega by the forced one before the operation")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def add(name, handler, help_, with_file=False, with_label=False):
@@ -490,6 +481,8 @@ def _build_parser():
         if with_file:
             p.add_argument("file", nargs="?", default="-", metavar="FILE",
                            help="document path, or - for standard input (default)")
+            p.add_argument("--force-omega", action="store_true",
+                           help="replace the supplied omega by the forced one first")
         if with_label:
             p.add_argument("label", metavar="LABEL", help="table row name, e.g. IX_a")
             p.add_argument("--param", metavar="P", default=None,

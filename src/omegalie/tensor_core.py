@@ -6,8 +6,8 @@ counting never take square roots.  ``det``, ``invert`` and ``adjugate``
 divide in the field of their entries: int entries are taken as Fractions,
 so exact input gives Fraction output, and float input stays float.  The
 classification layer reuses ``Matrix`` with float entries for its final
-basis transforms; the exact routines (``congruence_diagonalize``,
-``inertia``) are only meant for rational input.
+basis transforms; the exact routine ``congruence_diagonalize`` (with
+``Inertia.of_diagonal`` on its diagonal) is only meant for rational input.
 """
 
 from __future__ import annotations
@@ -103,10 +103,6 @@ class Matrix:
         n = self.dim
         return Matrix(tuple(tuple(self.rows[j][i] for j in range(n)) for i in range(n)))
 
-    @property
-    def T(self) -> "Matrix":
-        return self.transpose()
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix) or other.dim != self.dim:
             raise ValueError("dimension mismatch in matrix product")
@@ -114,9 +110,6 @@ class Matrix:
         return Matrix(tuple(
             tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(n)) for j in range(n))
             for i in range(n)))
-
-    def scale(self, s) -> "Matrix":
-        return Matrix(tuple(tuple(s * x for x in r) for r in self.rows))
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product, returning a tuple."""
@@ -127,9 +120,6 @@ class Matrix:
     def is_symmetric(self) -> bool:
         n = self.dim
         return all(self.rows[i][j] == self.rows[j][i] for i in range(n) for j in range(i + 1, n))
-
-    def astype_float(self) -> "Matrix":
-        return Matrix(tuple(tuple(float(x) for x in r) for r in self.rows))
 
     def det(self):
         """Determinant by elimination with partial pivoting (largest |pivot|)."""
@@ -259,8 +249,3 @@ class Inertia:
         pos = sum(1 for x in d if x > 0)
         neg = sum(1 for x in d if x < 0)
         return cls(pos, neg, len(d) - pos - neg)
-
-
-def inertia(m: Matrix) -> Inertia:
-    """Signature (positive, negative, zero) of a symmetric rational matrix."""
-    return Inertia.of_diagonal(congruence_diagonalize(m)[1])

@@ -9,12 +9,19 @@ basis change of a spec.  Slow but obviously correct, and sharing no code
 paths with the package under test (``deformed_identity_holds`` uses the
 library's ``jacobiator`` and ``omega_rhs``, which tests compare against
 ``dense_bracket`` and ``dense_omega``).
+
+The last section keeps the helpers that only tests call, so they are not
+part of the package's API: basis vectors, matrix scaling and float views,
+inertia, the forced omega of a dim-3 bracket, the compatible omega or None,
+and the brute-force check that omega's side of the identity vanishes.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
-from omegalie import AlgebraSpec, jacobiator, omega_rhs
+from omegalie import (AlgebraSpec, Inertia, Matrix, NabTriple,
+                      check_deformability, congruence_diagonalize, decompose,
+                      forced_b, jacobiator, omega_rhs, reconstruct)
 
 
 def _perm_sign(perm):
@@ -99,10 +106,10 @@ def descartes_inertia(rows):
 
 def deformed_identity_holds(spec: AlgebraSpec) -> bool:
     """The defining identity, checked directly on every basis triple."""
-    basis = spec.basis()
-    for a in basis:
-        for b in basis:
-            for c in basis:
+    vectors = basis(spec.dim)
+    for a in vectors:
+        for b in vectors:
+            for c in vectors:
                 if jacobiator(spec, a, b, c) != omega_rhs(spec, a, b, c):
                     return False
     return True
@@ -211,3 +218,62 @@ def dense_transport(spec: AlgebraSpec, p):
     om_new = [[sum(p[w][i] * p[v][j] * om[w][v] for w in rng for v in rng) for j in rng]
               for i in rng]
     return c_new, om_new
+
+
+# --- helpers only tests use ---------------------------------------------------
+
+def basis(dim):
+    """The standard basis e_1 .. e_dim as int tuples."""
+    return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+
+
+def scale(m, s):
+    """The Matrix s * m."""
+    return Matrix(tuple(tuple(s * x for x in r) for r in m.rows))
+
+
+def float_matrix(m):
+    """m with every entry converted to float."""
+    return Matrix(tuple(tuple(float(x) for x in r) for r in m.rows))
+
+
+def inertia(m):
+    """Signature (positive, negative, zero) of a symmetric rational matrix."""
+    return Inertia.of_diagonal(congruence_diagonalize(m)[1])
+
+
+def forced_omega(c):
+    """The unique compatible 2-form of a dense 3d skew bracket, as a full matrix."""
+    trip = decompose(AlgebraSpec(3, c, AlgebraSpec.zero(3).omega))
+    return reconstruct(NabTriple(trip.n, trip.a, forced_b(trip.n, trip.a))).omega
+
+
+def deformability(spec):
+    """The unique 2-form (dense) making the bracket of ``spec`` valid, or None."""
+    result = check_deformability(spec)
+    return result.candidate if result.compatible else None
+
+
+def omega_rhs_is_identically_zero(omega):
+    """Whether the deformation side vanishes on all basis triples.
+
+    In dimension 2 this holds for every skew omega (no deformation is ever
+    visible); in dimension != 2 it forces omega = 0.  Decided by brute
+    evaluation, not by the dimension shortcut.
+    """
+    om = tuple(tuple(row) for row in omega)
+    n = len(om)
+    if any(len(r) != n for r in om):
+        raise ValueError("omega must be square")
+    if any(om[i][j] != -om[j][i] for i in range(n) for j in range(i, n)):
+        raise ValueError("omega must be skew")
+    for l in range(n):
+        for j in range(n):
+            for k in range(n):
+                for m in range(n):
+                    val = om[j][k] * (1 if m == l else 0) \
+                        + om[l][j] * (1 if m == k else 0) \
+                        + om[k][l] * (1 if m == j else 0)
+                    if val != 0:
+                        return False
+    return True

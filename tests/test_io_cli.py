@@ -97,6 +97,10 @@ def test_round_trip_is_structural_on_random_specs():
     for _ in range(60):
         s = rand_spec(rng)
         assert parse(serialize(s)) == s
+        # the dense constructor and the store agree, and the store is exact
+        assert AlgebraSpec(s.dim, s.c, s.omega) == s
+        for store in (s.c_upper, s.omega_upper, parse(serialize(s)).c_upper):
+            assert all(type(v) is Fraction for v in store.values())
 
 
 # --- CLI ---------------------------------------------------------------------
@@ -295,7 +299,7 @@ def test_cli_deformability(tmp_path, capsys):
     assert run(["deformability", str(d2)]) == 2
 
 
-def test_cli_parse_failures_exit_2(tmp_path, capsys):
+def test_cli_parse_failures_exit_2(tmp_path, capsys, monkeypatch):
     missing = str(tmp_path / "absent.json")
     assert run(["validate", missing]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -303,12 +307,22 @@ def test_cli_parse_failures_exit_2(tmp_path, capsys):
     garbled.write_text("{")
     assert run(["validate", str(garbled)]) == 2
     assert "syntax error" in capsys.readouterr().err
+    nest = "[" * 100000 + "]" * 100000
+    for text in (nest, '{"dim": 3, "c_entries": [], "omega_entries": [], "meta": %s}' % nest):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run(["validate", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "nests" in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_cli_usage_errors_exit_2(capsys):
     assert run(["no-such-command"]) == 2
     assert run([]) == 2
     assert run(["--help"]) == 0
+    # options are accepted only by the subcommands that read them
+    assert run(["generate", "II", "--force-omega"]) == 2
+    assert run(["tables", "--float-tol", "5"]) == 2
 
 
 def test_cli_numerals_beyond_the_int_digit_limit_exit_2(monkeypatch):
@@ -382,17 +396,60 @@ def filiform_document(dim):
 
 
 def test_cli_dim24_filiform_within_budget(monkeypatch):
-    # the cost of validate and deformability follows the nonzero structure
-    # constants; a dense O(dim^5) residual takes tens of seconds here
-    doc = filiform_document(24)
-    for command, key, budget in (("validate", "valid", 2.0),
-                                 ("deformability", "deformable", 2.0)):
-        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
-        out = io.StringIO()
-        started = time.perf_counter()
-        with redirect_stdout(out):
-            code = run([command, "--json"])
-        elapsed = time.perf_counter() - started
-        assert elapsed < budget, f"{command} overran: {elapsed:.2f}s >= {budget}s"
-        assert code == 0
-        assert json.loads(out.getvalue())[key] is True
+    # the cost of validate and deformability follows the stored structure
+    # constants; a dense O(dim^5) residual takes tens of seconds on the
+    # filiform algebra, and a dense dim^3 store seconds on the dim-120 ones
+    docs = [(filiform_document(24), 2.0),
+            (serialize(AlgebraSpec.from_entries(120)), 1.0),
+            (serialize(AlgebraSpec.from_entries(120, [(1, 2, 1, 1), (3, 120, 5, "-2/3")])), 1.0)]
+    for doc, budget in docs:
+        for command, key in (("validate", "valid"), ("deformability", "deformable")):
+            monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+            out = io.StringIO()
+            started = time.perf_counter()
+            with redirect_stdout(out):
+                code = run([command, "--json"])
+            elapsed = time.perf_counter() - started
+            assert elapsed < budget, f"{command} overran: {elapsed:.2f}s >= {budget}s"
+            assert code == 0
+            assert json.loads(out.getvalue())[key] is True
+
+
+def test_cli_never_reads_the_dense_views(monkeypatch):
+    # every subcommand works on the i < j store alone: with the dense views
+    # c and omega raising, each gives the same exit code and output as before
+    so3_bumped = AlgebraSpec.from_entries(
+        3, [(2, 3, 1, 1), (1, 3, 2, -1), (1, 2, 3, 1)], [(1, 2, 1)])
+    heisenberg_twist = AlgebraSpec.from_entries(
+        4, [(1, 4, 1, -1), (2, 4, 2, -1), (3, 4, 3, -1), (1, 2, 3, 1)])
+    docs = [serialize(s) for s in (
+        generate("IX_a", 2), orbit_sample("VIII_na", Fraction(5, 2), seed=3),
+        orbit_sample("VI_y", seed=4), so3_bumped, heisenberg_twist,
+        AlgebraSpec.from_entries(4, [(1, 4, 1, -1), (2, 4, 2, -1), (3, 4, 3, -1)]),
+        AlgebraSpec.from_entries(120, [(1, 2, 1, 1), (3, 120, 5, "-2/3")], [(7, 9, 1)]))]
+    calls = [(argv, "") for argv in (["generate", "VI_a", "--param", "1/2"],
+                                     ["orbit-sample", "IX", "--seed", "7"], ["tables"])]
+    for doc in docs:
+        dim = json.loads(doc)["dim"]
+        for command in ("validate", "deformability") + (("decompose", "classify") if dim == 3 else ()):
+            calls += [([command, *force], doc) for force in ([], ["--force-omega"])]
+    calls += [(argv + ["--json"], doc) for argv, doc in calls]
+
+    def outputs():
+        results = []
+        for argv, doc in calls:
+            monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                results.append((run(argv), out.getvalue(), err.getvalue()))
+        return results
+
+    before = outputs()
+    assert {code for code, _, _ in before} == {0, 1}
+
+    def dense_view(self):
+        raise AssertionError("dense view read")
+
+    monkeypatch.setattr(AlgebraSpec, "c", property(dense_view))
+    monkeypatch.setattr(AlgebraSpec, "omega", property(dense_view))
+    assert outputs() == before

@@ -1,0 +1,131 @@
+"""Compare the command-line outputs of two source trees on the benchmark inputs.
+
+    python3 tools/cli_diff.py OLD_SRC NEW_SRC [--seeds 1,5,9001]
+
+OLD_SRC and NEW_SRC each name a directory holding an ``omegalie`` package: a
+checkout's ``src/``, or the checkout itself.  Each tree runs in one
+subprocess of its own.  That process imports the tree's package, builds
+every input of the three benchmark workloads with ``bench/workloads.py``
+(imported, not modified) for each seed, and runs every applicable
+subcommand through ``omegalie.io_cli.run``, in-process:
+
+* every document (the classify-orbit and nd-sparse documents, the
+  orbit-sample output of each orbit-validate pipeline and its edited copy):
+  ``validate`` and ``deformability``, plus ``decompose`` and ``classify``
+  in dim 3, each with and without ``--json`` and ``--force-omega``;
+* the orbit-sample and ``generate`` command of each orbit-validate
+  pipeline, and ``tables``, with and without ``--json``.
+
+The generated documents count as outputs too.  Every exit code, stdout and
+stderr that differs between the trees is printed as a unified diff; the
+exit code is 1 when any differs, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import importlib
+import json
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FILE_COMMANDS = ("validate", "decompose", "classify", "deformability")
+DIM3_ONLY = ("decompose", "classify")
+MODES = ([], ["--json"])
+
+
+def package_dir(path):
+    path = Path(path).resolve()
+    for candidate in (path, path / "src"):
+        if (candidate / "omegalie" / "__init__.py").is_file():
+            return candidate
+    raise SystemExit(f"error: no omegalie package in {path} or {path / 'src'}")
+
+
+def run_tree(src, seeds):
+    """Every output of one tree: {case name: [exit code, stdout, stderr]}."""
+    sys.path[:0] = [str(src), str(ROOT / "bench")]
+    ol = importlib.import_module("omegalie")
+    workloads = importlib.import_module("workloads")
+    out = {}
+
+    def run(name, argv, stdin=""):
+        (code, stdout, stderr), _ = workloads.call(ol.io_cli, argv, stdin)
+        out[f"{name}: omegalie {' '.join(argv)}"] = [code, stdout,
+                                                      stderr.replace(str(src), "SRC")]
+        return stdout
+
+    def run_document(name, doc):
+        out[f"{name}: document"] = [None, doc, ""]
+        dim = json.loads(doc)["dim"]
+        for command in FILE_COMMANDS:
+            if command in DIM3_ONLY and dim != 3:
+                continue
+            for mode in MODES:
+                for force in ([], ["--force-omega"]):
+                    run(name, [command, *mode, *force], doc)
+
+    for mode in MODES:
+        run("tables", ["tables", *mode])
+    for seed in seeds:
+        for k, op in enumerate(workloads.classify_orbit(ol, random.Random(seed))):
+            run_document(f"seed {seed} classify-orbit {k}", op.doc)
+        for k, op in enumerate(workloads.orbit_validate(ol, random.Random(seed))):
+            name = f"seed {seed} orbit-validate {k}"
+            generate = ["generate", op.row] + ([] if op.param is None else ["--param", str(op.param)])
+            for mode in MODES:
+                run(name, generate + mode)
+            run(name, op.argv + ["--json"])
+            doc = run(name, op.argv)
+            run_document(name, doc)
+            edited = workloads.bump_omega(doc) if op.bump else None
+            if edited:
+                run_document(name + " edited", edited[0])
+        for k, op in enumerate(workloads.nd_sparse(ol, random.Random(seed))):
+            run_document(f"seed {seed} nd-sparse {k}", op.doc)
+    return out
+
+
+def collect(src, seeds):
+    proc = subprocess.run([sys.executable, __file__, "--worker", str(src), seeds],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: the run on {src} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--worker"]:
+        json.dump(run_tree(Path(argv[1]), [int(s) for s in argv[2].split(",")]), sys.stdout)
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", metavar="OLD_SRC")
+    parser.add_argument("new", metavar="NEW_SRC")
+    parser.add_argument("--seeds", default="1,5,9001", help="comma-separated workload seeds")
+    args = parser.parse_args(argv)
+    old = collect(package_dir(args.old), args.seeds)
+    new = collect(package_dir(args.new), args.seeds)
+    differ = 0
+    for case in sorted(old.keys() | new.keys()):
+        a, b = old.get(case), new.get(case)
+        if a == b:
+            continue
+        differ += 1
+        print(f"=== {case}")
+        for part, x, y in zip(("exit code", "stdout", "stderr"), a or [None] * 3, b or [None] * 3):
+            if x != y:
+                print(f"--- {part}")
+                sys.stdout.writelines(difflib.unified_diff(
+                    str(x).splitlines(True), str(y).splitlines(True), "old", "new"))
+                print()
+    print(f"{len(old.keys() | new.keys())} outputs compared, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
