@@ -18,28 +18,27 @@ from .algebra_core import (AlgebraSpec, ResidualTensor, SkewViolation,
                            omega_rhs, omega_value, residual, transport)
 from .classify3d import (FIRST_TABLE_ORDER, PARAMETRIC_LABELS,
                          SECOND_TABLE_ORDER, BianchiLabel, ExactCertificates,
-                         NormalForm, NotAnAlgebraError, classify, generate,
-                         orbit_sample, table_row)
-from .decomp3d import (NabTriple, decompose, dual_c, forced_b, reconstruct,
-                       t_vector)
+                         FloatRangeError, NormalForm, NotAnAlgebraError,
+                         classify, generate, orbit_sample, table_row)
+from .decomp3d import NabTriple, decompose, forced_b, reconstruct, t_vector
 from .decomp_nd import (DeformabilityResult, GeneralSplit,
                         check_deformability, induced_omega, split_trace)
 from .io_cli import (DocumentError, ExactnessError, document_object, parse,
                      serialize)
 from .tensor_core import (Inertia, Matrix, Scalar, SingularMatrixError,
-                          adjugate, congruence_diagonalize, invert, rational)
+                          congruence_diagonalize, invert, rational)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraSpec", "BianchiLabel", "DeformabilityResult", "DocumentError",
-    "ExactCertificates", "ExactnessError", "FIRST_TABLE_ORDER",
+    "ExactCertificates", "ExactnessError", "FIRST_TABLE_ORDER", "FloatRangeError",
     "GeneralSplit", "Inertia", "Matrix", "NabTriple", "NormalForm",
     "NotAnAlgebraError", "PARAMETRIC_LABELS", "ResidualTensor",
     "SECOND_TABLE_ORDER", "Scalar", "SingularMatrixError", "SkewViolation",
-    "SkewViolationError", "adjugate", "bracket", "check_deformability",
+    "SkewViolationError", "bracket", "check_deformability",
     "classify", "congruence_diagonalize", "decompose", "document_object",
-    "dual_c", "forced_b", "generate", "induced_omega", "invert",
+    "forced_b", "generate", "induced_omega", "invert",
     "jacobiator", "omega_rhs", "omega_value", "orbit_sample", "parse",
     "rational", "reconstruct", "residual", "serialize", "split_trace",
     "t_vector", "table_row", "transport",

@@ -150,10 +150,6 @@ class AlgebraSpec:
     def omega_at(self, i: int, j: int):
         return self.omega[i - 1][j - 1]
 
-    def astype_float(self) -> "AlgebraSpec":
-        return AlgebraSpec._from_upper(self.dim, {k: float(v) for k, v in self.c_upper.items()},
-                                       {k: float(v) for k, v in self.omega_upper.items()}, 0.0)
-
 
 def _check_vec(spec, vec):
     if len(vec) != spec.dim:

@@ -11,16 +11,12 @@ and the continuous parameters are decided in exact rational arithmetic:
 * for rank-2 n with a in its kernel the ratio (a x a) / adjugate(n), which
   is invariant because the adjugate transforms by plain congruence.
 
-``classify`` decomposes once and runs one congruence diagonalization
-s n s^T = diag(d); the discrete label reads its inertia from d, and the
-reduction starts from the same (s, d).  Every stage of the reduction acts
-on one frame (d, a, P) by index: a signed permutation or diagonal scaling
-moves entries and columns, and a recombination by a basis change in the
-stabiliser of n (kernel shears, rotations, boosts) leaves n unchanged, so
-only a and P change.  The exact stages (sign sorting, the global flip,
-kernel shears, the VI_y gauge swap and sign scalings) run in Fractions.
-Floats enter only after them, in the same frame: square roots for the +-1
-normalization of n, the rotations and boosts, and the reported parameter.
+``classify`` decomposes once, diagonalizes n = p diag(d) p^T once and reads
+the invariants off (d, p^T a).  Every reduction stage acts on one frame
+(d, a, P, det P) by index.  The exact head (sign sorting, shears, gauge
+swap, scalings, and rational steep and null boosts) runs in Fractions and
+its P is certified by Fraction equality; the float tail is a 3x3 Q on that
+frame.  The transform is P Q, and ``transform_error`` checks Q.
 
 VI_y and every VIII_na parameter are not orbits of their own: both report
 on a canonical representative (VI_x, VIII_na at parameter 1) with a note
@@ -37,14 +33,14 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .algebra_core import AlgebraSpec, transport
 from .decomp3d import NabTriple, decompose, forced_b, reconstruct, t_vector
-from .tensor_core import (Inertia, Matrix, adjugate, congruence_diagonalize,
-                          invert, rational)
+from .tensor_core import Inertia, Matrix, congruence_diagonalize, rational
 
 
 class NotAnAlgebraError(ValueError):
@@ -56,6 +52,10 @@ class NotAnAlgebraError(ValueError):
         super().__init__(
             f"omega does not satisfy the deformed Jacobi identity: t = 4 n a + 2 b = ({ts}); "
             "the unique compatible choice is b = -2 n a")
+
+
+class FloatRangeError(ValueError):
+    """A classification's parameter or transform lies outside the float range."""
 
 
 def _brief(x) -> str:
@@ -98,15 +98,14 @@ SECOND_TABLE_ORDER = ("V", "IV", "IV_x", "VI_a", "VI_x", "VI_y", "VI_n",
 PARAMETRIC_LABELS = frozenset(l for l, (_, _, p) in _TABLE.items() if p)
 FLOAT_TOL = 1e-9  # bound on transform_error before classify adds a note
 
-_VI_COLLAPSE_NOTE = (
-    "VI_x and VI_y lie on one orbit: the basis swap e1 <-> e2 (determinant -1) "
-    "preserves n = diag(1, -1, 0) and exchanges their a data; VI_x is the "
-    "canonical representative reported here.")
-_VIII_NA_COLLAPSE_NOTE = (
-    "VIII_na rows of every parameter lie on one orbit: the boost "
-    "[[5/4, 0, 3/4], [0, 1, 0], [3/4, 0, 5/4]] (determinant 1) preserves "
-    "n = diag(1, 1, -1) and doubles the null a = (p, 0, p); VIII_na at "
-    "parameter 1 is the canonical representative reported here.")
+_COLLAPSE_NOTES = {
+    "VI_x": "VI_x and VI_y lie on one orbit: the basis swap e1 <-> e2 (determinant -1) "
+            "preserves n = diag(1, -1, 0) and exchanges their a data; VI_x is the "
+            "canonical representative reported here.",
+    "VIII_na": "VIII_na rows of every parameter lie on one orbit: the boost "
+               "[[5/4, 0, 3/4], [0, 1, 0], [3/4, 0, 5/4]] (determinant 1) preserves "
+               "n = diag(1, 1, -1) and doubles the null a = (p, 0, p); VIII_na at "
+               "parameter 1 is the canonical representative reported here."}
 
 
 @dataclass(frozen=True)
@@ -139,14 +138,14 @@ class ExactCertificates:
 
 @dataclass(frozen=True)
 class NormalForm:
-    """Classification outcome: label, canonical float spec and basis transform."""
+    """Classification outcome: label, exact and float basis transforms."""
 
     label: BianchiLabel
-    canonical: AlgebraSpec
-    transform: Matrix          # float; transport(input, transform) ~ canonical
+    exact_transform: Matrix    # Fractions; the certified exact head P
+    transform: Matrix          # float P Q; transport(input, transform) ~ canonical row
     certificates: ExactCertificates
     notes: tuple
-    transform_error: float     # max deviation of the transform check
+    transform_error: float     # deviation of the float tail Q on the frame
     decomposition: NabTriple   # exact (n, a, b) of the input
 
     @property
@@ -167,19 +166,14 @@ def generate(label: str, param=None) -> AlgebraSpec:
     Parametric rows (VI_a, VII_a, VIII_a, VIII_xa, VIII_na, IX_a) require a
     positive rational parameter; all others refuse one.
     """
-    if label not in _TABLE:
-        raise ValueError(f"unknown label {label!r}; known: {', '.join(sorted(_TABLE))}")
-    nd, apat, parametric = _TABLE[label]
-    if parametric:
-        if param is None:
-            raise ValueError(f"label {label} requires a positive parameter")
-        p = rational(param)
-        if p <= 0:
-            raise ValueError(f"parameter for {label} must be positive, got {param}")
-    else:
-        if param is not None:
-            raise ValueError(f"label {label} does not take a parameter")
-        p = Fraction(1)
+    nd, apat, parametric = table_row(label)
+    if parametric and param is None:
+        raise ValueError(f"label {label} requires a positive parameter")
+    if not parametric and param is not None:
+        raise ValueError(f"label {label} does not take a parameter")
+    p = rational(param) if parametric else Fraction(1)
+    if p <= 0:
+        raise ValueError(f"parameter for {label} must be positive, got {param}")
     n = Matrix.diagonal(tuple(rational(x) for x in nd))
     a = tuple(rational(x) * p for x in apat)
     return reconstruct(NabTriple(n, a, forced_b(n, a)))
@@ -206,33 +200,19 @@ def orbit_sample(label: str, param=None, *, seed: int) -> AlgebraSpec:
 # exact discrete classification
 
 
-def _adjugate_ratio(n: Matrix, a) -> Fraction:
-    # For rank-2 n and a in its kernel, a x a = rho * adjugate(n); rho is a
-    # full orbit invariant (both sides transform by plain congruence).
-    adj = adjugate(n)
-    best = max(((i, j) for i in range(3) for j in range(3)),
-               key=lambda ij: abs(adj[ij[0]][ij[1]]))
-    i, j = best
-    if adj[i][j] == 0:
-        raise ValueError("adjugate vanished; n does not have rank 2")
-    return Fraction(a[i] * a[j]) / adj[i][j]
-
-
 _AZERO_LABELS = {(0, 0, 3): "I", (1, 0, 2): "II", (1, 1, 1): "VI0",
                  (2, 0, 1): "VII0", (2, 1, 0): "VIII", (3, 0, 0): "IX"}
 
 
-def _discrete_classify(n: Matrix, a, d):
-    """Label, squared-parameter invariant, and exact certificates of (n, a);
-    d is a congruence diagonal of n."""
+def _discrete_classify(d, a):
+    """Label, squared parameter and exact certificates, read off n = p diag(d) p^T, a = p^T a."""
     inert = Inertia.of_diagonal(d)
     praw, qraw = inert.positive, inert.negative
     canon = Inertia(max(praw, qraw), min(praw, qraw), inert.zero)
     rank = canon.rank
     a_zero = all(x == 0 for x in a)
-    na = n.apply(a)
-    kernel_only = (not a_zero) and all(x == 0 for x in na)
-    qf = sum(x * y for x, y in zip(a, na))
+    kernel_only = (not a_zero) and all(x * y == 0 for x, y in zip(d, a))
+    qf = sum(x * y * y for x, y in zip(d, a))
     if a_zero:
         causal = "zero"
     elif kernel_only:
@@ -256,17 +236,16 @@ def _discrete_classify(n: Matrix, a, d):
         label = "IV" if kernel_only else "IV_x"
     elif rank == 2:
         if kernel_only:
-            rho = _adjugate_ratio(n, a)
-            if canon.as_tuple() == (1, 1, 1):
-                label, param2 = "VI_a", -rho
-            else:
-                label, param2 = "VII_a", rho
+            # a x a = rho adjugate(n), a full orbit invariant; a = a_k p^-T e_k
+            # and adjugate(n) = d_i d_j (p^-T e_k)(p^-T e_k)^T, k the zero of d
+            rho = sum(x * x for x in a) / math.prod(x for x in d if x)
+            label, param2 = ("VI_a", -rho) if canon.as_tuple() == (1, 1, 1) else ("VII_a", rho)
         elif canon.as_tuple() == (1, 1, 1):
             label = "VI_n" if qf == 0 else "VI_x"
         else:
             label = "VII_x"
     else:
-        r = Fraction(qf) / n.det()
+        r = qf / math.prod(d)
         if canon.as_tuple() == (3, 0, 0):
             label, param2 = "IX_a", r
         elif r > 0:
@@ -284,11 +263,9 @@ def _discrete_classify(n: Matrix, a, d):
 # canonical basis transform
 
 
-# The reduction acts on a frame (d, a, cols): n is diag(d) and a the
-# covector in the current basis, and cols[j] is the j-th current basis
-# vector in input coordinates, i.e. column j of the accumulated transform P.
-# A basis change e'_j = Q[q][j] e_q sends n to det(Q) Q^-1 n Q^-T and a to
-# Q^T a; each stage below applies that by index for its kind of Q.
+# A frame (d, a, cols, det): n = diag(d) and a in the current basis, cols[j]
+# its j-th vector in the starting coordinates (column j of P), det = det(P).
+# A basis change e'_j = Q[q][j] e_q sends n to det(Q) Q^-1 n Q^-T, a to Q^T a.
 
 
 def _parity(order) -> int:
@@ -298,32 +275,33 @@ def _parity(order) -> int:
 
 def _permute(frame, order, signs):
     # e'_j = signs[j] e_order[j]; n stays diagonal with d'_j = det(Q) d_order[j]
-    d, a, cols = frame
-    det = _parity(order) * signs[0] * signs[1] * signs[2]
-    return ([det * d[o] for o in order],
+    d, a, cols, det = frame
+    q = _parity(order) * signs[0] * signs[1] * signs[2]
+    return ([q * d[o] for o in order],
             [sg * a[o] for o, sg in zip(order, signs)],
-            [[sg * x for x in cols[o]] for o, sg in zip(order, signs)])
+            [[sg * x for x in cols[o]] for o, sg in zip(order, signs)],
+            q * det)
 
 
 def _scale(frame, lams):
     # e'_i = lams[i] e_i; d'_i = det(Q) d_i / lams[i]^2
-    d, a, cols = frame
-    det = lams[0] * lams[1] * lams[2]
-    return ([det * x / (lam * lam) if x else x for x, lam in zip(d, lams)],
+    d, a, cols, det = frame
+    q = lams[0] * lams[1] * lams[2]
+    return ([q * x / (lam * lam) if x else x for x, lam in zip(d, lams)],
             [lam * x for x, lam in zip(a, lams)],
-            [[lam * x for x in col] for col, lam in zip(cols, lams)])
+            [[lam * x for x in col] for col, lam in zip(cols, lams)],
+            q * det)
 
 
 def _recombine(frame, new):
-    # e'_m = sum of coef e_q over (q, coef) in new[m]; the other vectors stay.
-    # Callers pass a Q in the stabiliser of n (det(Q) Q^-1 n Q^-T = n), so
-    # d is unchanged.
-    d, a, cols = frame
+    # e'_m = sum of coef e_q over (q, coef) in new[m], the others stay; Q has
+    # determinant 1 and fixes n (Q^-1 n Q^-T = n), so d and det are unchanged
+    d, a, cols, det = frame
     a2, cols2 = list(a), list(cols)
     for m, terms in new.items():
         a2[m] = sum(coef * a[q] for q, coef in terms)
         cols2[m] = [sum(coef * cols[q][r] for q, coef in terms) for r in range(3)]
-    return d, a2, cols2
+    return d, a2, cols2, det
 
 
 def _plane(i, j, c, s, t):
@@ -337,37 +315,80 @@ def _sort_signs(frame):
     # new vector, so det = +1 and the diagonal of n just permutes
     d = frame[0]
     order = sorted(range(3), key=lambda i: 0 if d[i] > 0 else (1 if d[i] < 0 else 2))
-    if order == [0, 1, 2]:
-        return frame
     return _permute(frame, order, (1, 1, _parity(order)))
 
 
-def _exact_stages(a, label: str, s: Matrix, d):
-    """Exact part of the reduction of (n, a), given s n s^T = diag(d).
+def _form(d, x, y):
+    # B(x, y) = x^T diag(d) y on covectors, preserved by every stabiliser of n
+    return sum(u * v * w for u, v, w in zip(d, x, y) if v and w)
 
-    Returns the frame (d, a, cols) in Fractions, cols the columns of a P
-    with det(P) P^-1 n P^-T = diag(d) and P^T a_input = a: n diagonal with
-    its signs sorted, positives >= negatives, then the per-label shears,
-    gauge swap and sign scalings.
-    """
-    p = invert(s)  # the transport by s^-1 carries n to diag(d) / det(s)
-    det_s = s.det()
-    cols = [list(col) for col in zip(*p.rows)]
-    frame = ([x / det_s for x in d],
-             [sum(x * y for x, y in zip(col, a)) for col in cols],
-             cols)
-    frame = _sort_signs(frame)
+
+def _plane_map(frame, f, g, tf, tg):
+    # T = I + sum over v of (T v - v) (diag(d) v)^T / B(v, v), T v = tv . (f, g)
     d = frame[0]
-    if sum(1 for x in d if x > 0) < sum(1 for x in d if x < 0):
+    parts = []
+    for v, (c, e) in ((f, tf), (g, tg)):
+        bv = _form(d, v, v)
+        parts.append(([c * x + e * y - z if x or y else 0 for x, y, z in zip(f, g, v)],
+                      [x * y / bv if y else 0 for x, y in zip(d, v)]))
+    return _recombine(frame, {m: tuple((q, (m == q) + sum(w[m] * r[q] for w, r in parts if r[q]))
+                                       for q in range(3))
+                              for m in range(3) if any(w[m] for w, _ in parts)})
+
+
+def _steep_boost(frame):
+    """The boost of VI_x, VIII_a or VIII_xa, done exactly past cosh^2 = 2^8,
+    where the float one would lose about cosh^2 |a| 2^-53.  With a = f + g on
+    the positive and negative d_i, f the larger (p, q = B(f, f), B(g, g)), the
+    Cayley boost T f = ((1 - u) f - 2 s g / q) / (1 + u), T g = (2 s f / p +
+    (1 - u) g) / (1 + u), u = s^2 / (p q), zeroes g at s = q / (1 + sqrt(1 + q / p)),
+    rational for a float root; cosh^2 = p / (p + q)."""
+    d, a = frame[0], frame[1]
+    f, g = ([x if y > 0 else 0 for x, y in zip(a, d)], [x if y < 0 else 0 for x, y in zip(a, d)])
+    p, q = _form(d, f, f), _form(d, g, g)
+    if p + q < 0:
+        f, g, p, q = g, f, q, p
+    if abs(p + q) * 2 ** 8 >= abs(p):
+        return frame
+    s = q / (1 + Fraction(_sqrt(1 + q / p)))
+    u = s * s / (p * q)
+    c = (1 - u) / (1 + u)
+    return _plane_map(frame, f, g, (c, -2 * s / (q * (1 + u))), (2 * s / (p * (1 + u)), c))
+
+
+def _null_boost(frame):
+    """Scale the null a of VIII_na by 2^-k, r = |a_3| / sqrt(d_1 d_2) into
+    [1/2, 2), when r is outside [2^-8, 2^9): the float boost from (r, 0, r) to
+    (1, 0, 1) loses about r^2 2^-53.  With b = e_3 - a / (2 a_3) null too,
+    a -> lam a, b -> b / lam is a rational boost of the plane of a +- b."""
+    d, a = frame[0], frame[1]
+    r2 = a[2] * a[2] / (d[0] * d[1])
+    k = (r2.numerator.bit_length() - r2.denominator.bit_length()) // 2
+    if abs(k) <= 8:
+        return frame
+    lam = Fraction(2) ** -k
+    b = [-x / (2 * a[2]) for x in a]
+    b[2] += 1
+    ch, sh = (lam + 1 / lam) / 2, (lam - 1 / lam) / 2
+    return _plane_map(frame, [x + y for x, y in zip(a, b)], [x - y for x, y in zip(a, b)],
+                      (ch, sh), (sh, ch))
+
+
+def _exact_stages(frame, label: str):
+    """The exact head: P diag(d) P^T = det(P) n, P^T a_input = a, nonzero |d_i| in [1/2, 4)."""
+    frame = _sort_signs(frame)
+    if sum((x > 0) - (x < 0) for x in frame[0]) < 0:  # more negatives than positives
         frame = _sort_signs(_scale(frame, (1, 1, -1)))  # determinant -1 flips every sign of n
 
     a = frame[1]
     if label == "V":
         i0 = max(range(3), key=lambda i: abs(a[i]))
         others = [j for j in range(3) if j != i0]
+        sign = _parity(others + [i0])
         new = {m: ((j, 1), (i0, -a[j] / a[i0])) for m, j in enumerate(others)}
-        new[2] = ((i0, 1 / a[i0]),)
-        frame = _recombine(frame, new)  # a -> (0, 0, 1); n = 0 is unconstrained
+        new[2] = ((i0, sign),)
+        # a -> (0, 0, 1); n = 0 is unconstrained
+        frame = _scale(_recombine(frame, new), (1, 1, sign / a[i0]))
     elif label == "IV":
         a2, a3 = a[1], a[2]
         if a3 != 0:
@@ -386,117 +407,125 @@ def _exact_stages(a, label: str, s: Matrix, d):
         if a[2] != 0:  # shear the kernel component away along the larger entry
             src = 0 if abs(a[0]) >= abs(a[1]) else 1
             frame = _recombine(frame, {2: ((2, 1), (src, -a[2] / a[src]))})
-        d, a, _ = frame
+        d, a = frame[0], frame[1]
         if label == "VI_x" and sum(d[i] * a[i] * a[i] for i in range(3)) < 0:
             frame = _permute(frame, (1, 0, 2), (1, 1, 1))  # VI_y -> VI_x gauge
         if label == "VI_n" and a[0] * a[1] < 0:
             frame = _scale(frame, (1, -1, -1))
     elif label in ("VIII_a", "VIII_na") and a[2] < 0:
         frame = _scale(frame, (1, -1, -1))
-
+    if label == "VIII_na":
+        frame = _null_boost(frame)
+    elif label in ("VI_x", "VIII_a", "VIII_xa"):
+        frame = _steep_boost(frame)
+    # e_i -> 2^(k_i - K) e_i, K the sum of the k_i, sends d_i to d_i / 4^k_i
+    ks = [(abs(x.numerator).bit_length() - x.denominator.bit_length()) // 2 if x else 0
+          for x in frame[0]]
+    if any(ks):
+        frame = _scale(frame, [Fraction(2) ** (k - sum(ks)) for k in ks])
+    a = frame[1]  # the last rescalings of a that keep d, as far as they are rational
+    if label == "IV":
+        frame = _scale(frame, (1 / a[2], 1, 1 / a[2]))
+    elif label in ("VI_x", "VI_n", "VII_x"):
+        m = max(abs(a[0]), abs(a[1]))
+        frame = _scale(frame, (1 / m, 1 / m, 1))
     return frame
 
 
-def _reduce(a, label: str, s: Matrix, d) -> Matrix:
-    """Float basis transform P carrying (n, a) onto its canonical table data.
+def _certify(frame, n: Matrix, a, label: str):
+    """Fraction equality of P diag(d) P^T = det(P) n, P^T a = a_frame (with b
+    forced, this pins P) and the row's sign patterns of d and of a on ker n."""
+    d, af, cols, det = frame
+    nd, apat, _ = _TABLE[label]
+    if (any(sum(cols[k][i] * d[k] * cols[k][j] for k in range(3)) != det * n[i][j]
+            for i in range(3) for j in range(i, 3))
+            or any(sum(x * y for x, y in zip(col, a)) != y for col, y in zip(cols, af))
+            or tuple((x > 0) - (x < 0) for x in d) != nd
+            or any((af[i] != 0) != (apat[i] != 0) for i in range(3) if d[i] == 0)):
+        raise AssertionError(f"the exact reduction to {label} failed its certificate")
 
-    The exact stages (``_exact_stages``) run first, in Fractions.  Floats
-    appear afterwards, on the same frame, for the +-1 normalization of n and
-    the rotation / boost / rescale stages; boost magnitudes are computed
-    from exact discriminants so their domain constraints cannot be lost to
-    rounding.
-    """
-    d_exact, a_exact, cols = _exact_stages(a, label, s, d)
 
-    # normalize n to signs: mu_i = sqrt(|d_i|)/g with g = prod sqrt(|d_i|)
-    g2 = Fraction(1)
-    for x in d_exact:
-        if x != 0:
-            g2 *= abs(x)
-    g = math.sqrt(g2)
-    mu = tuple((math.sqrt(abs(x)) if x != 0 else 1.0) / g for x in d_exact)
-    # exact squares of the normalized a components, for boost discriminants
-    asq = tuple(a_exact[i] ** 2 * (abs(d_exact[i]) if d_exact[i] != 0 else 1) / g2
-                for i in range(3))
+def _sqrt(x: Fraction) -> float:
+    # correctly rounded at any magnitude: a root of >= 55 bits and a sticky bit
+    num, den = x.numerator, x.denominator
+    s = (113 - num.bit_length() + den.bit_length()) // 2
+    q, rem = divmod(num << 2 * s, den) if s >= 0 else divmod(num, den << -2 * s)
+    root = math.isqrt(q)
+    if rem or root * root != q:
+        root |= 1
+    return math.ldexp(float(root), -s)  # OverflowError past the float range
 
+
+def _float_tail(frame, label: str):
+    """The float tail: the float frame (d, a, columns of Q, det Q) that carries
+    the exact frame's (d, a), from Q = identity, onto the canonical row."""
+    d_exact, a_exact = frame[0], frame[1]
+    g2 = abs(math.prod((x for x in d_exact if x), start=Fraction(1)))
+    # mu_i = sqrt(|d_i|) / g with g = prod sqrt(|d_i|) normalizes n to signs
+    mu = [_sqrt((abs(x) if x != 0 else 1) / g2) for x in d_exact]
     frame = _scale(([float(x) for x in d_exact], [float(x) for x in a_exact],
-                    [[float(x) for x in col] for col in cols]), mu)
+                    [[float(i == j) for i in range(3)] for j in range(3)], 1.0), mu)
     a = frame[1]
+    if label in ("VII_x", "VIII_a", "VIII_xa", "VIII_na") and (a[0] != 0.0 or a[1] != 0.0):
+        rho = math.hypot(a[0], a[1])
+        frame = _recombine(frame, _plane(0, 1, a[0] / rho, a[1] / rho, -a[1] / rho))
     if label == "IV":
-        r = a[2]
-        frame = _scale(frame, (1.0 / r, 1.0, 1.0 / r))
-    elif label == "VI_x":
-        tau2 = asq[1] / asq[0]  # < 1 exactly: the gauge swap made q positive
-        if tau2 != 0:
-            sign = -1.0 if a[0] * a[1] > 0 else 1.0
-            tau = sign * math.sqrt(float(tau2))
-            ch = 1.0 / math.sqrt(float(1 - tau2))
-            frame = _recombine(frame, _plane(0, 1, ch, tau * ch, tau * ch))
-    elif label in ("VII_x", "VIII_a", "VIII_xa", "VIII_na"):
-        a1, a2 = a[0], a[1]
-        if a1 != 0.0 or a2 != 0.0:
-            rho = math.hypot(a1, a2)
-            frame = _recombine(frame, _plane(0, 1, a1 / rho, a2 / rho, -a2 / rho))
-        if label == "VIII_a":
-            tau2 = (asq[0] + asq[1]) / asq[2]
-            if tau2 != 0:
-                tau = -math.sqrt(float(tau2))  # rotation left a1 >= 0, flip left a3 > 0
-                ch = 1.0 / math.sqrt(float(1 - tau2))
-                frame = _recombine(frame, _plane(0, 2, ch, tau * ch, tau * ch))
-        elif label == "VIII_xa":
-            tau2 = asq[2] / (asq[0] + asq[1])
-            if tau2 != 0:
-                sign = -1.0 if frame[1][2] > 0 else 1.0
-                tau = sign * math.sqrt(float(tau2))
-                ch = 1.0 / math.sqrt(float(1 - tau2))
-                frame = _recombine(frame, _plane(0, 2, ch, tau * ch, tau * ch))
-        elif label == "VIII_na":
-            # the null a = (r, 0, r) goes to (1, 0, 1) under the boost of rapidity -ln r
-            r = math.sqrt(float(asq[2]))
-            ch, sh = (1 / r + r) / 2, (1 / r - r) / 2
-            frame = _recombine(frame, _plane(0, 2, ch, sh, sh))
+        frame = _scale(frame, (1.0 / a[2], 1.0, 1.0 / a[2]))
+    elif label == "VIII_na":  # the null (r, 0, r) goes to (1, 0, 1) at rapidity -ln r
+        r = _sqrt(a_exact[2] * a_exact[2] / (d_exact[0] * d_exact[1]))
+        frame = _recombine(frame, _plane(0, 2, (1 / r + r) / 2, (1 / r - r) / 2, (1 / r - r) / 2))
+    elif label in ("VI_x", "VIII_a", "VIII_xa"):  # the boost zeroing a's smaller part
+        pos, neg = (abs(sum(x * y * y for x, y in zip(d_exact, a_exact) if x * sg > 0))
+                    for sg in (1, -1))
+        tau2, j = min(pos, neg) / max(pos, neg), 1 if label == "VI_x" else 2
+        if tau2 != 0:  # tau2 < 1 exactly, so the boost is defined
+            tau = (-1.0 if frame[1][0] * frame[1][j] > 0 else 1.0) * _sqrt(tau2)
+            ch = _sqrt(1 / (1 - tau2))
+            frame = _recombine(frame, _plane(0, j, ch, tau * ch, tau * ch))
     elif label == "IX_a":
-        norm = math.sqrt(sum(x * x for x in a))
-        w = tuple(x / norm for x in a)
+        w = [x / math.hypot(*a) for x in a]
         m = min(range(3), key=lambda i: abs(w[i]))
-        seed_vec = [0.0, 0.0, 0.0]
-        seed_vec[m] = 1.0
-        dot = sum(seed_vec[i] * w[i] for i in range(3))
-        u = [seed_vec[i] - dot * w[i] for i in range(3)]
-        un = math.sqrt(sum(x * x for x in u))
-        u = [x / un for x in u]
+        u = [float(i == m) - w[m] * x for i, x in enumerate(w)]  # e_m minus its w part
+        u = [x / math.sqrt(sum(y * y for y in u)) for x in u]
         v = (w[1] * u[2] - w[2] * u[1], w[2] * u[0] - w[0] * u[2], w[0] * u[1] - w[1] * u[0])
-        # (u, v, w) is an SO(3) frame
         frame = _recombine(frame, {0: tuple(enumerate(u)), 1: tuple(enumerate(v)),
                                    2: tuple(enumerate(w))})
     if label in ("VI_n", "VI_x", "VII_x"):
         t = 1.0 / frame[1][0]
         frame = _scale(frame, (t, t, 1.0))
-    return Matrix(tuple(zip(*frame[2])))
+    return frame
 
 
-def _canonical_spec(label: str, parameter) -> AlgebraSpec:
+def _tail_error(frame, tail, label: str, parameter) -> float:
+    """Largest entry of Q n_c Q^T - det(Q) diag(d), Q^T a - a_c, Q b_c - det(Q) b:
+    zero iff the float tail Q carries the frame (diag(d), a, b) onto the row."""
     nd, apat, _ = _TABLE[label]
-    p = 1.0 if parameter is None else float(parameter)
-    nmat = Matrix.diagonal(tuple(float(x) for x in nd))
-    a = tuple(float(x) * p for x in apat)
-    return reconstruct(NabTriple(nmat, a, forced_b(nmat, a)))
+    ac = [x * (1.0 if parameter is None else parameter) for x in apat]
+    d, a = [float(x) for x in frame[0]], [float(x) for x in frame[1]]
+    q, det = tail[2], tail[3]  # q[j] is column j of Q
+    devs = [sum(q[k][i] * nd[k] * q[k][j] for k in range(3)) - (det * d[i] if i == j else 0.0)
+            for i in range(3) for j in range(i, 3)]
+    devs += [sum(x * y for x, y in zip(col, a)) - c for col, c in zip(q, ac)]
+    devs += [2 * det * d[i] * a[i] - 2 * sum(q[k][i] * nd[k] * ac[k] for k in range(3))
+             for i in range(3)]
+    return max(map(abs, devs))
 
 
-def _max_deviation(s1: AlgebraSpec, s2: AlgebraSpec) -> float:
-    err = 0.0
-    for mine, other in ((s1.c_upper, s2.c_upper), (s1.omega_upper, s2.omega_upper)):
-        for key in mine.keys() | other.keys():
-            err = max(err, abs(mine.get(key, 0.0) - other.get(key, 0.0)))
-    return err
+def _reported(x) -> float:
+    # a reported float: nonzero outside the normal float range is an error
+    f = float(x)  # OverflowError past the float range
+    if x != 0 and not sys.float_info.min <= abs(f) < math.inf:
+        raise OverflowError
+    return f
 
 
 def classify(spec: AlgebraSpec) -> NormalForm:
     """Classify a valid 3-dimensional spec onto its normal-form table row.
 
     Raises NotAnAlgebraError (reporting t = 4 n a + 2 b) when the supplied
-    omega is not the forced one, and ValueError for non-rational or
-    non-3-dimensional input.
+    omega is not the forced one, ValueError for non-rational or
+    non-3-dimensional input, and FloatRangeError when the parameter or
+    the transform cannot be reported as floats.
     """
     if spec.dim != 3:
         raise ValueError("classify requires dim 3")
@@ -507,26 +536,30 @@ def classify(spec: AlgebraSpec) -> NormalForm:
     if any(x != 0 for x in t):
         raise NotAnAlgebraError(t)
 
-    s, d = congruence_diagonalize(trip.n)
-    label, param2, certs = _discrete_classify(trip.n, trip.a, d)
-    p_total = _reduce(trip.a, label, s, d)
-    parameter = None if param2 is None else math.sqrt(param2)
-    canonical = _canonical_spec(label, parameter)
-    err = _max_deviation(transport(spec.astype_float(), p_total), canonical)
+    p, d, det = congruence_diagonalize(trip.n)
+    cols = [list(col) for col in zip(*p.rows)]
+    a = [sum(x * y for x, y in zip(col, trip.a)) for col in cols]
+    label, param2, certs = _discrete_classify(d, a)
+    frame = _exact_stages(([det * x for x in d], a, cols, det), label)
+    _certify(frame, trip.n, trip.a, label)
+    try:
+        parameter = None if param2 is None else _reported(_sqrt(param2))
+        tail = _float_tail(frame, label)
+        pf = [[_reported(x) for x in col] for col in frame[2]]  # pf[k][r] = P[r][k]
+        transform = Matrix(tuple(
+            tuple(_reported(sum(pf[k][r] * tail[2][j][k] for k in range(3))) for j in range(3))
+            for r in range(3)))
+    except OverflowError:
+        raise FloatRangeError("the parameter or transform lies outside the float range") from None
+    err = _tail_error(frame, tail, label, parameter)
 
-    notes = []
-    if label == "VI_x":
-        notes.append(_VI_COLLAPSE_NOTE)
-    if label == "VIII_na":
-        notes.append(_VIII_NA_COLLAPSE_NOTE)
-    if err > FLOAT_TOL:
+    notes = [_COLLAPSE_NOTES[label]] if label in _COLLAPSE_NOTES else []
+    if not err <= FLOAT_TOL:
         notes.append(f"canonical transform check exceeded tolerance: max deviation {err:.3e}")
-
-    return NormalForm(BianchiLabel(label, parameter), canonical, p_total,
-                      certs, tuple(notes), err, trip)
+    return NormalForm(BianchiLabel(label, parameter), Matrix(tuple(zip(*frame[2]))),
+                      transform, certs, tuple(notes), err, trip)
 
 
 def _spec_is_rational(spec: AlgebraSpec) -> bool:
-    def ok(v):
-        return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-    return all(map(ok, (spec.zero_value, *spec.c_upper.values(), *spec.omega_upper.values())))
+    return all(isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+               for v in (spec.zero_value, *spec.c_upper.values(), *spec.omega_upper.values()))

@@ -61,16 +61,6 @@ def _cyclic(store, zero, *plane):
     return [_field(sign * store.get((j, k, *plane), zero)) for j, k, sign in _UPPER]
 
 
-def dual_c(c) -> Matrix:
-    """Dual matrix of a 3d skew bracket: c^{il} = (1/2) c[i][j][k] eps^{jkl}.
-
-    For skew c the sum is one entry, c^{il} = c[i][l+1][l+2] (indices mod 3).
-    """
-    if len(c) != 3:
-        raise ValueError("dual_c requires a 3-dimensional bracket")
-    return Matrix(tuple(tuple(_field(ci[j][k]) for j, k in _CYCLIC) for ci in c))
-
-
 def decompose(spec: AlgebraSpec) -> NabTriple:
     """Extract (n, a, b): n the symmetric part and a the skew part of the dual
     matrix, b^k = (1/2) eps^{ijk} omega_ij = omega[k+1][k+2]."""

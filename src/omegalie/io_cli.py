@@ -32,8 +32,8 @@ from fractions import Fraction
 
 from .algebra_core import AlgebraSpec, residual
 from .classify3d import (FIRST_TABLE_ORDER, FLOAT_TOL, PARAMETRIC_LABELS,
-                         SECOND_TABLE_ORDER, NotAnAlgebraError, classify,
-                         generate, orbit_sample, table_row)
+                         SECOND_TABLE_ORDER, FloatRangeError, NotAnAlgebraError,
+                         classify, generate, orbit_sample, table_row)
 from .decomp3d import NabTriple, decompose, forced_b, reconstruct, t_vector
 from .decomp_nd import check_deformability
 
@@ -128,6 +128,20 @@ def parse(text: str) -> AlgebraSpec:
     return parse_object(obj)
 
 
+class _Usage(ValueError):
+    """exit 2: domain/usage errors discovered after argument parsing"""
+
+
+def _rat_str(x):
+    # the one formatter of exact report values: a value within the input's
+    # digit limit can still have a product or sum past it
+    try:
+        return str(Fraction(x))
+    except ValueError:
+        raise _Usage("a result value has more digits than the integer-to-text "
+                     f"conversion limit ({sys.get_int_max_str_digits()}) allows") from None
+
+
 def _exact(value, where):
     if isinstance(value, Fraction):
         return value
@@ -140,9 +154,9 @@ def document_object(spec: AlgebraSpec) -> dict:
     """The canonical document object for a rational spec: the store's
     i < j entries, lexicographic (i, j) then k ordering, lowest-terms values."""
     _exact(spec.zero_value, "the zero entries")  # a float spec is refused even when empty
-    c_entries = [[i + 1, j + 1, k + 1, str(_exact(v, f"c^{k + 1}_{i + 1}{j + 1}"))]
+    c_entries = [[i + 1, j + 1, k + 1, _rat_str(_exact(v, f"c^{k + 1}_{i + 1}{j + 1}"))]
                  for (i, j, k), v in spec.c_upper.items()]
-    omega_entries = [[i + 1, j + 1, str(_exact(v, f"omega_{i + 1}{j + 1}"))]
+    omega_entries = [[i + 1, j + 1, _rat_str(_exact(v, f"omega_{i + 1}{j + 1}"))]
                      for (i, j), v in spec.omega_upper.items()]
     return {"dim": spec.dim, "c_entries": c_entries, "omega_entries": omega_entries}
 
@@ -163,31 +177,12 @@ class _Failure(Exception):
         self.report = report or {}
 
 
-class _Usage(Exception):
-    # exit 2: domain/usage errors discovered after argument parsing
-    pass
-
-
-def _rat_str(x):
-    # the one formatter of exact report values: a value within the input's
-    # digit limit can still have a product or sum past it
-    try:
-        return str(Fraction(x))
-    except ValueError:
-        raise _Usage("a result value has more digits than the integer-to-text "
-                     f"conversion limit ({sys.get_int_max_str_digits()}) allows") from None
-
-
 def _vec(v):
     return [_rat_str(x) for x in v]
 
 
 def _mat(m):
     return [[_rat_str(x) for x in row] for row in m.rows]
-
-
-def _float_mat(m):
-    return [[float(x) for x in row] for row in m.rows]
 
 
 def _emit(args, report, human_lines):
@@ -330,7 +325,8 @@ def _cmd_classify(args):
             "b": [x * (p if p is not None else 1) for x in brow],
             "b_rule": "b = -2 n a",
         },
-        "transform": _float_mat(nf.transform),
+        "transform": [list(row) for row in nf.transform.rows],
+        "exact_transform": _mat(nf.exact_transform),
         "transform_error": nf.transform_error,
         "notes": list(nf.notes),
     }
@@ -518,10 +514,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _Usage as exc:
+    except (DocumentError, _Usage, FloatRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _Failure as exc:

@@ -2,12 +2,11 @@
 
 Everything in this module stays in Q: scalars are ``fractions.Fraction``,
 matrices are immutable row tuples, and congruence diagonalization / inertia
-counting never take square roots.  ``det``, ``invert`` and ``adjugate``
-divide in the field of their entries: int entries are taken as Fractions,
-so exact input gives Fraction output, and float input stays float.  The
-classification layer reuses ``Matrix`` with float entries for its final
-basis transforms; the exact routine ``congruence_diagonalize`` (with
-``Inertia.of_diagonal`` on its diagonal) is only meant for rational input.
+counting never take square roots.  ``det`` and ``invert`` divide in the
+field of their entries: int entries are taken as Fractions, so exact input
+gives Fraction output, and float input stays float.  The exact routine
+``congruence_diagonalize`` (with ``Inertia.of_diagonal`` on its diagonal)
+is only meant for rational input; classification starts from its ``p``.
 """
 
 from __future__ import annotations
@@ -166,66 +165,55 @@ def invert(m: Matrix) -> Matrix:
     return Matrix(inv)
 
 
-def adjugate(m: Matrix) -> Matrix:
-    """Adjugate (transposed cofactor matrix); satisfies m @ adj(m) = det(m) I."""
-    n = m.dim
-    if n == 1:
-        return Matrix(((1.0 if isinstance(m[0][0], float) else Fraction(1),),))
-
-    def minor_det(rows, skip_r, skip_c):
-        sub = [[rows[r][c] for c in range(n) if c != skip_c] for r in range(n) if r != skip_r]
-        return Matrix(sub).det()
-
-    cof = [[(-1) ** (r + c) * minor_det(m.rows, r, c) for c in range(n)] for r in range(n)]
-    return Matrix(cof).transpose()
-
-
-def congruence_diagonalize(m: Matrix) -> tuple[Matrix, tuple]:
-    """Diagonalize a symmetric rational matrix by congruence: s m s^T = diag(d).
-
-    Symmetric Gaussian elimination with diagonal pivoting.  When every
-    remaining diagonal entry vanishes but some off-diagonal entry q,r is
-    nonzero, the rank-two split e_q -> e_q + e_r exposes the pivots 2m and
-    -m/2 without leaving Q.
-    """
+def congruence_diagonalize(m: Matrix) -> tuple[Matrix, tuple, int]:
+    """(p, d, det(p)) with m = p diag(d) p^T for a symmetric rational m, by
+    symmetric elimination with swaps and unit shears: p collects their
+    inverses as column operations, and det(p) = +-1 is the swap parity.  When
+    every remaining diagonal entry vanishes but some off-diagonal entry q,r
+    is nonzero, the split e_q -> e_q + e_r exposes the pivots 2m and -m/2."""
     if not m.is_symmetric():
         raise ValueError("congruence_diagonalize requires a symmetric matrix")
     n = m.dim
     a = [list(r) for r in m.rows]
-    s = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    p = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    det = 1
 
-    def swap(p, q):
-        a[p], a[q] = a[q], a[p]
+    def swap(i, j):
+        nonlocal det
+        a[i], a[j] = a[j], a[i]
         for row in a:
-            row[p], row[q] = row[q], row[p]
-        s[p], s[q] = s[q], s[p]
+            row[i], row[j] = row[j], row[i]
+        for row in p:
+            row[i], row[j] = row[j], row[i]
+        det = -det
 
     def add_row(dst, src, f=1):
-        # basis change e_dst -> e_dst + f e_src, congruently on a
+        # e_dst -> e_dst + f e_src congruently on a; p: column src -= f column dst
         a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
         for row in a:
             row[dst] = row[dst] + f * row[src]
-        s[dst] = [x + f * y for x, y in zip(s[dst], s[src])]
+        for row in p:
+            row[src] = row[src] - f * row[dst]
 
-    for p in range(n):
-        if a[p][p] == 0:
-            cand = next((q for q in range(p + 1, n) if a[q][q] != 0), None)
+    for i in range(n):
+        if a[i][i] == 0:
+            cand = next((q for q in range(i + 1, n) if a[q][q] != 0), None)
             if cand is not None:
-                swap(p, cand)
+                swap(i, cand)
             else:
-                pair = next(((q, r) for q in range(p, n) for r in range(q + 1, n)
+                pair = next(((q, r) for q in range(i, n) for r in range(q + 1, n)
                              if a[q][r] != 0), None)
                 if pair is None:
                     break  # trailing block is identically zero
                 q, r = pair
                 add_row(q, r)
-                if q != p:
-                    swap(p, q)
-        piv = a[p][p]
-        for q in range(p + 1, n):
-            if a[q][p]:
-                add_row(q, p, -a[q][p] / piv)
-    return Matrix(s), tuple(a[i][i] for i in range(n))
+                if q != i:
+                    swap(i, q)
+        piv = a[i][i]
+        for q in range(i + 1, n):
+            if a[q][i]:
+                add_row(q, i, -a[q][i] / piv)
+    return Matrix(p), tuple(a[i][i] for i in range(n)), det
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,10 @@ library's ``jacobiator`` and ``omega_rhs``, which tests compare against
 
 The last section keeps the helpers that only tests call, so they are not
 part of the package's API: basis vectors, matrix scaling and float views,
-inertia, the forced omega of a dim-3 bracket, the compatible omega or None,
-and the brute-force check that omega's side of the identity vanishes.
+the adjugate, inertia, the dual matrix of a dense dim-3 bracket, the forced
+omega of a dim-3 bracket, the compatible omega or None, the brute-force
+check that omega's side of the identity vanishes, float copies of specs
+and the whole-transform float check of a classification.
 """
 
 from fractions import Fraction
@@ -21,7 +23,8 @@ from itertools import permutations
 
 from omegalie import (AlgebraSpec, Inertia, Matrix, NabTriple,
                       check_deformability, congruence_diagonalize, decompose,
-                      forced_b, jacobiator, omega_rhs, reconstruct)
+                      forced_b, jacobiator, omega_rhs, reconstruct, table_row,
+                      transport)
 
 
 def _perm_sign(perm):
@@ -237,9 +240,35 @@ def float_matrix(m):
     return Matrix(tuple(tuple(float(x) for x in r) for r in m.rows))
 
 
+def adjugate(m):
+    """Adjugate (transposed cofactor matrix); satisfies m @ adj(m) = det(m) I."""
+    n = m.dim
+    if n == 1:
+        return Matrix(((1.0 if isinstance(m[0][0], float) else Fraction(1),),))
+
+    def minor_det(rows, skip_r, skip_c):
+        sub = [[rows[r][c] for c in range(n) if c != skip_c] for r in range(n) if r != skip_r]
+        return Matrix(sub).det()
+
+    cof = [[(-1) ** (r + c) * minor_det(m.rows, r, c) for c in range(n)] for r in range(n)]
+    return Matrix(cof).transpose()
+
+
 def inertia(m):
     """Signature (positive, negative, zero) of a symmetric rational matrix."""
     return Inertia.of_diagonal(congruence_diagonalize(m)[1])
+
+
+def dual_c(c):
+    """Dual matrix of a dense 3d skew bracket: c^{il} = (1/2) c[i][j][k] eps^{jkl}.
+
+    For skew c the sum is one entry, c^{il} = c[i][l+1][l+2] (indices mod 3).
+    """
+    if len(c) != 3:
+        raise ValueError("dual_c requires a 3-dimensional bracket")
+    pairs = ((1, 2), (2, 0), (0, 1))
+    return Matrix(tuple(tuple(Fraction(ci[j][k]) if isinstance(ci[j][k], int) else ci[j][k]
+                           for j, k in pairs) for ci in c))
 
 
 def forced_omega(c):
@@ -277,3 +306,31 @@ def omega_rhs_is_identically_zero(omega):
                     if val != 0:
                         return False
     return True
+
+
+def float_spec(spec):
+    """The spec with every stored value (and its zero) converted to float."""
+    return AlgebraSpec._from_upper(spec.dim, {k: float(v) for k, v in spec.c_upper.items()},
+                                   {k: float(v) for k, v in spec.omega_upper.items()}, 0.0)
+
+
+def canonical_float_spec(nf):
+    """The float spec of the table row a classification reports, at its parameter."""
+    nd, apat, _ = table_row(nf.label.name)
+    p = 1.0 if nf.parameter is None else nf.parameter
+    n = Matrix.diagonal(tuple(float(x) for x in nd))
+    a = tuple(float(x) * p for x in apat)
+    return reconstruct(NabTriple(n, a, forced_b(n, a)))
+
+
+def transport_error(spec, nf):
+    """Largest deviation of the float transport of the whole input by the
+    reported float transform from the canonical row's spec: the check
+    classify made before it certified its exact head and checked floats
+    on the 3x3 frame only."""
+    moved, target = transport(float_spec(spec), nf.transform), canonical_float_spec(nf)
+    err = 0.0
+    for mine, other in ((moved.c_upper, target.c_upper), (moved.omega_upper, target.omega_upper)):
+        for key in mine.keys() | other.keys():
+            err = max(err, abs(mine.get(key, 0.0) - other.get(key, 0.0)))
+    return err

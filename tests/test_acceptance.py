@@ -15,7 +15,8 @@ from omegalie import (AlgebraSpec, Matrix, NabTriple, check_deformability,
                       orbit_sample, parse, reconstruct, residual, serialize,
                       split_trace, t_vector)
 from omegalie import classify
-from oracles import deformability, omega_rhs_is_identically_zero
+from oracles import (deformability, omega_rhs_is_identically_zero,
+                     transport_error)
 
 PARAMS = (Fraction(1, 2), Fraction(1), Fraction(2))
 FIRST = ("I", "II", "VI0", "VII0", "VIII", "IX")
@@ -111,11 +112,13 @@ def test_criterion_4_orbit_stability():
         for p in params:
             canonical = classify(generate(label, p))
             for seed in range(100):
-                nf = classify(orbit_sample(label, p, seed=seed))
+                spec = orbit_sample(label, p, seed=seed)
+                nf = classify(spec)
                 runs += 1
                 assert nf.label.name == label, (label, p, seed)
                 assert nf.certificates.causal == canonical.certificates.causal
                 assert nf.transform_error <= 1e-9, (label, p, seed)
+                assert transport_error(spec, nf) <= 1e-9, (label, p, seed)
                 if p is not None:
                     assert abs(nf.parameter - float(p)) <= 1e-9, (label, p, seed)
     # collapsing rows: the canonical representative's label, causal
@@ -123,22 +126,26 @@ def test_criterion_4_orbit_stability():
     for label, expect_label, expect_causal in (
             ("VI_x", "VI_x", "spacelike"), ("VI_y", "VI_x", "spacelike")):
         for seed in range(100):
-            nf = classify(orbit_sample(label, seed=seed))
+            spec = orbit_sample(label, seed=seed)
+            nf = classify(spec)
             runs += 1
             assert nf.label.name == expect_label, (label, seed)
             assert nf.certificates.causal == expect_causal, (label, seed)
             assert nf.transform_error <= 1e-9, (label, seed)
+            assert transport_error(spec, nf) <= 1e-9, (label, seed)
     for p in PARAMS:
         for seed in range(100):
-            nf = classify(orbit_sample("VIII_na", p, seed=seed))
+            spec = orbit_sample("VIII_na", p, seed=seed)
+            nf = classify(spec)
             runs += 1
             assert nf.label.name == "VIII_na", ("VIII_na", p, seed)
             assert nf.certificates.causal == "null", ("VIII_na", p, seed)
             assert nf.parameter is None, ("VIII_na", p, seed)
             assert nf.transform_error <= 1e-9, ("VIII_na", p, seed)
+            assert transport_error(spec, nf) <= 1e-9, ("VIII_na", p, seed)
     finish(4, "orbit stability", 60.0, started,
-           f"{runs} transported classifications, parameters and transforms "
-           "within 1e-9")
+           f"{runs} transported classifications, parameters, frame and whole-input "
+           "transform checks within 1e-9")
 
 
 def test_criterion_5_dimension_2_impossibility():

@@ -1,19 +1,22 @@
 """Normal-form tables, exact certificates, the classifier and the public API."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import omegalie
-from omegalie import (AlgebraSpec, BianchiLabel, Matrix, NabTriple,
-                      NotAnAlgebraError, PARAMETRIC_LABELS, classify,
-                      congruence_diagonalize, decompose, forced_b, generate,
-                      orbit_sample, reconstruct, t_vector, table_row,
-                      transport)
-from omegalie.classify3d import _exact_stages
-from oracles import perm_adjugate, perm_det, scale
+from omegalie import (AlgebraSpec, BianchiLabel, FloatRangeError, Matrix,
+                      NabTriple, NormalForm, NotAnAlgebraError,
+                      PARAMETRIC_LABELS, classify, decompose, forced_b,
+                      generate, orbit_sample, reconstruct, t_vector,
+                      table_row, transport)
+from oracles import (canonical_float_spec, float_spec, perm_adjugate, perm_det,
+                     scale, transport_error)
 
 ALL_LABELS = ("I", "II", "VI0", "VII0", "VIII", "IX", "V", "IV", "IV_x",
               "VI_a", "VI_x", "VI_y", "VI_n", "VII_a", "VII_x", "VIII_a",
@@ -134,36 +137,93 @@ def test_viii_na_witness_transform():
         assert nf.parameter is None
         assert str(nf.label) == "VIII_na"
         assert any("[[5/4, 0, 3/4]" in note for note in nf.notes)
-        assert nf.canonical == generate("VIII_na", 1).astype_float()
+        assert transport_error(generate("VIII_na", p), nf) <= 1e-12, p
         assert nf.transform_error <= 1e-12, (p, nf.transform_error)
 
 
 def test_exact_stages_hand_an_exact_witness_to_the_float_stage():
-    # (d, a, P) at the float boundary: all Fractions, n carried exactly onto
-    # diag(d) (det(P) P^-1 n P^-T = adj(P) n adj(P)^T / det(P)) and a onto
-    # P^T a, with the sign pattern of the table row
+    # the exact head P at the float boundary: all Fractions, n carried
+    # exactly onto a diagonal (det(P) P^-1 n P^-T = adj(P) n adj(P)^T / det(P))
+    # and a onto P^T a, with the sign pattern of the table row; the float
+    # tail on that frame within the tolerance
     rng = random.Random(48)
     for label in ALL_LABELS:
         for _ in range(4):
             p = Fraction(rng.randint(1, 6), rng.randint(1, 4)) \
                 if label in PARAMETRIC_LABELS else None
             spec = orbit_sample(label, p, seed=rng.randrange(2 ** 31))
-            name = classify(spec).label.name
+            nf = classify(spec)
+            pm = nf.exact_transform
+            assert all(type(x) is Fraction for r in pm.rows for x in r), label
             trip = decompose(spec)
-            s, d0 = congruence_diagonalize(trip.n)
-            d, a, cols = _exact_stages(trip.a, name, s, d0)
-            pm = Matrix(tuple(zip(*cols)))
-            entries = list(d) + list(a) + [x for r in pm.rows for x in r]
-            assert all(type(x) is Fraction for x in entries), label
             rows = [list(r) for r in pm.rows]
             adj = Matrix(perm_adjugate(rows))
             moved_n = scale(adj @ trip.n @ adj.transpose(), 1 / perm_det(rows))
+            d = tuple(moved_n[i][i] for i in range(3))
             assert moved_n == Matrix.diagonal(d), label
-            assert pm.transpose().apply(trip.a) == tuple(a), label
-            nd, apat, _ = table_row(name)
+            a = pm.transpose().apply(trip.a)
+            nd, apat, _ = table_row(nf.label.name)
             assert tuple((x > 0) - (x < 0) for x in d) == nd, label
             # on the kernel of n only the row's own a components survive
             assert all((a[i] != 0) == (apat[i] != 0) for i in range(3) if d[i] == 0), label
+            assert nf.transform_error <= 1e-9, (label, nf.transform_error)
+
+
+def test_viii_na_far_from_parameter_1_stays_within_tolerance():
+    # the float boost from (r, 0, r) to (1, 0, 1) alone loses about
+    # r^2 2^-53; the exact null boost keeps r near 1 for the float tail
+    for p in (1000, Fraction(1, 1000)):
+        for seed in range(200):
+            nf = classify(orbit_sample("VIII_na", p, seed=seed))
+            assert nf.transform_error <= 1e-9, (p, seed, nf.transform_error)
+            assert not any("tolerance" in note for note in nf.notes), (p, seed)
+
+
+@st.composite
+def rational_basis_changes(draw):
+    # invertible, large denominators, and half of them near-singular: the
+    # third row a combination of the first two plus a tiny perturbation
+    den = draw(st.integers(1, 10 ** 12))
+    rows = [[Fraction(draw(st.integers(-10 ** 6, 10 ** 6)), draw(st.integers(1, den)))
+             for _ in range(3)] for _ in range(3)]
+    if draw(st.booleans()):
+        s, t = (Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9))) for _ in range(2))
+        eps = Fraction(1, draw(st.integers(1, 10 ** 30)))
+        rows[2] = [s * x + t * y + eps * z for x, y, z in zip(*rows)]
+    p = Matrix(rows)
+    assume(p.det() != 0)
+    return p
+
+
+@given(st.sampled_from(ALL_LABELS),
+       st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=10 ** 6),
+       rational_basis_changes())
+@settings(deadline=None, max_examples=150)
+def test_classification_is_invariant_under_rational_basis_changes(label, p, basis):
+    p = p if label in PARAMETRIC_LABELS else None
+    base = classify(generate(label, p))
+    nf = classify(transport(generate(label, p), basis))
+    assert nf.label == base.label  # the parameter too: both are the same exact invariant
+    assert nf.certificates == base.certificates
+    assert nf.transform_error <= 1e-9, nf.transform_error
+
+
+def test_classify_at_magnitudes_far_from_1():
+    def ix(b):
+        return AlgebraSpec.from_entries(3, [(2, 3, 1, b), (1, 3, 2, -b), (1, 2, 3, b)])
+
+    for b in (10 ** 103, 10 ** 150):
+        nf = classify(ix(b))
+        assert nf.label.name == "IX" and nf.transform_error <= 1e-9, b
+    for label, p in (("IX_a", 10 ** 160), ("VIII_a", 10 ** 160), ("VI_a", 10 ** 160),
+                     ("VII_a", 10 ** 160), ("IX_a", Fraction(1, 10 ** 160))):
+        nf = classify(generate(label, p))
+        assert nf.label.name == label
+        assert abs(nf.parameter - float(p)) <= 1e-12 * float(p), (label, p, nf.parameter)
+    # the transform is about 1/b: past the float range either way
+    for b in (Fraction(1, 10 ** 400), 10 ** 400):
+        with pytest.raises(FloatRangeError):
+            classify(ix(b))
 
 
 # --- classify: exact invariants on messy representatives -------------------
@@ -232,7 +292,7 @@ def test_classify_rejects_wrong_dim_and_floats():
     with pytest.raises(ValueError):
         classify(AlgebraSpec.zero(4))
     with pytest.raises(TypeError):
-        classify(generate("IX").astype_float())
+        classify(float_spec(generate("IX")))
 
 
 # --- orbit sampling ---------------------------------------------------------
@@ -266,12 +326,13 @@ def test_transform_carries_input_onto_canonical():
     # the reported transform really is the basis change, checked externally
     spec = orbit_sample("VIII_a", Fraction(3, 2), seed=9)
     nf = classify(spec)
-    moved = transport(spec.astype_float(), nf.transform)
-    for m1, m2 in zip(moved.c, nf.canonical.c):
+    moved = transport(float_spec(spec), nf.transform)
+    canonical = canonical_float_spec(nf)
+    for m1, m2 in zip(moved.c, canonical.c):
         for r1, r2 in zip(m1, m2):
             for x, y in zip(r1, r2):
                 assert x == pytest.approx(y, abs=1e-9)
-    for r1, r2 in zip(moved.omega, nf.canonical.omega):
+    for r1, r2 in zip(moved.omega, canonical.omega):
         for x, y in zip(r1, r2):
             assert x == pytest.approx(y, abs=1e-9)
 
@@ -292,7 +353,7 @@ def test_public_api_resolves_without_test_only_names():
         getattr(omegalie, name)
     deleted = ("ScalingGroup", "residual_scalings", "causal_character", "levi_civita",
                "forced_omega", "inertia", "deformability", "validate_skew",
-               "omega_rhs_is_identically_zero")
+               "omega_rhs_is_identically_zero", "dual_c", "adjugate")
     assert not set(deleted) & set(omegalie.__all__)
     assert not any(hasattr(omegalie, name) for name in deleted)
     assert not any(hasattr(Matrix, name)
@@ -301,3 +362,7 @@ def test_public_api_resolves_without_test_only_names():
     assert not hasattr(omegalie.DeformabilityResult, "omega")
     assert not hasattr(NabTriple, "satisfies_forced_b")
     assert not hasattr(AlgebraSpec, "basis")
+    assert not hasattr(AlgebraSpec, "astype_float")
+    assert not any(hasattr(module, name) for module in (omegalie.decomp3d, omegalie.tensor_core)
+                   for name in ("dual_c", "adjugate"))
+    assert "canonical" not in {f.name for f in dataclasses.fields(NormalForm)}

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegalie import (AlgebraSpec, Matrix, NabTriple, decompose, dual_c,
-                      forced_b, generate, reconstruct, residual, t_vector)
-from oracles import eps_decompose, eps_dual_c, eps_reconstruct, forced_omega
+from omegalie import (AlgebraSpec, Matrix, NabTriple, decompose, forced_b,
+                      generate, reconstruct, residual, t_vector)
+from oracles import (dual_c, eps_decompose, eps_dual_c, eps_reconstruct,
+                     forced_omega)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 

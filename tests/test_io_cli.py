@@ -3,15 +3,19 @@
 import io
 import json
 import random
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from omegalie import (AlgebraSpec, DocumentError, ExactnessError, generate,
+from omegalie import (AlgebraSpec, DocumentError, ExactnessError, classify, generate,
                       orbit_sample, parse, serialize)
 from omegalie.io_cli import SCHEMA_VERSION, _build_parser, document_object, run
+from oracles import float_spec
 from test_decomp3d import rand_spec
 
 
@@ -76,7 +80,7 @@ def test_serialize_abelian_is_empty():
 
 def test_serialize_rejects_float_specs():
     with pytest.raises(ExactnessError):
-        serialize(generate("IX").astype_float())
+        serialize(float_spec(generate("IX")))
 
 
 def test_serialize_orders_entries_canonically():
@@ -174,6 +178,28 @@ def test_cli_classify_json(tmp_path, capsys):
     assert report["certificates"]["causal"] == "spacelike"
     assert report["canonical_row"]["b_rule"] == "b = -2 n a"
     assert report["transform_error"] < 1e-9
+
+
+def test_cli_classify_reports_the_exact_transform(tmp_path, capsys):
+    spec = orbit_sample("VIII_a", Fraction(3, 2), seed=9)
+    assert run(["classify", "--json", write_doc(tmp_path, spec)]) == 0
+    exact = classify(spec).exact_transform
+    assert json_out(capsys)["exact_transform"] == [[str(x) for x in row] for row in exact.rows]
+
+
+def test_cli_classify_outside_the_float_range_exits_2(monkeypatch):
+    # a valid IX algebra with n = b I: its transform is about 1/b
+    for b, code in ((10 ** 103, 0), (Fraction(1, 10 ** 400), 2), (10 ** 400, 2)):
+        text = json.dumps({"dim": 3, "c_entries": [[2, 3, 1, str(b)], [1, 3, 2, str(-b)],
+                                                   [1, 2, 3, str(b)]], "omega_entries": []})
+        for argv in (["classify", "--json"], ["classify"]):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                assert run(argv) == code, (b, argv)
+            if code == 2:
+                assert out.getvalue() == "" and err.getvalue().startswith("error: "), (b, argv)
+                assert "Traceback" not in err.getvalue()
 
 
 def test_cli_classify_viii_na_reports_the_parameter_1_row(tmp_path, capsys):
@@ -349,7 +375,13 @@ def test_cli_report_values_beyond_the_int_digit_limit_exit_2(monkeypatch):
     for text, argv in ((dim4, ["validate", "--json"]), (dim4, ["validate"]),
                        (dim4, ["deformability", "--json"]), (dim4, ["deformability"]),
                        (dim3, ["classify", "--json"]), (dim3, ["classify"]),
-                       (dim3, ["deformability", "--json"])):
+                       (dim3, ["deformability", "--json"]),
+                       # transported entries grow a few digits past a parameter's
+                       ("", ["orbit-sample", "IX_a", "--param", "9" * 4299, "--seed", "0"]),
+                       ("", ["orbit-sample", "IX_a", "--param", "9" * 4299, "--seed", "0",
+                             "--json"]),
+                       ("", ["orbit-sample", "VIII_na", "--param", "1/" + "9" * 4299,
+                             "--seed", "1"])):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
@@ -453,3 +485,69 @@ def test_cli_never_reads_the_dense_views(monkeypatch):
     monkeypatch.setattr(AlgebraSpec, "c", property(dense_view))
     monkeypatch.setattr(AlgebraSpec, "omega", property(dense_view))
     assert outputs() == before
+
+
+# --- run() on arbitrary input -------------------------------------------------
+
+# numerals up to the 4,299 digits the parser converts, as strings or bare
+numerals = st.one_of(
+    st.integers(-50, 50).map(str),
+    st.builds(lambda digit, size, neg: "-" * neg + digit * size,
+              st.sampled_from("123456789"), st.integers(1, 4299), st.booleans()),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)))
+
+
+@st.composite
+def documents(draw):
+    # well-formed document text: dim 1-8, at most 12 entries in all
+    dim = draw(st.integers(1, 8))
+    index = st.integers(1, dim)
+    pairs = st.tuples(index, index).filter(lambda ij: ij[0] < ij[1])
+    c = draw(st.lists(st.tuples(pairs, index), max_size=8, unique=True)) if dim > 1 else []
+    om = draw(st.lists(pairs, max_size=12 - len(c), unique=True)) if dim > 1 else []
+
+    def value():
+        numeral = draw(numerals)
+        return numeral if draw(st.booleans()) else f'"{numeral}"'
+
+    entries = [f"[{i}, {j}, {k}, {value()}]" for (i, j), k in c]
+    omega = [f"[{i}, {j}, {value()}]" for i, j in om]
+    return (f'{{"dim": {dim}, "c_entries": [{", ".join(entries)}], '
+            f'"omega_entries": [{", ".join(omega)}]}}')
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=12), inner,
+                                                                max_size=4),
+    max_leaves=12).map(json.dumps)
+
+
+@given(st.one_of(json_values, documents()))
+@settings(deadline=None, max_examples=80)
+def test_run_never_raises(text):
+    stdin = sys.stdin
+    try:
+        for command in ("validate", "decompose", "classify", "deformability"):
+            for mode in ([], ["--json"]):
+                sys.stdin = io.StringIO(text)
+                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                    assert run([command, *mode]) in (0, 1, 2)
+    finally:
+        sys.stdin = stdin
+
+
+@given(st.integers(1, 6).flatmap(lambda dim: st.tuples(
+    st.just(dim),
+    st.dictionaries(st.tuples(st.integers(1, dim), st.integers(1, dim), st.integers(1, dim)),
+                    numerals.map(Fraction), max_size=10),
+    st.dictionaries(st.tuples(st.integers(1, dim), st.integers(1, dim)),
+                    numerals.map(Fraction), max_size=6))))
+@settings(deadline=None, max_examples=60)
+def test_parse_inverts_serialize_with_exact_entries(case):
+    dim, c, om = case
+    spec = AlgebraSpec.from_entries(dim, [(i, j, k, v) for (i, j, k), v in c.items() if i < j],
+                                    [(i, j, v) for (i, j), v in om.items() if i < j])
+    back = parse(serialize(spec))
+    assert back == spec
+    assert all(type(v) is Fraction for v in (*back.c_upper.values(), *back.omega_upper.values()))

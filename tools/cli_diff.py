@@ -17,13 +17,16 @@ subcommand through ``omegalie.io_cli.run``, in-process:
   pipeline, and ``tables``, with and without ``--json``.
 
 The generated documents count as outputs too.  Every exit code, stdout and
-stderr that differs between the trees is printed as a unified diff; the
-exit code is 1 when any differs, else 0.
+stderr that differs between the trees is printed as a unified diff; when
+both stdouts are JSON objects, the top-level keys that differ are listed
+too, and the run ends with one line per such key giving the number of
+outputs it differs in.  The exit code is 1 when any output differs, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import difflib
 import importlib
 import json
@@ -90,6 +93,19 @@ def run_tree(src, seeds):
     return out
 
 
+def differing_keys(old, new):
+    """The top-level keys whose values differ, when both stdouts are JSON
+    objects; otherwise none."""
+    try:
+        x, y = json.loads(old[1]), json.loads(new[1])
+    except (TypeError, ValueError):
+        return []
+    if not (isinstance(x, dict) and isinstance(y, dict)):
+        return []
+    missing = object()
+    return sorted(k for k in x.keys() | y.keys() if x.get(k, missing) != y.get(k, missing))
+
+
 def collect(src, seeds):
     proc = subprocess.run([sys.executable, __file__, "--worker", str(src), seeds],
                           capture_output=True, text=True)
@@ -111,12 +127,17 @@ def main(argv=None):
     old = collect(package_dir(args.old), args.seeds)
     new = collect(package_dir(args.new), args.seeds)
     differ = 0
+    key_counts = collections.Counter()
     for case in sorted(old.keys() | new.keys()):
         a, b = old.get(case), new.get(case)
         if a == b:
             continue
         differ += 1
         print(f"=== {case}")
+        keys = differing_keys(a, b) if a and b else []
+        if keys:
+            print("keys: " + ", ".join(keys))
+            key_counts.update(keys)
         for part, x, y in zip(("exit code", "stdout", "stderr"), a or [None] * 3, b or [None] * 3):
             if x != y:
                 print(f"--- {part}")
@@ -124,6 +145,8 @@ def main(argv=None):
                     str(x).splitlines(True), str(y).splitlines(True), "old", "new"))
                 print()
     print(f"{len(old.keys() | new.keys())} outputs compared, {differ} differ")
+    for key, count in sorted(key_counts.items()):
+        print(f"{key}: {count} outputs")
     return 1 if differ else 0
 
 
