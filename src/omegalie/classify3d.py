@@ -14,7 +14,7 @@ and the continuous parameters are decided in exact rational arithmetic:
 ``classify`` decomposes once, diagonalizes n = p diag(d) p^T once and reads
 the invariants off (d, p^T a).  Every reduction stage acts on one frame
 (d, a, P, det P) by index.  The exact head (sign sorting, shears, gauge
-swap, scalings, and rational steep and null boosts) runs in Fractions and
+swap, scalings, and rational Cayley and null boosts) runs in Fractions and
 its P is certified by Fraction equality; the float tail is a 3x3 Q on that
 frame.  The transform is P Q, and ``transform_error`` checks Q.
 
@@ -98,14 +98,15 @@ SECOND_TABLE_ORDER = ("V", "IV", "IV_x", "VI_a", "VI_x", "VI_y", "VI_n",
 PARAMETRIC_LABELS = frozenset(l for l, (_, _, p) in _TABLE.items() if p)
 FLOAT_TOL = 1e-9  # bound on transform_error before classify adds a note
 
-_COLLAPSE_NOTES = {
-    "VI_x": "VI_x and VI_y lie on one orbit: the basis swap e1 <-> e2 (determinant -1) "
-            "preserves n = diag(1, -1, 0) and exchanges their a data; VI_x is the "
-            "canonical representative reported here.",
-    "VIII_na": "VIII_na rows of every parameter lie on one orbit: the boost "
-               "[[5/4, 0, 3/4], [0, 1, 0], [3/4, 0, 5/4]] (determinant 1) preserves "
-               "n = diag(1, 1, -1) and doubles the null a = (p, 0, p); VIII_na at "
-               "parameter 1 is the canonical representative reported here."}
+_VI_COLLAPSE_NOTE = (
+    "VI_x and VI_y lie on one orbit: the basis swap e1 <-> e2 (determinant -1) "
+    "preserves n = diag(1, -1, 0) and exchanges their a data; VI_x is the "
+    "canonical representative reported here.")
+_VIII_NA_COLLAPSE_NOTE = (
+    "VIII_na rows of every parameter lie on one orbit: the boost "
+    "[[5/4, 0, 3/4], [0, 1, 0], [3/4, 0, 5/4]] (determinant 1) preserves "
+    "n = diag(1, 1, -1) and doubles the null a = (p, 0, p); VIII_na at "
+    "parameter 1 is the canonical representative reported here.")
 
 
 @dataclass(frozen=True)
@@ -166,14 +167,19 @@ def generate(label: str, param=None) -> AlgebraSpec:
     Parametric rows (VI_a, VII_a, VIII_a, VIII_xa, VIII_na, IX_a) require a
     positive rational parameter; all others refuse one.
     """
-    nd, apat, parametric = table_row(label)
-    if parametric and param is None:
-        raise ValueError(f"label {label} requires a positive parameter")
-    if not parametric and param is not None:
-        raise ValueError(f"label {label} does not take a parameter")
-    p = rational(param) if parametric else Fraction(1)
-    if p <= 0:
-        raise ValueError(f"parameter for {label} must be positive, got {param}")
+    if label not in _TABLE:
+        raise ValueError(f"unknown label {label!r}; known: {', '.join(sorted(_TABLE))}")
+    nd, apat, parametric = _TABLE[label]
+    if parametric:
+        if param is None:
+            raise ValueError(f"label {label} requires a positive parameter")
+        p = rational(param)
+        if p <= 0:
+            raise ValueError(f"parameter for {label} must be positive, got {param}")
+    else:
+        if param is not None:
+            raise ValueError(f"label {label} does not take a parameter")
+        p = Fraction(1)
     n = Matrix.diagonal(tuple(rational(x) for x in nd))
     a = tuple(rational(x) * p for x in apat)
     return reconstruct(NabTriple(n, a, forced_b(n, a)))
@@ -239,7 +245,10 @@ def _discrete_classify(d, a):
             # a x a = rho adjugate(n), a full orbit invariant; a = a_k p^-T e_k
             # and adjugate(n) = d_i d_j (p^-T e_k)(p^-T e_k)^T, k the zero of d
             rho = sum(x * x for x in a) / math.prod(x for x in d if x)
-            label, param2 = ("VI_a", -rho) if canon.as_tuple() == (1, 1, 1) else ("VII_a", rho)
+            if canon.as_tuple() == (1, 1, 1):
+                label, param2 = "VI_a", -rho
+            else:
+                label, param2 = "VII_a", rho
         elif canon.as_tuple() == (1, 1, 1):
             label = "VI_n" if qf == 0 else "VI_x"
         else:
@@ -315,6 +324,8 @@ def _sort_signs(frame):
     # new vector, so det = +1 and the diagonal of n just permutes
     d = frame[0]
     order = sorted(range(3), key=lambda i: 0 if d[i] > 0 else (1 if d[i] < 0 else 2))
+    if order == [0, 1, 2]:
+        return frame
     return _permute(frame, order, (1, 1, _parity(order)))
 
 
@@ -324,33 +335,40 @@ def _form(d, x, y):
 
 
 def _plane_map(frame, f, g, tf, tg):
-    # T = I + sum over v of (T v - v) (diag(d) v)^T / B(v, v), T v = tv . (f, g)
-    d = frame[0]
-    parts = []
+    # T = I + sum over v of (T v - v) (diag(d) v)^T / B(v, v), T v = tv . (f, g):
+    # e'_m = e_m + sum over v of (T v - v)_m z_v, z_v = sum of (d v)_q e_q / B(v, v)
+    d, a, cols, det = frame
+    a2, cols2 = list(a), list(cols)
     for v, (c, e) in ((f, tf), (g, tg)):
         bv = _form(d, v, v)
-        parts.append(([c * x + e * y - z if x or y else 0 for x, y, z in zip(f, g, v)],
-                      [x * y / bv if y else 0 for x, y in zip(d, v)]))
-    return _recombine(frame, {m: tuple((q, (m == q) + sum(w[m] * r[q] for w, r in parts if r[q]))
-                                       for q in range(3))
-                              for m in range(3) if any(w[m] for w, _ in parts)})
+        phi = [(q, x * y / bv) for q, (x, y) in enumerate(zip(d, v)) if y]
+        za = sum(w * a[q] for q, w in phi)
+        z = [sum(w * cols[q][r] for q, w in phi) for r in range(3)]
+        for m, (x, y, t) in enumerate(zip(f, g, v)):
+            w = c * x + e * y - t if x or y else 0
+            if w:
+                a2[m] = a2[m] + w * za
+                cols2[m] = [u + w * zr for u, zr in zip(cols2[m], z)]
+    return d, a2, cols2, det
 
 
-def _steep_boost(frame):
-    """The boost of VI_x, VIII_a or VIII_xa, done exactly past cosh^2 = 2^8,
-    where the float one would lose about cosh^2 |a| 2^-53.  With a = f + g on
-    the positive and negative d_i, f the larger (p, q = B(f, f), B(g, g)), the
-    Cayley boost T f = ((1 - u) f - 2 s g / q) / (1 + u), T g = (2 s f / p +
-    (1 - u) g) / (1 + u), u = s^2 / (p q), zeroes g at s = q / (1 + sqrt(1 + q / p)),
-    rational for a float root; cosh^2 = p / (p + q)."""
+def _boost(frame):
+    """The boost of VI_x, VIII_a or VIII_xa that zeroes the smaller part of a,
+    done exactly.  With a = f + g on the positive and negative d_i, f the
+    larger (p, q = B(f, f), B(g, g)), the Cayley boost T f = ((1 - u) f -
+    2 s g / q) / (1 + u), T g = (2 s f / p + (1 - u) g) / (1 + u), u = s^2 / (p q),
+    zeroes g at s = q / (1 + sqrt(1 + q / p)).  A root rounded up keeps s
+    rational and leaves T a = alpha f + beta g, 0 < beta |g| of about
+    2^-55 |T a| at any cosh^2 = p / (p + q): the float tail's VIII_a rotation
+    then reads g's own direction off a."""
     d, a = frame[0], frame[1]
     f, g = ([x if y > 0 else 0 for x, y in zip(a, d)], [x if y < 0 else 0 for x, y in zip(a, d)])
     p, q = _form(d, f, f), _form(d, g, g)
     if p + q < 0:
         f, g, p, q = g, f, q, p
-    if abs(p + q) * 2 ** 8 >= abs(p):
+    if q == 0:
         return frame
-    s = q / (1 + Fraction(_sqrt(1 + q / p)))
+    s = q / (1 + _root(1 + q / p, up=True))
     u = s * s / (p * q)
     c = (1 - u) / (1 + u)
     return _plane_map(frame, f, g, (c, -2 * s / (q * (1 + u))), (2 * s / (p * (1 + u)), c))
@@ -358,13 +376,13 @@ def _steep_boost(frame):
 
 def _null_boost(frame):
     """Scale the null a of VIII_na by 2^-k, r = |a_3| / sqrt(d_1 d_2) into
-    [1/2, 2), when r is outside [2^-8, 2^9): the float boost from (r, 0, r) to
-    (1, 0, 1) loses about r^2 2^-53.  With b = e_3 - a / (2 a_3) null too,
-    a -> lam a, b -> b / lam is a rational boost of the plane of a +- b."""
+    [1/2, 2): the float boost from (r, 0, r) to (1, 0, 1) loses about
+    r^2 2^-53.  With b = e_3 - a / (2 a_3) null too, a -> lam a, b -> b / lam
+    is a rational boost of the plane of a +- b."""
     d, a = frame[0], frame[1]
     r2 = a[2] * a[2] / (d[0] * d[1])
     k = (r2.numerator.bit_length() - r2.denominator.bit_length()) // 2
-    if abs(k) <= 8:
+    if k == 0:
         return frame
     lam = Fraction(2) ** -k
     b = [-x / (2 * a[2]) for x in a]
@@ -417,7 +435,7 @@ def _exact_stages(frame, label: str):
     if label == "VIII_na":
         frame = _null_boost(frame)
     elif label in ("VI_x", "VIII_a", "VIII_xa"):
-        frame = _steep_boost(frame)
+        frame = _boost(frame)
     # e_i -> 2^(k_i - K) e_i, K the sum of the k_i, sends d_i to d_i / 4^k_i
     ks = [(abs(x.numerator).bit_length() - x.denominator.bit_length()) // 2 if x else 0
           for x in frame[0]]
@@ -445,15 +463,19 @@ def _certify(frame, n: Matrix, a, label: str):
         raise AssertionError(f"the exact reduction to {label} failed its certificate")
 
 
-def _sqrt(x: Fraction) -> float:
-    # correctly rounded at any magnitude: a root of >= 55 bits and a sticky bit
+def _root(x: Fraction, up: bool = False) -> Fraction:
+    # sqrt(x) at any magnitude as a dyadic rational of >= 55 bits: with a
+    # sticky bit, so that its float is the correctly rounded root, or, for
+    # up, strictly above the root
     num, den = x.numerator, x.denominator
     s = (113 - num.bit_length() + den.bit_length()) // 2
     q, rem = divmod(num << 2 * s, den) if s >= 0 else divmod(num, den << -2 * s)
     root = math.isqrt(q)
-    if rem or root * root != q:
+    if up:
+        root += 1
+    elif rem or root * root != q:
         root |= 1
-    return math.ldexp(float(root), -s)  # OverflowError past the float range
+    return Fraction(root, 1 << s) if s >= 0 else Fraction(root << -s)
 
 
 def _float_tail(frame, label: str):
@@ -462,7 +484,7 @@ def _float_tail(frame, label: str):
     d_exact, a_exact = frame[0], frame[1]
     g2 = abs(math.prod((x for x in d_exact if x), start=Fraction(1)))
     # mu_i = sqrt(|d_i|) / g with g = prod sqrt(|d_i|) normalizes n to signs
-    mu = [_sqrt((abs(x) if x != 0 else 1) / g2) for x in d_exact]
+    mu = [float(_root((abs(x) if x != 0 else 1) / g2)) for x in d_exact]
     frame = _scale(([float(x) for x in d_exact], [float(x) for x in a_exact],
                     [[float(i == j) for i in range(3)] for j in range(3)], 1.0), mu)
     a = frame[1]
@@ -470,24 +492,23 @@ def _float_tail(frame, label: str):
         rho = math.hypot(a[0], a[1])
         frame = _recombine(frame, _plane(0, 1, a[0] / rho, a[1] / rho, -a[1] / rho))
     if label == "IV":
-        frame = _scale(frame, (1.0 / a[2], 1.0, 1.0 / a[2]))
+        r = a[2]
+        frame = _scale(frame, (1.0 / r, 1.0, 1.0 / r))
     elif label == "VIII_na":  # the null (r, 0, r) goes to (1, 0, 1) at rapidity -ln r
-        r = _sqrt(a_exact[2] * a_exact[2] / (d_exact[0] * d_exact[1]))
+        r = float(_root(a_exact[2] * a_exact[2] / (d_exact[0] * d_exact[1])))
         frame = _recombine(frame, _plane(0, 2, (1 / r + r) / 2, (1 / r - r) / 2, (1 / r - r) / 2))
-    elif label in ("VI_x", "VIII_a", "VIII_xa"):  # the boost zeroing a's smaller part
-        pos, neg = (abs(sum(x * y * y for x, y in zip(d_exact, a_exact) if x * sg > 0))
-                    for sg in (1, -1))
-        tau2, j = min(pos, neg) / max(pos, neg), 1 if label == "VI_x" else 2
-        if tau2 != 0:  # tau2 < 1 exactly, so the boost is defined
-            tau = (-1.0 if frame[1][0] * frame[1][j] > 0 else 1.0) * _sqrt(tau2)
-            ch = _sqrt(1 / (1 - tau2))
-            frame = _recombine(frame, _plane(0, j, ch, tau * ch, tau * ch))
     elif label == "IX_a":
-        w = [x / math.hypot(*a) for x in a]
+        norm = math.hypot(*a)  # a squared can leave the float range
+        w = tuple(x / norm for x in a)
         m = min(range(3), key=lambda i: abs(w[i]))
-        u = [float(i == m) - w[m] * x for i, x in enumerate(w)]  # e_m minus its w part
-        u = [x / math.sqrt(sum(y * y for y in u)) for x in u]
+        seed_vec = [0.0, 0.0, 0.0]
+        seed_vec[m] = 1.0
+        dot = sum(seed_vec[i] * w[i] for i in range(3))
+        u = [seed_vec[i] - dot * w[i] for i in range(3)]
+        un = math.sqrt(sum(x * x for x in u))
+        u = [x / un for x in u]
         v = (w[1] * u[2] - w[2] * u[1], w[2] * u[0] - w[0] * u[2], w[0] * u[1] - w[1] * u[0])
+        # (u, v, w) is an SO(3) frame
         frame = _recombine(frame, {0: tuple(enumerate(u)), 1: tuple(enumerate(v)),
                                    2: tuple(enumerate(w))})
     if label in ("VI_n", "VI_x", "VII_x"):
@@ -512,7 +533,8 @@ def _tail_error(frame, tail, label: str, parameter) -> float:
 
 
 def _reported(x) -> float:
-    # a reported float: nonzero outside the normal float range is an error
+    # a reported float: an x != 0 outside the normal float range is an error;
+    # exact x decide this before any rounding to 0.0 or a subnormal
     f = float(x)  # OverflowError past the float range
     if x != 0 and not sys.float_info.min <= abs(f) < math.inf:
         raise OverflowError
@@ -543,7 +565,7 @@ def classify(spec: AlgebraSpec) -> NormalForm:
     frame = _exact_stages(([det * x for x in d], a, cols, det), label)
     _certify(frame, trip.n, trip.a, label)
     try:
-        parameter = None if param2 is None else _reported(_sqrt(param2))
+        parameter = None if param2 is None else _reported(_root(param2))
         tail = _float_tail(frame, label)
         pf = [[_reported(x) for x in col] for col in frame[2]]  # pf[k][r] = P[r][k]
         transform = Matrix(tuple(
@@ -553,7 +575,11 @@ def classify(spec: AlgebraSpec) -> NormalForm:
         raise FloatRangeError("the parameter or transform lies outside the float range") from None
     err = _tail_error(frame, tail, label, parameter)
 
-    notes = [_COLLAPSE_NOTES[label]] if label in _COLLAPSE_NOTES else []
+    notes = []
+    if label == "VI_x":
+        notes.append(_VI_COLLAPSE_NOTE)
+    if label == "VIII_na":
+        notes.append(_VIII_NA_COLLAPSE_NOTE)
     if not err <= FLOAT_TOL:
         notes.append(f"canonical transform check exceeded tolerance: max deviation {err:.3e}")
     return NormalForm(BianchiLabel(label, parameter), Matrix(tuple(zip(*frame[2]))),
@@ -561,5 +587,6 @@ def classify(spec: AlgebraSpec) -> NormalForm:
 
 
 def _spec_is_rational(spec: AlgebraSpec) -> bool:
-    return all(isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-               for v in (spec.zero_value, *spec.c_upper.values(), *spec.omega_upper.values()))
+    def ok(v):
+        return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+    return all(map(ok, (spec.zero_value, *spec.c_upper.values(), *spec.omega_upper.values())))

@@ -224,6 +224,12 @@ def test_classify_at_magnitudes_far_from_1():
     for b in (Fraction(1, 10 ** 400), 10 ** 400):
         with pytest.raises(FloatRangeError):
             classify(ix(b))
+    # parameters below the normal float range: an error, not a rounded 0.0
+    for label, p in (("VII_a", Fraction(1, 10 ** 330)), ("VI_a", Fraction(1, 10 ** 330)),
+                     ("VIII_a", Fraction(1, 10 ** 330)), ("VIII_xa", Fraction(1, 10 ** 330)),
+                     ("IX_a", Fraction(1, 10 ** 350))):
+        with pytest.raises(FloatRangeError):
+            classify(generate(label, p))
 
 
 # --- classify: exact invariants on messy representatives -------------------

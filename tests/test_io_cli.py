@@ -200,6 +200,16 @@ def test_cli_classify_outside_the_float_range_exits_2(monkeypatch):
             if code == 2:
                 assert out.getvalue() == "" and err.getvalue().startswith("error: "), (b, argv)
                 assert "Traceback" not in err.getvalue()
+    # an IX_a parameter below the float range, through orbit-sample
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run(["orbit-sample", "IX_a", "--param", "1/1" + "0" * 350, "--seed", "0"]) == 0
+    for argv in (["classify", "--json"], ["classify"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(out.getvalue()))
+        stdout, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(err):
+            assert run(argv) == 2, argv
+        assert stdout.getvalue() == "" and err.getvalue().startswith("error: "), argv
 
 
 def test_cli_classify_viii_na_reports_the_parameter_1_row(tmp_path, capsys):
