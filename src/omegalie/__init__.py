@@ -23,8 +23,7 @@ from .classify3d import (FIRST_TABLE_ORDER, PARAMETRIC_LABELS,
 from .decomp3d import NabTriple, decompose, forced_b, reconstruct, t_vector
 from .decomp_nd import (DeformabilityResult, GeneralSplit,
                         check_deformability, induced_omega, split_trace)
-from .io_cli import (DocumentError, ExactnessError, document_object, parse,
-                     serialize)
+from .io_cli import DocumentError, document_object, parse, serialize
 from .tensor_core import (Inertia, Matrix, Scalar, SingularMatrixError,
                           congruence_diagonalize, invert, rational)
 
@@ -32,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraSpec", "BianchiLabel", "DeformabilityResult", "DocumentError",
-    "ExactCertificates", "ExactnessError", "FIRST_TABLE_ORDER", "FloatRangeError",
+    "ExactCertificates", "FIRST_TABLE_ORDER", "FloatRangeError",
     "GeneralSplit", "Inertia", "Matrix", "NabTriple", "NormalForm",
     "NotAnAlgebraError", "PARAMETRIC_LABELS", "ResidualTensor",
     "SECOND_TABLE_ORDER", "Scalar", "SingularMatrixError", "SkewViolation",

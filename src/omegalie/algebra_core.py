@@ -4,10 +4,10 @@ An algebra is a skew bracket plus a skew 2-form omega.  ``AlgebraSpec``
 stores only their independent part, which is also the shape of a document:
 the nonzero structure constants c[k][i][j] with i < j (the e_{k+1}
 component of [e_{i+1}, e_{j+1}], 0-based) and the nonzero omega[i][j] with
-i < j.  Skewness therefore holds by construction, and every kernel below
-costs in the number of stored entries, not in dim^3: an empty document of
-any dimension is checked at once.  Validity means the deformed Jacobi
-identity
+i < j.  Skewness therefore holds by construction, every stored value is a
+Fraction, and every kernel below costs in the number of stored entries,
+not in dim^3: an empty document of any dimension is checked at once.
+Validity means the deformed Jacobi identity
 
     [A,[B,C]] + [C,[A,B]] + [B,[C,A]] = omega(B,C) A + omega(A,B) C + omega(C,A) B
 
@@ -17,12 +17,16 @@ quadratic constraint, weight 1/3!) so that validity is ``residual(spec).is_zero`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .tensor_core import Matrix, invert, rational
+
+# The zero of the dense views and of the kernels' results, which hold
+# Fractions only: every nonzero value is a stored Fraction or a product with one.
+_ZERO = Fraction(0)
 
 
 class SkewViolation(NamedTuple):
@@ -49,8 +53,8 @@ class AlgebraSpec:
     The store: ``c_upper`` maps 0-based (i, j, k) with i < j to the nonzero
     c[k][i][j], and ``omega_upper`` maps (i, j) with i < j to the nonzero
     omega[i][j], both in lexicographic key order, the order of a document.
-    Values keep the scalar type they were given; ``zero_value`` is 0 in
-    that type and fills the dense views.
+    Every value is a Fraction: both public constructors pass each entry
+    through ``rational``, so floats and bools raise TypeError.
 
     ``AlgebraSpec(dim, c, omega)`` takes the dense c[k][i][j] and
     omega[i][j], checks shape and skewness once, and raises
@@ -62,12 +66,11 @@ class AlgebraSpec:
     dim: int
     c_upper: dict
     omega_upper: dict
-    zero_value: object = field(default=0, compare=False, repr=False)
 
     def __init__(self, dim, c, omega):
         n = _positive_dim(dim)
-        c = tuple(tuple(tuple(plane) for plane in mat) for mat in c)
-        om = tuple(tuple(row) for row in omega)
+        c = tuple(tuple(tuple(map(rational, plane)) for plane in mat) for mat in c)
+        om = tuple(tuple(map(rational, row)) for row in omega)
         if len(c) != n or any(len(m) != n or any(len(r) != n for r in m) for m in c):
             raise ValueError("c must have shape dim x dim x dim")
         if len(om) != n or any(len(r) != n for r in om):
@@ -80,18 +83,19 @@ class AlgebraSpec:
             raise SkewViolationError(violations)
         self._set(n, {(i, j, k): c[k][i][j] for i in range(n) for j in range(i + 1, n)
                       for k in range(n)},
-                  {(i, j): om[i][j] for i in range(n) for j in range(i + 1, n)}, om[0][0])
+                  {(i, j): om[i][j] for i in range(n) for j in range(i + 1, n)})
 
     @classmethod
-    def _from_upper(cls, dim, c_upper, omega_upper, zero_value=Fraction(0)) -> "AlgebraSpec":
-        """The spec whose store holds these i < j entries (the kernels' constructor)."""
+    def _from_upper(cls, dim, c_upper, omega_upper) -> "AlgebraSpec":
+        """The spec whose store holds these i < j Fraction entries (the
+        kernels' constructor)."""
         spec = object.__new__(cls)
-        spec._set(_positive_dim(dim), c_upper, omega_upper, zero_value)
+        spec._set(_positive_dim(dim), c_upper, omega_upper)
         return spec
 
-    def _set(self, dim, c_upper, omega_upper, zero_value):
+    def _set(self, dim, c_upper, omega_upper):
         # zero values are dropped and the keys sorted
-        for name, value in (("dim", dim), ("zero_value", zero_value),
+        for name, value in (("dim", dim),
                             ("c_upper", dict(sorted(x for x in c_upper.items() if x[1]))),
                             ("omega_upper", dict(sorted(x for x in omega_upper.items() if x[1])))):
             object.__setattr__(self, name, value)
@@ -101,7 +105,7 @@ class AlgebraSpec:
 
     @classmethod
     def zero(cls, dim: int) -> "AlgebraSpec":
-        return cls._from_upper(dim, {}, {}, 0)
+        return cls._from_upper(dim, {}, {})
 
     @classmethod
     def from_entries(cls, dim, c_entries=(), omega_entries=()) -> "AlgebraSpec":
@@ -129,7 +133,7 @@ class AlgebraSpec:
     def c(self) -> tuple:
         """Dense c[k][i][j], 0-based."""
         n = self.dim
-        dense = [[[self.zero_value] * n for _ in range(n)] for _ in range(n)]
+        dense = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
         for (i, j, k), v in self.c_upper.items():
             dense[k][i][j], dense[k][j][i] = v, -v
         return tuple(tuple(map(tuple, plane)) for plane in dense)
@@ -138,17 +142,10 @@ class AlgebraSpec:
     def omega(self) -> tuple:
         """Dense omega[i][j], 0-based."""
         n = self.dim
-        dense = [[self.zero_value] * n for _ in range(n)]
+        dense = [[_ZERO] * n for _ in range(n)]
         for (i, j), v in self.omega_upper.items():
             dense[i][j], dense[j][i] = v, -v
         return tuple(map(tuple, dense))
-
-    def c_at(self, k: int, i: int, j: int):
-        """1-based accessor: the e_k component of [e_i, e_j]."""
-        return self.c[k - 1][i - 1][j - 1]
-
-    def omega_at(self, i: int, j: int):
-        return self.omega[i - 1][j - 1]
 
 
 def _check_vec(spec, vec):
@@ -156,11 +153,9 @@ def _check_vec(spec, vec):
         raise ValueError(f"vector length {len(vec)} does not match dim {spec.dim}")
 
 
-def bracket(spec: AlgebraSpec, x: Sequence, y: Sequence) -> tuple:
-    """[x, y]_k = sum over the stored c[k][i][j] of c[k][i][j] (x_i y_j - x_j y_i).
-
-    Entries where x vanishes at both i and j are skipped.
-    """
+def _bracket(spec, x, y) -> list:
+    # [x, y] with int 0 where no stored entry contributes, so that the
+    # nested brackets of jacobiator skip those components at int speed
     _check_vec(spec, x)
     _check_vec(spec, y)
     out = [0] * spec.dim
@@ -170,31 +165,38 @@ def bracket(spec: AlgebraSpec, x: Sequence, y: Sequence) -> tuple:
             w = xi * y[j] - xj * y[i]
             if w:
                 out[k] += v * w
-    return tuple(out)
+    return out
+
+
+def bracket(spec: AlgebraSpec, x: Sequence, y: Sequence) -> tuple:
+    """[x, y]_k = sum over the stored c[k][i][j] of c[k][i][j] (x_i y_j - x_j y_i).
+
+    Entries where x vanishes at both i and j are skipped.
+    """
+    return tuple(v or _ZERO for v in _bracket(spec, x, y))
 
 
 def omega_value(spec: AlgebraSpec, x: Sequence, y: Sequence):
     """omega(x, y), summed over the stored omega[i][j] like ``bracket``."""
     _check_vec(spec, x)
     _check_vec(spec, y)
-    return sum(v * (x[i] * y[j] - x[j] * y[i])
-               for (i, j), v in spec.omega_upper.items() if x[i] or x[j])
+    return sum((v * (x[i] * y[j] - x[j] * y[i])
+                for (i, j), v in spec.omega_upper.items() if x[i] or x[j]), _ZERO)
 
 
 def jacobiator(spec: AlgebraSpec, a: Sequence, b: Sequence, c: Sequence) -> tuple:
     """[a,[b,c]] + [c,[a,b]] + [b,[c,a]]; identically zero exactly for Lie brackets."""
-    first = bracket(spec, a, bracket(spec, b, c))
-    second = bracket(spec, c, bracket(spec, a, b))
-    third = bracket(spec, b, bracket(spec, c, a))
-    return tuple(p + q + r for p, q, r in zip(first, second, third))
+    first = _bracket(spec, a, _bracket(spec, b, c))
+    second = _bracket(spec, c, _bracket(spec, a, b))
+    third = _bracket(spec, b, _bracket(spec, c, a))
+    return tuple(p + q + r or _ZERO for p, q, r in zip(first, second, third))
 
 
 def omega_rhs(spec: AlgebraSpec, a: Sequence, b: Sequence, c: Sequence) -> tuple:
     """omega(b,c) a + omega(a,b) c + omega(c,a) b, the deformation side."""
-    wbc = omega_value(spec, b, c)
-    wab = omega_value(spec, a, b)
-    wca = omega_value(spec, c, a)
-    return tuple(wbc * a[m] + wab * c[m] + wca * b[m] for m in range(spec.dim))
+    terms = [(w, v) for w, v in ((omega_value(spec, b, c), a), (omega_value(spec, a, b), c),
+                                 (omega_value(spec, c, a), b)) if w]
+    return tuple(sum((w * v[m] for w, v in terms), _ZERO) for m in range(spec.dim))
 
 
 # The six permutations of three slots with their signs.
@@ -212,8 +214,8 @@ class ResidualTensor:
 
     Only the nonzero components are stored, as ``nonzero``: pairs of
     1-based (m, l, j, k) and value, in lexicographic index order.
-    ``components`` is the dense [m][l][j][k] view (0-based, zeros as int
-    0), built on first access.
+    ``components`` is the dense [m][l][j][k] view (0-based), built on
+    first access.
     """
 
     dim: int
@@ -230,7 +232,7 @@ class ResidualTensor:
     @cached_property
     def components(self) -> tuple:
         n = self.dim
-        dense = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        dense = [[[[_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
         for (m, l, j, k), v in self.nonzero:
             dense[m - 1][l - 1][j - 1][k - 1] = v
         return tuple(tuple(tuple(tuple(row) for row in plane) for plane in block)
@@ -269,11 +271,10 @@ def residual(spec: AlgebraSpec) -> ResidualTensor:
             key = (m, j, k, l)
         acc[key] = acc.get(key, 0) + v
 
-    three = rational(3)  # keeps Fractions exact, floats stay floats
     entries = []
     for (m, l, j, k), total in acc.items():
         if total != 0:
-            val = total / three
+            val = total / 3
             idx = (l + 1, j + 1, k + 1)
             entries.extend(((m + 1, idx[p0], idx[p1], idx[p2]), val if sign > 0 else -val)
                            for (p0, p1, p2), sign in _PERM3)
@@ -290,8 +291,7 @@ def transport(spec: AlgebraSpec, p: Matrix) -> AlgebraSpec:
     Only the stored c[q][r][s] and omega[w][v] (r < s, w < v) are visited.
     By skewness each meets the 2x2 minor of rows r, s of p,
     p[r][j] p[s][k] - p[s][j] p[r][k], and only the j < k outputs are
-    computed: they are the new store.  Exact input gives Fraction entries
-    (int entries included), float input float entries.
+    computed: they are the new store.
     """
     n = spec.dim
     if p.dim != n:
@@ -299,7 +299,6 @@ def transport(spec: AlgebraSpec, p: Matrix) -> AlgebraSpec:
     pinv = invert(p)
     rows = p.rows
     pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-    zero = abs(pinv[0][0] * spec.zero_value)  # 0 in the result's scalar type
     minors = {}
 
     def add_minor(acc, r, s, v):
@@ -316,16 +315,16 @@ def transport(spec: AlgebraSpec, p: Matrix) -> AlgebraSpec:
     # the store visits each plane's (r, s) in order
     u = {}
     for (r, s, q), v in spec.c_upper.items():
-        add_minor(u.setdefault(q, [zero] * len(pairs)), r, s, v)
-    om_new = [zero] * len(pairs)
+        add_minor(u.setdefault(q, [_ZERO] * len(pairs)), r, s, v)
+    om_new = [_ZERO] * len(pairs)
     for (w, v), x in spec.omega_upper.items():
         add_minor(om_new, w, v, x)
     c_new = {}
     for i, prow in enumerate(pinv.rows):
-        upper = [zero] * len(pairs)
+        upper = [_ZERO] * len(pairs)
         for q in sorted(u):
             f = prow[q]
             if f:
                 upper = [x + f * y for x, y in zip(upper, u[q])]
         c_new.update(((j, k, i), x) for (j, k), x in zip(pairs, upper))
-    return AlgebraSpec._from_upper(n, c_new, dict(zip(pairs, om_new)), zero)
+    return AlgebraSpec._from_upper(n, c_new, dict(zip(pairs, om_new)))

@@ -142,8 +142,8 @@ class NormalForm:
     """Classification outcome: label, exact and float basis transforms."""
 
     label: BianchiLabel
-    exact_transform: Matrix    # Fractions; the certified exact head P
-    transform: Matrix          # float P Q; transport(input, transform) ~ canonical row
+    exact_transform: Matrix    # the certified exact head P
+    transform: tuple           # float rows of P Q; the basis change onto the canonical row
     certificates: ExactCertificates
     notes: tuple
     transform_error: float     # deviation of the float tail Q on the frame
@@ -180,8 +180,8 @@ def generate(label: str, param=None) -> AlgebraSpec:
         if param is not None:
             raise ValueError(f"label {label} does not take a parameter")
         p = Fraction(1)
-    n = Matrix.diagonal(tuple(rational(x) for x in nd))
-    a = tuple(rational(x) * p for x in apat)
+    n = Matrix.diagonal(nd)
+    a = tuple(x * p for x in apat)
     return reconstruct(NabTriple(n, a, forced_b(n, a)))
 
 
@@ -545,14 +545,12 @@ def classify(spec: AlgebraSpec) -> NormalForm:
     """Classify a valid 3-dimensional spec onto its normal-form table row.
 
     Raises NotAnAlgebraError (reporting t = 4 n a + 2 b) when the supplied
-    omega is not the forced one, ValueError for non-rational or
-    non-3-dimensional input, and FloatRangeError when the parameter or
-    the transform cannot be reported as floats.
+    omega is not the forced one, ValueError for non-3-dimensional input,
+    and FloatRangeError when the parameter or the transform cannot be
+    reported as floats.
     """
     if spec.dim != 3:
         raise ValueError("classify requires dim 3")
-    if not _spec_is_rational(spec):
-        raise TypeError("classify requires exact rational entries")
     trip = decompose(spec)
     t = t_vector(trip)
     if any(x != 0 for x in t):
@@ -568,9 +566,9 @@ def classify(spec: AlgebraSpec) -> NormalForm:
         parameter = None if param2 is None else _reported(_root(param2))
         tail = _float_tail(frame, label)
         pf = [[_reported(x) for x in col] for col in frame[2]]  # pf[k][r] = P[r][k]
-        transform = Matrix(tuple(
+        transform = tuple(
             tuple(_reported(sum(pf[k][r] * tail[2][j][k] for k in range(3))) for j in range(3))
-            for r in range(3)))
+            for r in range(3))
     except OverflowError:
         raise FloatRangeError("the parameter or transform lies outside the float range") from None
     err = _tail_error(frame, tail, label, parameter)
@@ -584,9 +582,3 @@ def classify(spec: AlgebraSpec) -> NormalForm:
         notes.append(f"canonical transform check exceeded tolerance: max deviation {err:.3e}")
     return NormalForm(BianchiLabel(label, parameter), Matrix(tuple(zip(*frame[2]))),
                       transform, certs, tuple(notes), err, trip)
-
-
-def _spec_is_rational(spec: AlgebraSpec) -> bool:
-    def ok(v):
-        return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-    return all(map(ok, (spec.zero_value, *spec.c_upper.values(), *spec.omega_upper.values())))

@@ -15,8 +15,9 @@ so a bracket admits exactly one compatible omega: the one with b = -2 n a.
 With indices mod 3 each eps sum is a single term: the dual matrix is
 cm[i][l] = c[i][l+1][l+2], n is its symmetric part, a_m = (cm[m+1][m+2] -
 cm[m+2][m+1]) / 2 and b^k = omega[k+1][k+2], so ``decompose`` and
-``reconstruct`` touch each independent entry once.  Exact input gives
-Fraction entries (int entries included); float input stays float.
+``reconstruct`` touch each independent entry once.  Every entry is a
+Fraction by construction: a spec's store, a ``Matrix`` and the a and b of
+a ``NabTriple`` all pass through ``rational``.
 """
 
 from __future__ import annotations
@@ -26,15 +27,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra_core import AlgebraSpec
-from .tensor_core import Matrix, _field
+from .tensor_core import Matrix, rational
 
 
 @dataclass(frozen=True)
 class NabTriple:
     """(n, a, b) data of one 3-dimensional algebra.
 
-    n: symmetric Matrix (upper indices), a: covector, b: vector.  The triple
-    comes from a valid algebra iff b = -2 n a, equivalently t_vector == 0.
+    n: symmetric Matrix (upper indices), a: covector, b: vector, all of
+    Fractions (a and b pass through ``rational``).  The triple comes from a
+    valid algebra iff b = -2 n a, equivalently t_vector == 0.
     """
 
     n: Matrix
@@ -46,8 +48,8 @@ class NabTriple:
             raise ValueError("NabTriple is strictly 3-dimensional")
         if not self.n.is_symmetric():
             raise ValueError("n must be symmetric")
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "b", tuple(self.b))
+        object.__setattr__(self, "a", tuple(map(rational, self.a)))
+        object.__setattr__(self, "b", tuple(map(rational, self.b)))
 
 
 # (l + 1, l + 2) mod 3 for l = 0, 1, 2: the pair with eps_{jkl} = +1, and
@@ -56,9 +58,9 @@ _CYCLIC = ((1, 2), (2, 0), (0, 1))
 _UPPER = tuple((min(j, k), max(j, k), 1 if j < k else -1) for j, k in _CYCLIC)
 
 
-def _cyclic(store, zero, *plane):
+def _cyclic(store, *plane):
     # the values at the three cyclic pairs, read from an i < j store
-    return [_field(sign * store.get((j, k, *plane), zero)) for j, k, sign in _UPPER]
+    return [sign * store.get((j, k, *plane), Fraction(0)) for j, k, sign in _UPPER]
 
 
 def decompose(spec: AlgebraSpec) -> NabTriple:
@@ -66,7 +68,7 @@ def decompose(spec: AlgebraSpec) -> NabTriple:
     matrix, b^k = (1/2) eps^{ijk} omega_ij = omega[k+1][k+2]."""
     if spec.dim != 3:
         raise ValueError("decompose requires dim 3")
-    cm = [_cyclic(spec.c_upper, spec.zero_value, i) for i in range(3)]  # the dual matrix
+    cm = [_cyclic(spec.c_upper, i) for i in range(3)]  # the dual matrix
     half = Fraction(1, 2)
     # a_m = (1/2) eps^{mil} cm[i][l]; the symmetric part shares its pairs
     sym = {}
@@ -76,7 +78,7 @@ def decompose(spec: AlgebraSpec) -> NabTriple:
         a.append(half * (cm[i][l] - cm[l][i]))
     n = Matrix(tuple(tuple(cm[i][i] if i == l else sym[i, l] for l in range(3))
                      for i in range(3)))
-    b = tuple(_cyclic(spec.omega_upper, spec.zero_value))
+    b = tuple(_cyclic(spec.omega_upper))
     return NabTriple(n, tuple(a), b)
 
 
@@ -87,9 +89,7 @@ def reconstruct(t: NabTriple) -> AlgebraSpec:
     (j, k) = (l+1, l+2), and omega[l+1][l+2] = b^l, each stored at its
     j < k key.
     """
-    n = [[_field(x) for x in row] for row in t.n.rows]
-    a = [_field(x) for x in t.a]
-    zero = n[0][0] - n[0][0]  # 0 in the input's scalar type
+    n, a = t.n, t.a
     c, om = {}, {}
     for l, ((j, k), (uj, uk, sign)) in enumerate(zip(_CYCLIC, _UPPER)):
         for i in range(3):
@@ -99,8 +99,8 @@ def reconstruct(t: NabTriple) -> AlgebraSpec:
             elif i == k:
                 v = v + a[j]
             c[uj, uk, i] = sign * v
-        om[uj, uk] = sign * _field(t.b[l])
-    return AlgebraSpec._from_upper(3, c, om, zero)
+        om[uj, uk] = sign * t.b[l]
+    return AlgebraSpec._from_upper(3, c, om)
 
 
 def forced_b(n: Matrix, a: Sequence) -> tuple:

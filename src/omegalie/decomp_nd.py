@@ -67,7 +67,7 @@ def split_trace(spec: AlgebraSpec) -> GeneralSplit:
                     alpha[i, k, i] = alpha.get((i, k, i), 0) - ak
                 elif i > k:  # alpha[i][k][i] = c[i][k][i] + a_k
                     alpha[k, i, i] = alpha.get((k, i, i), 0) + ak
-    return GeneralSplit(AlgebraSpec._from_upper(n, alpha, {}, spec.zero_value), a)
+    return GeneralSplit(AlgebraSpec._from_upper(n, alpha, {}), a)
 
 
 def _induced_upper(split: GeneralSplit) -> dict:
@@ -119,6 +119,5 @@ def check_deformability(spec: AlgebraSpec) -> DeformabilityResult:
     """
     if spec.dim < 3:
         raise ValueError("deformability requires dim >= 3")
-    forced = AlgebraSpec._from_upper(spec.dim, spec.c_upper,
-                                     _induced_upper(split_trace(spec)), spec.zero_value)
+    forced = AlgebraSpec._from_upper(spec.dim, spec.c_upper, _induced_upper(split_trace(spec)))
     return DeformabilityResult(forced, residual(forced))

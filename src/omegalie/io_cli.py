@@ -46,10 +46,6 @@ class DocumentError(ValueError):
     """The document text is not a well-formed algebra document."""
 
 
-class ExactnessError(TypeError):
-    """Serialization was asked to emit non-rational (float) entries."""
-
-
 # ---------------------------------------------------------------------------
 # parse / serialize
 
@@ -136,28 +132,17 @@ def _rat_str(x):
     # the one formatter of exact report values: a value within the input's
     # digit limit can still have a product or sum past it
     try:
-        return str(Fraction(x))
+        return str(x)
     except ValueError:
         raise _Usage("a result value has more digits than the integer-to-text "
                      f"conversion limit ({sys.get_int_max_str_digits()}) allows") from None
 
 
-def _exact(value, where):
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise ExactnessError(f"cannot serialize non-rational entry {value!r} at {where}")
-
-
 def document_object(spec: AlgebraSpec) -> dict:
-    """The canonical document object for a rational spec: the store's
-    i < j entries, lexicographic (i, j) then k ordering, lowest-terms values."""
-    _exact(spec.zero_value, "the zero entries")  # a float spec is refused even when empty
-    c_entries = [[i + 1, j + 1, k + 1, _rat_str(_exact(v, f"c^{k + 1}_{i + 1}{j + 1}"))]
-                 for (i, j, k), v in spec.c_upper.items()]
-    omega_entries = [[i + 1, j + 1, _rat_str(_exact(v, f"omega_{i + 1}{j + 1}"))]
-                     for (i, j), v in spec.omega_upper.items()]
+    """The canonical document object of a spec: the store's i < j entries,
+    lexicographic (i, j) then k ordering, lowest-terms values."""
+    c_entries = [[i + 1, j + 1, k + 1, _rat_str(v)] for (i, j, k), v in spec.c_upper.items()]
+    omega_entries = [[i + 1, j + 1, _rat_str(v)] for (i, j), v in spec.omega_upper.items()]
     return {"dim": spec.dim, "c_entries": c_entries, "omega_entries": omega_entries}
 
 
@@ -325,7 +310,7 @@ def _cmd_classify(args):
             "b": [x * (p if p is not None else 1) for x in brow],
             "b_rule": "b = -2 n a",
         },
-        "transform": [list(row) for row in nf.transform.rows],
+        "transform": [list(row) for row in nf.transform],
         "exact_transform": _mat(nf.exact_transform),
         "transform_error": nf.transform_error,
         "notes": list(nf.notes),

@@ -2,11 +2,12 @@
 
 Everything in this module stays in Q: scalars are ``fractions.Fraction``,
 matrices are immutable row tuples, and congruence diagonalization / inertia
-counting never take square roots.  ``det`` and ``invert`` divide in the
-field of their entries: int entries are taken as Fractions, so exact input
-gives Fraction output, and float input stays float.  The exact routine
-``congruence_diagonalize`` (with ``Inertia.of_diagonal`` on its diagonal)
-is only meant for rational input; classification starts from its ``p``.
+counting never take square roots.  ``rational`` alone decides the scalar
+type: ``Matrix`` passes every entry through it, so a matrix holds only
+Fractions (ints are converted, floats and bools raise ``TypeError``), and
+``det``, ``invert`` and ``congruence_diagonalize`` divide exactly.
+Classification starts from the ``p`` of ``congruence_diagonalize`` (with
+``Inertia.of_diagonal`` on its diagonal).
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ def rational(value) -> Fraction:
     Floats are refused: letting one in would silently contaminate the exact
     arithmetic path.
     """
-    if isinstance(value, bool):
-        raise TypeError("bool is not a scalar")
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError("bool is not a scalar")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
@@ -44,24 +45,18 @@ def rational(value) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational scalar")
 
 
-def _field(value):
-    """An int as a Fraction, so that ``/`` on it stays exact; Fractions and
-    floats are returned unchanged."""
-    return Fraction(value) if isinstance(value, int) else value
-
-
 class Matrix:
-    """Immutable square matrix over whatever scalar type the entries carry.
+    """Immutable square matrix of Fractions.
 
     Rows are stored as a tuple of tuples with 0-based Python indexing;
-    ``m[i][j]`` is the entry in row i, column j.  Exact operations assume
-    entries supporting field arithmetic with exact zero tests (Fraction/int).
+    ``m[i][j]`` is the entry in row i, column j.  Every entry passes through
+    ``rational`` on construction.
     """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(tuple(map(rational, r)) for r in rows)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square and non-empty")
@@ -123,7 +118,7 @@ class Matrix:
     def det(self):
         """Determinant by elimination with partial pivoting (largest |pivot|)."""
         n = self.dim
-        a = [[_field(x) for x in r] for r in self.rows]
+        a = [list(r) for r in self.rows]
         sign = 1
         result = 1
         for col in range(n):
@@ -144,8 +139,7 @@ class Matrix:
 def invert(m: Matrix) -> Matrix:
     """Inverse by Gauss-Jordan elimination with partial pivoting."""
     n = m.dim
-    a = [[_field(x) for x in r] for r in m.rows]
-    # every row of inv is divided by a pivot of a, which fixes its type
+    a = [list(r) for r in m.rows]
     inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(a[r][col]))

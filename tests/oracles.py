@@ -11,11 +11,11 @@ library's ``jacobiator`` and ``omega_rhs``, which tests compare against
 ``dense_bracket`` and ``dense_omega``).
 
 The last section keeps the helpers that only tests call, so they are not
-part of the package's API: basis vectors, matrix scaling and float views,
-the adjugate, inertia, the dual matrix of a dense dim-3 bracket, the forced
-omega of a dim-3 bracket, the compatible omega or None, the brute-force
-check that omega's side of the identity vanishes, float copies of specs
-and the whole-transform float check of a classification.
+part of the package's API: basis vectors, matrix scaling, the adjugate,
+inertia, the dual matrix of a dense dim-3 bracket, the forced omega of a
+dim-3 bracket, the compatible omega or None, the brute-force check that
+omega's side of the identity vanishes, and the whole-input float check of
+a classification.
 """
 
 from fractions import Fraction
@@ -23,8 +23,7 @@ from itertools import permutations
 
 from omegalie import (AlgebraSpec, Inertia, Matrix, NabTriple,
                       check_deformability, congruence_diagonalize, decompose,
-                      forced_b, jacobiator, omega_rhs, reconstruct, table_row,
-                      transport)
+                      forced_b, jacobiator, omega_rhs, reconstruct, table_row)
 
 
 def _perm_sign(perm):
@@ -204,15 +203,17 @@ def eps_reconstruct(n, a, b):
     return c, om
 
 
-def dense_transport(spec: AlgebraSpec, p):
+def dense_transport(spec, p):
     """(c, omega) after the basis change e'_j = p[q][j] e_q, every term of
     c'[i][j][k] = inv(p)[i][q] c[q][r][s] p[r][j] p[s][k] and
     omega'[i][j] = p[w][i] p[v][j] omega[w][v] summed; inv(p) is the
-    permutation-expanded adjugate over the determinant."""
-    n = spec.dim
+    permutation-expanded adjugate over the determinant.  ``spec`` is an
+    AlgebraSpec or a dense (c, omega) pair, whose entries (floats too) and
+    those of the rows ``p`` set the scalar type of the result."""
+    c, om = (spec.c, spec.omega) if isinstance(spec, AlgebraSpec) else spec
+    n = len(om)
     det = perm_det(p)
     pinv = [[x / det for x in row] for row in perm_adjugate(p)]
-    c, om = spec.c, spec.omega
     rng = range(n)
     u = [[[sum(c[q][r][s] * p[r][j] * p[s][k] for r in rng for s in rng)
            for k in rng] for j in rng] for q in rng]
@@ -235,16 +236,11 @@ def scale(m, s):
     return Matrix(tuple(tuple(s * x for x in r) for r in m.rows))
 
 
-def float_matrix(m):
-    """m with every entry converted to float."""
-    return Matrix(tuple(tuple(float(x) for x in r) for r in m.rows))
-
-
 def adjugate(m):
     """Adjugate (transposed cofactor matrix); satisfies m @ adj(m) = det(m) I."""
     n = m.dim
     if n == 1:
-        return Matrix(((1.0 if isinstance(m[0][0], float) else Fraction(1),),))
+        return Matrix(((1,),))
 
     def minor_det(rows, skip_r, skip_c):
         sub = [[rows[r][c] for c in range(n) if c != skip_c] for r in range(n) if r != skip_r]
@@ -267,8 +263,7 @@ def dual_c(c):
     if len(c) != 3:
         raise ValueError("dual_c requires a 3-dimensional bracket")
     pairs = ((1, 2), (2, 0), (0, 1))
-    return Matrix(tuple(tuple(Fraction(ci[j][k]) if isinstance(ci[j][k], int) else ci[j][k]
-                           for j, k in pairs) for ci in c))
+    return Matrix(tuple(tuple(ci[j][k] for j, k in pairs) for ci in c))
 
 
 def forced_omega(c):
@@ -308,29 +303,22 @@ def omega_rhs_is_identically_zero(omega):
     return True
 
 
-def float_spec(spec):
-    """The spec with every stored value (and its zero) converted to float."""
-    return AlgebraSpec._from_upper(spec.dim, {k: float(v) for k, v in spec.c_upper.items()},
-                                   {k: float(v) for k, v in spec.omega_upper.items()}, 0.0)
-
-
-def canonical_float_spec(nf):
-    """The float spec of the table row a classification reports, at its parameter."""
-    nd, apat, _ = table_row(nf.label.name)
-    p = 1.0 if nf.parameter is None else nf.parameter
-    n = Matrix.diagonal(tuple(float(x) for x in nd))
-    a = tuple(float(x) * p for x in apat)
-    return reconstruct(NabTriple(n, a, forced_b(n, a)))
-
-
 def transport_error(spec, nf):
     """Largest deviation of the float transport of the whole input by the
-    reported float transform from the canonical row's spec: the check
+    reported float transform from the canonical row, both dense: the check
     classify made before it certified its exact head and checked floats
-    on the 3x3 frame only."""
-    moved, target = transport(float_spec(spec), nf.transform), canonical_float_spec(nf)
-    err = 0.0
-    for mine, other in ((moved.c_upper, target.c_upper), (moved.omega_upper, target.omega_upper)):
-        for key in mine.keys() | other.keys():
-            err = max(err, abs(mine.get(key, 0.0) - other.get(key, 0.0)))
-    return err
+    on the 3x3 frame only.  It calls neither the library's ``transport``
+    nor its ``invert``."""
+    c = [[[float(x) for x in row] for row in plane] for plane in spec.c]
+    om = [[float(x) for x in row] for row in spec.omega]
+    moved = dense_transport((c, om), nf.transform)
+    nd, apat, _ = table_row(nf.label.name)
+    a = [x * (1.0 if nf.parameter is None else nf.parameter) for x in apat]
+    n = [[float(nd[i]) if i == j else 0.0 for j in range(3)] for i in range(3)]
+    target = eps_reconstruct(n, a, [-2 * nd[i] * a[i] for i in range(3)])
+    return max(abs(x - y) for x, y in zip(flat(moved), flat(target)))
+
+
+def flat(x):
+    """The scalars of a nested tuple or list, in order."""
+    return [z for y in x for z in flat(y)] if isinstance(x, (tuple, list)) else [x]

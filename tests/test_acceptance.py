@@ -47,9 +47,9 @@ def test_criterion_1_table_reproduction():
         trip = decompose(spec)
         n = [trip.n[i][i] for i in range(3)]
         a = trip.a
-        assert spec.omega_at(1, 2) == -2 * n[2] * a[2], label
-        assert spec.omega_at(3, 1) == -2 * n[1] * a[1], label
-        assert spec.omega_at(2, 3) == -2 * n[0] * a[0], label
+        assert spec.omega[0][1] == -2 * n[2] * a[2], label
+        assert spec.omega[2][0] == -2 * n[1] * a[1], label
+        assert spec.omega[1][2] == -2 * n[0] * a[0], label
     assert rows == 6 + 7 + 6 * len(PARAMS)
     finish(1, "table reproduction", 1.0, started,
            f"{rows} rows, residual = 0 and the three omega formulas exact")

@@ -1,17 +1,20 @@
 """Spec container, bracket evaluation, residual tensor, basis transport."""
 
-import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegalie import (AlgebraSpec, SingularMatrixError, SkewViolationError,
-                      Matrix, bracket, check_deformability, generate,
-                      jacobiator, omega_rhs, omega_value, residual, transport)
+                      Matrix, NabTriple, bracket, check_deformability,
+                      decompose, generate, jacobiator, omega_rhs, omega_value,
+                      reconstruct, residual, split_trace, transport)
 from oracles import (basis, deformed_identity_holds, dense_bracket,
-                     dense_omega, dense_residual, dense_transport,
+                     dense_omega, dense_residual, dense_transport, flat,
                      omega_rhs_is_identically_zero)
+from test_io_cli import exact_specs
 
 
 def rand_spec(rng, dim=3, valid_omega=False):
@@ -36,11 +39,11 @@ def rand_transport(rng, dim=3):
 
 def test_from_entries_skew_completion():
     s = AlgebraSpec.from_entries(3, [(2, 3, 1, "1")], [(1, 2, "1/2")])
-    assert s.c_at(1, 2, 3) == 1
-    assert s.c_at(1, 3, 2) == -1
-    assert s.omega_at(1, 2) == Fraction(1, 2)
-    assert s.omega_at(2, 1) == Fraction(-1, 2)
-    assert s.c_at(2, 2, 3) == 0
+    assert s.c[0][1][2] == 1
+    assert s.c[0][2][1] == -1
+    assert s.omega[0][1] == Fraction(1, 2)
+    assert s.omega[1][0] == Fraction(-1, 2)
+    assert s.c[1][1][2] == 0
 
 
 def test_from_entries_rejects_bad_input():
@@ -56,11 +59,33 @@ def test_from_entries_rejects_bad_input():
         AlgebraSpec.from_entries(3, [(1, 2, 3, 0.5)])
 
 
+def test_constructors_refuse_floats():
+    # 1.0 == Fraction(1), so a float let in would pass every == check
+    zero = AlgebraSpec.zero(3)
+    for bad in (1.0, 0.5, True):
+        with pytest.raises(TypeError):
+            Matrix(((1, 0), (0, bad)))
+        with pytest.raises(TypeError):
+            AlgebraSpec(2, (((0, 0), (0, 0)), ((0, bad), (-bad, 0))), ((0, 0), (0, 0)))
+        with pytest.raises(TypeError):
+            AlgebraSpec(3, zero.c, ((0, bad, 0), (-bad, 0, 0), (0, 0, 0)))
+        with pytest.raises(TypeError):
+            AlgebraSpec.from_entries(3, [(1, 2, 3, bad)])
+        with pytest.raises(TypeError):
+            AlgebraSpec.from_entries(3, [], [(1, 2, bad)])
+        with pytest.raises(TypeError):
+            NabTriple(Matrix.identity(3), (0, bad, 0), (0, 0, 0))
+        with pytest.raises(TypeError):
+            NabTriple(Matrix.identity(3), (0, 0, 0), (bad, 0, 0))
+
+
 def test_zero_spec():
     z = AlgebraSpec.zero(3)
     assert z.dim == 3
     assert residual(z).is_zero
     assert z == AlgebraSpec.from_entries(3)
+    # the dense views hold Fraction zeros, as those of any other spec
+    assert {type(x) for x in flat(z.c) + flat(z.omega)} == {Fraction}
 
 
 def test_validate_skew_flags_both_tensors():
@@ -243,8 +268,16 @@ def test_bracket_and_forms_match_naive_sums():
                              for pair in ((y, z), (x, y), (z, x)))
             assert omega_rhs(s, x, y, z) == tuple(
                 wyz * x[m] + wxy * z[m] + wzx * y[m] for m in range(dim))
-            for v in xy + jacobiator(s, x, y, z) + omega_rhs(s, x, y, z):
-                assert isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+            # 0 == Fraction(0), so only the type shows an int zero
+            for v in (*xy, omega_value(s, x, y), *jacobiator(s, x, y, z),
+                      *omega_rhs(s, x, y, z)):
+                assert type(v) is Fraction, (dim, density, v)
+    # zero components on int basis vectors too
+    e1, e2, _ = basis(3)
+    zero = AlgebraSpec.zero(3)
+    for v in (*bracket(generate("VIII_a", 2), e1, e1), omega_value(zero, e1, e2),
+              *jacobiator(zero, e1, e2, e1), *omega_rhs(zero, e1, e2, e1)):
+        assert type(v) is Fraction, v
 
 
 def test_dim2_residual_always_zero():
@@ -279,7 +312,7 @@ def test_omega_rhs_zero_checker_validates_input():
 def test_transport_scaling_of_type_ii():
     s = generate("II")  # [e2, e3] = e1
     p = Matrix.diagonal((1, 1, 2))  # e3' = 2 e3
-    assert transport(s, p).c_at(1, 2, 3) == 2
+    assert transport(s, p).c[0][1][2] == 2
 
 
 def test_transport_composes():
@@ -315,8 +348,8 @@ def test_transport_rejects_singular():
 
 
 def as_scalars(spec, p, kind):
-    """spec and p with every entry an int, Fraction or float."""
-    conv = {"int": lambda x: int(x * 6), "fraction": Fraction, "float": float}[kind]
+    """spec and p built from int or Fraction entries."""
+    conv = {"int": lambda x: int(x * 6), "fraction": Fraction}[kind]
     c = tuple(tuple(tuple(conv(x) for x in row) for row in plane) for plane in spec.c)
     om = tuple(tuple(conv(x) for x in row) for row in spec.omega)
     return AlgebraSpec(spec.dim, c, om), Matrix(tuple(tuple(conv(x) for x in r) for r in p.rows))
@@ -330,21 +363,12 @@ def test_transport_matches_dense_reference():
             p = rand_transport(rng, dim)
             while Matrix(tuple(tuple(int(x * 6) for x in r) for r in p.rows)).det() == 0:
                 p = rand_transport(rng, dim)
-            for kind in ("int", "fraction", "float"):
+            for kind in ("int", "fraction"):
                 spec, pk = as_scalars(s, p, kind)
                 got = transport(spec, pk)
-                ref_c, ref_om = dense_transport(spec, pk.rows)
-                got_all = [x for plane in got.c for row in plane for x in row] + \
-                          [x for row in got.omega for x in row]
-                ref_all = [x for plane in ref_c for row in plane for x in row] + \
-                          [x for row in ref_om for x in row]
-                if kind == "float":  # summation order differs from the reference
-                    assert all(math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
-                               for x, y in zip(got_all, ref_all)), (dim, density)
-                    assert {type(x) for x in got_all} == {float}
-                else:
-                    assert got_all == ref_all, (dim, density, kind)
-                    assert {type(x) for x in got_all} == {Fraction}, (dim, density, kind)
+                got_all = flat(got.c) + flat(got.omega)
+                assert got_all == flat(dense_transport(spec, pk.rows)), (dim, density, kind)
+                assert {type(x) for x in got_all} == {Fraction}, (dim, density, kind)
 
 
 def test_transport_rejects_non_skew_specs():
@@ -358,3 +382,23 @@ def test_transport_rejects_non_skew_specs():
     with pytest.raises(SkewViolationError) as info:
         AlgebraSpec(3, zero.c, om)
     assert [(v.tensor, v.indices) for v in info.value.violations] == [("omega", (1, 2))]
+
+
+@given(exact_specs, st.integers(0, 2 ** 32))
+@settings(deadline=None, max_examples=60)
+def test_kernels_keep_fraction_entries(spec, seed):
+    # 1.0 == Fraction(1) and 0 == Fraction(0): only the type shows a leak
+    def store(s):
+        return (*s.c_upper.values(), *s.omega_upper.values())
+
+    results = [transport(spec, rand_transport(random.Random(seed), spec.dim))]
+    if spec.dim >= 2:
+        results.append(split_trace(spec).trace_free)
+    if spec.dim >= 3:
+        results.append(check_deformability(spec).spec)
+    if spec.dim == 3:
+        trip = decompose(spec)
+        assert {type(x) for x in (*flat(trip.n.rows), *trip.a, *trip.b)} == {Fraction}
+        results.append(reconstruct(trip))
+    for result in results:
+        assert all(type(x) is Fraction for x in store(result)), result

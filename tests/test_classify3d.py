@@ -15,8 +15,8 @@ from omegalie import (AlgebraSpec, BianchiLabel, FloatRangeError, Matrix,
                       PARAMETRIC_LABELS, classify, decompose, forced_b,
                       generate, orbit_sample, reconstruct, t_vector,
                       table_row, transport)
-from oracles import (canonical_float_spec, float_spec, perm_adjugate, perm_det,
-                     scale, transport_error)
+from oracles import (dense_transport, eps_reconstruct, flat, perm_adjugate,
+                     perm_det, scale, transport_error)
 
 ALL_LABELS = ("I", "II", "VI0", "VII0", "VIII", "IX", "V", "IV", "IV_x",
               "VI_a", "VI_x", "VI_y", "VI_n", "VII_a", "VII_x", "VIII_a",
@@ -294,11 +294,9 @@ def test_classify_rejects_incompatible_omega():
     assert "more digits than the int-to-text limit" in str(exc.value)
 
 
-def test_classify_rejects_wrong_dim_and_floats():
+def test_classify_rejects_wrong_dim():
     with pytest.raises(ValueError):
         classify(AlgebraSpec.zero(4))
-    with pytest.raises(TypeError):
-        classify(float_spec(generate("IX")))
 
 
 # --- orbit sampling ---------------------------------------------------------
@@ -332,15 +330,13 @@ def test_transform_carries_input_onto_canonical():
     # the reported transform really is the basis change, checked externally
     spec = orbit_sample("VIII_a", Fraction(3, 2), seed=9)
     nf = classify(spec)
-    moved = transport(float_spec(spec), nf.transform)
-    canonical = canonical_float_spec(nf)
-    for m1, m2 in zip(moved.c, canonical.c):
-        for r1, r2 in zip(m1, m2):
-            for x, y in zip(r1, r2):
-                assert x == pytest.approx(y, abs=1e-9)
-    for r1, r2 in zip(moved.omega, canonical.omega):
-        for x, y in zip(r1, r2):
-            assert x == pytest.approx(y, abs=1e-9)
+    assert all(type(x) is float for x in flat(nf.transform))
+    moved = dense_transport(([[[float(x) for x in r] for r in m] for m in spec.c],
+                             [[float(x) for x in r] for r in spec.omega]), nf.transform)
+    p = nf.parameter
+    canonical = eps_reconstruct(((1.0, 0, 0), (0, 1.0, 0), (0, 0, -1.0)), (0, 0, p), (0, 0, 2 * p))
+    for x, y in zip(flat(moved), flat(canonical)):
+        assert x == pytest.approx(y, abs=1e-9)
 
 
 def test_classify_certificates_are_transport_invariant():
@@ -371,4 +367,9 @@ def test_public_api_resolves_without_test_only_names():
     assert not hasattr(AlgebraSpec, "astype_float")
     assert not any(hasattr(module, name) for module in (omegalie.decomp3d, omegalie.tensor_core)
                    for name in ("dual_c", "adjugate"))
+    assert not hasattr(omegalie, "ExactnessError") and "ExactnessError" not in omegalie.__all__
+    assert not hasattr(omegalie.io_cli, "ExactnessError")
+    assert not any(hasattr(AlgebraSpec, name) for name in ("zero_value", "c_at", "omega_at"))
+    assert not hasattr(AlgebraSpec.zero(3), "zero_value")
+    assert not hasattr(omegalie.tensor_core, "_field")
     assert "canonical" not in {f.name for f in dataclasses.fields(NormalForm)}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from omegalie import (AlgebraSpec, Matrix, NabTriple, decompose, forced_b,
                       generate, reconstruct, residual, t_vector)
-from oracles import (dual_c, eps_decompose, eps_dual_c, eps_reconstruct,
+from oracles import (dual_c, eps_decompose, eps_dual_c, eps_reconstruct, flat,
                      forced_omega)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
@@ -75,12 +75,13 @@ def test_canonical_commutation_relations():
         s = generate(label, p)
         n = nd
         a = tuple(x * (p if parametric else 1) for x in apat)
-        assert (s.c_at(1, 1, 2), s.c_at(2, 1, 2), s.c_at(3, 1, 2)) == (-a[1], a[0], n[2])
-        assert (s.c_at(1, 3, 1), s.c_at(2, 3, 1), s.c_at(3, 3, 1)) == (a[2], n[1], -a[0])
-        assert (s.c_at(1, 2, 3), s.c_at(2, 2, 3), s.c_at(3, 2, 3)) == (n[0], -a[2], a[1])
-        assert s.omega_at(1, 2) == -2 * n[2] * a[2]
-        assert s.omega_at(3, 1) == -2 * n[1] * a[1]
-        assert s.omega_at(2, 3) == -2 * n[0] * a[0]
+        # s.c[k][i][j] is the e_(k+1) component of [e_(i+1), e_(j+1)]
+        assert tuple(m[0][1] for m in s.c) == (-a[1], a[0], n[2])
+        assert tuple(m[2][0] for m in s.c) == (a[2], n[1], -a[0])
+        assert tuple(m[1][2] for m in s.c) == (n[0], -a[2], a[1])
+        assert s.omega[0][1] == -2 * n[2] * a[2]
+        assert s.omega[2][0] == -2 * n[1] * a[1]
+        assert s.omega[1][2] == -2 * n[0] * a[0]
 
 
 def test_dual_c_of_type_ii():
@@ -99,8 +100,8 @@ def test_decompose_type_v():
 def test_reconstruct_vi_x_omega():
     trip = NabTriple(Matrix.diagonal((1, -1, 0)), (1, 0, 0), (-2, 0, 0))
     s = reconstruct(trip)
-    assert s.omega_at(2, 3) == -2
-    assert s.omega_at(1, 2) == 0 and s.omega_at(3, 1) == 0
+    assert s.omega[1][2] == -2
+    assert s.omega[0][1] == 0 and s.omega[2][0] == 0
 
 
 def test_round_trips_on_random_data():
@@ -161,13 +162,9 @@ def nested(x):
     return [nested(y) for y in x] if isinstance(x, (tuple, list)) else x
 
 
-def flat(x):
-    return [z for y in x for z in flat(y)] if isinstance(x, (tuple, list)) else [x]
-
-
 def test_dictionary_matches_eps_sums():
     # the cyclic-index kernels against the 27-term Levi-Civita sums, on
-    # skew c and omega with int, Fraction and float entries
+    # skew c and omega built from int and Fraction entries
     rng = random.Random(26)
     for _ in range(60):
         c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
@@ -179,11 +176,9 @@ def test_dictionary_matches_eps_sums():
             w = rng.choice((0, rng.randint(-9, 9)))
             om[j][k], om[k][j] = w, -w
         den = rng.randint(1, 4)
-        for kind, conv in (("int", int), ("fraction", lambda x: Fraction(x, den)),
-                           ("float", float)):
+        for kind, conv in (("int", int), ("fraction", lambda x: Fraction(x, den))):
             spec = AlgebraSpec(3, [[[conv(x) for x in r] for r in p] for p in c],
                                [[conv(x) for x in r] for r in om])
-            want = float if kind == "float" else Fraction
             cm = dual_c(spec.c)
             assert nested(cm.rows) == eps_dual_c(spec.c)
             trip = decompose(spec)
@@ -200,7 +195,7 @@ def test_dictionary_matches_eps_sums():
                 nested(raw.n.rows), raw.a, raw.b)
             for out in (cm.rows, trip.n.rows, trip.a, trip.b, rebuilt.c, rebuilt.omega,
                         from_raw.c, from_raw.omega):
-                assert {type(x) for x in flat(out)} == {want}, kind
+                assert {type(x) for x in flat(out)} == {Fraction}, kind
 
 
 def test_decompose_requires_dim3():

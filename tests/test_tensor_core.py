@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from omegalie import (Inertia, Matrix, SingularMatrixError,
                       congruence_diagonalize, invert, rational)
-from oracles import (adjugate, descartes_inertia, float_matrix, inertia,
-                     perm_adjugate, perm_det, scale)
+from oracles import (adjugate, descartes_inertia, inertia, perm_adjugate,
+                     perm_det, scale)
 
 rationals = st.fractions(min_value=-60, max_value=60, max_denominator=9)
 
@@ -66,11 +66,9 @@ def test_matrix_is_immutable():
         m.rows = ()
 
 
-def test_matrix_symmetry_and_float_view():
+def test_matrix_symmetry():
     assert Matrix(((0, 1), (1, 0))).is_symmetric()
     assert not Matrix(((0, 1), (2, 0))).is_symmetric()
-    f = float_matrix(Matrix(((Fraction(1, 2), 0), (0, 1))))
-    assert f[0][0] == 0.5 and isinstance(f[0][0], float)
 
 
 def test_apply_requires_matching_length():
@@ -128,6 +126,7 @@ def test_kernels_divide_exactly_on_int_entries():
             Matrix(((0, 1, 0), (1, 0, 0), (0, 0, 1))), Matrix(((1, 2, 3), (0, 1, 4), (5, 6, 0))),
             Matrix(((1, 2, 3), (2, 4, 6), (0, 1, 1)))]
     for m in ints:
+        assert entry_types(m) == {Fraction}, m  # construction converts the ints
         assert type(m.det()) is Fraction, m
         assert entry_types(adjugate(m)) == {Fraction}, m
         if m.det() != 0:
@@ -135,11 +134,6 @@ def test_kernels_divide_exactly_on_int_entries():
             assert m @ invert(m) == Matrix.identity(m.dim)
     assert Matrix(((2, 1), (1, 1))).det() == 1
     assert type(Matrix(((0, 1), (0, 1))).det()) is Fraction
-    floats = Matrix(((2.0, 1.0), (1.0, 1.0)))
-    assert type(floats.det()) is float
-    assert entry_types(invert(floats)) == {float}
-    assert entry_types(adjugate(floats)) == {float}
-    assert entry_types(adjugate(Matrix(((5.0,),)))) == {float}
 
 
 # --- congruence diagonalization and inertia -----------------------------
