@@ -13,9 +13,11 @@ and the continuous parameters are decided in exact rational arithmetic:
 
 ``classify`` decomposes once, diagonalizes n = p diag(d) p^T once and reads
 the invariants off (d, p^T a).  Every reduction stage acts on one frame
-(d, a, P, det P) by index.  The exact head (sign sorting, shears, gauge
-swap, scalings, and rational Cayley and null boosts) runs in Fractions and
-its P is certified by Fraction equality; the float tail is a 3x3 Q on that
+(d, a, P) by index.  The exact head (sign sorting, shears, gauge swap,
+scalings, and rational Cayley and null boosts) runs on ints, each vector an
+int list over one denominator, and certifies P by cross-multiplied integer
+equalities; Fractions come in with the decomposition and go out as
+``exact_transform`` and the parameter.  The float tail is a 3x3 Q on that
 frame.  The transform is P Q, and ``transform_error`` checks Q.
 
 VI_y and every VIII_na parameter are not orbits of their own: both report
@@ -211,14 +213,15 @@ _AZERO_LABELS = {(0, 0, 3): "I", (1, 0, 2): "II", (1, 1, 1): "VI0",
 
 
 def _discrete_classify(d, a):
-    """Label, squared parameter and exact certificates, read off n = p diag(d) p^T, a = p^T a."""
+    """Label, squared parameter (num, den) and certificates, read off n = p diag(d) p^T, a = p^T a."""
+    (d, dd), (a, ad) = d, a
     inert = Inertia.of_diagonal(d)
     praw, qraw = inert.positive, inert.negative
     canon = Inertia(max(praw, qraw), min(praw, qraw), inert.zero)
     rank = canon.rank
     a_zero = all(x == 0 for x in a)
     kernel_only = (not a_zero) and all(x * y == 0 for x, y in zip(d, a))
-    qf = sum(x * y * y for x, y in zip(d, a))
+    qf = _form(d, a)  # a^T n a times dd ad^2 > 0
     if a_zero:
         causal = "zero"
     elif kernel_only:
@@ -233,6 +236,7 @@ def _discrete_classify(d, a):
         qc = -qf if flip else qf
         causal = "spacelike" if qc > 0 else ("timelike" if qc < 0 else "null")
 
+    # each ratio below is the invariant times (ad / dd)^2
     param2 = None
     if a_zero:
         label = _AZERO_LABELS[canon.as_tuple()]
@@ -244,9 +248,9 @@ def _discrete_classify(d, a):
         if kernel_only:
             # a x a = rho adjugate(n), a full orbit invariant; a = a_k p^-T e_k
             # and adjugate(n) = d_i d_j (p^-T e_k)(p^-T e_k)^T, k the zero of d
-            rho = sum(x * x for x in a) / math.prod(x for x in d if x)
+            rho = (sum(x * x for x in a), math.prod(x for x in d if x))
             if canon.as_tuple() == (1, 1, 1):
-                label, param2 = "VI_a", -rho
+                label, param2 = "VI_a", (-rho[0], rho[1])
             else:
                 label, param2 = "VII_a", rho
         elif canon.as_tuple() == (1, 1, 1):
@@ -254,17 +258,19 @@ def _discrete_classify(d, a):
         else:
             label = "VII_x"
     else:
-        r = qf / math.prod(d)
+        det = math.prod(d)  # r = qf / det
         if canon.as_tuple() == (3, 0, 0):
-            label, param2 = "IX_a", r
-        elif r > 0:
-            label, param2 = "VIII_a", r
-        elif r < 0:
-            label, param2 = "VIII_xa", -r
+            label, param2 = "IX_a", (qf, det)
+        elif qf * det > 0:
+            label, param2 = "VIII_a", (qf, det)
+        elif qf * det < 0:
+            label, param2 = "VIII_xa", (-qf, det)
         else:
             label = "VIII_na"
-    if param2 is not None and param2 <= 0:
-        raise AssertionError(f"parameter invariant lost positivity for {label}: {param2}")
+    if param2 is not None:
+        param2 = (param2[0] * dd * dd, param2[1] * ad * ad)
+        if param2[0] * param2[1] <= 0:
+            raise AssertionError(f"parameter invariant lost positivity for {label}: {param2}")
     return label, param2, ExactCertificates(canon, a_zero, causal)
 
 
@@ -272,9 +278,34 @@ def _discrete_classify(d, a):
 # canonical basis transform
 
 
-# A frame (d, a, cols, det): n = diag(d) and a in the current basis, cols[j]
-# its j-th vector in the starting coordinates (column j of P), det = det(P).
-# A basis change e'_j = Q[q][j] e_q sends n to det(Q) Q^-1 n Q^-T, a to Q^T a.
+# A frame (d, a, cols): n = diag(d) and a in the current basis, cols[j] its
+# j-th vector in the starting coordinates (column j of P), each a rational vector
+# (nums, den): ints over one positive denominator, in lowest terms.  A basis
+# change e'_j = Q[q][j] e_q sends n to det(Q) Q^-1 n Q^-T, a to Q^T a.
+
+
+def _join(pairs):
+    # the rational vector of the (num, den) pairs: one denominator, one gcd
+    lcm = math.lcm(*(m for _, m in pairs))
+    nums = [x * (lcm // m) for x, m in pairs]
+    g = math.gcd(*nums, lcm)
+    return [x // g for x in nums], lcm // g
+
+
+def _rvec(xs):
+    # the Fractions xs as one rational vector
+    return _join([(x.numerator, x.denominator) for x in xs])
+
+
+def _form(d, v):
+    # B(v, v) = v^T diag(d) v, preserved by every stabiliser of n
+    return sum(x * y * y for x, y in zip(d, v))
+
+
+def _half_log2(num, den) -> int:
+    # half the bit-length difference of num / den in lowest terms, rounded down
+    g = math.gcd(num, den)
+    return ((num // g).bit_length() - (den // g).bit_length()) // 2
 
 
 def _parity(order) -> int:
@@ -284,16 +315,209 @@ def _parity(order) -> int:
 
 def _permute(frame, order, signs):
     # e'_j = signs[j] e_order[j]; n stays diagonal with d'_j = det(Q) d_order[j]
-    d, a, cols, det = frame
+    (d, dd), (a, ad), cols = frame
     q = _parity(order) * signs[0] * signs[1] * signs[2]
-    return ([q * d[o] for o in order],
-            [sg * a[o] for o, sg in zip(order, signs)],
-            [[sg * x for x in cols[o]] for o, sg in zip(order, signs)],
-            q * det)
+    return (([q * d[o] for o in order], dd), ([sg * a[o] for o, sg in zip(order, signs)], ad),
+            [([sg * x for x in cols[o][0]], cols[o][1]) for o, sg in zip(order, signs)])
 
 
-def _scale(frame, lams):
-    # e'_i = lams[i] e_i; d'_i = det(Q) d_i / lams[i]^2
+def _scale(frame, nums, dens=(1, 1, 1)):
+    # e'_i = lam_i e_i, lam_i = nums[i] / dens[i]; d'_i = det(Q) d_i / lam_i^2
+    (d, dd), (a, ad), cols = frame
+    qn, qd = math.prod(nums), math.prod(dens)
+    return (_join([(qn * x * m * m, qd * dd * k * k) for x, k, m in zip(d, nums, dens)]),
+            _join([(k * x, m * ad) for x, k, m in zip(a, nums, dens)]),
+            [_join([(k * x, m * s) for x in col]) for (col, s), k, m in zip(cols, nums, dens)])
+
+
+def _recombine(frame, new):
+    # e'_m = sum of k e_q / den over (q, k) in terms, (terms, den) = new[m], the
+    # others stay; Q has determinant 1 and fixes n (Q^-1 n Q^-T = n), so d stays
+    d, (a, ad), cols = frame
+    a2, cols2 = [(x, ad) for x in a], list(cols)
+    for m, (terms, den) in new.items():
+        a2[m] = (sum(k * a[q] for q, k in terms), den * ad)
+        lcm = math.lcm(*(cols[q][1] for q, _ in terms))
+        cols2[m] = _join([(sum(k * (lcm // cols[q][1]) * cols[q][0][r] for q, k in terms),
+                           den * lcm) for r in range(3)])
+    return d, _join(a2), cols2
+
+
+def _sort_signs(frame):
+    # positives, then negatives, then zeros; an odd order negates the last
+    # new vector, so det = +1 and the diagonal of n just permutes
+    d = frame[0][0]
+    order = sorted(range(3), key=lambda i: 0 if d[i] > 0 else (1 if d[i] < 0 else 2))
+    if order == [0, 1, 2]:
+        return frame
+    return _permute(frame, order, (1, 1, _parity(order)))
+
+
+def _plane_map(frame, f, g, tf, tg, den):
+    # T = I + sum over v of (T v - v) (diag(d) v)^T / B(v, v), T v = tv . (f, g) / den
+    # for int vectors f and g: e'_m = e_m + sum over v, q of w_vm d_q v_q e_q / (den B(v, v)),
+    # w_vm = den (T v - v)_m, over the one denominator den B(f, f) B(g, g)
+    d = frame[0][0]
+    bf, bg = _form(d, f), _form(d, g)
+    ws = [[c * x + e * y - den * t for x, y, t in zip(f, g, v)]
+          for v, (c, e) in ((f, tf), (g, tg))]
+    return _recombine(frame, {
+        m: ([(q, (m == q) * den * bf * bg + (wf * f[q] * bg + wg * g[q] * bf) * d[q])
+             for q in range(3)], den * bf * bg)
+        for m, (wf, wg) in enumerate(zip(*ws)) if wf or wg})
+
+
+def _boost(frame):
+    """The boost of VI_x, VIII_a or VIII_xa that zeroes the smaller part of a,
+    done exactly.  With a = f + g on the positive and negative d_i, f the
+    larger (p, q = B(f, f), B(g, g)), the Cayley boost T f = ((1 - u) f -
+    2 s g / q) / (1 + u), T g = (2 s f / p + (1 - u) g) / (1 + u), u = s^2 / (p q),
+    zeroes g at s = q / (1 + sqrt(1 + q / p)).  A root rounded up keeps s
+    rational and leaves T a = alpha f + beta g, 0 < beta |g| of about
+    2^-55 |T a| at any cosh^2 = p / (p + q): the float tail's VIII_a rotation
+    then reads g's own direction off a.  With that root r / k and w = r + k, the
+    coefficients are ints over p w^2 + q k^2 and depend on q / p alone."""
+    d, a = frame[0][0], frame[1][0]
+    f, g = ([x if y > 0 else 0 for x, y in zip(a, d)], [x if y < 0 else 0 for x, y in zip(a, d)])
+    p, q = _form(d, f), _form(d, g)
+    if p + q < 0:
+        f, g, p, q = g, f, q, p
+    if q == 0:
+        return frame
+    r, k = _root(p + q, p, up=True)
+    w = r + k
+    c = p * w * w - q * k * k
+    return _plane_map(frame, f, g, (c, -2 * p * k * w), (2 * q * k * w, c), p * w * w + q * k * k)
+
+
+def _null_boost(frame):
+    """Scale the null a of VIII_na by 2^-k, r = |a_3| / sqrt(d_1 d_2) into
+    [1/2, 2): the float boost from (r, 0, r) to (1, 0, 1) loses about
+    r^2 2^-53.  With b = e_3 - a / (2 a_3) null too, a -> lam a, b -> b / lam
+    is a rational boost of the plane of a +- b, here of 2 a_3 (a +- b) on
+    a's integer entries."""
+    (d, dd), (a, ad) = frame[0], frame[1]
+    k = _half_log2(a[2] * a[2] * dd * dd, ad * ad * d[0] * d[1])
+    if k == 0:
+        return frame
+    n, m = (1, 1 << k) if k > 0 else (1 << -k, 1)  # lam = n / m = 2^-k
+    b = (-a[0], -a[1], a[2])  # 2 a_3 b
+    f, g = ([2 * a[2] * x + sg * ad * y for x, y in zip(a, b)] for sg in (1, -1))
+    ch, sh = n * n + m * m, n * n - m * m  # 2 n m cosh and sinh of the boost
+    return _plane_map(frame, f, g, (ch, sh), (sh, ch), 2 * n * m)
+
+
+def _exact_stages(frame, label: str):
+    """The exact head: P diag(d) P^T = det(P) n, P^T a_input = a, nonzero |d_i| in [1/2, 4)."""
+    frame = _sort_signs(frame)
+    if sum((x > 0) - (x < 0) for x in frame[0][0]) < 0:  # more negatives than positives
+        frame = _sort_signs(_scale(frame, (1, 1, -1)))  # determinant -1 flips every sign of n
+
+    a, ad = frame[1]
+    if label == "V":
+        i0 = max(range(3), key=lambda i: abs(a[i]))
+        others = [j for j in range(3) if j != i0]
+        sign = _parity(others + [i0])
+        new = {m: (((j, a[i0]), (i0, -a[j])), a[i0]) for m, j in enumerate(others)}
+        new[2] = (((i0, sign),), 1)
+        # a -> (0, 0, 1); n = 0 is unconstrained
+        frame = _scale(_recombine(frame, new), (1, 1, sign * ad), (1, 1, a[i0]))
+    elif label == "IV":
+        a2, a3 = a[1], a[2]
+        if a3 != 0:
+            new = {1: (((1, a3), (2, -a2)), ad), 2: (((2, ad),), a3)}
+        else:
+            new = {1: (((2, -a2),), ad), 2: (((1, ad),), a2)}
+        frame = _recombine(frame, new)  # unimodular on the kernel plane: (a2, a3) -> (0, 1)
+    elif label == "IV_x":
+        a1 = a[0]
+        frame = _recombine(frame, {1: (((1, a1), (0, -a[1])), a1), 2: (((2, a1), (0, -a[2])), a1)})
+        frame = _scale(frame, (ad, ad, 1), (a1, a1, 1))
+    elif label in ("VI_a", "VII_a"):
+        if a[2] < 0:
+            frame = _scale(frame, (1, -1, -1))
+    elif label in ("VI_x", "VI_n", "VII_x"):
+        if a[2] != 0:  # shear the kernel component away along the larger entry
+            src = 0 if abs(a[0]) >= abs(a[1]) else 1
+            frame = _recombine(frame, {2: (((2, a[src]), (src, -a[2])), a[src])})
+        d, a = frame[0][0], frame[1][0]
+        if label == "VI_x" and _form(d, a) < 0:
+            frame = _permute(frame, (1, 0, 2), (1, 1, 1))  # VI_y -> VI_x gauge
+        if label == "VI_n" and a[0] * a[1] < 0:
+            frame = _scale(frame, (1, -1, -1))
+    elif label in ("VIII_a", "VIII_na") and a[2] < 0:
+        frame = _scale(frame, (1, -1, -1))
+    if label == "VIII_na":
+        frame = _null_boost(frame)
+    elif label in ("VI_x", "VIII_a", "VIII_xa"):
+        frame = _boost(frame)
+    # e_i -> 2^(k_i - K) e_i, K the sum of the k_i, sends d_i to d_i / 4^k_i
+    d, dd = frame[0]
+    ks = [_half_log2(x, dd) if x else 0 for x in d]
+    if any(ks):
+        es = [k - sum(ks) for k in ks]
+        frame = _scale(frame, [1 << max(e, 0) for e in es], [1 << max(-e, 0) for e in es])
+    a, ad = frame[1]  # the last rescalings of a that keep d, as far as they are rational
+    if label == "IV":
+        frame = _scale(frame, (ad, 1, ad), (a[2], 1, a[2]))
+    elif label in ("VI_x", "VI_n", "VII_x"):
+        m = max(abs(a[0]), abs(a[1]))
+        frame = _scale(frame, (ad, ad, 1), (m, m, 1))
+    return frame
+
+
+def _certify(frame, trip: NabTriple, label: str):
+    """Integer equality of P diag(d) P^T = det(P) n, with det(P) read off the
+    columns, and of P^T a = a_frame, both cross-multiplied (with b forced,
+    they carry the input onto the frame), and the row's sign patterns of d
+    and of a on ker n."""
+    (d, dd), (af, ad), cols = frame
+    (nv, nden), (av, aden) = _rvec(x for r in trip.n.rows for x in r), _rvec(trip.a)
+    c, s = zip(*cols)
+    det = sum(c[0][i] * (c[1][i - 2] * c[2][i - 1] - c[1][i - 1] * c[2][i - 2]) for i in range(3))
+    prod = s[0] * s[1] * s[2]  # det(P) = det / prod; below, times prod^2 dd nden
+    t = [x * (prod // y) ** 2 * nden for x, y in zip(d, s)]
+    nd, apat, _ = _TABLE[label]
+    if (any(sum(c[k][i] * t[k] * c[k][j] for k in range(3)) != det * prod * dd * nv[3 * i + j]
+            for i in range(3) for j in range(i, 3))
+            or any(ad * sum(x * y for x, y in zip(col, av)) != y * sk * aden
+                   for col, sk, y in zip(c, s, af))
+            or tuple((x > 0) - (x < 0) for x in d) != nd
+            or any((af[i] != 0) != (apat[i] != 0) for i in range(3) if d[i] == 0)):
+        raise AssertionError(f"the exact reduction to {label} failed its certificate")
+
+
+def _exact_head(trip: NabTriple):
+    """Label, squared parameter, certificates and the certified frame of trip."""
+    p, d, det = congruence_diagonalize(trip.n)
+    av, aden = _rvec(trip.a)
+    cols = [_rvec(col) for col in zip(*p.rows)]
+    a = _join([(sum(x * y for x, y in zip(col, av)), s * aden) for col, s in cols])
+    d, dd = _rvec(d)
+    label, param2, certs = _discrete_classify((d, dd), a)
+    frame = _exact_stages((([det * x for x in d], dd), a, cols), label)
+    _certify(frame, trip, label)
+    return label, param2, certs, frame
+
+
+def _root(num: int, den: int, up: bool = False) -> tuple:
+    # sqrt(num / den) at any magnitude as a dyadic (root, den) of >= 55 bits:
+    # with a sticky bit, so that its float is the correctly rounded root, or,
+    # for up, strictly above the root
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    num, den = num // g, den // g
+    s = (113 - num.bit_length() + den.bit_length()) // 2
+    q, rem = divmod(num << 2 * s, den) if s >= 0 else divmod(num, den << -2 * s)
+    root = math.isqrt(q)
+    if up:
+        root += 1
+    elif rem or root * root != q:
+        root |= 1
+    return (root, 1 << s) if s >= 0 else (root << -s, 1)
+
+
+def _float_scale(frame, lams):
+    # _scale on a float frame (d, a, cols, det) of the tail, which tracks det
     d, a, cols, det = frame
     q = lams[0] * lams[1] * lams[2]
     return ([q * x / (lam * lam) if x else x for x, lam in zip(d, lams)],
@@ -302,9 +526,8 @@ def _scale(frame, lams):
             q * det)
 
 
-def _recombine(frame, new):
-    # e'_m = sum of coef e_q over (q, coef) in new[m], the others stay; Q has
-    # determinant 1 and fixes n (Q^-1 n Q^-T = n), so d and det are unchanged
+def _float_recombine(frame, new):
+    # e'_m = sum of coef e_q over (q, coef) in new[m] on a float frame
     d, a, cols, det = frame
     a2, cols2 = list(a), list(cols)
     for m, terms in new.items():
@@ -319,184 +542,27 @@ def _plane(i, j, c, s, t):
     return {i: ((i, c), (j, s)), j: ((i, t), (j, c))}
 
 
-def _sort_signs(frame):
-    # positives, then negatives, then zeros; an odd order negates the last
-    # new vector, so det = +1 and the diagonal of n just permutes
-    d = frame[0]
-    order = sorted(range(3), key=lambda i: 0 if d[i] > 0 else (1 if d[i] < 0 else 2))
-    if order == [0, 1, 2]:
-        return frame
-    return _permute(frame, order, (1, 1, _parity(order)))
-
-
-def _form(d, x, y):
-    # B(x, y) = x^T diag(d) y on covectors, preserved by every stabiliser of n
-    return sum(u * v * w for u, v, w in zip(d, x, y) if v and w)
-
-
-def _plane_map(frame, f, g, tf, tg):
-    # T = I + sum over v of (T v - v) (diag(d) v)^T / B(v, v), T v = tv . (f, g):
-    # e'_m = e_m + sum over v of (T v - v)_m z_v, z_v = sum of (d v)_q e_q / B(v, v)
-    d, a, cols, det = frame
-    a2, cols2 = list(a), list(cols)
-    for v, (c, e) in ((f, tf), (g, tg)):
-        bv = _form(d, v, v)
-        phi = [(q, x * y / bv) for q, (x, y) in enumerate(zip(d, v)) if y]
-        za = sum(w * a[q] for q, w in phi)
-        z = [sum(w * cols[q][r] for q, w in phi) for r in range(3)]
-        for m, (x, y, t) in enumerate(zip(f, g, v)):
-            w = c * x + e * y - t if x or y else 0
-            if w:
-                a2[m] = a2[m] + w * za
-                cols2[m] = [u + w * zr for u, zr in zip(cols2[m], z)]
-    return d, a2, cols2, det
-
-
-def _boost(frame):
-    """The boost of VI_x, VIII_a or VIII_xa that zeroes the smaller part of a,
-    done exactly.  With a = f + g on the positive and negative d_i, f the
-    larger (p, q = B(f, f), B(g, g)), the Cayley boost T f = ((1 - u) f -
-    2 s g / q) / (1 + u), T g = (2 s f / p + (1 - u) g) / (1 + u), u = s^2 / (p q),
-    zeroes g at s = q / (1 + sqrt(1 + q / p)).  A root rounded up keeps s
-    rational and leaves T a = alpha f + beta g, 0 < beta |g| of about
-    2^-55 |T a| at any cosh^2 = p / (p + q): the float tail's VIII_a rotation
-    then reads g's own direction off a."""
-    d, a = frame[0], frame[1]
-    f, g = ([x if y > 0 else 0 for x, y in zip(a, d)], [x if y < 0 else 0 for x, y in zip(a, d)])
-    p, q = _form(d, f, f), _form(d, g, g)
-    if p + q < 0:
-        f, g, p, q = g, f, q, p
-    if q == 0:
-        return frame
-    s = q / (1 + _root(1 + q / p, up=True))
-    u = s * s / (p * q)
-    c = (1 - u) / (1 + u)
-    return _plane_map(frame, f, g, (c, -2 * s / (q * (1 + u))), (2 * s / (p * (1 + u)), c))
-
-
-def _null_boost(frame):
-    """Scale the null a of VIII_na by 2^-k, r = |a_3| / sqrt(d_1 d_2) into
-    [1/2, 2): the float boost from (r, 0, r) to (1, 0, 1) loses about
-    r^2 2^-53.  With b = e_3 - a / (2 a_3) null too, a -> lam a, b -> b / lam
-    is a rational boost of the plane of a +- b."""
-    d, a = frame[0], frame[1]
-    r2 = a[2] * a[2] / (d[0] * d[1])
-    k = (r2.numerator.bit_length() - r2.denominator.bit_length()) // 2
-    if k == 0:
-        return frame
-    lam = Fraction(2) ** -k
-    b = [-x / (2 * a[2]) for x in a]
-    b[2] += 1
-    ch, sh = (lam + 1 / lam) / 2, (lam - 1 / lam) / 2
-    return _plane_map(frame, [x + y for x, y in zip(a, b)], [x - y for x, y in zip(a, b)],
-                      (ch, sh), (sh, ch))
-
-
-def _exact_stages(frame, label: str):
-    """The exact head: P diag(d) P^T = det(P) n, P^T a_input = a, nonzero |d_i| in [1/2, 4)."""
-    frame = _sort_signs(frame)
-    if sum((x > 0) - (x < 0) for x in frame[0]) < 0:  # more negatives than positives
-        frame = _sort_signs(_scale(frame, (1, 1, -1)))  # determinant -1 flips every sign of n
-
-    a = frame[1]
-    if label == "V":
-        i0 = max(range(3), key=lambda i: abs(a[i]))
-        others = [j for j in range(3) if j != i0]
-        sign = _parity(others + [i0])
-        new = {m: ((j, 1), (i0, -a[j] / a[i0])) for m, j in enumerate(others)}
-        new[2] = ((i0, sign),)
-        # a -> (0, 0, 1); n = 0 is unconstrained
-        frame = _scale(_recombine(frame, new), (1, 1, sign / a[i0]))
-    elif label == "IV":
-        a2, a3 = a[1], a[2]
-        if a3 != 0:
-            new = {1: ((1, a3), (2, -a2)), 2: ((2, 1 / a3),)}
-        else:
-            new = {1: ((2, -a2),), 2: ((1, 1 / a2),)}
-        frame = _recombine(frame, new)  # unimodular on the kernel plane: (a2, a3) -> (0, 1)
-    elif label == "IV_x":
-        a1 = a[0]
-        frame = _recombine(frame, {1: ((1, 1), (0, -a[1] / a1)), 2: ((2, 1), (0, -a[2] / a1))})
-        frame = _scale(frame, (1 / a1, 1 / a1, 1))
-    elif label in ("VI_a", "VII_a"):
-        if a[2] < 0:
-            frame = _scale(frame, (1, -1, -1))
-    elif label in ("VI_x", "VI_n", "VII_x"):
-        if a[2] != 0:  # shear the kernel component away along the larger entry
-            src = 0 if abs(a[0]) >= abs(a[1]) else 1
-            frame = _recombine(frame, {2: ((2, 1), (src, -a[2] / a[src]))})
-        d, a = frame[0], frame[1]
-        if label == "VI_x" and sum(d[i] * a[i] * a[i] for i in range(3)) < 0:
-            frame = _permute(frame, (1, 0, 2), (1, 1, 1))  # VI_y -> VI_x gauge
-        if label == "VI_n" and a[0] * a[1] < 0:
-            frame = _scale(frame, (1, -1, -1))
-    elif label in ("VIII_a", "VIII_na") and a[2] < 0:
-        frame = _scale(frame, (1, -1, -1))
-    if label == "VIII_na":
-        frame = _null_boost(frame)
-    elif label in ("VI_x", "VIII_a", "VIII_xa"):
-        frame = _boost(frame)
-    # e_i -> 2^(k_i - K) e_i, K the sum of the k_i, sends d_i to d_i / 4^k_i
-    ks = [(abs(x.numerator).bit_length() - x.denominator.bit_length()) // 2 if x else 0
-          for x in frame[0]]
-    if any(ks):
-        frame = _scale(frame, [Fraction(2) ** (k - sum(ks)) for k in ks])
-    a = frame[1]  # the last rescalings of a that keep d, as far as they are rational
-    if label == "IV":
-        frame = _scale(frame, (1 / a[2], 1, 1 / a[2]))
-    elif label in ("VI_x", "VI_n", "VII_x"):
-        m = max(abs(a[0]), abs(a[1]))
-        frame = _scale(frame, (1 / m, 1 / m, 1))
-    return frame
-
-
-def _certify(frame, n: Matrix, a, label: str):
-    """Fraction equality of P diag(d) P^T = det(P) n, P^T a = a_frame (with b
-    forced, this pins P) and the row's sign patterns of d and of a on ker n."""
-    d, af, cols, det = frame
-    nd, apat, _ = _TABLE[label]
-    if (any(sum(cols[k][i] * d[k] * cols[k][j] for k in range(3)) != det * n[i][j]
-            for i in range(3) for j in range(i, 3))
-            or any(sum(x * y for x, y in zip(col, a)) != y for col, y in zip(cols, af))
-            or tuple((x > 0) - (x < 0) for x in d) != nd
-            or any((af[i] != 0) != (apat[i] != 0) for i in range(3) if d[i] == 0)):
-        raise AssertionError(f"the exact reduction to {label} failed its certificate")
-
-
-def _root(x: Fraction, up: bool = False) -> Fraction:
-    # sqrt(x) at any magnitude as a dyadic rational of >= 55 bits: with a
-    # sticky bit, so that its float is the correctly rounded root, or, for
-    # up, strictly above the root
-    num, den = x.numerator, x.denominator
-    s = (113 - num.bit_length() + den.bit_length()) // 2
-    q, rem = divmod(num << 2 * s, den) if s >= 0 else divmod(num, den << -2 * s)
-    root = math.isqrt(q)
-    if up:
-        root += 1
-    elif rem or root * root != q:
-        root |= 1
-    return Fraction(root, 1 << s) if s >= 0 else Fraction(root << -s)
-
-
 def _float_tail(frame, label: str):
     """The float tail: the float frame (d, a, columns of Q, det Q) that carries
     the exact frame's (d, a), from Q = identity, onto the canonical row."""
-    d_exact, a_exact = frame[0], frame[1]
-    g2 = abs(math.prod((x for x in d_exact if x), start=Fraction(1)))
+    (d_exact, dd), (a_exact, ad) = frame[0], frame[1]
+    nz = [abs(x) for x in d_exact if x]
     # mu_i = sqrt(|d_i|) / g with g = prod sqrt(|d_i|) normalizes n to signs
-    mu = [float(_root((abs(x) if x != 0 else 1) / g2)) for x in d_exact]
-    frame = _scale(([float(x) for x in d_exact], [float(x) for x in a_exact],
-                    [[float(i == j) for i in range(3)] for j in range(3)], 1.0), mu)
+    mu = [x / y for x, y in (_root((abs(v) or dd) * dd ** len(nz), dd * math.prod(nz))
+                             for v in d_exact)]
+    frame = _float_scale(([x / dd for x in d_exact], [x / ad for x in a_exact],
+                          [[float(i == j) for i in range(3)] for j in range(3)], 1.0), mu)
     a = frame[1]
     if label in ("VII_x", "VIII_a", "VIII_xa", "VIII_na") and (a[0] != 0.0 or a[1] != 0.0):
         rho = math.hypot(a[0], a[1])
-        frame = _recombine(frame, _plane(0, 1, a[0] / rho, a[1] / rho, -a[1] / rho))
+        frame = _float_recombine(frame, _plane(0, 1, a[0] / rho, a[1] / rho, -a[1] / rho))
     if label == "IV":
         r = a[2]
-        frame = _scale(frame, (1.0 / r, 1.0, 1.0 / r))
+        frame = _float_scale(frame, (1.0 / r, 1.0, 1.0 / r))
     elif label == "VIII_na":  # the null (r, 0, r) goes to (1, 0, 1) at rapidity -ln r
-        r = float(_root(a_exact[2] * a_exact[2] / (d_exact[0] * d_exact[1])))
-        frame = _recombine(frame, _plane(0, 2, (1 / r + r) / 2, (1 / r - r) / 2, (1 / r - r) / 2))
+        r = _root(a_exact[2] * a_exact[2] * dd * dd, ad * ad * d_exact[0] * d_exact[1])
+        r = r[0] / r[1]
+        frame = _float_recombine(frame, _plane(0, 2, (1 / r + r) / 2, (1 / r - r) / 2, (1 / r - r) / 2))
     elif label == "IX_a":
         norm = math.hypot(*a)  # a squared can leave the float range
         w = tuple(x / norm for x in a)
@@ -509,11 +575,11 @@ def _float_tail(frame, label: str):
         u = [x / un for x in u]
         v = (w[1] * u[2] - w[2] * u[1], w[2] * u[0] - w[0] * u[2], w[0] * u[1] - w[1] * u[0])
         # (u, v, w) is an SO(3) frame
-        frame = _recombine(frame, {0: tuple(enumerate(u)), 1: tuple(enumerate(v)),
-                                   2: tuple(enumerate(w))})
+        frame = _float_recombine(frame, {0: tuple(enumerate(u)), 1: tuple(enumerate(v)),
+                                         2: tuple(enumerate(w))})
     if label in ("VI_n", "VI_x", "VII_x"):
         t = 1.0 / frame[1][0]
-        frame = _scale(frame, (t, t, 1.0))
+        frame = _float_scale(frame, (t, t, 1.0))
     return frame
 
 
@@ -522,7 +588,7 @@ def _tail_error(frame, tail, label: str, parameter) -> float:
     zero iff the float tail Q carries the frame (diag(d), a, b) onto the row."""
     nd, apat, _ = _TABLE[label]
     ac = [x * (1.0 if parameter is None else parameter) for x in apat]
-    d, a = [float(x) for x in frame[0]], [float(x) for x in frame[1]]
+    d, a = ([x / den for x in nums] for nums, den in frame[:2])
     q, det = tail[2], tail[3]  # q[j] is column j of Q
     devs = [sum(q[k][i] * nd[k] * q[k][j] for k in range(3)) - (det * d[i] if i == j else 0.0)
             for i in range(3) for j in range(i, 3)]
@@ -532,11 +598,11 @@ def _tail_error(frame, tail, label: str, parameter) -> float:
     return max(map(abs, devs))
 
 
-def _reported(x) -> float:
-    # a reported float: an x != 0 outside the normal float range is an error;
-    # exact x decide this before any rounding to 0.0 or a subnormal
-    f = float(x)  # OverflowError past the float range
-    if x != 0 and not sys.float_info.min <= abs(f) < math.inf:
+def _reported(num, den: int = 1) -> float:
+    # a reported float num / den: nonzero outside the normal float range is an
+    # error; the exact num decides this before any rounding to 0.0 or a subnormal
+    f = num / den  # OverflowError past the float range
+    if num and not sys.float_info.min <= abs(f) < math.inf:
         raise OverflowError
     return f
 
@@ -556,16 +622,11 @@ def classify(spec: AlgebraSpec) -> NormalForm:
     if any(x != 0 for x in t):
         raise NotAnAlgebraError(t)
 
-    p, d, det = congruence_diagonalize(trip.n)
-    cols = [list(col) for col in zip(*p.rows)]
-    a = [sum(x * y for x, y in zip(col, trip.a)) for col in cols]
-    label, param2, certs = _discrete_classify(d, a)
-    frame = _exact_stages(([det * x for x in d], a, cols, det), label)
-    _certify(frame, trip.n, trip.a, label)
+    label, param2, certs, frame = _exact_head(trip)
     try:
-        parameter = None if param2 is None else _reported(_root(param2))
+        parameter = None if param2 is None else _reported(*_root(*param2))
         tail = _float_tail(frame, label)
-        pf = [[_reported(x) for x in col] for col in frame[2]]  # pf[k][r] = P[r][k]
+        pf = [[_reported(x, s) for x in col] for col, s in frame[2]]  # pf[k][r] = P[r][k]
         transform = tuple(
             tuple(_reported(sum(pf[k][r] * tail[2][j][k] for k in range(3))) for j in range(3))
             for r in range(3))
@@ -580,5 +641,6 @@ def classify(spec: AlgebraSpec) -> NormalForm:
         notes.append(_VIII_NA_COLLAPSE_NOTE)
     if not err <= FLOAT_TOL:
         notes.append(f"canonical transform check exceeded tolerance: max deviation {err:.3e}")
-    return NormalForm(BianchiLabel(label, parameter), Matrix(tuple(zip(*frame[2]))),
+    exact = tuple(tuple(Fraction(col[r], s) for col, s in frame[2]) for r in range(3))
+    return NormalForm(BianchiLabel(label, parameter), Matrix(exact),
                       transform, certs, tuple(notes), err, trip)

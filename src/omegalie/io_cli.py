@@ -332,10 +332,10 @@ def _cmd_classify(args):
 def _parse_param(args):
     if args.param is None:
         return None
-    try:
-        return Fraction(args.param)
-    except (ValueError, ZeroDivisionError):
-        raise _Usage(f"--param must be a rational like 1/2, got {args.param!r}") from None
+    try:  # p or p/q: Fraction() alone takes exponents, numerals of unbounded size
+        return _as_rational(args.param, "--param")
+    except DocumentError as exc:
+        raise _Usage(str(exc)) from None
 
 
 def _cmd_generate(args):

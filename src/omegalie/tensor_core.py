@@ -4,14 +4,15 @@ Everything in this module stays in Q: scalars are ``fractions.Fraction``,
 matrices are immutable row tuples, and congruence diagonalization / inertia
 counting never take square roots.  ``rational`` alone decides the scalar
 type: ``Matrix`` passes every entry through it, so a matrix holds only
-Fractions (ints are converted, floats and bools raise ``TypeError``), and
-``det``, ``invert`` and ``congruence_diagonalize`` divide exactly.
-Classification starts from the ``p`` of ``congruence_diagonalize`` (with
-``Inertia.of_diagonal`` on its diagonal).
+Fractions (ints are converted, floats and bools raise ``TypeError``).
+``det`` and ``invert`` divide exactly; ``congruence_diagonalize`` eliminates
+fraction-free on ints and builds Fractions only for its result, the ``p``
+and diagonal that classification starts from (``Inertia.of_diagonal``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -164,30 +165,27 @@ def congruence_diagonalize(m: Matrix) -> tuple[Matrix, tuple, int]:
     symmetric elimination with swaps and unit shears: p collects their
     inverses as column operations, and det(p) = +-1 is the swap parity.  When
     every remaining diagonal entry vanishes but some off-diagonal entry q,r
-    is nonzero, the split e_q -> e_q + e_r exposes the pivots 2m and -m/2."""
+    is nonzero, the split e_q -> e_q + e_r exposes the pivots 2m and -m/2.
+
+    Fraction-free (Bareiss 1968): for m = a / L, a integer, the trailing block
+    after a pivot b is B / (L b) with B integer (the next step divides exactly
+    by b), and a pivot column of p is an integer vector over its pivot."""
     if not m.is_symmetric():
         raise ValueError("congruence_diagonalize requires a symmetric matrix")
     n = m.dim
-    a = [list(r) for r in m.rows]
-    p = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    det = 1
+    den = math.lcm(*(x.denominator for r in m.rows for x in r))
+    a = [[x.numerator * (den // x.denominator) for x in r] for r in m.rows]
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]  # cols[j]: column j of p
+    dens, d = [1] * n, [Fraction(0)] * n
+    det, prev = 1, 1
 
     def swap(i, j):
         nonlocal det
         a[i], a[j] = a[j], a[i]
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in p:
-            row[i], row[j] = row[j], row[i]
+        cols[i], cols[j] = cols[j], cols[i]
         det = -det
-
-    def add_row(dst, src, f=1):
-        # e_dst -> e_dst + f e_src congruently on a; p: column src -= f column dst
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        for row in a:
-            row[dst] = row[dst] + f * row[src]
-        for row in p:
-            row[src] = row[src] - f * row[dst]
 
     for i in range(n):
         if a[i][i] == 0:
@@ -200,14 +198,24 @@ def congruence_diagonalize(m: Matrix) -> tuple[Matrix, tuple, int]:
                 if pair is None:
                     break  # trailing block is identically zero
                 q, r = pair
-                add_row(q, r)
+                # e_q -> e_q + e_r congruently on a; p: column r -= column q
+                a[q] = [x + y for x, y in zip(a[q], a[r])]
+                for row in a:
+                    row[q] += row[r]
+                cols[r] = [x - y for x, y in zip(cols[r], cols[q])]
                 if q != i:
                     swap(i, q)
-        piv = a[i][i]
-        for q in range(i + 1, n):
-            if a[q][i]:
-                add_row(q, i, -a[q][i] / piv)
-    return Matrix(p), tuple(a[i][i] for i in range(n)), det
+        piv, rest = a[i][i], range(i + 1, n)
+        # e_q -> e_q - (a_qi / piv) e_i for q > i; p: column i += (a_qi / piv) column q
+        cols[i] = [piv * x + sum(a[q][i] * cols[q][k] for q in rest)
+                   for k, x in enumerate(cols[i])]
+        dens[i], d[i] = piv, Fraction(piv, den * prev)
+        for q in rest:
+            a[q][i + 1:] = [(piv * x - a[q][i] * y) // prev
+                            for x, y in zip(a[q][i + 1:], a[i][i + 1:])]
+        prev = piv
+    p = tuple(tuple(Fraction(col[r], s) for col, s in zip(cols, dens)) for r in range(n))
+    return Matrix(p), tuple(d), det
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ Everything here is deliberately naive: permutation expansions for
 determinants, characteristic polynomial + Descartes' rule of signs for
 inertia, direct evaluation of the deformed Jacobi identity on basis
 triples, the dense O(dim^5) component formula of the residual tensor,
-the 27-term Levi-Civita sums of the dimension-3 dictionary and the dense
-basis change of a spec.  Slow but obviously correct, and sharing no code
+the 27-term Levi-Civita sums of the dimension-3 dictionary, the dense
+basis change of a spec and symmetric elimination in Fractions.  Slow but
+obviously correct, and sharing no code
 paths with the package under test (``deformed_identity_holds`` uses the
 library's ``jacobiator`` and ``omega_rhs``, which tests compare against
 ``dense_bracket`` and ``dense_omega``).
@@ -14,8 +15,8 @@ The last section keeps the helpers that only tests call, so they are not
 part of the package's API: basis vectors, matrix scaling, the adjugate,
 inertia, the dual matrix of a dense dim-3 bracket, the forced omega of a
 dim-3 bracket, the compatible omega or None, the brute-force check that
-omega's side of the identity vanishes, and the whole-input float check of
-a classification.
+omega's side of the identity vanishes, the exact witness of a
+classification and its whole-input float check.
 """
 
 from fractions import Fraction
@@ -224,6 +225,53 @@ def dense_transport(spec, p):
     return c_new, om_new
 
 
+def fraction_congruence_diagonalize(m):
+    """(p, d, det(p)) with m = p diag(d) p^T, eliminated in Fractions step by
+    step: the library's ``congruence_diagonalize`` makes the same swaps,
+    splits and shears fraction-free and must return exactly this."""
+    n = m.dim
+    a = [list(r) for r in m.rows]
+    p = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    det = 1
+
+    def swap(i, j):
+        nonlocal det
+        a[i], a[j] = a[j], a[i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in p:
+            row[i], row[j] = row[j], row[i]
+        det = -det
+
+    def add_row(dst, src, f=1):
+        # e_dst -> e_dst + f e_src congruently on a; p: column src -= f column dst
+        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
+        for row in a:
+            row[dst] = row[dst] + f * row[src]
+        for row in p:
+            row[src] = row[src] - f * row[dst]
+
+    for i in range(n):
+        if a[i][i] == 0:
+            cand = next((q for q in range(i + 1, n) if a[q][q] != 0), None)
+            if cand is not None:
+                swap(i, cand)
+            else:
+                pair = next(((q, r) for q in range(i, n) for r in range(q + 1, n)
+                             if a[q][r] != 0), None)
+                if pair is None:
+                    break  # trailing block is identically zero
+                q, r = pair
+                add_row(q, r)
+                if q != i:
+                    swap(i, q)
+        piv = a[i][i]
+        for q in range(i + 1, n):
+            if a[q][i]:
+                add_row(q, i, -a[q][i] / piv)
+    return Matrix(p), tuple(a[i][i] for i in range(n)), det
+
+
 # --- helpers only tests use ---------------------------------------------------
 
 def basis(dim):
@@ -301,6 +349,25 @@ def omega_rhs_is_identically_zero(omega):
                     if val != 0:
                         return False
     return True
+
+
+def exact_witness_holds(trip, nf):
+    """Whether the exact transform P of ``nf`` is all Fractions and carries
+    the decomposition ``trip`` onto the frame of its table row: det(P)
+    P^-1 n P^-T = adj(P) n adj(P)^T / det(P) is diagonal with the row's
+    signs, and on the kernel of n only the row's own components of P^T a
+    survive."""
+    pm = nf.exact_transform
+    if not all(type(x) is Fraction for r in pm.rows for x in r):
+        return False
+    rows = [list(r) for r in pm.rows]
+    adj = Matrix(perm_adjugate(rows))
+    moved_n = scale(adj @ trip.n @ adj.transpose(), 1 / perm_det(rows))
+    d = tuple(moved_n[i][i] for i in range(3))
+    a = pm.transpose().apply(trip.a)
+    nd, apat, _ = table_row(nf.label.name)
+    return (moved_n == Matrix.diagonal(d) and tuple((x > 0) - (x < 0) for x in d) == nd
+            and all((a[i] != 0) == (apat[i] != 0) for i in range(3) if d[i] == 0))
 
 
 def transport_error(spec, nf):

@@ -15,8 +15,8 @@ from omegalie import (AlgebraSpec, BianchiLabel, FloatRangeError, Matrix,
                       PARAMETRIC_LABELS, classify, decompose, forced_b,
                       generate, orbit_sample, reconstruct, t_vector,
                       table_row, transport)
-from oracles import (dense_transport, eps_reconstruct, flat, perm_adjugate,
-                     perm_det, scale, transport_error)
+from oracles import (dense_transport, eps_reconstruct, exact_witness_holds, flat,
+                     transport_error)
 
 ALL_LABELS = ("I", "II", "VI0", "VII0", "VIII", "IX", "V", "IV", "IV_x",
               "VI_a", "VI_x", "VI_y", "VI_n", "VII_a", "VII_x", "VIII_a",
@@ -153,19 +153,7 @@ def test_exact_stages_hand_an_exact_witness_to_the_float_stage():
                 if label in PARAMETRIC_LABELS else None
             spec = orbit_sample(label, p, seed=rng.randrange(2 ** 31))
             nf = classify(spec)
-            pm = nf.exact_transform
-            assert all(type(x) is Fraction for r in pm.rows for x in r), label
-            trip = decompose(spec)
-            rows = [list(r) for r in pm.rows]
-            adj = Matrix(perm_adjugate(rows))
-            moved_n = scale(adj @ trip.n @ adj.transpose(), 1 / perm_det(rows))
-            d = tuple(moved_n[i][i] for i in range(3))
-            assert moved_n == Matrix.diagonal(d), label
-            a = pm.transpose().apply(trip.a)
-            nd, apat, _ = table_row(nf.label.name)
-            assert tuple((x > 0) - (x < 0) for x in d) == nd, label
-            # on the kernel of n only the row's own a components survive
-            assert all((a[i] != 0) == (apat[i] != 0) for i in range(3) if d[i] == 0), label
+            assert exact_witness_holds(decompose(spec), nf), label
             assert nf.transform_error <= 1e-9, (label, nf.transform_error)
 
 
@@ -202,10 +190,44 @@ def rational_basis_changes(draw):
 def test_classification_is_invariant_under_rational_basis_changes(label, p, basis):
     p = p if label in PARAMETRIC_LABELS else None
     base = classify(generate(label, p))
-    nf = classify(transport(generate(label, p), basis))
+    moved = transport(generate(label, p), basis)
+    nf = classify(moved)
     assert nf.label == base.label  # the parameter too: both are the same exact invariant
     assert nf.certificates == base.certificates
+    assert exact_witness_holds(decompose(moved), nf)
     assert nf.transform_error <= 1e-9, nf.transform_error
+
+
+def test_integer_certificate_rejects_every_single_change():
+    # on the final integer frames of rows with rank-2 and rank-3 n, changing
+    # any one integer of P, d or a, or the sign of det(P), breaks an identity
+    # of the certificate
+    for label, p in (("VIII_a", Fraction(3, 2)), ("IX_a", Fraction(2, 5)), ("VI_x", None)):
+        for seed in range(4):
+            trip = decompose(orbit_sample(label, p, seed=seed))
+            name, _, _, frame = omegalie.classify3d._exact_head(trip)
+            assert name == label
+            certify = omegalie.classify3d._certify
+            certify(frame, trip, label)
+            (d, dd), (a, ad), cols = frame
+            mutants = []
+            for k, (col, s) in enumerate(cols):
+                def with_col(new, a=a, k=k):
+                    return (d, dd), (a, ad), [new if j == k else c for j, c in enumerate(cols)]
+                mutants += [with_col(([x + (r == i) for r, x in enumerate(col)], s))
+                            for i in range(3)]
+                mutants.append(with_col((col, 2 * s)))
+                # column k and a_k negated together keep P diag(d) P^T and
+                # P^T a = a_frame; only det(P) changes sign
+                mutants.append(with_col(([-x for x in col], s),
+                                        [-x if j == k else x for j, x in enumerate(a)]))
+            for i in range(3):
+                mutants.append((([x + (r == i) for r, x in enumerate(d)], dd), (a, ad), cols))
+                mutants.append(((d, dd), ([x + (r == i) for r, x in enumerate(a)], ad), cols))
+            assert len(mutants) == 21
+            for mutant in mutants:
+                with pytest.raises(AssertionError, match="failed its certificate"):
+                    certify(mutant, trip, label)
 
 
 def test_classify_at_magnitudes_far_from_1():

@@ -261,6 +261,17 @@ def test_cli_generate_errors_exit_2(capsys):
     assert "--param" in capsys.readouterr().err
 
 
+def test_cli_param_follows_the_document_grammar(capsys):
+    # only 'p' or 'p/q': an exponent form would ask for a numeral of any
+    # size (1e4000000 has four million digits) before anything checks it
+    for value in ("1e4000000", "0.5", "1_000", " 2"):
+        assert run(["generate", "IX_a", "--param", value]) == 2, value
+        err = capsys.readouterr().err
+        assert err.startswith("error: --param: malformed rational"), (value, err)
+    assert run(["generate", "IX_a", "--param", "9" * 5000]) == 2
+    assert "--param: rational has too many digits" in capsys.readouterr().err
+
+
 def test_cli_orbit_sample_deterministic(capsys):
     assert run(["orbit-sample", "IX", "--seed", "7"]) == 0
     first = capsys.readouterr().out

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from omegalie import (Inertia, Matrix, SingularMatrixError,
                       congruence_diagonalize, invert, rational)
-from oracles import (adjugate, descartes_inertia, inertia, perm_adjugate,
-                     perm_det, scale)
+from oracles import (adjugate, descartes_inertia, fraction_congruence_diagonalize,
+                     inertia, perm_adjugate, perm_det, scale)
 
 rationals = st.fractions(min_value=-60, max_value=60, max_denominator=9)
 
@@ -156,6 +156,44 @@ def test_congruence_diagonalize_hollow_matrix():
     assert inertia(m).as_tuple() == (1, 1, 1)
     mixed = Matrix(((0, 1, 0), (1, 0, 0), (0, 0, 1)))
     assert inertia(mixed).as_tuple() == (2, 1, 0)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    # dim 1-5: full, hollow (every diagonal entry 0, so the split runs) or of
+    # rank below dim; denominators up to 10^12, small entries and zeros mixed
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+                      st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 12)))
+    kind = draw(st.sampled_from(("full", "hollow", "low rank")))
+    if kind == "low rank":  # b diag(e) b^T with k < n columns
+        k = draw(st.integers(0, n - 1))
+        b = [[draw(entry) for _ in range(k)] for _ in range(n)]
+        e = [draw(entry) for _ in range(k)]
+        rows = [[sum((b[i][t] * e[t] * b[j][t] for t in range(k)), Fraction(0))
+                 for j in range(n)] for i in range(n)]
+    else:
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + (kind == "hollow"), n):
+                rows[i][j] = rows[j][i] = draw(entry)
+    return kind, Matrix(rows)
+
+
+@given(symmetric_matrices())
+@settings(deadline=None, max_examples=200)
+def test_congruence_diagonalize_matches_the_fraction_reference(drawn):
+    # the fraction-free elimination returns exactly the (p, d, det) of
+    # step-by-step Fraction elimination, with Fraction entries throughout
+    kind, m = drawn
+    p, d, det = congruence_diagonalize(m)
+    assert (p, d, det) == fraction_congruence_diagonalize(m)
+    assert all(type(x) is Fraction for r in p.rows for x in r)
+    assert all(type(x) is Fraction for x in d)
+    assert type(det) is int and det in (1, -1)
+    if kind == "low rank":
+        assert 0 in d
 
 
 def test_congruence_requires_symmetry():
