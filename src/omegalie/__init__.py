@@ -20,7 +20,7 @@ from .classify3d import (FIRST_TABLE_ORDER, PARAMETRIC_LABELS,
                          SECOND_TABLE_ORDER, BianchiLabel, ExactCertificates,
                          FloatRangeError, NormalForm, NotAnAlgebraError,
                          classify, generate, orbit_sample, table_row)
-from .decomp3d import NabTriple, decompose, forced_b, reconstruct, t_vector
+from .decomp3d import NabTriple, decompose, forced_b, reconstruct, t_of, t_vector
 from .decomp_nd import (DeformabilityResult, GeneralSplit,
                         check_deformability, induced_omega, split_trace)
 from .io_cli import DocumentError, document_object, parse, serialize
@@ -40,5 +40,5 @@ __all__ = [
     "forced_b", "generate", "induced_omega", "invert",
     "jacobiator", "omega_rhs", "omega_value", "orbit_sample", "parse",
     "rational", "reconstruct", "residual", "serialize", "split_trace",
-    "t_vector", "table_row", "transport",
+    "t_of", "t_vector", "table_row", "transport",
 ]

@@ -13,6 +13,8 @@ Validity means the deformed Jacobi identity
 
 holds; ``residual`` packages its component form (the antisymmetrized
 quadratic constraint, weight 1/3!) so that validity is ``residual(spec).is_zero``.
+``residual`` adds Fractions, each term reduced locally; ``transport`` sums on
+ints over common denominators, as each of its outputs reads every stored entry.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .tensor_core import Matrix, invert, rational
+from .tensor_core import Matrix, cleared, int_adjugate, rational
 
 # The zero of the dense views and of the kernels' results, which hold
 # Fractions only: every nonzero value is a stored Fraction or a product with one.
@@ -291,13 +293,16 @@ def transport(spec: AlgebraSpec, p: Matrix) -> AlgebraSpec:
     Only the stored c[q][r][s] and omega[w][v] (r < s, w < v) are visited.
     By skewness each meets the 2x2 minor of rows r, s of p,
     p[r][j] p[s][k] - p[s][j] p[r][k], and only the j < k outputs are
-    computed: they are the new store.
+    computed: they are the new store.  On ints, for p = M / m, c = C / lc and
+    omega = W / lw: c' = adj(M) C (M x M) / (lc m det M), omega' = M^T W M / (lw m^2).
     """
     n = spec.dim
     if p.dim != n:
         raise ValueError("transform dimension does not match spec")
-    pinv = invert(p)
-    rows = p.rows
+    rows, m = p.int_rows()
+    adj, det = int_adjugate(rows)
+    cv, lc = cleared(spec.c_upper.values())
+    wv, lw = cleared(spec.omega_upper.values())
     pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
     minors = {}
 
@@ -311,20 +316,22 @@ def transport(spec: AlgebraSpec, p: Matrix) -> AlgebraSpec:
             if x:
                 acc[idx] += v * x
 
-    # u[q][jk] = c[q][r][s] p[r][j] p[s][k], for the q with a nonzero c[q];
+    # u[q][jk] = C[q][r][s] M[r][j] M[s][k], for the q with a nonzero c[q];
     # the store visits each plane's (r, s) in order
     u = {}
-    for (r, s, q), v in spec.c_upper.items():
-        add_minor(u.setdefault(q, [_ZERO] * len(pairs)), r, s, v)
-    om_new = [_ZERO] * len(pairs)
-    for (w, v), x in spec.omega_upper.items():
+    for (r, s, q), v in zip(spec.c_upper, cv):
+        add_minor(u.setdefault(q, [0] * len(pairs)), r, s, v)
+    om_new = [0] * len(pairs)
+    for (w, v), x in zip(spec.omega_upper, wv):
         add_minor(om_new, w, v, x)
     c_new = {}
-    for i, prow in enumerate(pinv.rows):
-        upper = [_ZERO] * len(pairs)
-        for q in sorted(u):
-            f = prow[q]
+    for i, arow in enumerate(adj):
+        upper = [0] * len(pairs)
+        for q, uq in u.items():
+            f = arow[q]
             if f:
-                upper = [x + f * y for x, y in zip(upper, u[q])]
-        c_new.update(((j, k, i), x) for (j, k), x in zip(pairs, upper))
-    return AlgebraSpec._from_upper(n, c_new, dict(zip(pairs, om_new)))
+                upper = [x + f * y for x, y in zip(upper, uq)]
+        c_new.update(((j, k, i), Fraction(x, lc * m * det))
+                     for (j, k), x in zip(pairs, upper) if x)
+    om_new = {jk: Fraction(x, lw * m * m) for jk, x in zip(pairs, om_new) if x}
+    return AlgebraSpec._from_upper(n, c_new, om_new)

@@ -36,13 +36,14 @@ from __future__ import annotations
 import math
 import random
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .algebra_core import AlgebraSpec, transport
-from .decomp3d import NabTriple, decompose, forced_b, reconstruct, t_vector
-from .tensor_core import Inertia, Matrix, congruence_diagonalize, rational
+from .decomp3d import NabTriple, decompose, forced_b, reconstruct, t_of
+from .tensor_core import Inertia, Matrix, SingularMatrixError, congruence_diagonalize, rational
 
 
 class NotAnAlgebraError(ValueError):
@@ -200,7 +201,7 @@ def orbit_sample(label: str, param=None, *, seed: int) -> AlgebraSpec:
         p = Matrix(tuple(
             tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3))
             for _ in range(3)))
-        if p.det() != 0:
+        with suppress(SingularMatrixError):
             return transport(base, p)
 
 
@@ -617,10 +618,10 @@ def classify(spec: AlgebraSpec) -> NormalForm:
     """
     if spec.dim != 3:
         raise ValueError("classify requires dim 3")
-    trip = decompose(spec)
-    t = t_vector(trip)
-    if any(x != 0 for x in t):
+    t = t_of(spec)
+    if any(t):
         raise NotAnAlgebraError(t)
+    trip = decompose(spec)
 
     label, param2, certs, frame = _exact_head(trip)
     try:

@@ -14,10 +14,11 @@ so a bracket admits exactly one compatible omega: the one with b = -2 n a.
 
 With indices mod 3 each eps sum is a single term: the dual matrix is
 cm[i][l] = c[i][l+1][l+2], n is its symmetric part, a_m = (cm[m+1][m+2] -
-cm[m+2][m+1]) / 2 and b^k = omega[k+1][k+2], so ``decompose`` and
-``reconstruct`` touch each independent entry once.  Every entry is a
-Fraction by construction: a spec's store, a ``Matrix`` and the a and b of
-a ``NabTriple`` all pass through ``rational``.
+cm[m+2][m+1]) / 2 and b^k = omega[k+1][k+2].  ``decompose`` and ``t_of``
+read them as ints: with lc and lw the least common denominators of c and
+of omega (kept apart, since no power of lc need clear omega), n = N / 2lc,
+a = A / 2lc and b = B / lw, and t = 0 is N A lw + 2 B lc^2 = 0.  Fractions
+are built only for the ``NabTriple`` and for t.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra_core import AlgebraSpec
-from .tensor_core import Matrix, rational
+from .tensor_core import Matrix, cleared, rational
 
 
 @dataclass(frozen=True)
@@ -58,28 +59,36 @@ _CYCLIC = ((1, 2), (2, 0), (0, 1))
 _UPPER = tuple((min(j, k), max(j, k), 1 if j < k else -1) for j, k in _CYCLIC)
 
 
-def _cyclic(store, *plane):
-    # the values at the three cyclic pairs, read from an i < j store
-    return [sign * store.get((j, k, *plane), Fraction(0)) for j, k, sign in _UPPER]
+def _view(spec):
+    # (N, A, B, lc, lw): ints with n = N / 2lc, a = A / 2lc, b = B / lw; cm = lc * dual matrix
+    if spec.dim != 3:
+        raise ValueError("the (n, a, b) decomposition requires dim 3")
+    cv, lc = cleared(spec.c_upper.values())
+    wv, lw = cleared(spec.omega_upper.values())
+    c, w = dict(zip(spec.c_upper, cv)), dict(zip(spec.omega_upper, wv))
+    cm = [[sign * c.get((j, k, i), 0) for j, k, sign in _UPPER] for i in range(3)]
+    n = [[x + y for x, y in zip(r, col)] for r, col in zip(cm, zip(*cm))]
+    a = [cm[i][l] - cm[l][i] for i, l in _CYCLIC]
+    return n, a, [sign * w.get((j, k), 0) for j, k, sign in _UPPER], lc, lw
 
 
 def decompose(spec: AlgebraSpec) -> NabTriple:
     """Extract (n, a, b): n the symmetric part and a the skew part of the dual
     matrix, b^k = (1/2) eps^{ijk} omega_ij = omega[k+1][k+2]."""
-    if spec.dim != 3:
-        raise ValueError("decompose requires dim 3")
-    cm = [_cyclic(spec.c_upper, i) for i in range(3)]  # the dual matrix
-    half = Fraction(1, 2)
-    # a_m = (1/2) eps^{mil} cm[i][l]; the symmetric part shares its pairs
-    sym = {}
-    a = []
-    for i, l in _CYCLIC:
-        sym[i, l] = sym[l, i] = half * (cm[i][l] + cm[l][i])
-        a.append(half * (cm[i][l] - cm[l][i]))
-    n = Matrix(tuple(tuple(cm[i][i] if i == l else sym[i, l] for l in range(3))
-                     for i in range(3)))
-    b = tuple(_cyclic(spec.omega_upper))
-    return NabTriple(n, tuple(a), b)
+    n, a, b, lc, lw = _view(spec)
+    return NabTriple(Matrix(tuple(tuple(Fraction(x, 2 * lc) for x in r) for r in n)),
+                     tuple(Fraction(x, 2 * lc) for x in a), tuple(Fraction(x, lw) for x in b))
+
+
+def t_of(spec: AlgebraSpec) -> tuple:
+    """t = 4 n a + 2 b of a dim-3 spec, zero iff the spec is valid.  On the int
+    view t = 0 is N A lw + 2 B lc^2 = 0; a nonzero t = N A / lc^2 + 2 B / lw is
+    reduced by one lc at a time, which keeps its gcds short on coprime stores."""
+    n, a, b, lc, lw = _view(spec)
+    na = [sum(x * y for x, y in zip(r, a)) for r in n]
+    if not any(lw * x + 2 * lc * lc * z for x, z in zip(na, b)):
+        return (Fraction(0),) * 3
+    return tuple(Fraction(x, lc) / lc + Fraction(2 * z, lw) for x, z in zip(na, b))
 
 
 def reconstruct(t: NabTriple) -> AlgebraSpec:
@@ -112,5 +121,4 @@ def forced_b(n: Matrix, a: Sequence) -> tuple:
 
 def t_vector(t: NabTriple) -> tuple:
     """Validity defect t = 4 n a + 2 b; zero iff the triple is a valid algebra."""
-    na = t.n.apply(t.a)
-    return tuple(4 * x + 2 * y for x, y in zip(na, t.b))
+    return t_of(reconstruct(t))

@@ -34,12 +34,12 @@ from .algebra_core import AlgebraSpec, residual
 from .classify3d import (FIRST_TABLE_ORDER, FLOAT_TOL, PARAMETRIC_LABELS,
                          SECOND_TABLE_ORDER, FloatRangeError, NotAnAlgebraError,
                          classify, generate, orbit_sample, table_row)
-from .decomp3d import NabTriple, decompose, forced_b, reconstruct, t_vector
+from .decomp3d import NabTriple, decompose, forced_b, reconstruct, t_of
 from .decomp_nd import check_deformability
 
 SCHEMA_VERSION = 1
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"-?\d+(?:/[1-9]\d*)?")
 
 
 class DocumentError(ValueError):
@@ -52,7 +52,7 @@ class DocumentError(ValueError):
 
 def _as_rational(value, where):
     if isinstance(value, str):
-        if not _RATIONAL_RE.match(value):
+        if not _RATIONAL_RE.fullmatch(value):
             raise DocumentError(f"{where}: malformed rational {value!r}; write 'p' or 'p/q'")
         try:
             return Fraction(value)
@@ -238,7 +238,7 @@ def _cmd_validate(args):
     report = {"command": "validate", "dim": spec.dim, "valid": res.is_zero}
     lines = []
     if spec.dim == 3:
-        t = t_vector(decompose(spec))
+        t = t_of(spec)
         report["t"] = _vec(t)
         lines.append(f"t = ({', '.join(_vec(t))})")
     if res.is_zero:
@@ -259,7 +259,7 @@ def _cmd_decompose(args):
         raise _Usage(f"decompose requires dim 3, got dim {spec.dim}")
     trip = decompose(spec)
     fb = forced_b(trip.n, trip.a)
-    t = t_vector(trip)
+    t = t_of(spec)
     matches = trip.b == fb
     report = {
         "command": "decompose",

@@ -5,9 +5,10 @@ matrices are immutable row tuples, and congruence diagonalization / inertia
 counting never take square roots.  ``rational`` alone decides the scalar
 type: ``Matrix`` passes every entry through it, so a matrix holds only
 Fractions (ints are converted, floats and bools raise ``TypeError``).
-``det`` and ``invert`` divide exactly; ``congruence_diagonalize`` eliminates
-fraction-free on ints and builds Fractions only for its result, the ``p``
-and diagonal that classification starts from (``Inertia.of_diagonal``).
+``det`` and ``invert`` divide exactly: both read det(M) and adj(M) of the int
+matrix M = den m off ``int_adjugate``, the one elimination ``transport`` shares.
+It and ``congruence_diagonalize`` eliminate fraction-free on ints and build
+Fractions only for their results.
 """
 
 from __future__ import annotations
@@ -116,48 +117,56 @@ class Matrix:
         n = self.dim
         return all(self.rows[i][j] == self.rows[j][i] for i in range(n) for j in range(i + 1, n))
 
-    def det(self):
-        """Determinant by elimination with partial pivoting (largest |pivot|)."""
+    def int_rows(self) -> tuple[list, int]:
+        """(rows, den): the entries as int rows over their least common denominator."""
         n = self.dim
-        a = [list(r) for r in self.rows]
-        sign = 1
-        result = 1
-        for col in range(n):
-            piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-            if a[piv][col] == 0:
-                return a[piv][col]
-            if piv != col:
-                a[piv], a[col] = a[col], a[piv]
-                sign = -sign
-            result = result * a[col][col]
-            for r in range(col + 1, n):
-                f = a[r][col] / a[col][col]
-                if f:
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return sign * result
+        nums, den = cleared([x for r in self.rows for x in r])
+        return [nums[i:i + n] for i in range(0, n * n, n)], den
+
+    def det(self):
+        """Determinant: det(M) / den^n for the int rows M over den."""
+        rows, den = self.int_rows()
+        try:
+            return Fraction(int_adjugate(rows)[1], den ** self.dim)
+        except SingularMatrixError:
+            return Fraction(0)
+
+
+def cleared(xs) -> tuple[list, int]:
+    """(nums, den), xs[i] = nums[i] / den with den the lcm of the denominators (1 if none)."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def int_adjugate(rows) -> tuple[list, int]:
+    """(adj(M), det(M)) of an int matrix M given as rows, by fraction-free
+    Gauss-Jordan elimination (Bareiss 1968) of [M | I]: after pivot k every
+    entry is a minor, so each step divides exactly by the previous pivot, the
+    last pivot is det(M) up to the sign of the row swaps, and the right half
+    is then that sign times adj(M).  Raises SingularMatrixError on det(M) = 0."""
+    n = len(rows)
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular")
+        if piv != k:
+            a[piv], a[k] = a[k], a[piv]
+            sign = -sign
+        pk, p = a[k], a[k][k]
+        for row in a[:k] + a[k + 1:]:  # the columns left of k+1 are not read again
+            f = row[k]
+            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], pk[k + 1:])]
+        prev = p
+    return [[sign * x for x in r[n:]] for r in a], sign * prev
 
 
 def invert(m: Matrix) -> Matrix:
-    """Inverse by Gauss-Jordan elimination with partial pivoting."""
-    n = m.dim
-    a = [list(r) for r in m.rows]
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[piv][col] == 0:
-            raise SingularMatrixError("matrix is singular")
-        if piv != col:
-            a[piv], a[col] = a[col], a[piv]
-            inv[piv], inv[col] = inv[col], inv[piv]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return Matrix(inv)
+    """Inverse: for m = M / den with M integer, inv(m) = den adj(M) / det(M)."""
+    rows, den = m.int_rows()
+    adj, det = int_adjugate(rows)
+    return Matrix(tuple(tuple(Fraction(den * x, det) for x in r) for r in adj))
 
 
 def congruence_diagonalize(m: Matrix) -> tuple[Matrix, tuple, int]:
@@ -173,8 +182,7 @@ def congruence_diagonalize(m: Matrix) -> tuple[Matrix, tuple, int]:
     if not m.is_symmetric():
         raise ValueError("congruence_diagonalize requires a symmetric matrix")
     n = m.dim
-    den = math.lcm(*(x.denominator for r in m.rows for x in r))
-    a = [[x.numerator * (den // x.denominator) for x in r] for r in m.rows]
+    a, den = m.int_rows()
     cols = [[int(i == j) for i in range(n)] for j in range(n)]  # cols[j]: column j of p
     dens, d = [1] * n, [Fraction(0)] * n
     det, prev = 1, 1

@@ -5,7 +5,8 @@ determinants, characteristic polynomial + Descartes' rule of signs for
 inertia, direct evaluation of the deformed Jacobi identity on basis
 triples, the dense O(dim^5) component formula of the residual tensor,
 the 27-term Levi-Civita sums of the dimension-3 dictionary, the dense
-basis change of a spec and symmetric elimination in Fractions.  Slow but
+basis change of a spec, and the dim-3 decomposition, its defect t and
+symmetric elimination in Fractions.  Slow but
 obviously correct, and sharing no code
 paths with the package under test (``deformed_identity_holds`` uses the
 library's ``jacobiator`` and ``omega_rhs``, which tests compare against
@@ -223,6 +224,33 @@ def dense_transport(spec, p):
     om_new = [[sum(p[w][i] * p[v][j] * om[w][v] for w in rng for v in rng) for j in rng]
               for i in rng]
     return c_new, om_new
+
+
+def fraction_decompose(spec: AlgebraSpec) -> NabTriple:
+    """(n, a, b) of a dim-3 spec computed in Fractions, one cyclic entry at a
+    time: the library's ``decompose`` reads the same values off an int view
+    of the store and must return exactly this."""
+    cyclic = ((1, 2), (2, 0), (0, 1))
+
+    def at(store, j, k, *plane):
+        # the value at (j, k) of an i < j store
+        if j < k:
+            return store.get((j, k, *plane), Fraction(0))
+        return -store.get((k, j, *plane), Fraction(0))
+
+    cm = [[at(spec.c_upper, j, k, i) for j, k in cyclic] for i in range(3)]
+    half = Fraction(1, 2)
+    n = [[half * (cm[i][l] + cm[l][i]) for l in range(3)] for i in range(3)]
+    a = [half * (cm[i][l] - cm[l][i]) for i, l in cyclic]
+    b = [at(spec.omega_upper, j, k) for j, k in cyclic]
+    return NabTriple(Matrix(n), tuple(a), tuple(b))
+
+
+def fraction_t_vector(trip: NabTriple) -> tuple:
+    """t = 4 n a + 2 b summed in Fractions, the reference of ``t_of`` and
+    ``t_vector``."""
+    na = [sum((x * y for x, y in zip(row, trip.a)), Fraction(0)) for row in trip.n.rows]
+    return tuple(4 * x + 2 * y for x, y in zip(na, trip.b))
 
 
 def fraction_congruence_diagonalize(m):

@@ -27,9 +27,9 @@ def rand_spec(rng, dim=3, valid_omega=False):
     return AlgebraSpec.from_entries(dim, c_entries, om_entries)
 
 
-def rand_transport(rng, dim=3):
+def rand_transport(rng, dim=3, den=2):
     while True:
-        p = Matrix(tuple(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        p = Matrix(tuple(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, den))
                                for _ in range(dim)) for _ in range(dim)))
         if p.det() != 0:
             return p
@@ -345,6 +345,13 @@ def test_transport_rejects_singular():
     s = AlgebraSpec.zero(3)
     with pytest.raises(SingularMatrixError):
         transport(s, Matrix(((1, 0, 0), (0, 1, 0), (1, 1, 0))))
+    rng = random.Random(31)
+    for dim in range(1, 6):
+        rows = [list(r) for r in rand_transport(rng, dim).rows]
+        rows[-1] = [Fraction(-1, 3) * x for x in rows[0]] if dim > 1 else [0]
+        for spec in (AlgebraSpec.zero(dim), sparse_spec(rng, dim, 1.0)):
+            with pytest.raises(SingularMatrixError):
+                transport(spec, Matrix(rows))
 
 
 def as_scalars(spec, p, kind):
@@ -357,18 +364,22 @@ def as_scalars(spec, p, kind):
 
 def test_transport_matches_dense_reference():
     rng = random.Random(32)
-    for dim in range(2, 6):
+    for dim in range(1, 6):
         for density in (0.0, 0.2, 0.5, 1.0):
             s = sparse_spec(rng, dim, density)
             p = rand_transport(rng, dim)
             while Matrix(tuple(tuple(int(x * 6) for x in r) for r in p.rows)).det() == 0:
                 p = rand_transport(rng, dim)
-            for kind in ("int", "fraction"):
-                spec, pk = as_scalars(s, p, kind)
+            # denominators up to 10^12, kept as Fractions
+            big = rand_transport(rng, dim, den=10 ** 12)
+            for kind, q in (("int", p), ("fraction", p), ("fraction", big)):
+                spec, pk = as_scalars(s, q, kind)
                 got = transport(spec, pk)
                 got_all = flat(got.c) + flat(got.omega)
                 assert got_all == flat(dense_transport(spec, pk.rows)), (dim, density, kind)
                 assert {type(x) for x in got_all} == {Fraction}, (dim, density, kind)
+                assert all(type(x) is Fraction for x in (*got.c_upper.values(),
+                                                         *got.omega_upper.values()))
 
 
 def test_transport_rejects_non_skew_specs():

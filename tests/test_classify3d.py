@@ -1,6 +1,7 @@
 """Normal-form tables, exact certificates, the classifier and the public API."""
 
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
@@ -13,8 +14,8 @@ import omegalie
 from omegalie import (AlgebraSpec, BianchiLabel, FloatRangeError, Matrix,
                       NabTriple, NormalForm, NotAnAlgebraError,
                       PARAMETRIC_LABELS, classify, decompose, forced_b,
-                      generate, orbit_sample, reconstruct, t_vector,
-                      table_row, transport)
+                      generate, orbit_sample, reconstruct, serialize,
+                      t_vector, table_row, transport)
 from oracles import (dense_transport, eps_reconstruct, exact_witness_holds, flat,
                      transport_error)
 
@@ -329,6 +330,23 @@ def test_orbit_sample_is_deterministic_per_seed():
     c = orbit_sample("VIII_a", 2, seed=43)
     assert a == b
     assert a != c
+
+
+def test_orbit_sample_resamples_a_singular_draw_with_the_same_stream():
+    # seed 0 first draws a singular matrix (its third row is 2/3 of its
+    # first); the document is the one the det pre-check gave before
+    rng = random.Random(0)
+    first = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)]
+             for _ in range(3)]
+    assert Matrix(first).det() == 0
+    c = {(1, 2, 1): "37/12", (1, 2, 2): "163/15", (1, 2, 3): "-179/15",
+         (1, 3, 1): "11/3", (1, 3, 2): "161/15", (1, 3, 3): "-163/15",
+         (2, 3, 1): "-5/6", (2, 3, 2): "-2/3", (2, 3, 3): "19/12"}
+    om = {(1, 2): "-39/2", (1, 3): "-33/2", (2, 3): "15/4"}
+    doc = {"c_entries": [[*key, v] for key, v in c.items()], "dim": 3,
+           "omega_entries": [[*key, v] for key, v in om.items()]}
+    assert serialize(orbit_sample("IX_a", Fraction(3, 2), seed=0)) == \
+        json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_orbit_samples_classify_back():

@@ -4,13 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omegalie import (AlgebraSpec, Matrix, NabTriple, decompose, forced_b,
-                      generate, reconstruct, residual, t_vector)
+                      generate, orbit_sample, reconstruct, residual, t_of, t_vector)
 from oracles import (dual_c, eps_decompose, eps_dual_c, eps_reconstruct, flat,
-                     forced_omega)
+                     forced_omega, fraction_decompose, fraction_t_vector)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
@@ -198,11 +198,57 @@ def test_dictionary_matches_eps_sums():
                 assert {type(x) for x in flat(out)} == {Fraction}, kind
 
 
+# store values: ints, small fractions, and denominators up to 10^12
+store_values = st.one_of(
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 12)))
+C_KEYS = [(i, j, k) for i, j in ((1, 2), (1, 3), (2, 3)) for k in (1, 2, 3)]
+dim3_specs = st.builds(
+    lambda c, om: AlgebraSpec.from_entries(3, [(*key, v) for key, v in c.items()],
+                                           [(*key, v) for key, v in om.items()]),
+    st.dictionaries(st.sampled_from(C_KEYS), store_values, max_size=9),
+    st.dictionaries(st.sampled_from([(1, 2), (1, 3), (2, 3)]), store_values, max_size=3))
+
+
+def _spec(c=(), om=()):
+    return AlgebraSpec.from_entries(3, c, om)
+
+
+@given(dim3_specs)
+@example(AlgebraSpec.zero(3))  # the empty store
+# c integral with omega_12 = 1/2: no power of c's denominator 1 clears omega
+@example(_spec([(1, 2, 3, 1), (2, 3, 1, -2), (1, 3, 2, 3)], [(1, 2, Fraction(1, 2))]))
+# omega integral with c denominators
+@example(_spec([(1, 2, 3, Fraction(1, 3)), (2, 3, 1, Fraction(2, 5)), (1, 3, 1, Fraction(1, 7))],
+               [(1, 3, 2)]))
+# nonzero t: the edited omega of a valid spec, and one that the int test
+# with lc in place of lc^2 would pass as zero
+@example(_spec([(1, 3, 1, -1), (2, 3, 2, -1)], [(1, 2, 1)]))
+@example(_spec([(1, 2, 2, -1), (1, 3, 2, Fraction(-1, 2)), (2, 3, 1, Fraction(-1, 2))],
+               [(2, 3, -1)]))
+# denominators up to 10^12, valid (t = 0) and not
+@example(orbit_sample("VIII_a", Fraction(10 ** 12 - 1, 10 ** 12), seed=3))
+@example(_spec([(1, 2, 3, Fraction(1, 10 ** 12)), (2, 3, 3, Fraction(7, 10 ** 12 - 11))],
+               [(2, 3, Fraction(-3, 999_999_999_989))]))
+@settings(deadline=None, max_examples=150)
+def test_int_view_matches_the_fraction_reference(spec):
+    trip, ref = decompose(spec), fraction_decompose(spec)
+    assert trip == ref
+    assert all(type(x) is Fraction for x in (*flat(trip.n.rows), *trip.a, *trip.b))
+    t = t_of(spec)
+    assert t == fraction_t_vector(ref) == t_vector(trip)
+    assert all(type(x) is Fraction for x in (*t, *t_vector(trip)))
+    assert (t == (0, 0, 0)) == residual(spec).is_zero
+
+
 def test_decompose_requires_dim3():
     with pytest.raises(ValueError):
         decompose(AlgebraSpec.zero(2))
     with pytest.raises(ValueError):
         decompose(AlgebraSpec.zero(4))
+    with pytest.raises(ValueError):
+        t_of(AlgebraSpec.zero(4))
 
 
 def test_nab_triple_validation():

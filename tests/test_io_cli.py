@@ -54,6 +54,7 @@ def test_parse_error_catalog():
         ('{"dim": 3, "c_entries": [[1, 4, 3, "1"]], "omega_entries": []}', "out of range"),
         ('{"dim": 3, "c_entries": [[1, 2, 3, "1/0"]], "omega_entries": []}', "malformed rational"),
         ('{"dim": 3, "c_entries": [[1, 2, 3, "1.5"]], "omega_entries": []}', "malformed rational"),
+        ('{"dim": 3, "c_entries": [[1, 2, 3, "2\\n"]], "omega_entries": []}', "malformed rational"),
         ('{"dim": 3, "c_entries": [[1, 2, 3, 1.5]], "omega_entries": []}', "values must be rational"),
         ('{"dim": 3, "c_entries": [[1, 2, 3, "1"], [1, 2, 3, "2"]], "omega_entries": []}', "duplicate"),
         ('{"dim": 3, "c_entries": [], "omega_entries": [[1, 2, "1"], [1, 2, "1"]]}', "duplicate"),
@@ -264,12 +265,28 @@ def test_cli_generate_errors_exit_2(capsys):
 def test_cli_param_follows_the_document_grammar(capsys):
     # only 'p' or 'p/q': an exponent form would ask for a numeral of any
     # size (1e4000000 has four million digits) before anything checks it
-    for value in ("1e4000000", "0.5", "1_000", " 2"):
+    # a whole-string match: "$" alone would also match before a final newline
+    for value in ("1e4000000", "0.5", "1_000", " 2", "2\n", "1/2\n"):
         assert run(["generate", "IX_a", "--param", value]) == 2, value
         err = capsys.readouterr().err
         assert err.startswith("error: --param: malformed rational"), (value, err)
     assert run(["generate", "IX_a", "--param", "9" * 5000]) == 2
     assert "--param: rational has too many digits" in capsys.readouterr().err
+    for value, code in (("1/2", 0), ("-3", 2), ("9" * 4299, 0)):
+        assert run(["generate", "IX_a", "--param", value]) == code, value
+        assert capsys.readouterr().err.startswith("error: ") == bool(code), value
+
+
+def test_cli_document_value_with_a_trailing_newline_exits_2(monkeypatch):
+    for value, code in (('"2\\n"', 2), ('"2"', 1), ('"1/2"', 1), ('"-3"', 1)):
+        text = f'{{"dim": 3, "c_entries": [[1, 2, 3, {value}]], "omega_entries": [[1, 2, "1"]]}}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert run(["validate", "--json"]) == code, value
+        if code == 2:
+            assert out.getvalue() == "" and "malformed rational" in err.getvalue()
+            assert "Traceback" not in err.getvalue()
 
 
 def test_cli_orbit_sample_deterministic(capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from omegalie import (Inertia, Matrix, SingularMatrixError,
                       congruence_diagonalize, invert, rational)
+from omegalie.tensor_core import int_adjugate
 from oracles import (adjugate, descartes_inertia, fraction_congruence_diagonalize,
                      inertia, perm_adjugate, perm_det, scale)
 
@@ -78,11 +79,25 @@ def test_apply_requires_matching_length():
 
 # --- determinant / inverse / adjugate vs oracles ------------------------
 
+def rank_deficient(rng, dim, den=3):
+    """A random matrix whose last row is a rational combination of the others
+    (the zero matrix in dim 1)."""
+    rows = [list(r) for r in rand_matrix(rng, dim, den=den).rows]
+    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, den)) for _ in range(dim - 1)]
+    rows[-1] = [sum((f * r[j] for f, r in zip(coeffs, rows)), Fraction(0)) for j in range(dim)]
+    return Matrix(rows)
+
+
 def test_det_matches_permutation_expansion():
     rng = random.Random(101)
     for _ in range(60):
         m = rand_matrix(rng)
         assert m.det() == perm_det([list(r) for r in m.rows])
+    for dim in range(1, 6):
+        for den in (3, 10 ** 12):
+            for m in (rand_matrix(rng, dim, den=den), rank_deficient(rng, dim, den)):
+                det = m.det()
+                assert det == perm_det([list(r) for r in m.rows]) and type(det) is Fraction
 
 
 def test_det_handles_singular_and_pivot_free_rows():
@@ -105,6 +120,42 @@ def test_invert_round_trip():
 def test_invert_rejects_singular():
     with pytest.raises(SingularMatrixError):
         invert(Matrix(((1, 2), (2, 4))))
+    rng = random.Random(205)
+    for dim in range(1, 6):
+        with pytest.raises(SingularMatrixError):
+            invert(rank_deficient(rng, dim))
+
+
+def test_invert_is_the_adjugate_over_the_determinant():
+    rng = random.Random(206)
+    for dim in range(1, 6):
+        for den in (1, 3, 10 ** 12):
+            m = rand_matrix(rng, dim, den=den)
+            while m.det() == 0:
+                m = rand_matrix(rng, dim, den=den)
+            rows = [list(r) for r in m.rows]
+            det = perm_det(rows)
+            inv = invert(m)
+            assert [list(r) for r in inv.rows] == [[x / det for x in r]
+                                                   for r in perm_adjugate(rows)], m
+            assert entry_types(inv) == {Fraction}, m
+
+
+def test_int_adjugate_matches_the_cofactors():
+    # the one elimination behind det, invert and transport, on its own int input
+    rng = random.Random(207)
+    for dim in range(1, 6):
+        for _ in range(30):
+            rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(dim)]
+                    for _ in range(dim)]
+            det = perm_det(rows)
+            if det == 0:
+                with pytest.raises(SingularMatrixError):
+                    int_adjugate(rows)
+                continue
+            adj, got = int_adjugate(rows)
+            assert (adj, got) == (perm_adjugate(rows), det), rows
+            assert {type(x) for r in adj for x in r} | {type(got)} == {int}, rows
 
 
 def test_adjugate_identity_and_oracle():

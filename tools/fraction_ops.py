@@ -1,18 +1,29 @@
-"""Count the Fraction operations that ``classify`` makes in two source trees.
+"""Count the Fraction operations of the benchmark's calls in two source trees.
 
-    python3 tools/fraction_ops.py OLD_SRC NEW_SRC [--seed 1]
+    python3 tools/fraction_ops.py OLD_SRC NEW_SRC [--seed 1] [--workload classify-orbit]
 
 OLD_SRC and NEW_SRC each name a directory holding an ``omegalie`` package: a
 checkout's ``src/``, or the checkout itself.  Each tree runs in one
-subprocess of its own.  That process imports the tree's package, builds the
-classify-orbit inputs of ``bench/workloads.py`` (imported, not modified) for
-the seed and parses them.  It then wraps every arithmetic, comparison and
-bool method of ``fractions.Fraction`` with a counter that counts only while
-a ``classify`` call runs, and classifies each input once.  Constructing a
-Fraction and reading its numerator or denominator are not counted.
+subprocess of its own.  That process imports the tree's package and builds
+the workload's inputs with ``bench/workloads.py`` (imported, not modified)
+for the seed.  It then wraps every arithmetic, comparison and bool method of
+``fractions.Fraction`` with a counter that counts only while a measured call
+runs:
 
-Prints, per table row, the mean count per ``classify`` call in each tree,
-then the totals over all inputs.
+* ``classify-orbit``: one ``classify`` call on each parsed input;
+* ``orbit-validate``: the ``orbit-sample`` call and the ``validate --json``
+  call of each pipeline, both through ``omegalie.io_cli.run`` as the
+  benchmark makes them (the edit of a bumped document in between is not
+  counted).
+
+Constructions get a column of their own: a ``Fraction(...)`` call made
+outside a counted operation, so the integer paths, which build one Fraction
+per result instead of combining Fractions, show what they moved there.
+Reading a numerator or denominator is not counted.
+
+Prints, per table row, the mean operation and construction counts per
+measured unit (a ``classify`` call, or an orbit-sample | validate pipeline)
+in each tree, then the totals over all inputs.
 """
 
 from __future__ import annotations
@@ -36,41 +47,70 @@ COUNTED = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
            "__mod__", "__rmod__", "__divmod__", "__rdivmod__", "__pow__", "__rpow__",
            "__pos__", "__neg__", "__abs__",
            "__eq__", "__lt__", "__gt__", "__le__", "__ge__", "__bool__")
+WORKLOADS = ("classify-orbit", "orbit-validate")
 
 
-def count_tree(src, seed):
-    """{table row: [Fraction operations of each classify call]} for one tree."""
+def count_tree(src, seed, workload):
+    """{table row: [[operations, constructions] of each measured unit]} for one tree."""
     sys.path[:0] = [str(src), str(ROOT / "bench")]
     ol = importlib.import_module("omegalie")
     workloads = importlib.import_module("workloads")
-    inputs = [(op.row, ol.parse(op.doc))
-              for op in workloads.classify_orbit(ol, random.Random(seed))]
-    state = {"on": False, "count": 0}
+    ops = workloads.WORKLOADS[workload](ol, random.Random(seed))
+    state = {"on": False, "depth": 0, "ops": 0, "new": 0}
 
     def counted(method):
         @functools.wraps(method)
         def wrapper(*args):
-            if state["on"]:
-                state["count"] += 1
-            return method(*args)
+            if not state["on"]:
+                return method(*args)
+            state["ops"] += state["depth"] == 0
+            state["depth"] += 1
+            try:
+                return method(*args)
+            finally:
+                state["depth"] -= 1
         return wrapper
 
+    def measured(call):
+        state["on"] = True
+        try:
+            return call()
+        finally:
+            state["on"] = False
+
+    original_new = Fraction.__new__
+
+    def new(cls, *args, **kwargs):
+        if state["on"] and state["depth"] == 0:
+            state["new"] += 1
+        return original_new(cls, *args, **kwargs)
+
+    def classify_unit(spec):
+        measured(lambda: ol.classify(spec))
+
+    def pipeline_unit(op):
+        first, _ = measured(lambda: workloads.call(ol.io_cli, op.argv))
+        doc = workloads.bump_omega(first[1])[0] if op.bump else first[1]
+        measured(lambda: workloads.call(ol.io_cli, ["validate", "--json"], doc))
+
+    if workload == "classify-orbit":
+        units = [(op.row, functools.partial(classify_unit, ol.parse(op.doc))) for op in ops]
+    else:
+        units = [(op.row, functools.partial(pipeline_unit, op)) for op in ops]
     for name in COUNTED:
         if name in vars(Fraction):
             setattr(Fraction, name, counted(vars(Fraction)[name]))
+    Fraction.__new__ = staticmethod(new)
     counts = collections.defaultdict(list)
-    for row, spec in inputs:
-        state["on"], state["count"] = True, 0
-        try:
-            ol.classify(spec)
-        finally:
-            state["on"] = False
-        counts[row].append(state["count"])
+    for row, unit in units:
+        state["ops"] = state["new"] = 0
+        unit()
+        counts[row].append([state["ops"], state["new"]])
     return counts
 
 
-def collect(src, seed):
-    proc = subprocess.run([sys.executable, __file__, "--worker", str(src), str(seed)],
+def collect(src, seed, workload):
+    proc = subprocess.run([sys.executable, __file__, "--worker", str(src), str(seed), workload],
                           capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"error: the run on {src} failed:\n{proc.stderr}")
@@ -80,24 +120,28 @@ def collect(src, seed):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--worker"]:
-        json.dump(count_tree(Path(argv[1]), int(argv[2])), sys.stdout)
+        json.dump(count_tree(Path(argv[1]), int(argv[2]), argv[3]), sys.stdout)
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", metavar="OLD_SRC")
     parser.add_argument("new", metavar="NEW_SRC")
-    parser.add_argument("--seed", type=int, default=1, help="classify-orbit input seed")
+    parser.add_argument("--seed", type=int, default=1, help="workload input seed")
+    parser.add_argument("--workload", choices=WORKLOADS, default=WORKLOADS[0])
     args = parser.parse_args(argv)
-    old = collect(package_dir(args.old), args.seed)
-    new = collect(package_dir(args.new), args.seed)
-    print(f"{'row':10s} {'calls':>5s} {'old/call':>9s} {'new/call':>9s}")
+    old = collect(package_dir(args.old), args.seed, args.workload)
+    new = collect(package_dir(args.new), args.seed, args.workload)
+    print(f"{'row':10s} {'units':>5s}" + "".join(
+        f" {name:>8s}" for name in ("old ops", "new ops", "old new", "new new")))
     for row in old:  # both trees see the same inputs
-        print(f"{row:10s} {len(old[row]):5d} {sum(old[row]) / len(old[row]):9.1f} "
-              f"{sum(new[row]) / len(new[row]):9.1f}")
-    total_old = sum(map(sum, old.values()))
-    total_new = sum(map(sum, new.values()))
-    calls = sum(map(len, old.values()))
-    print(f"total over {calls} classify calls: old {total_old}, new {total_new}"
-          f" ({total_new / total_old:.3f} of old)")
+        (o_ops, o_new), (n_ops, n_new) = (map(sum, zip(*tree[row])) for tree in (old, new))
+        k = len(old[row])
+        print(f"{row:10s} {k:5d}" + "".join(f" {x / k:8.1f}" for x in (o_ops, n_ops, o_new, n_new)))
+    units = sum(map(len, old.values()))
+    for what, col in (("operations", 0), ("constructions", 1)):
+        total_old = sum(c[col] for v in old.values() for c in v)
+        total_new = sum(c[col] for v in new.values() for c in v)
+        print(f"{what} over {units} {args.workload} units: old {total_old}, new {total_new}"
+              f" ({total_new / total_old:.3f} of old)")
     return 0
 
 
