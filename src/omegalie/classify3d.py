@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra_core import AlgebraSpec, transport
-from .decomp3d import NabTriple, decompose, forced_b, reconstruct, t_of
+from .decomp3d import NabTriple, _t, _triple, _view, forced_b, reconstruct
 from .tensor_core import Inertia, Matrix, SingularMatrixError, congruence_diagonalize, rational
 
 
@@ -618,10 +618,11 @@ def classify(spec: AlgebraSpec) -> NormalForm:
     """
     if spec.dim != 3:
         raise ValueError("classify requires dim 3")
-    t = t_of(spec)
+    view = _view(spec)
+    t = _t(view)
     if any(t):
         raise NotAnAlgebraError(t)
-    trip = decompose(spec)
+    trip = _triple(view)
 
     label, param2, certs, frame = _exact_head(trip)
     try:

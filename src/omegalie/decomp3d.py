@@ -72,23 +72,30 @@ def _view(spec):
     return n, a, [sign * w.get((j, k), 0) for j, k, sign in _UPPER], lc, lw
 
 
-def decompose(spec: AlgebraSpec) -> NabTriple:
-    """Extract (n, a, b): n the symmetric part and a the skew part of the dual
-    matrix, b^k = (1/2) eps^{ijk} omega_ij = omega[k+1][k+2]."""
-    n, a, b, lc, lw = _view(spec)
+def _triple(view) -> NabTriple:
+    n, a, b, lc, lw = view
     return NabTriple(Matrix(tuple(tuple(Fraction(x, 2 * lc) for x in r) for r in n)),
                      tuple(Fraction(x, 2 * lc) for x in a), tuple(Fraction(x, lw) for x in b))
 
 
-def t_of(spec: AlgebraSpec) -> tuple:
-    """t = 4 n a + 2 b of a dim-3 spec, zero iff the spec is valid.  On the int
-    view t = 0 is N A lw + 2 B lc^2 = 0; a nonzero t = N A / lc^2 + 2 B / lw is
-    reduced by one lc at a time, which keeps its gcds short on coprime stores."""
-    n, a, b, lc, lw = _view(spec)
+def _t(view) -> tuple:
+    # a nonzero t = N A / lc^2 + 2 B / lw is reduced by one lc at a time: short gcds
+    n, a, b, lc, lw = view
     na = [sum(x * y for x, y in zip(r, a)) for r in n]
     if not any(lw * x + 2 * lc * lc * z for x, z in zip(na, b)):
         return (Fraction(0),) * 3
     return tuple(Fraction(x, lc) / lc + Fraction(2 * z, lw) for x, z in zip(na, b))
+
+
+def decompose(spec: AlgebraSpec) -> NabTriple:
+    """Extract (n, a, b): n the symmetric part and a the skew part of the dual
+    matrix, b^k = (1/2) eps^{ijk} omega_ij = omega[k+1][k+2]."""
+    return _triple(_view(spec))
+
+
+def t_of(spec: AlgebraSpec) -> tuple:
+    """t = 4 n a + 2 b of a dim-3 spec, zero iff the spec is valid."""
+    return _t(_view(spec))
 
 
 def reconstruct(t: NabTriple) -> AlgebraSpec:

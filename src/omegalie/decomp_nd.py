@@ -11,6 +11,10 @@ For dim >= 3 the only candidate 2-form for the deformed Jacobi identity is
 
 and a nonzero omega needs both a nonzero trace part and a nonzero alpha.
 In dimension 3 the candidate always works; from dimension 4 on it can fail.
+
+The trace terms cancel in it, a_i (c - alpha)[i][j][k] = a_j a_k - a_k a_j = 0,
+so omega_jk = (dim-1)/(dim-2) * a_i c[i][j][k], and ``check_deformability``
+reads the candidate off the bracket store without building alpha.
 """
 
 from __future__ import annotations
@@ -42,23 +46,24 @@ class GeneralSplit:
         return self.trace_free.c
 
 
-def split_trace(spec: AlgebraSpec) -> GeneralSplit:
-    """Split off the trace part; requires dim >= 2 (divides by dim - 1).
-
-    The trace c[i][i][k] reads the stored entries with k in the lower pair,
-    and alpha differs from c only at the entries (i, k) of plane i, for the
-    nonzero components a_k.
-    """
-    n = spec.dim
-    if n < 2:
-        raise ValueError("split_trace requires dim >= 2")
-    trace = [0] * n
+def _trace_covector(spec: AlgebraSpec) -> tuple:
+    # a_k = c[i][i][k] / (dim - 1), read off the stored entries with k in the lower pair
+    trace = [0] * spec.dim
     for (i, j, k), v in spec.c_upper.items():
         if k == i:
             trace[j] += v   # c[i][i][j]
         elif k == j:
             trace[i] -= v   # c[j][j][i] = -c[j][i][j]
-    a = tuple(x / Fraction(n - 1) for x in trace)
+    return tuple(x / Fraction(spec.dim - 1) for x in trace)
+
+
+def split_trace(spec: AlgebraSpec) -> GeneralSplit:
+    """Split off the trace part; requires dim >= 2 (divides by dim - 1).  alpha
+    differs from c only at the entries (i, k) of plane i, for the nonzero a_k."""
+    n = spec.dim
+    if n < 2:
+        raise ValueError("split_trace requires dim >= 2")
+    a = _trace_covector(spec)
     alpha = dict(spec.c_upper)
     for k, ak in enumerate(a):
         if ak:
@@ -70,13 +75,13 @@ def split_trace(spec: AlgebraSpec) -> GeneralSplit:
     return GeneralSplit(AlgebraSpec._from_upper(n, alpha, {}), a)
 
 
-def _induced_upper(split: GeneralSplit) -> dict:
-    # the candidate omega as (j, k) -> value, j < k
-    n = split.dim
+def _induced_upper(c_upper: dict, a: tuple) -> dict:
+    # the candidate omega as (j, k) -> value, j < k, from the store of c or alpha
+    n = len(a)
     if n <= 2:
         raise ValueError("induced_omega requires dim >= 3")
-    a, om = split.a, {}
-    for (j, k, i), v in split.trace_free.c_upper.items():
+    om = {}
+    for (j, k, i), v in c_upper.items():
         if a[i]:
             om[j, k] = om.get((j, k), 0) + a[i] * v
     factor = Fraction(n - 1, n - 2)
@@ -89,7 +94,8 @@ def induced_omega(split: GeneralSplit) -> tuple:
     The sum runs over the nonzero a_i and the stored alpha entries only;
     the result is the dense omega[j][k].
     """
-    return AlgebraSpec._from_upper(split.dim, {}, _induced_upper(split)).omega
+    return AlgebraSpec._from_upper(
+        split.dim, {}, _induced_upper(split.trace_free.c_upper, split.a)).omega
 
 
 @dataclass(frozen=True)
@@ -119,5 +125,6 @@ def check_deformability(spec: AlgebraSpec) -> DeformabilityResult:
     """
     if spec.dim < 3:
         raise ValueError("deformability requires dim >= 3")
-    forced = AlgebraSpec._from_upper(spec.dim, spec.c_upper, _induced_upper(split_trace(spec)))
+    omega = _induced_upper(spec.c_upper, _trace_covector(spec))
+    forced = AlgebraSpec._from_upper(spec.dim, spec.c_upper, omega)
     return DeformabilityResult(forced, residual(forced))

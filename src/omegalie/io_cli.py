@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -148,7 +149,40 @@ def document_object(spec: AlgebraSpec) -> dict:
 
 def serialize(spec: AlgebraSpec) -> str:
     """Canonical, byte-stable document text; parse(serialize(s)) == s."""
-    return json.dumps(document_object(spec), indent=2, sort_keys=True) + "\n"
+    return _dumps(document_object(spec)) + "\n"
+
+
+def _dumps(obj, pad="\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte; json skips its
+    C encoder when an indent is set.  ``pad`` is the newline and indent before obj's
+    closing bracket.  A non-str dict key or a value json cannot encode raises TypeError."""
+    kind = type(obj)
+    if kind not in _SCALARS and kind not in _CONTAINERS:  # a subclass, in json's order
+        kind = next((t for t in (str, int, float, list, tuple, dict) if isinstance(obj, t)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return _SCALARS[kind](obj) if kind in _SCALARS else _CONTAINERS[kind](obj, pad)
+
+
+def _write_list(xs, pad):
+    inner, get = pad + "  ", _SCALARS.get
+    return "[" + inner + ("," + inner).join(
+        [w(x) if (w := get(type(x))) else _dumps(x, inner) for x in xs]) + pad + "]" if xs else "[]"
+
+
+def _write_dict(d, pad):
+    inner, get = pad + "  ", _SCALARS.get
+    return "{" + inner + ("," + inner).join(
+        [_encode_str(k) + ": " + (w(x) if (w := get(type(x := d[k]))) else _dumps(x, inner))
+         for k in sorted(d)]) + pad + "}" if d else "{}"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_SCALARS = {str: _encode_str, int: int.__repr__, type(None): lambda _: "null",
+            bool: ("false", "true").__getitem__, float: lambda x: (
+                float.__repr__(x) if math.isfinite(x)
+                else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity")}
+_CONTAINERS = {list: _write_list, tuple: _write_list, dict: _write_dict}
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +207,7 @@ def _mat(m):
 def _emit(args, report, human_lines):
     if args.json:
         report["schema"] = SCHEMA_VERSION
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_dumps(report))
     else:
         for line in human_lines:
             print(line)
@@ -211,15 +245,15 @@ def _force_omega(spec: AlgebraSpec) -> AlgebraSpec:
     return result.spec
 
 
-def _residual_report(res, limit=20):
-    comps = list(res.nonzero_components())
-    lines = [f"  residual[m={m} l={l} j={j} k={k}] = {_rat_str(v)}"
-             for (m, l, j, k), v in comps[:limit]]
-    if len(comps) > limit:
-        lines.append(f"  ... and {len(comps) - limit} more")
-    data = [{"indices": [m, l, j, k], "value": _rat_str(v)}
-            for (m, l, j, k), v in comps]
-    return lines, data
+def _residual_report(args, res, report, key, lines, limit=20):
+    # only what the mode prints: every component under report[key], or at most limit lines
+    if args.json:
+        report[key] = [{"indices": list(idx), "value": _rat_str(v)} for idx, v in res.nonzero]
+        return
+    lines.extend(f"  residual[m={m} l={l} j={j} k={k}] = {_rat_str(v)}"
+                 for (m, l, j, k), v in res.nonzero[:limit])
+    if len(res.nonzero) > limit:
+        lines.append(f"  ... and {len(res.nonzero) - limit} more")
 
 
 def _canonical_row(label):
@@ -241,16 +275,12 @@ def _cmd_validate(args):
         t = t_of(spec)
         report["t"] = _vec(t)
         lines.append(f"t = ({', '.join(_vec(t))})")
-    if res.is_zero:
-        lines.insert(0, "valid: the deformed Jacobi identity holds (residual = 0)")
-        _emit(args, report, lines)
-        return 0
-    comp_lines, comp_data = _residual_report(res)
-    report["nonzero_residual_components"] = comp_data
-    lines.insert(0, "invalid: nonzero residual components")
-    lines.extend(comp_lines)
+    if not res.is_zero:
+        _residual_report(args, res, report, "nonzero_residual_components", lines)
+    lines.insert(0, "valid: the deformed Jacobi identity holds (residual = 0)" if res.is_zero
+                 else "invalid: nonzero residual components")
     _emit(args, report, lines)
-    return 1
+    return 0 if res.is_zero else 1
 
 
 def _cmd_decompose(args):
@@ -406,7 +436,7 @@ def _cmd_tables(args):
     for r in first + second:
         print()
         print(f"--- {r['label']} ---")
-        sys.stdout.write(json.dumps(r["document"], indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_dumps(r["document"]) + "\n")
     return 0
 
 
@@ -430,11 +460,9 @@ def _cmd_deformability(args):
                      else "differs from the omega stored in the document")
         _emit(args, report, lines)
         return 0
-    comp_lines, comp_data = _residual_report(result.defect)
-    report["defect_components"] = comp_data
     lines = ["not deformable: no omega closes the deformed Jacobi identity",
              "defect of the unique trace candidate:"]
-    lines.extend(comp_lines)
+    _residual_report(args, result.defect, report, "defect_components", lines)
     _emit(args, report, lines)
     return 1
 
@@ -504,10 +532,7 @@ def run(argv=None) -> int:
         return 2
     except _Failure as exc:
         if args.json:
-            report = dict(exc.report)
-            report["schema"] = SCHEMA_VERSION
-            report["error"] = str(exc)
-            print(json.dumps(report, indent=2, sort_keys=True))
+            _emit(args, {**exc.report, "error": str(exc)}, [])
         else:
             print(f"invalid: {exc}", file=sys.stderr)
         return 1

@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omegalie import (AlgebraSpec, check_deformability, decompose, generate,
                       induced_omega, residual, split_trace)
+from omegalie.decomp_nd import _induced_upper
 from oracles import deformability
 
 
@@ -144,3 +147,23 @@ def test_candidate_is_kept_even_when_incompatible():
     assert not result.compatible and deformability(s) is None
     assert any(x != 0 for row in result.candidate for x in row)
     assert not result.defect.is_zero
+
+
+@st.composite
+def sparse_brackets(draw):
+    # dim 3-8, up to 3 dim stored c entries; about a quarter of the keys carry trace
+    dim = draw(st.integers(3, 8))
+    keys = [(i, j, k) for i in range(1, dim) for j in range(i + 1, dim + 1)
+            for k in range(1, dim + 1)]
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=3 * dim))
+    values = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    return AlgebraSpec.from_entries(dim, [(*key, draw(values)) for key in chosen])
+
+
+@given(sparse_brackets())
+@settings(deadline=None, max_examples=200)
+def test_candidate_from_the_bracket_store_matches_the_alpha_formula(spec):
+    # the trace terms cancel, so a_i c[i][j][k] and a_i alpha[i][j][k] give one omega
+    split = split_trace(spec)
+    reference = _induced_upper(split.trace_free.c_upper, split.a)
+    assert check_deformability(spec).spec.omega_upper == {jk: v for jk, v in reference.items() if v}

@@ -1,5 +1,6 @@
 """Document format and command-line behavior, including exit codes."""
 
+import collections
 import io
 import json
 import random
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from omegalie import (AlgebraSpec, DocumentError, classify, generate,
                       orbit_sample, parse, serialize)
-from omegalie.io_cli import SCHEMA_VERSION, _build_parser, document_object, run
+from omegalie.io_cli import SCHEMA_VERSION, _build_parser, _dumps, document_object, run
 from test_decomp3d import rand_spec
 
 
@@ -590,3 +591,49 @@ def test_parse_inverts_serialize_with_exact_entries(spec):
     back = parse(serialize(spec))
     assert back == spec
     assert all(type(v) is Fraction for v in (*back.c_upper.values(), *back.omega_upper.values()))
+
+
+# --- the report writer -----------------------------------------------------
+
+
+class _Int(int):
+    def __repr__(self):  # json writes int.__repr__, not a subclass's
+        return "not a number"
+
+
+class _Str(str):
+    pass
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not a number"
+
+
+writer_keys = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "caf\u00e9", "\u2028", "\ud800", "\U0001f600"])
+writer_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10 ** 60, 10 ** 60),
+    st.floats(), st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, float("nan"), float("inf"),
+                                  float("-inf")]),
+    writer_keys, st.integers().map(_Int), st.text(max_size=4).map(_Str),
+    st.floats().map(_Float))
+writer_values = st.recursive(
+    writer_scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(writer_keys, inner, max_size=4)
+                   | st.dictionaries(writer_keys, inner, max_size=3).map(collections.OrderedDict)),
+    max_leaves=30)
+
+
+@given(writer_values)
+@settings(deadline=None, max_examples=300)
+def test_report_writer_matches_indented_sorted_json(value):
+    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_report_writer_rejects_what_it_cannot_write():
+    for bad in ({1: "x"}, {"a": 1, 2: "b"}, {None: 1}, {(1, 2): 1}, Fraction(1, 2),
+                [Fraction(1)], {"a": {1, 2}}, {1, 2}, b"bytes"):
+        with pytest.raises(TypeError):
+            _dumps(bad)

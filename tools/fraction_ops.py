@@ -1,6 +1,7 @@
 """Count the Fraction operations of the benchmark's calls in two source trees.
 
     python3 tools/fraction_ops.py OLD_SRC NEW_SRC [--seed 1] [--workload classify-orbit]
+    python3 tools/fraction_ops.py OLD_SRC NEW_SRC --workload nd-sparse
 
 OLD_SRC and NEW_SRC each name a directory holding an ``omegalie`` package: a
 checkout's ``src/``, or the checkout itself.  Each tree runs in one
@@ -14,16 +15,19 @@ runs:
 * ``orbit-validate``: the ``orbit-sample`` call and the ``validate --json``
   call of each pipeline, both through ``omegalie.io_cli.run`` as the
   benchmark makes them (the edit of a bumped document in between is not
-  counted).
+  counted);
+* ``nd-sparse``: each ``validate --json`` or ``deformability --json`` call
+  through ``omegalie.io_cli.run``, grouped by dim, document kind and command.
 
 Constructions get a column of their own: a ``Fraction(...)`` call made
 outside a counted operation, so the integer paths, which build one Fraction
 per result instead of combining Fractions, show what they moved there.
 Reading a numerator or denominator is not counted.
 
-Prints, per table row, the mean operation and construction counts per
-measured unit (a ``classify`` call, or an orbit-sample | validate pipeline)
-in each tree, then the totals over all inputs.
+Prints, per table row (per dim, kind and command for nd-sparse), the mean
+operation and construction counts per measured unit (a ``classify`` call,
+an orbit-sample | validate pipeline, or an nd-sparse call) in each tree,
+then the totals over all inputs.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ COUNTED = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
            "__mod__", "__rmod__", "__divmod__", "__rdivmod__", "__pow__", "__rpow__",
            "__pos__", "__neg__", "__abs__",
            "__eq__", "__lt__", "__gt__", "__le__", "__ge__", "__bool__")
-WORKLOADS = ("classify-orbit", "orbit-validate")
+WORKLOADS = ("classify-orbit", "orbit-validate", "nd-sparse")
 
 
 def count_tree(src, seed, workload):
@@ -93,8 +97,14 @@ def count_tree(src, seed, workload):
         doc = workloads.bump_omega(first[1])[0] if op.bump else first[1]
         measured(lambda: workloads.call(ol.io_cli, ["validate", "--json"], doc))
 
+    def nd_unit(op):
+        measured(lambda: workloads.call(ol.io_cli, [op.command, "--json"], op.doc))
+
     if workload == "classify-orbit":
         units = [(op.row, functools.partial(classify_unit, ol.parse(op.doc))) for op in ops]
+    elif workload == "nd-sparse":
+        units = [(f"dim {op.dim} {op.kind} {op.command}", functools.partial(nd_unit, op))
+                 for op in ops]
     else:
         units = [(op.row, functools.partial(pipeline_unit, op)) for op in ops]
     for name in COUNTED:
@@ -130,12 +140,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     old = collect(package_dir(args.old), args.seed, args.workload)
     new = collect(package_dir(args.new), args.seed, args.workload)
-    print(f"{'row':10s} {'units':>5s}" + "".join(
+    width = max(10, *map(len, old))
+    print(f"{'row':{width}s} {'units':>5s}" + "".join(
         f" {name:>8s}" for name in ("old ops", "new ops", "old new", "new new")))
     for row in old:  # both trees see the same inputs
         (o_ops, o_new), (n_ops, n_new) = (map(sum, zip(*tree[row])) for tree in (old, new))
         k = len(old[row])
-        print(f"{row:10s} {k:5d}" + "".join(f" {x / k:8.1f}" for x in (o_ops, n_ops, o_new, n_new)))
+        print(f"{row:{width}s} {k:5d}"
+              + "".join(f" {x / k:8.1f}" for x in (o_ops, n_ops, o_new, n_new)))
     units = sum(map(len, old.values()))
     for what, col in (("operations", 0), ("constructions", 1)):
         total_old = sum(c[col] for v in old.values() for c in v)
