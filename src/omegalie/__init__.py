@@ -13,8 +13,7 @@ instance onto one of two Bianchi-style normal-form tables, and ships a
 JSON document format plus the ``omegalie`` command line around it all.
 """
 
-from .algebra_core import (AlgebraSpec, ResidualTensor, SkewViolation,
-                           SkewViolationError, bracket, jacobiator,
+from .algebra_core import (AlgebraSpec, ResidualTensor, bracket, jacobiator,
                            omega_rhs, omega_value, residual, transport)
 from .classify3d import (FIRST_TABLE_ORDER, PARAMETRIC_LABELS,
                          SECOND_TABLE_ORDER, BianchiLabel, ExactCertificates,
@@ -24,8 +23,8 @@ from .decomp3d import NabTriple, decompose, forced_b, reconstruct, t_of, t_vecto
 from .decomp_nd import (DeformabilityResult, GeneralSplit,
                         check_deformability, induced_omega, split_trace)
 from .io_cli import DocumentError, document_object, parse, serialize
-from .tensor_core import (Inertia, Matrix, Scalar, SingularMatrixError,
-                          congruence_diagonalize, invert, rational)
+from .tensor_core import (Inertia, Matrix, SingularMatrixError,
+                          congruence_diagonalize, rational)
 
 __version__ = "0.1.0"
 
@@ -34,11 +33,10 @@ __all__ = [
     "ExactCertificates", "FIRST_TABLE_ORDER", "FloatRangeError",
     "GeneralSplit", "Inertia", "Matrix", "NabTriple", "NormalForm",
     "NotAnAlgebraError", "PARAMETRIC_LABELS", "ResidualTensor",
-    "SECOND_TABLE_ORDER", "Scalar", "SingularMatrixError", "SkewViolation",
-    "SkewViolationError", "bracket", "check_deformability",
-    "classify", "congruence_diagonalize", "decompose", "document_object",
-    "forced_b", "generate", "induced_omega", "invert",
-    "jacobiator", "omega_rhs", "omega_value", "orbit_sample", "parse",
-    "rational", "reconstruct", "residual", "serialize", "split_trace",
-    "t_of", "t_vector", "table_row", "transport",
+    "SECOND_TABLE_ORDER", "SingularMatrixError", "bracket",
+    "check_deformability", "classify", "congruence_diagonalize", "decompose",
+    "document_object", "forced_b", "generate", "induced_omega", "jacobiator",
+    "omega_rhs", "omega_value", "orbit_sample", "parse", "rational",
+    "reconstruct", "residual", "serialize", "split_trace", "t_of",
+    "t_vector", "table_row", "transport",
 ]

@@ -6,7 +6,9 @@ the nonzero structure constants c[k][i][j] with i < j (the e_{k+1}
 component of [e_{i+1}, e_{j+1}], 0-based) and the nonzero omega[i][j] with
 i < j.  Skewness therefore holds by construction, every stored value is a
 Fraction, and every kernel below costs in the number of stored entries,
-not in dim^3: an empty document of any dimension is checked at once.
+not in dim^3: an empty document of any dimension is checked at once.  The
+store is the only shape that enters or leaves this module: no dense c or
+omega is built, and ``ResidualTensor`` keeps only its nonzero components.
 Validity means the deformed Jacobi identity
 
     [A,[B,C]] + [C,[A,B]] + [B,[C,A]] = omega(B,C) A + omega(A,B) C + omega(C,A) B
@@ -21,31 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .tensor_core import Matrix, cleared, int_adjugate, rational
 
-# The zero of the dense views and of the kernels' results, which hold
-# Fractions only: every nonzero value is a stored Fraction or a product with one.
+# The zero of the kernels' results, which hold Fractions only: every nonzero
+# value is a stored Fraction or a product with one.
 _ZERO = Fraction(0)
-
-
-class SkewViolation(NamedTuple):
-    tensor: str          # "c" or "omega"
-    indices: tuple       # 1-based; ("c", (k, i, j)) or ("omega", (i, j))
-
-
-class SkewViolationError(ValueError):
-    def __init__(self, violations):
-        self.violations = tuple(violations)
-        super().__init__(f"bracket/omega not skew: {self.violations}")
-
-
-def _positive_dim(dim):
-    if not isinstance(dim, int) or dim < 1:
-        raise ValueError("dim must be a positive integer")
-    return dim
 
 
 @dataclass(frozen=True, init=False)
@@ -55,52 +39,27 @@ class AlgebraSpec:
     The store: ``c_upper`` maps 0-based (i, j, k) with i < j to the nonzero
     c[k][i][j], and ``omega_upper`` maps (i, j) with i < j to the nonzero
     omega[i][j], both in lexicographic key order, the order of a document.
-    Every value is a Fraction: both public constructors pass each entry
-    through ``rational``, so floats and bools raise TypeError.
-
-    ``AlgebraSpec(dim, c, omega)`` takes the dense c[k][i][j] and
-    omega[i][j], checks shape and skewness once, and raises
-    SkewViolationError listing every violating index pair.
-    ``from_entries`` fills the store directly.  ``c`` and ``omega`` are
-    dense views, built on first access.
+    The entries with i > j follow by skewness and are never stored.  Every
+    value is a Fraction: ``from_entries``, the public constructor, passes
+    each entry through ``rational``, so floats and bools raise TypeError.
     """
 
     dim: int
     c_upper: dict
     omega_upper: dict
 
-    def __init__(self, dim, c, omega):
-        n = _positive_dim(dim)
-        c = tuple(tuple(tuple(map(rational, plane)) for plane in mat) for mat in c)
-        om = tuple(tuple(map(rational, row)) for row in omega)
-        if len(c) != n or any(len(m) != n or any(len(r) != n for r in m) for m in c):
-            raise ValueError("c must have shape dim x dim x dim")
-        if len(om) != n or any(len(r) != n for r in om):
-            raise ValueError("omega must have shape dim x dim")
-        violations = [SkewViolation("c", (k + 1, i + 1, j + 1)) for k in range(n)
-                      for i in range(n) for j in range(i, n) if c[k][i][j] != -c[k][j][i]]
-        violations += [SkewViolation("omega", (i + 1, j + 1)) for i in range(n)
-                       for j in range(i, n) if om[i][j] != -om[j][i]]
-        if violations:
-            raise SkewViolationError(violations)
-        self._set(n, {(i, j, k): c[k][i][j] for i in range(n) for j in range(i + 1, n)
-                      for k in range(n)},
-                  {(i, j): om[i][j] for i in range(n) for j in range(i + 1, n)})
-
     @classmethod
     def _from_upper(cls, dim, c_upper, omega_upper) -> "AlgebraSpec":
         """The spec whose store holds these i < j Fraction entries (the
-        kernels' constructor)."""
+        kernels' constructor); zero values are dropped and the keys sorted."""
+        if not isinstance(dim, int) or dim < 1:
+            raise ValueError("dim must be a positive integer")
         spec = object.__new__(cls)
-        spec._set(_positive_dim(dim), c_upper, omega_upper)
-        return spec
-
-    def _set(self, dim, c_upper, omega_upper):
-        # zero values are dropped and the keys sorted
         for name, value in (("dim", dim),
                             ("c_upper", dict(sorted(x for x in c_upper.items() if x[1]))),
                             ("omega_upper", dict(sorted(x for x in omega_upper.items() if x[1])))):
-            object.__setattr__(self, name, value)
+            object.__setattr__(spec, name, value)
+        return spec
 
     def __hash__(self):
         return hash((self.dim, tuple(self.c_upper.items()), tuple(self.omega_upper.items())))
@@ -130,24 +89,6 @@ class AlgebraSpec:
                 raise ValueError(f"duplicate omega entry ({i},{j})")
             om[i - 1, j - 1] = rational(value)
         return cls._from_upper(dim, c, om)
-
-    @cached_property
-    def c(self) -> tuple:
-        """Dense c[k][i][j], 0-based."""
-        n = self.dim
-        dense = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
-        for (i, j, k), v in self.c_upper.items():
-            dense[k][i][j], dense[k][j][i] = v, -v
-        return tuple(tuple(map(tuple, plane)) for plane in dense)
-
-    @cached_property
-    def omega(self) -> tuple:
-        """Dense omega[i][j], 0-based."""
-        n = self.dim
-        dense = [[_ZERO] * n for _ in range(n)]
-        for (i, j), v in self.omega_upper.items():
-            dense[i][j], dense[j][i] = v, -v
-        return tuple(map(tuple, dense))
 
 
 def _check_vec(spec, vec):
@@ -216,8 +157,6 @@ class ResidualTensor:
 
     Only the nonzero components are stored, as ``nonzero``: pairs of
     1-based (m, l, j, k) and value, in lexicographic index order.
-    ``components`` is the dense [m][l][j][k] view (0-based), built on
-    first access.
     """
 
     dim: int
@@ -226,19 +165,6 @@ class ResidualTensor:
     @property
     def is_zero(self) -> bool:
         return not self.nonzero
-
-    def nonzero_components(self):
-        """Yield ((m, l, j, k) 1-based, value) for every nonzero component."""
-        return iter(self.nonzero)
-
-    @cached_property
-    def components(self) -> tuple:
-        n = self.dim
-        dense = [[[[_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for (m, l, j, k), v in self.nonzero:
-            dense[m - 1][l - 1][j - 1][k - 1] = v
-        return tuple(tuple(tuple(tuple(row) for row in plane) for plane in block)
-                     for block in dense)
 
 
 def residual(spec: AlgebraSpec) -> ResidualTensor:

@@ -30,20 +30,11 @@ class GeneralSplit:
     """Trace-free part alpha and trace covector a of one skew bracket.
 
     alpha is skew in its lower pair like a bracket, so it is stored as the
-    bracket of ``trace_free`` (omega = 0); ``alpha`` is its dense view
-    alpha[i][j][k], 0-based.
+    bracket of ``trace_free`` (omega = 0).
     """
 
     trace_free: AlgebraSpec
     a: tuple      # covector
-
-    @property
-    def dim(self) -> int:
-        return self.trace_free.dim
-
-    @property
-    def alpha(self) -> tuple:
-        return self.trace_free.c
 
 
 def _trace_covector(spec: AlgebraSpec) -> tuple:
@@ -88,22 +79,22 @@ def _induced_upper(c_upper: dict, a: tuple) -> dict:
     return {jk: factor * x for jk, x in om.items()}
 
 
-def induced_omega(split: GeneralSplit) -> tuple:
+def induced_omega(split: GeneralSplit) -> dict:
     """Candidate 2-form omega_jk = (dim-1)/(dim-2) a_i alpha[i][j][k]; dim >= 3.
 
     The sum runs over the nonzero a_i and the stored alpha entries only;
-    the result is the dense omega[j][k].
+    the result is an omega store: {(j, k): value} with j < k, nonzero
+    values only, in key order.
     """
     return AlgebraSpec._from_upper(
-        split.dim, {}, _induced_upper(split.trace_free.c_upper, split.a)).omega
+        split.trace_free.dim, {}, _induced_upper(split.trace_free.c_upper, split.a)).omega_upper
 
 
 @dataclass(frozen=True)
 class DeformabilityResult:
     """Outcome of the forced-omega check, keeping the candidate either way.
 
-    ``spec`` is the bracket with the candidate omega, ``candidate`` the
-    dense candidate omega[i][j].
+    ``spec`` is the bracket with the candidate omega in its omega store.
     """
 
     spec: AlgebraSpec
@@ -112,10 +103,6 @@ class DeformabilityResult:
     @property
     def compatible(self) -> bool:
         return self.defect.is_zero
-
-    @property
-    def candidate(self) -> tuple:
-        return self.spec.omega
 
 
 def check_deformability(spec: AlgebraSpec) -> DeformabilityResult:

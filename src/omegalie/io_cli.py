@@ -35,7 +35,7 @@ from .algebra_core import AlgebraSpec, residual
 from .classify3d import (FIRST_TABLE_ORDER, FLOAT_TOL, PARAMETRIC_LABELS,
                          SECOND_TABLE_ORDER, FloatRangeError, NotAnAlgebraError,
                          classify, generate, orbit_sample, table_row)
-from .decomp3d import NabTriple, decompose, forced_b, reconstruct, t_of
+from .decomp3d import NabTriple, _t, _triple, _view, decompose, forced_b, reconstruct, t_of
 from .decomp_nd import check_deformability
 
 SCHEMA_VERSION = 1
@@ -287,9 +287,9 @@ def _cmd_decompose(args):
     spec = _load_spec(args)
     if spec.dim != 3:
         raise _Usage(f"decompose requires dim 3, got dim {spec.dim}")
-    trip = decompose(spec)
+    view = _view(spec)
+    trip, t = _triple(view), _t(view)
     fb = forced_b(trip.n, trip.a)
-    t = t_of(spec)
     matches = trip.b == fb
     report = {
         "command": "decompose",

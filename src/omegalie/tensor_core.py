@@ -5,8 +5,8 @@ matrices are immutable row tuples, and congruence diagonalization / inertia
 counting never take square roots.  ``rational`` alone decides the scalar
 type: ``Matrix`` passes every entry through it, so a matrix holds only
 Fractions (ints are converted, floats and bools raise ``TypeError``).
-``det`` and ``invert`` divide exactly: both read det(M) and adj(M) of the int
-matrix M = den m off ``int_adjugate``, the one elimination ``transport`` shares.
+``det`` divides exactly: it reads det(M) of the int matrix M = den m off
+``int_adjugate``, the one elimination, which ``transport`` shares for adj(M).
 It and ``congruence_diagonalize`` eliminate fraction-free on ints and build
 Fractions only for their results.
 """
@@ -18,11 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-Scalar = Fraction
-
 
 class SingularMatrixError(ValueError):
-    """Inversion was attempted on a matrix with zero determinant."""
+    """An adjugate elimination or a basis change met a zero determinant."""
 
 
 def rational(value) -> Fraction:
@@ -160,13 +158,6 @@ def int_adjugate(rows) -> tuple[list, int]:
             row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], pk[k + 1:])]
         prev = p
     return [[sign * x for x in r[n:]] for r in a], sign * prev
-
-
-def invert(m: Matrix) -> Matrix:
-    """Inverse: for m = M / den with M integer, inv(m) = den adj(M) / det(M)."""
-    rows, den = m.int_rows()
-    adj, det = int_adjugate(rows)
-    return Matrix(tuple(tuple(Fraction(den * x, det) for x in r) for r in adj))
 
 
 def congruence_diagonalize(m: Matrix) -> tuple[Matrix, tuple, int]:

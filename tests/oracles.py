@@ -12,12 +12,20 @@ paths with the package under test (``deformed_identity_holds`` uses the
 library's ``jacobiator`` and ``omega_rhs``, which tests compare against
 ``dense_bracket`` and ``dense_omega``).
 
+The package holds only the i < j store, so the dense shapes these
+references read are built here: ``c_tensor`` and ``omega_matrix`` give a
+spec's dense c[k][i][j] and omega[i][j], ``spec_from_dense`` reads a spec
+off dense skew tensors, ``with_omega`` pairs a spec's bracket with an omega
+store, and ``residual_components`` gives the dense [m][l][j][k] of a
+``ResidualTensor``.
+
 The last section keeps the helpers that only tests call, so they are not
-part of the package's API: basis vectors, matrix scaling, the adjugate,
-inertia, the dual matrix of a dense dim-3 bracket, the forced omega of a
-dim-3 bracket, the compatible omega or None, the brute-force check that
-omega's side of the identity vanishes, the exact witness of a
-classification and its whole-input float check.
+part of the package's API: basis vectors, matrix scaling, the adjugate and
+the inverse (both read off the library's eliminations), inertia, the dual
+matrix of a dense dim-3 bracket, the forced omega of a dim-3 bracket, the
+compatible omega store or None, the brute-force check that omega's side of
+the identity vanishes, the exact witness of a classification and its
+whole-input float check.
 """
 
 from fractions import Fraction
@@ -26,6 +34,62 @@ from itertools import permutations
 from omegalie import (AlgebraSpec, Inertia, Matrix, NabTriple,
                       check_deformability, congruence_diagonalize, decompose,
                       forced_b, jacobiator, omega_rhs, reconstruct, table_row)
+from omegalie.tensor_core import int_adjugate
+
+_ZERO = Fraction(0)
+
+
+# --- dense builders -----------------------------------------------------------
+
+def c_tensor(spec):
+    """Dense c[k][i][j], 0-based, of a spec: the stored c[k][i][j] (i < j),
+    its negative at c[k][j][i] and Fraction zeros elsewhere."""
+    n = spec.dim
+    dense = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, k), v in spec.c_upper.items():
+        dense[k][i][j], dense[k][j][i] = v, -v
+    return tuple(tuple(map(tuple, plane)) for plane in dense)
+
+
+def omega_matrix(spec):
+    """Dense omega[i][j], 0-based, of a spec, completed by skewness like ``c_tensor``."""
+    n = spec.dim
+    dense = [[_ZERO] * n for _ in range(n)]
+    for (i, j), v in spec.omega_upper.items():
+        dense[i][j], dense[j][i] = v, -v
+    return tuple(map(tuple, dense))
+
+
+def spec_from_dense(c, omega):
+    """The spec of a dense skew c[k][i][j] and omega[i][j], read off their i < j
+    entries through ``AlgebraSpec.from_entries`` (so floats raise TypeError);
+    ValueError if either tensor is not skew."""
+    n = len(omega)
+    if any(c[k][i][j] != -c[k][j][i] for k in range(n) for i in range(n) for j in range(i, n)):
+        raise ValueError("c is not skew")
+    if any(omega[i][j] != -omega[j][i] for i in range(n) for j in range(i, n)):
+        raise ValueError("omega is not skew")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return AlgebraSpec.from_entries(
+        n, [(i + 1, j + 1, k + 1, c[k][i][j]) for i, j in pairs for k in range(n)],
+        [(i + 1, j + 1, omega[i][j]) for i, j in pairs])
+
+
+def with_omega(spec, omega_upper):
+    """The spec with the bracket of ``spec`` and the omega store ``omega_upper``."""
+    return AlgebraSpec.from_entries(
+        spec.dim, [(i + 1, j + 1, k + 1, v) for (i, j, k), v in spec.c_upper.items()],
+        [(i + 1, j + 1, v) for (i, j), v in omega_upper.items()])
+
+
+def residual_components(res):
+    """Dense [m][l][j][k], 0-based, of a ``ResidualTensor``: its nonzero
+    components and Fraction zeros elsewhere."""
+    n = res.dim
+    dense = [[[[_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for (m, l, j, k), v in res.nonzero:
+        dense[m - 1][l - 1][j - 1][k - 1] = v
+    return tuple(tuple(tuple(map(tuple, plane)) for plane in block) for block in dense)
 
 
 def _perm_sign(perm):
@@ -147,7 +211,7 @@ def dense_residual(spec: AlgebraSpec):
     input.
     """
     n = spec.dim
-    c, om = spec.c, spec.omega
+    c, om = c_tensor(spec), omega_matrix(spec)
 
     def t_comp(m, l, j, k):
         acc = sum(c[m][i][l] * c[i][j][k] for i in range(n))
@@ -184,12 +248,13 @@ def eps_dual_c(c):
 
 def eps_decompose(spec: AlgebraSpec):
     """(n rows, a, b) of a dim-3 spec by the full eps sums."""
-    cm = eps_dual_c(spec.c)
+    cm = eps_dual_c(c_tensor(spec))
+    om = omega_matrix(spec)
     half = Fraction(1, 2)
     n = [[half * (cm[i][l] + cm[l][i]) for l in range(3)] for i in range(3)]
     a = [half * sum(eps3(m, i, l) * cm[i][l] for i in range(3) for l in range(3))
          for m in range(3)]
-    b = [half * sum(eps3(i, j, k) * spec.omega[i][j] for i in range(3) for j in range(3))
+    b = [half * sum(eps3(i, j, k) * om[i][j] for i in range(3) for j in range(3))
          for k in range(3)]
     return n, a, b
 
@@ -212,7 +277,7 @@ def dense_transport(spec, p):
     permutation-expanded adjugate over the determinant.  ``spec`` is an
     AlgebraSpec or a dense (c, omega) pair, whose entries (floats too) and
     those of the rows ``p`` set the scalar type of the result."""
-    c, om = (spec.c, spec.omega) if isinstance(spec, AlgebraSpec) else spec
+    c, om = (c_tensor(spec), omega_matrix(spec)) if isinstance(spec, AlgebraSpec) else spec
     n = len(om)
     det = perm_det(p)
     pinv = [[x / det for x in row] for row in perm_adjugate(p)]
@@ -326,6 +391,14 @@ def adjugate(m):
     return Matrix(cof).transpose()
 
 
+def inverse(m):
+    """inv(m) = den adj(M) / det(M) for m = M / den with M integer, off the
+    library's ``int_adjugate``; SingularMatrixError when det(M) = 0."""
+    rows, den = m.int_rows()
+    adj, det = int_adjugate(rows)
+    return Matrix(tuple(tuple(Fraction(den * x, det) for x in r) for r in adj))
+
+
 def inertia(m):
     """Signature (positive, negative, zero) of a symmetric rational matrix."""
     return Inertia.of_diagonal(congruence_diagonalize(m)[1])
@@ -344,14 +417,15 @@ def dual_c(c):
 
 def forced_omega(c):
     """The unique compatible 2-form of a dense 3d skew bracket, as a full matrix."""
-    trip = decompose(AlgebraSpec(3, c, AlgebraSpec.zero(3).omega))
-    return reconstruct(NabTriple(trip.n, trip.a, forced_b(trip.n, trip.a))).omega
+    trip = decompose(spec_from_dense(c, omega_matrix(AlgebraSpec.zero(3))))
+    return omega_matrix(reconstruct(NabTriple(trip.n, trip.a, forced_b(trip.n, trip.a))))
 
 
 def deformability(spec):
-    """The unique 2-form (dense) making the bracket of ``spec`` valid, or None."""
+    """The omega store of the unique 2-form making the bracket of ``spec``
+    valid, or None."""
     result = check_deformability(spec)
-    return result.candidate if result.compatible else None
+    return result.spec.omega_upper if result.compatible else None
 
 
 def omega_rhs_is_identically_zero(omega):
@@ -402,10 +476,9 @@ def transport_error(spec, nf):
     """Largest deviation of the float transport of the whole input by the
     reported float transform from the canonical row, both dense: the check
     classify made before it certified its exact head and checked floats
-    on the 3x3 frame only.  It calls neither the library's ``transport``
-    nor its ``invert``."""
-    c = [[[float(x) for x in row] for row in plane] for plane in spec.c]
-    om = [[float(x) for x in row] for row in spec.omega]
+    on the 3x3 frame only.  It does not call the library's ``transport``."""
+    c = [[[float(x) for x in row] for row in plane] for plane in c_tensor(spec)]
+    om = [[float(x) for x in row] for row in omega_matrix(spec)]
     moved = dense_transport((c, om), nf.transform)
     nd, apat, _ = table_row(nf.label.name)
     a = [x * (1.0 if nf.parameter is None else nf.parameter) for x in apat]

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegalie import (AlgebraSpec, SingularMatrixError, SkewViolationError,
-                      Matrix, NabTriple, bracket, check_deformability,
-                      decompose, generate, jacobiator, omega_rhs, omega_value,
-                      reconstruct, residual, split_trace, transport)
-from oracles import (basis, deformed_identity_holds, dense_bracket,
+from omegalie import (AlgebraSpec, SingularMatrixError, Matrix, NabTriple,
+                      bracket, check_deformability, decompose, generate,
+                      jacobiator, omega_rhs, omega_value, reconstruct,
+                      residual, split_trace, transport)
+from oracles import (basis, c_tensor, deformed_identity_holds, dense_bracket,
                      dense_omega, dense_residual, dense_transport, flat,
-                     omega_rhs_is_identically_zero)
+                     omega_matrix, omega_rhs_is_identically_zero,
+                     residual_components, spec_from_dense)
 from test_io_cli import exact_specs
 
 
@@ -39,11 +40,12 @@ def rand_transport(rng, dim=3, den=2):
 
 def test_from_entries_skew_completion():
     s = AlgebraSpec.from_entries(3, [(2, 3, 1, "1")], [(1, 2, "1/2")])
-    assert s.c[0][1][2] == 1
-    assert s.c[0][2][1] == -1
-    assert s.omega[0][1] == Fraction(1, 2)
-    assert s.omega[1][0] == Fraction(-1, 2)
-    assert s.c[1][1][2] == 0
+    c, om = c_tensor(s), omega_matrix(s)
+    assert c[0][1][2] == 1
+    assert c[0][2][1] == -1
+    assert om[0][1] == Fraction(1, 2)
+    assert om[1][0] == Fraction(-1, 2)
+    assert c[1][1][2] == 0
 
 
 def test_from_entries_rejects_bad_input():
@@ -66,9 +68,9 @@ def test_constructors_refuse_floats():
         with pytest.raises(TypeError):
             Matrix(((1, 0), (0, bad)))
         with pytest.raises(TypeError):
-            AlgebraSpec(2, (((0, 0), (0, 0)), ((0, bad), (-bad, 0))), ((0, 0), (0, 0)))
+            spec_from_dense((((0, 0), (0, 0)), ((0, bad), (-bad, 0))), ((0, 0), (0, 0)))
         with pytest.raises(TypeError):
-            AlgebraSpec(3, zero.c, ((0, bad, 0), (-bad, 0, 0), (0, 0, 0)))
+            spec_from_dense(c_tensor(zero), ((0, bad, 0), (-bad, 0, 0), (0, 0, 0)))
         with pytest.raises(TypeError):
             AlgebraSpec.from_entries(3, [(1, 2, 3, bad)])
         with pytest.raises(TypeError):
@@ -84,21 +86,9 @@ def test_zero_spec():
     assert z.dim == 3
     assert residual(z).is_zero
     assert z == AlgebraSpec.from_entries(3)
-    # the dense views hold Fraction zeros, as those of any other spec
-    assert {type(x) for x in flat(z.c) + flat(z.omega)} == {Fraction}
-
-
-def test_validate_skew_flags_both_tensors():
-    good = AlgebraSpec.zero(2)
-    assert AlgebraSpec(2, good.c, good.omega) == good
-    bad_c = tuple(tuple(tuple(1 for _ in range(2)) for _ in range(2)) for _ in range(2))
-    with pytest.raises(SkewViolationError) as info:
-        AlgebraSpec(2, bad_c, ((0, 1), (1, 0)))
-    names = {v.tensor for v in info.value.violations}
-    assert names == {"c", "omega"}
-    assert [(v.tensor, v.indices) for v in info.value.violations] == [
-        ("c", (1, 1, 1)), ("c", (1, 1, 2)), ("c", (1, 2, 2)),
-        ("c", (2, 1, 1)), ("c", (2, 1, 2)), ("c", (2, 2, 2)), ("omega", (1, 2))]
+    # the zero spec stores nothing: its dense c and omega are Fraction zeros
+    assert {type(x) for x in flat(c_tensor(z)) + flat(omega_matrix(z))} == {Fraction}
+    assert z.c_upper == {} and z.omega_upper == {}
 
 
 # --- bracket and forms ---------------------------------------------------
@@ -146,7 +136,7 @@ def test_residual_equals_minus_third_of_basis_defect():
     rng = random.Random(12)
     for dim in (3, 4):
         s = rand_spec(rng, dim)
-        r = residual(s)
+        r = residual_components(residual(s))
         e = basis(dim)
         for l in range(dim):
             for j in range(dim):
@@ -155,14 +145,14 @@ def test_residual_equals_minus_third_of_basis_defect():
                         jacobiator(s, e[l], e[j], e[k])[m]
                         - omega_rhs(s, e[l], e[j], e[k])[m]
                         for m in range(dim))
-                    assert defect == tuple(-3 * r.components[m][l][j][k]
+                    assert defect == tuple(-3 * r[m][l][j][k]
                                            for m in range(dim))
 
 
 def test_residual_is_totally_antisymmetric():
     rng = random.Random(13)
     s = rand_spec(rng, 3)
-    r = residual(s).components
+    r = residual_components(residual(s))
     for m in range(3):
         for l in range(3):
             for j in range(3):
@@ -177,7 +167,7 @@ def test_residual_known_component():
         3, [(2, 3, 1, 1), (1, 3, 2, -1), (1, 2, 3, 1)], [(1, 2, 1)])
     r = residual(s)
     assert not r.is_zero
-    comps = dict(r.nonzero_components())
+    comps = dict(r.nonzero)
     assert comps[(3, 1, 2, 3)] == Fraction(1, 3)
     assert comps[(3, 2, 1, 3)] == Fraction(-1, 3)
     assert all(m == 3 for (m, _, _, _) in comps)
@@ -185,9 +175,9 @@ def test_residual_known_component():
 
 def test_residual_nonzero_components_are_one_based():
     s = AlgebraSpec.from_entries(3, [(1, 2, 1, 1)], [])
-    for (m, l, j, k), v in residual(s).nonzero_components():
+    for (m, l, j, k), v in residual(s).nonzero:
         assert 1 <= min(m, l, j, k) and max(m, l, j, k) <= 3
-        assert v == residual(s).components[m - 1][l - 1][j - 1][k - 1]
+        assert v == dense_residual(s)[m - 1][l - 1][j - 1][k - 1]
 
 
 def sparse_spec(rng, dim, density):
@@ -212,13 +202,13 @@ def residual_cases():
             s = sparse_spec(rng, dim, density)
             yield s
             if dim >= 3:
-                yield AlgebraSpec(dim, s.c, check_deformability(s).candidate)
+                yield check_deformability(s).spec
         filiform = AlgebraSpec.from_entries(dim, [(1, i, i + 1, 1) for i in range(2, dim)])
         yield filiform
-        yield AlgebraSpec(dim, tuple(tuple(tuple(int(x) for x in row) for row in plane)
-                                     for plane in filiform.c),
-                          tuple(tuple(int(i < j) - int(j < i) for j in range(dim))
-                                for i in range(dim)))
+        yield spec_from_dense(tuple(tuple(tuple(int(x) for x in row) for row in plane)
+                                    for plane in c_tensor(filiform)),
+                              tuple(tuple(int(i < j) - int(j < i) for j in range(dim))
+                                    for i in range(dim)))
 
 
 def test_residual_matches_dense_reference():
@@ -227,15 +217,15 @@ def test_residual_matches_dense_reference():
         n = s.dim
         ref = dense_residual(s)
         r = residual(s)
-        assert r.components == tuple(tuple(tuple(tuple(row) for row in plane)
-                                           for plane in block) for block in ref)
+        assert residual_components(r) == tuple(tuple(tuple(tuple(row) for row in plane)
+                                                     for plane in block) for block in ref)
         expected = [((m + 1, l + 1, j + 1, k + 1), ref[m][l][j][k])
                     for m in range(n) for l in range(n) for j in range(n)
                     for k in range(n) if ref[m][l][j][k] != 0]
-        assert list(r.nonzero_components()) == expected
-        for _, v in r.nonzero_components():
+        assert list(r.nonzero) == expected
+        for _, v in r.nonzero:
             assert type(v) is Fraction
-        for block in r.components:
+        for block in residual_components(r):
             for plane in block:
                 for row in plane:
                     assert all(type(x) is Fraction for x in row if x != 0)
@@ -256,15 +246,16 @@ def test_bracket_and_forms_match_naive_sums():
         for density in (0.0, 0.25, 0.5, 1.0):
             s = sparse_spec(rng, dim, density)
             x, y, z = (vector(dim, rng.choice((0.3, 0.7, 1.0))) for _ in range(3))
+            c, om = c_tensor(s), omega_matrix(s)
             xy = bracket(s, x, y)
-            assert xy == dense_bracket(s.c, x, y)
-            assert omega_value(s, x, y) == dense_omega(s.omega, x, y)
+            assert xy == dense_bracket(c, x, y)
+            assert omega_value(s, x, y) == dense_omega(om, x, y)
             jac = tuple(sum(t) for t in zip(
-                dense_bracket(s.c, x, dense_bracket(s.c, y, z)),
-                dense_bracket(s.c, z, dense_bracket(s.c, x, y)),
-                dense_bracket(s.c, y, dense_bracket(s.c, z, x))))
+                dense_bracket(c, x, dense_bracket(c, y, z)),
+                dense_bracket(c, z, dense_bracket(c, x, y)),
+                dense_bracket(c, y, dense_bracket(c, z, x))))
             assert jacobiator(s, x, y, z) == jac
-            wyz, wxy, wzx = (dense_omega(s.omega, *pair)
+            wyz, wxy, wzx = (dense_omega(om, *pair)
                              for pair in ((y, z), (x, y), (z, x)))
             assert omega_rhs(s, x, y, z) == tuple(
                 wyz * x[m] + wxy * z[m] + wzx * y[m] for m in range(dim))
@@ -312,7 +303,7 @@ def test_omega_rhs_zero_checker_validates_input():
 def test_transport_scaling_of_type_ii():
     s = generate("II")  # [e2, e3] = e1
     p = Matrix.diagonal((1, 1, 2))  # e3' = 2 e3
-    assert transport(s, p).c[0][1][2] == 2
+    assert c_tensor(transport(s, p))[0][1][2] == 2
 
 
 def test_transport_composes():
@@ -357,9 +348,9 @@ def test_transport_rejects_singular():
 def as_scalars(spec, p, kind):
     """spec and p built from int or Fraction entries."""
     conv = {"int": lambda x: int(x * 6), "fraction": Fraction}[kind]
-    c = tuple(tuple(tuple(conv(x) for x in row) for row in plane) for plane in spec.c)
-    om = tuple(tuple(conv(x) for x in row) for row in spec.omega)
-    return AlgebraSpec(spec.dim, c, om), Matrix(tuple(tuple(conv(x) for x in r) for r in p.rows))
+    c = tuple(tuple(tuple(conv(x) for x in row) for row in plane) for plane in c_tensor(spec))
+    om = tuple(tuple(conv(x) for x in row) for row in omega_matrix(spec))
+    return spec_from_dense(c, om), Matrix(tuple(tuple(conv(x) for x in r) for r in p.rows))
 
 
 def test_transport_matches_dense_reference():
@@ -375,24 +366,11 @@ def test_transport_matches_dense_reference():
             for kind, q in (("int", p), ("fraction", p), ("fraction", big)):
                 spec, pk = as_scalars(s, q, kind)
                 got = transport(spec, pk)
-                got_all = flat(got.c) + flat(got.omega)
+                got_all = flat(c_tensor(got)) + flat(omega_matrix(got))
                 assert got_all == flat(dense_transport(spec, pk.rows)), (dim, density, kind)
                 assert {type(x) for x in got_all} == {Fraction}, (dim, density, kind)
                 assert all(type(x) is Fraction for x in (*got.c_upper.values(),
                                                          *got.omega_upper.values()))
-
-
-def test_transport_rejects_non_skew_specs():
-    zero = AlgebraSpec.zero(3)
-    c = [[list(row) for row in plane] for plane in zero.c]
-    c[2][0][1] = 1  # [e1, e2] = e3 without [e2, e1] = -e3
-    with pytest.raises(SkewViolationError) as info:
-        AlgebraSpec(3, c, zero.omega)
-    assert [(v.tensor, v.indices) for v in info.value.violations] == [("c", (3, 1, 2))]
-    om = ((0, 1, 0), (1, 0, 0), (0, 0, 0))
-    with pytest.raises(SkewViolationError) as info:
-        AlgebraSpec(3, zero.c, om)
-    assert [(v.tensor, v.indices) for v in info.value.violations] == [("omega", (1, 2))]
 
 
 @given(exact_specs, st.integers(0, 2 ** 32))

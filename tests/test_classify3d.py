@@ -1,10 +1,12 @@
 """Normal-form tables, exact certificates, the classifier and the public API."""
 
+import ast
 import dataclasses
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,8 +18,8 @@ from omegalie import (AlgebraSpec, BianchiLabel, FloatRangeError, Matrix,
                       PARAMETRIC_LABELS, classify, decompose, forced_b,
                       generate, orbit_sample, reconstruct, serialize,
                       t_vector, table_row, transport)
-from oracles import (dense_transport, eps_reconstruct, exact_witness_holds, flat,
-                     transport_error)
+from oracles import (c_tensor, dense_transport, eps_reconstruct, exact_witness_holds,
+                     flat, omega_matrix, transport_error)
 
 ALL_LABELS = ("I", "II", "VI0", "VII0", "VIII", "IX", "V", "IV", "IV_x",
               "VI_a", "VI_x", "VI_y", "VI_n", "VII_a", "VII_x", "VIII_a",
@@ -60,7 +62,7 @@ def test_generate_parameter_validation():
 
 def test_generate_is_exact():
     s = generate("VIII_a", "1/3")
-    assert all(isinstance(x, (int, Fraction)) for m in s.c for r in m for x in r)
+    assert all(isinstance(x, (int, Fraction)) for m in c_tensor(s) for r in m for x in r)
     assert decompose(s).a == (0, 0, Fraction(1, 3))
 
 
@@ -113,8 +115,8 @@ def test_vi_x_vi_y_witness_transform():
     moved = transport(generate("VI_x"), swap)
     assert moved == generate("VI_y")
     # == alone passes with float entries, since 1.0 == Fraction(1)
-    assert all(type(x) is Fraction for m in moved.c for r in m for x in r)
-    assert all(type(x) is Fraction for r in moved.omega for x in r)
+    assert all(type(x) is Fraction for m in c_tensor(moved) for r in m for x in r)
+    assert all(type(x) is Fraction for r in omega_matrix(moved) for x in r)
     nf = classify(generate("VI_y"))
     assert nf.label.name == "VI_x"
     assert any("VI_y" in note for note in nf.notes)
@@ -130,8 +132,8 @@ def test_viii_na_witness_transform():
         moved = transport(generate("VIII_na", 1), boost)
         assert moved == generate("VIII_na", target)
         # == alone passes with float entries, since 1.0 == Fraction(1)
-        assert all(type(x) is Fraction for m in moved.c for r in m for x in r)
-        assert all(type(x) is Fraction for r in moved.omega for x in r)
+        assert all(type(x) is Fraction for m in c_tensor(moved) for r in m for x in r)
+        assert all(type(x) is Fraction for r in omega_matrix(moved) for x in r)
     for p in (Fraction(1, 2), 1, 2):
         nf = classify(generate("VIII_na", p))
         assert nf.label.name == "VIII_na"
@@ -371,8 +373,9 @@ def test_transform_carries_input_onto_canonical():
     spec = orbit_sample("VIII_a", Fraction(3, 2), seed=9)
     nf = classify(spec)
     assert all(type(x) is float for x in flat(nf.transform))
-    moved = dense_transport(([[[float(x) for x in r] for r in m] for m in spec.c],
-                             [[float(x) for x in r] for r in spec.omega]), nf.transform)
+    moved = dense_transport(([[[float(x) for x in r] for r in m] for m in c_tensor(spec)],
+                             [[float(x) for x in r] for r in omega_matrix(spec)]),
+                            nf.transform)
     p = nf.parameter
     canonical = eps_reconstruct(((1.0, 0, 0), (0, 1.0, 0), (0, 0, -1.0)), (0, 0, p), (0, 0, 2 * p))
     for x, y in zip(flat(moved), flat(canonical)):
@@ -413,3 +416,67 @@ def test_public_api_resolves_without_test_only_names():
     assert not hasattr(AlgebraSpec.zero(3), "zero_value")
     assert not hasattr(omegalie.tensor_core, "_field")
     assert "canonical" not in {f.name for f in dataclasses.fields(NormalForm)}
+    # the store is the only data shape: no dense views, constructor or skew errors
+    for name in ("SkewViolation", "SkewViolationError", "invert", "Scalar"):
+        assert not hasattr(omegalie, name) and name not in omegalie.__all__
+        assert not hasattr(omegalie.algebra_core, name) and not hasattr(omegalie.tensor_core, name)
+    assert not any(hasattr(AlgebraSpec, name) for name in ("c", "omega", "_set"))
+    assert not any(hasattr(omegalie.ResidualTensor, name)
+                   for name in ("components", "nonzero_components"))
+    assert not hasattr(omegalie.GeneralSplit, "alpha")
+    assert not hasattr(omegalie.GeneralSplit, "dim")
+    assert not hasattr(omegalie.DeformabilityResult, "candidate")
+    with pytest.raises(TypeError):
+        AlgebraSpec(2, (((0, 0), (0, 0)), ((0, 0), (0, 0))), ((0, 0), (0, 0)))
+
+
+PUBLIC_API = [
+    "AlgebraSpec", "BianchiLabel", "DeformabilityResult", "DocumentError",
+    "ExactCertificates", "FIRST_TABLE_ORDER", "FloatRangeError",
+    "GeneralSplit", "Inertia", "Matrix", "NabTriple", "NormalForm",
+    "NotAnAlgebraError", "PARAMETRIC_LABELS", "ResidualTensor",
+    "SECOND_TABLE_ORDER", "SingularMatrixError", "bracket",
+    "check_deformability", "classify", "congruence_diagonalize", "decompose",
+    "document_object", "forced_b", "generate", "induced_omega", "jacobiator",
+    "omega_rhs", "omega_value", "orbit_sample", "parse", "rational",
+    "reconstruct", "residual", "serialize", "split_trace", "t_of",
+    "t_vector", "table_row", "transport",
+]
+
+
+def test_public_api_is_pinned():
+    # a name enters or leaves the package's surface only by editing this list
+    assert PUBLIC_API == sorted(PUBLIC_API)
+    assert omegalie.__all__ == PUBLIC_API
+    for name in PUBLIC_API:
+        getattr(omegalie, name)
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_benchmark_reads_resolve():
+    # bench/spans.py wraps these two methods on the class itself
+    assert {"det", "__matmul__"} <= set(omegalie.tensor_core.Matrix.__dict__)
+    layers = next(ast.literal_eval(node.value) for node in ast.parse(
+        (BENCH / "spans.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "LAYERS")
+    for layer in layers:
+        assert getattr(omegalie, layer).__name__ == f"omegalie.{layer}"
+    # every attribute chain the bench scripts read off the package or io_cli
+    roots = {"ol": omegalie, "package": omegalie, "cli": omegalie.io_cli}
+    chains = set()
+    for path in BENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            attrs = []
+            while isinstance(node, ast.Attribute):
+                attrs.insert(0, node.attr)
+                node = node.value
+            if attrs and isinstance(node, ast.Name) and node.id in roots:
+                chains.add((node.id, *attrs))
+    assert {("ol", "AlgebraSpec", "from_entries"), ("ol", "jacobiator"),
+            ("cli", "run")} <= chains
+    for root, *attrs in chains:
+        obj = roots[root]
+        for attr in attrs:
+            obj = getattr(obj, attr)

