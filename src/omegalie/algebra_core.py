@@ -222,10 +222,14 @@ def transport(spec: AlgebraSpec, p: Matrix) -> AlgebraSpec:
     computed: they are the new store.  On ints, for p = M / m, c = C / lc and
     omega = W / lw: c' = adj(M) C (M x M) / (lc m det M), omega' = M^T W M / (lw m^2).
     """
-    n = spec.dim
-    if p.dim != n:
+    if p.dim != spec.dim:
         raise ValueError("transform dimension does not match spec")
-    rows, m = p.int_rows()
+    return _transport(spec, *p.int_rows())
+
+
+def _transport(spec, rows, m) -> AlgebraSpec:
+    # transport by p = M / m, M given as int rows
+    n = spec.dim
     adj, det = int_adjugate(rows)
     cv, lc = cleared(spec.c_upper.values())
     wv, lw = cleared(spec.omega_upper.values())

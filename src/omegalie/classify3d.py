@@ -41,8 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra_core import AlgebraSpec, transport
-from .decomp3d import NabTriple, _t, _triple, _view, forced_b, reconstruct
+from .algebra_core import AlgebraSpec, _transport
+from .decomp3d import _CYCLIC, _UPPER, NabTriple, _t, _triple, _view
 from .tensor_core import Inertia, Matrix, SingularMatrixError, congruence_diagonalize, rational
 
 
@@ -100,6 +100,7 @@ SECOND_TABLE_ORDER = ("V", "IV", "IV_x", "VI_a", "VI_x", "VI_y", "VI_n",
                       "VII_a", "VII_x", "VIII_a", "VIII_xa", "VIII_na", "IX_a")
 PARAMETRIC_LABELS = frozenset(l for l, (_, _, p) in _TABLE.items() if p)
 FLOAT_TOL = 1e-9  # bound on transform_error before classify adds a note
+_UNIT = {1: Fraction(1), -1: Fraction(-1)}  # the nonzero entries of a row's n
 
 _VI_COLLAPSE_NOTE = (
     "VI_x and VI_y lie on one orbit: the basis swap e1 <-> e2 (determinant -1) "
@@ -165,10 +166,13 @@ def table_row(label: str) -> tuple:
 
 
 def generate(label: str, param=None) -> AlgebraSpec:
-    """The exact canonical spec of one table row.
+    """The exact canonical spec of one table row, written on ints.
 
     Parametric rows (VI_a, VII_a, VIII_a, VIII_xa, VIII_na, IX_a) require a
-    positive rational parameter; all others refuse one.
+    positive rational parameter p; all others refuse one.  With n = diag(nd)
+    and a = p apat, ``reconstruct`` reduces at each cyclic pair (j, k) to
+    c[l] = nd[l], c[j] = -a_k, c[k] = a_j and omega = -2 nd[l] a_l, at the
+    pair's i < j key with its sign; all but the shared +-1 of nd come from ints.
     """
     if label not in _TABLE:
         raise ValueError(f"unknown label {label!r}; known: {', '.join(sorted(_TABLE))}")
@@ -177,32 +181,40 @@ def generate(label: str, param=None) -> AlgebraSpec:
         if param is None:
             raise ValueError(f"label {label} requires a positive parameter")
         p = rational(param)
-        if p <= 0:
+        pn, pd = p.numerator, p.denominator
+        if pn <= 0:
             raise ValueError(f"parameter for {label} must be positive, got {param}")
     else:
         if param is not None:
             raise ValueError(f"label {label} does not take a parameter")
-        p = Fraction(1)
-    n = Matrix.diagonal(nd)
-    a = tuple(x * p for x in apat)
-    return reconstruct(NabTriple(n, a, forced_b(n, a)))
+        pn = pd = 1
+    c, om = {}, {}
+    for l, ((j, k), (uj, uk, sign)) in enumerate(zip(_CYCLIC, _UPPER)):
+        if nd[l]:
+            c[uj, uk, l] = _UNIT[sign * nd[l]]
+        c.update(((uj, uk, i), Fraction(sign * x * pn, pd))
+                 for i, x in ((j, -apat[k]), (k, apat[j])) if x)
+        if nd[l] * apat[l]:
+            om[uj, uk] = Fraction(-2 * sign * nd[l] * apat[l] * pn, pd)
+    return AlgebraSpec._from_upper(3, c, om)
 
 
 def orbit_sample(label: str, param=None, *, seed: int) -> AlgebraSpec:
     """A pseudorandom point on the orbit of generate(label, param).
 
-    Transports the canonical spec by an invertible rational matrix whose
-    entries come from a generator seeded with ``seed``; deterministic per
-    seed, resampling on singular draws.
+    Transports the canonical spec by the matrix of entries r / d (r in -3..3,
+    d in 1..2) drawn row by row from a generator seeded with ``seed``,
+    resampling on singular draws.  On ints: the matrix is M / m, m = 2 when
+    some odd r has d = 2 (else 1) and M = r m / d, the rows transport clears.
     """
     base = generate(label, param)
     rng = random.Random(seed)
     while True:
-        p = Matrix(tuple(
-            tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3))
-            for _ in range(3)))
+        draws = [(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(9)]
+        m = 2 if any(d == 2 and r % 2 for r, d in draws) else 1
+        rows = [[r * m // d for r, d in draws[i:i + 3]] for i in (0, 3, 6)]
         with suppress(SingularMatrixError):
-            return transport(base, p)
+            return _transport(base, rows, m)
 
 
 # ---------------------------------------------------------------------------

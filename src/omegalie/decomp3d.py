@@ -11,6 +11,8 @@ The validity defect collapses to the single vector
     t = 4 n a + 2 b,
 
 so a bracket admits exactly one compatible omega: the one with b = -2 n a.
+So does the residual of ``algebra_core``: its component (m, s(1, 2, 3)) is
+sign(s) t_m / 6 for each permutation s, and every other component is zero.
 
 With indices mod 3 each eps sum is a single term: the dual matrix is
 cm[i][l] = c[i][l+1][l+2], n is its symmetric part, a_m = (cm[m+1][m+2] -
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra_core import AlgebraSpec
+from .algebra_core import _PERM3, _ZERO, AlgebraSpec, ResidualTensor
 from .tensor_core import Matrix, cleared, rational
 
 
@@ -83,8 +85,19 @@ def _t(view) -> tuple:
     n, a, b, lc, lw = view
     na = [sum(x * y for x, y in zip(r, a)) for r in n]
     if not any(lw * x + 2 * lc * lc * z for x, z in zip(na, b)):
-        return (Fraction(0),) * 3
+        return (_ZERO,) * 3
     return tuple(Fraction(x, lc) / lc + Fraction(2 * z, lw) for x, z in zip(na, b))
+
+
+def _t_residual(t) -> ResidualTensor:
+    # the dim-3 residual read off t: component (m, s(1, 2, 3)) = sign(s) t_m / 6
+    entries = []
+    for m, x in enumerate(t, 1):
+        if x:
+            v = x / 6
+            entries.extend(((m, l + 1, j + 1, k + 1), v if sign > 0 else -v)
+                           for (l, j, k), sign in sorted(_PERM3))  # in index order
+    return ResidualTensor(3, tuple(entries))
 
 
 def decompose(spec: AlgebraSpec) -> NabTriple:

@@ -35,12 +35,12 @@ from .algebra_core import AlgebraSpec, residual
 from .classify3d import (FIRST_TABLE_ORDER, FLOAT_TOL, PARAMETRIC_LABELS,
                          SECOND_TABLE_ORDER, FloatRangeError, NotAnAlgebraError,
                          classify, generate, orbit_sample, table_row)
-from .decomp3d import NabTriple, _t, _triple, _view, decompose, forced_b, reconstruct, t_of
+from .decomp3d import NabTriple, _t, _t_residual, _triple, _view, decompose, forced_b, reconstruct
 from .decomp_nd import check_deformability
 
 SCHEMA_VERSION = 1
 
-_RATIONAL_RE = re.compile(r"-?\d+(?:/[1-9]\d*)?")
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
 
 
 class DocumentError(ValueError):
@@ -53,10 +53,10 @@ class DocumentError(ValueError):
 
 def _as_rational(value, where):
     if isinstance(value, str):
-        if not _RATIONAL_RE.fullmatch(value):
+        if not (match := _RATIONAL_RE.fullmatch(value)):
             raise DocumentError(f"{where}: malformed rational {value!r}; write 'p' or 'p/q'")
-        try:
-            return Fraction(value)
+        try:  # the terms, not the string: Fraction would parse it a second time
+            return Fraction(int(match[1]), int(match[2] or 1))
         except ValueError:  # more digits than int() converts from a string
             raise DocumentError(f"{where}: rational has too many digits") from None
     if isinstance(value, int) and not isinstance(value, bool):
@@ -268,13 +268,12 @@ def _canonical_row(label):
 
 def _cmd_validate(args):
     spec = _load_spec(args)
-    res = residual(spec)
-    report = {"command": "validate", "dim": spec.dim, "valid": res.is_zero}
-    lines = []
-    if spec.dim == 3:
-        t = t_of(spec)
+    t = _t(_view(spec)) if spec.dim == 3 else None  # dim 3: the residual collapses to t
+    res = residual(spec) if t is None else _t_residual(t)
+    report, lines = {"command": "validate", "dim": spec.dim, "valid": res.is_zero}, []
+    if t is not None:
         report["t"] = _vec(t)
-        lines.append(f"t = ({', '.join(_vec(t))})")
+        lines.append(f"t = ({', '.join(report['t'])})")
     if not res.is_zero:
         _residual_report(args, res, report, "nonzero_residual_components", lines)
     lines.insert(0, "valid: the deformed Jacobi identity holds (residual = 0)" if res.is_zero

@@ -65,15 +65,6 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def diagonal(cls, values: Sequence) -> "Matrix":
-        n = len(values)
-        return cls(tuple(tuple(values[i] if i == j else 0 for j in range(n)) for i in range(n)))
-
     @property
     def dim(self) -> int:
         return len(self.rows)

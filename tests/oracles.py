@@ -5,8 +5,9 @@ determinants, characteristic polynomial + Descartes' rule of signs for
 inertia, direct evaluation of the deformed Jacobi identity on basis
 triples, the dense O(dim^5) component formula of the residual tensor,
 the 27-term Levi-Civita sums of the dimension-3 dictionary, the dense
-basis change of a spec, and the dim-3 decomposition, its defect t and
-symmetric elimination in Fractions.  Slow but
+basis change of a spec, the dim-3 decomposition, its defect t and
+symmetric elimination in Fractions, and the table rows and orbit samples
+built through ``Matrix``, ``forced_b`` and ``reconstruct``.  Slow but
 obviously correct, and sharing no code
 paths with the package under test (``deformed_identity_holds`` uses the
 library's ``jacobiator`` and ``omega_rhs``, which tests compare against
@@ -20,20 +21,21 @@ store, and ``residual_components`` gives the dense [m][l][j][k] of a
 ``ResidualTensor``.
 
 The last section keeps the helpers that only tests call, so they are not
-part of the package's API: basis vectors, matrix scaling, the adjugate and
-the inverse (both read off the library's eliminations), inertia, the dual
-matrix of a dense dim-3 bracket, the forced omega of a dim-3 bracket, the
-compatible omega store or None, the brute-force check that omega's side of
-the identity vanishes, the exact witness of a classification and its
-whole-input float check.
+part of the package's API: basis vectors, identity, diagonal and scaled
+matrices, the adjugate and the inverse (both read off the library's
+eliminations), inertia, the dual matrix of a dense dim-3 bracket, the
+forced omega of a dim-3 bracket, the compatible omega store or None, the
+brute-force check that omega's side of the identity vanishes, the exact
+witness of a classification and its whole-input float check.
 """
 
+import random
 from fractions import Fraction
 from itertools import permutations
 
-from omegalie import (AlgebraSpec, Inertia, Matrix, NabTriple,
+from omegalie import (AlgebraSpec, Inertia, Matrix, NabTriple, SingularMatrixError,
                       check_deformability, congruence_diagonalize, decompose,
-                      forced_b, jacobiator, omega_rhs, reconstruct, table_row)
+                      forced_b, jacobiator, omega_rhs, reconstruct, table_row, transport)
 from omegalie.tensor_core import int_adjugate
 
 _ZERO = Fraction(0)
@@ -318,6 +320,32 @@ def fraction_t_vector(trip: NabTriple) -> tuple:
     return tuple(4 * x + 2 * y for x, y in zip(na, trip.b))
 
 
+def reconstructed_row(label, param=None):
+    """The canonical spec of a table row as ``reconstruct`` of (diag(nd),
+    a = p apat, forced b), in Fractions: the library's ``generate`` writes
+    the same store on ints and must return exactly this."""
+    nd, apat, _ = table_row(label)
+    n = diagonal(nd)
+    a = tuple(x * Fraction(1 if param is None else param) for x in apat)
+    return reconstruct(NabTriple(n, a, forced_b(n, a)))
+
+
+def fraction_orbit_sample(label, param=None, *, seed):
+    """The orbit sample transported by the ``Matrix`` of Fraction draws
+    r / d, drawn row by row and redrawn while singular: the library's
+    ``orbit_sample`` draws the same ints and must return exactly this."""
+    base = reconstructed_row(label, param)
+    rng = random.Random(seed)
+    while True:
+        p = Matrix(tuple(
+            tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3))
+            for _ in range(3)))
+        try:
+            return transport(base, p)
+        except SingularMatrixError:
+            pass
+
+
 def fraction_congruence_diagonalize(m):
     """(p, d, det(p)) with m = p diag(d) p^T, eliminated in Fractions step by
     step: the library's ``congruence_diagonalize`` makes the same swaps,
@@ -370,6 +398,17 @@ def fraction_congruence_diagonalize(m):
 def basis(dim):
     """The standard basis e_1 .. e_dim as int tuples."""
     return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+
+
+def diagonal(values):
+    """The diagonal Matrix with these entries."""
+    n = len(values)
+    return Matrix(tuple(tuple(values[i] if i == j else 0 for j in range(n)) for i in range(n)))
+
+
+def identity(n):
+    """The n x n identity Matrix."""
+    return diagonal((1,) * n)
 
 
 def scale(m, s):
@@ -468,7 +507,7 @@ def exact_witness_holds(trip, nf):
     d = tuple(moved_n[i][i] for i in range(3))
     a = pm.transpose().apply(trip.a)
     nd, apat, _ = table_row(nf.label.name)
-    return (moved_n == Matrix.diagonal(d) and tuple((x > 0) - (x < 0) for x in d) == nd
+    return (moved_n == diagonal(d) and tuple((x > 0) - (x < 0) for x in d) == nd
             and all((a[i] != 0) == (apat[i] != 0) for i in range(3) if d[i] == 0))
 
 

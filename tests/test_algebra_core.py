@@ -12,8 +12,8 @@ from omegalie import (AlgebraSpec, SingularMatrixError, Matrix, NabTriple,
                       jacobiator, omega_rhs, omega_value, reconstruct,
                       residual, split_trace, transport)
 from oracles import (basis, c_tensor, deformed_identity_holds, dense_bracket,
-                     dense_omega, dense_residual, dense_transport, flat,
-                     omega_matrix, omega_rhs_is_identically_zero,
+                     dense_omega, dense_residual, dense_transport, diagonal, flat,
+                     identity, omega_matrix, omega_rhs_is_identically_zero,
                      residual_components, spec_from_dense)
 from test_io_cli import exact_specs
 
@@ -76,9 +76,9 @@ def test_constructors_refuse_floats():
         with pytest.raises(TypeError):
             AlgebraSpec.from_entries(3, [], [(1, 2, bad)])
         with pytest.raises(TypeError):
-            NabTriple(Matrix.identity(3), (0, bad, 0), (0, 0, 0))
+            NabTriple(identity(3), (0, bad, 0), (0, 0, 0))
         with pytest.raises(TypeError):
-            NabTriple(Matrix.identity(3), (0, 0, 0), (bad, 0, 0))
+            NabTriple(identity(3), (0, 0, 0), (bad, 0, 0))
 
 
 def test_zero_spec():
@@ -302,7 +302,7 @@ def test_omega_rhs_zero_checker_validates_input():
 
 def test_transport_scaling_of_type_ii():
     s = generate("II")  # [e2, e3] = e1
-    p = Matrix.diagonal((1, 1, 2))  # e3' = 2 e3
+    p = diagonal((1, 1, 2))  # e3' = 2 e3
     assert c_tensor(transport(s, p))[0][1][2] == 2
 
 
@@ -316,7 +316,7 @@ def test_transport_composes():
 def test_transport_by_identity_is_identity():
     rng = random.Random(16)
     s = rand_spec(rng, 3)
-    assert transport(s, Matrix.identity(3)) == s
+    assert transport(s, identity(3)) == s
 
 
 def test_transport_preserves_validity_and_invalidity():

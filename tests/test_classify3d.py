@@ -18,8 +18,9 @@ from omegalie import (AlgebraSpec, BianchiLabel, FloatRangeError, Matrix,
                       PARAMETRIC_LABELS, classify, decompose, forced_b,
                       generate, orbit_sample, reconstruct, serialize,
                       t_vector, table_row, transport)
-from oracles import (c_tensor, dense_transport, eps_reconstruct, exact_witness_holds,
-                     flat, omega_matrix, transport_error)
+from oracles import (c_tensor, dense_transport, diagonal, eps_reconstruct,
+                     exact_witness_holds, flat, fraction_orbit_sample, omega_matrix,
+                     reconstructed_row, transport_error)
 
 ALL_LABELS = ("I", "II", "VI0", "VII0", "VIII", "IX", "V", "IV", "IV_x",
               "VI_a", "VI_x", "VI_y", "VI_n", "VII_a", "VII_x", "VIII_a",
@@ -38,7 +39,7 @@ EXPECTED_CAUSAL = {
 
 
 def nab_spec(n_diag, a):
-    n = Matrix.diagonal(tuple(Fraction(x) for x in n_diag))
+    n = diagonal(tuple(Fraction(x) for x in n_diag))
     av = tuple(Fraction(x) for x in a)
     return reconstruct(NabTriple(n, av, forced_b(n, av)))
 
@@ -64,6 +65,18 @@ def test_generate_is_exact():
     s = generate("VIII_a", "1/3")
     assert all(isinstance(x, (int, Fraction)) for m in c_tensor(s) for r in m for x in r)
     assert decompose(s).a == (0, 0, Fraction(1, 3))
+
+
+def test_generate_writes_the_reconstructed_row_on_ints():
+    for label in ALL_LABELS:
+        params = ((1, Fraction(3, 2), Fraction(10 ** 40, 7), Fraction(1, 10 ** 30))
+                  if label in PARAMETRIC_LABELS else (None,))
+        for p in params:
+            spec, ref = generate(label, p), reconstructed_row(label, p)
+            assert list(spec.c_upper.items()) == list(ref.c_upper.items()), (label, p)
+            assert list(spec.omega_upper.items()) == list(ref.omega_upper.items()), (label, p)
+            assert all(type(x) is Fraction
+                       for x in (*spec.c_upper.values(), *spec.omega_upper.values()))
 
 
 def test_table_row_and_parametric_set():
@@ -351,6 +364,20 @@ def test_orbit_sample_resamples_a_singular_draw_with_the_same_stream():
         json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def test_orbit_sample_draws_the_fraction_matrix_on_ints():
+    # the int draws M / m transport exactly as the Matrix of Fraction draws;
+    # seed 0's first draw is singular
+    for label in ALL_LABELS:
+        p = Fraction(3, 2) if label in PARAMETRIC_LABELS else None
+        for seed in range(40):
+            sample = orbit_sample(label, p, seed=seed)
+            ref = fraction_orbit_sample(label, p, seed=seed)
+            assert list(sample.c_upper.items()) == list(ref.c_upper.items()), (label, seed)
+            assert list(sample.omega_upper.items()) == list(ref.omega_upper.items()), (label, seed)
+            assert all(type(x) is Fraction
+                       for x in (*sample.c_upper.values(), *sample.omega_upper.values()))
+
+
 def test_orbit_samples_classify_back():
     rng = random.Random(44)
     for label in ("V", "VI_n", "VII0", "IX"):
@@ -402,7 +429,8 @@ def test_public_api_resolves_without_test_only_names():
     assert not set(deleted) & set(omegalie.__all__)
     assert not any(hasattr(omegalie, name) for name in deleted)
     assert not any(hasattr(Matrix, name)
-                   for name in ("zero", "from_rational", "scale", "T", "astype_float"))
+                   for name in ("zero", "from_rational", "scale", "T", "astype_float",
+                                "diagonal", "identity"))
     assert not hasattr(omegalie.Inertia, "swapped")
     assert not hasattr(omegalie.DeformabilityResult, "omega")
     assert not hasattr(NabTriple, "satisfies_forced_b")

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from omegalie import (AlgebraSpec, Matrix, NabTriple, decompose, forced_b,
                       generate, orbit_sample, reconstruct, residual, t_of, t_vector)
-from oracles import (c_tensor, dual_c, eps_decompose, eps_dual_c, eps_reconstruct,
-                     flat, forced_omega, fraction_decompose, fraction_t_vector,
-                     omega_matrix, spec_from_dense)
+from omegalie.decomp3d import _t_residual
+from oracles import (c_tensor, diagonal, dual_c, eps_decompose, eps_dual_c,
+                     eps_reconstruct, flat, forced_omega, fraction_decompose,
+                     fraction_t_vector, identity, omega_matrix, spec_from_dense)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
@@ -55,7 +56,7 @@ SECOND_ROWS = [
 def test_first_table_decompositions():
     for label, nd in FIRST_ROWS:
         trip = decompose(generate(label))
-        assert trip.n == Matrix.diagonal(nd), label
+        assert trip.n == diagonal(nd), label
         assert trip.a == (0, 0, 0) and trip.b == (0, 0, 0), label
 
 
@@ -63,7 +64,7 @@ def test_second_table_decompositions_and_forced_b():
     for label, nd, apat, bpat, parametric in SECOND_ROWS:
         for p in ((Fraction(1, 2), Fraction(1), Fraction(2)) if parametric else (1,)):
             trip = decompose(generate(label, p if parametric else None))
-            assert trip.n == Matrix.diagonal(nd), label
+            assert trip.n == diagonal(nd), label
             assert trip.a == tuple(x * p for x in apat), label
             assert trip.b == tuple(x * p for x in bpat), label
             assert trip.b == forced_b(trip.n, trip.a), label
@@ -88,19 +89,19 @@ def test_canonical_commutation_relations():
 
 def test_dual_c_of_type_ii():
     s = generate("II")  # [e2,e3] = e1 gives dual matrix e11 = 1
-    assert dual_c(c_tensor(s)) == Matrix.diagonal((1, 0, 0))
+    assert dual_c(c_tensor(s)) == diagonal((1, 0, 0))
 
 
 def test_decompose_type_v():
     s = AlgebraSpec.from_entries(3, [(1, 3, 1, "-1"), (2, 3, 2, "-1")], [])
     trip = decompose(s)
-    assert trip.n == Matrix.diagonal((0, 0, 0))
+    assert trip.n == diagonal((0, 0, 0))
     assert trip.a == (0, 0, 1)
     assert trip.b == (0, 0, 0)
 
 
 def test_reconstruct_vi_x_omega():
-    trip = NabTriple(Matrix.diagonal((1, -1, 0)), (1, 0, 0), (-2, 0, 0))
+    trip = NabTriple(diagonal((1, -1, 0)), (1, 0, 0), (-2, 0, 0))
     om = omega_matrix(reconstruct(trip))
     assert om[1][2] == -2
     assert om[0][1] == 0 and om[2][0] == 0
@@ -244,6 +245,23 @@ def test_int_view_matches_the_fraction_reference(spec):
     assert (t == (0, 0, 0)) == residual(spec).is_zero
 
 
+@given(dim3_specs)
+@example(AlgebraSpec.zero(3))  # t = 0 on the empty store
+@example(orbit_sample("IX_a", Fraction(3, 2), seed=5))  # t = 0 on a full store
+# pairwise coprime denominators, t != 0
+@example(_spec([(1, 2, 3, Fraction(1, 10 ** 12 + 39)), (2, 3, 1, Fraction(5, 999_999_999_989)),
+                (1, 3, 3, Fraction(-2, 7))], [(1, 3, Fraction(4, 10 ** 12 + 37))]))
+@example(_spec([(1, 3, 1, -1), (2, 3, 2, -1)], [(1, 2, 1)]))  # one nonzero t_m
+@settings(deadline=None, max_examples=150)
+def test_residual_read_off_t_matches_the_residual_kernel(spec):
+    # component (m, s(1, 2, 3)) = sign(s) t_m / 6 is all of the dim-3 residual
+    res, ref = _t_residual(t_of(spec)), residual(spec)
+    assert res == ref
+    assert [idx for idx, _ in res.nonzero] == [idx for idx, _ in ref.nonzero]
+    assert all(type(x) is Fraction and type(y) is Fraction
+               for (_, x), (_, y) in zip(res.nonzero, ref.nonzero))
+
+
 def test_decompose_requires_dim3():
     with pytest.raises(ValueError):
         decompose(AlgebraSpec.zero(2))
@@ -257,4 +275,4 @@ def test_nab_triple_validation():
     with pytest.raises(ValueError):
         NabTriple(Matrix(((0, 1, 0), (0, 0, 0), (0, 0, 0))), (0, 0, 0), (0, 0, 0))
     with pytest.raises(ValueError):
-        NabTriple(Matrix.identity(2), (0, 0), (0, 0))
+        NabTriple(identity(2), (0, 0), (0, 0))

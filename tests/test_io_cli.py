@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from omegalie import (AlgebraSpec, DocumentError, NotAnAlgebraError,
                       ResidualTensor, classify, decomp3d, generate,
                       orbit_sample, parse, serialize)
-from omegalie.io_cli import SCHEMA_VERSION, _build_parser, _dumps, document_object, run
+from omegalie.io_cli import (SCHEMA_VERSION, _as_rational, _build_parser, _dumps,
+                             document_object, run)
 from oracles import c_tensor, omega_matrix, spec_from_dense
 from test_decomp3d import rand_spec
 
@@ -66,6 +67,17 @@ def test_parse_error_catalog():
     for text, fragment in cases:
         with pytest.raises(DocumentError, match=fragment):
             parse(text)
+
+
+def test_rational_values_read_as_fraction_reads_them():
+    # the grammar's capture groups give the terms Fraction's own parser would
+    for value in ("0", "-0", "-00", "007/14", "-12/8", "3/1", "\u0661\u0662", "5/1\u0660",
+                  "9" * 4299, "-1/" + "7" * 4299):
+        x = _as_rational(value, "value")
+        assert type(x) is Fraction and x == Fraction(value), value
+    for value in ("9" * 4301, "1/" + "9" * 4301):
+        with pytest.raises(DocumentError, match="rational has too many digits"):
+            _as_rational(value, "value")
 
 
 # --- serialize ---------------------------------------------------------------
@@ -162,7 +174,8 @@ def test_cli_decompose(tmp_path, capsys):
 
 def test_decompose_and_classify_build_one_int_view(tmp_path, monkeypatch):
     # (n, a, b) and t come from one int view of the store, in the decompose
-    # command as in classify; the counter replaces every binding of _view
+    # command as in classify, and validate reads t and the residual off one
+    # view; the counter replaces every binding of _view
     original, calls = decomp3d._view, []
 
     def counted(spec):
@@ -179,6 +192,10 @@ def test_decompose_and_classify_build_one_int_view(tmp_path, monkeypatch):
         for argv in (["decompose", path], ["decompose", "--json", path]):
             calls.clear()
             assert run(argv) == 0
+            assert len(calls) == 1, argv
+        for argv in (["validate", path], ["validate", "--json", path]):
+            calls.clear()
+            assert run(argv) == (1 if spec is bumped else 0)
             assert len(calls) == 1, argv
         calls.clear()
         try:

@@ -14,7 +14,12 @@ subcommand through ``omegalie.io_cli.run``, in-process:
   ``validate`` and ``deformability``, plus ``decompose`` and ``classify``
   in dim 3, each with and without ``--json`` and ``--force-omega``;
 * the orbit-sample and ``generate`` command of each orbit-validate
-  pipeline, and ``tables``, with and without ``--json``.
+  pipeline, and ``tables``, with and without ``--json``;
+* ``generate`` and ``orbit-sample --seed 0..3`` on every table row, the
+  parametric rows at each of ``EXTREME_PARAMS``, with and without
+  ``--json``, and every document command on each of those orbit samples:
+  the benchmark's parameters (1..6 over 1..4) leave the integer paths'
+  extreme values untried.
 
 The generated documents count as outputs too.  Every exit code, stdout and
 stderr that differs between the trees is printed as a unified diff; when
@@ -39,6 +44,7 @@ ROOT = Path(__file__).resolve().parents[1]
 FILE_COMMANDS = ("validate", "decompose", "classify", "deformability")
 DIM3_ONLY = ("decompose", "classify")
 MODES = ([], ["--json"])
+EXTREME_PARAMS = ("1/" + "1" + "0" * 30, "3/2", "1" + "0" * 40 + "/7")
 
 
 def package_dir(path):
@@ -74,6 +80,17 @@ def run_tree(src, seeds):
 
     for mode in MODES:
         run("tables", ["tables", *mode])
+    for label in ol.FIRST_TABLE_ORDER + ol.SECOND_TABLE_ORDER:
+        params = EXTREME_PARAMS if label in ol.PARAMETRIC_LABELS else (None,)
+        for param in params:
+            name = f"row {label}" + ("" if param is None else f" at {param}")
+            row = [label] + ([] if param is None else ["--param", param])
+            for mode in MODES:
+                run(name, ["generate", *row, *mode])
+            for seed in range(4):
+                run(name, ["orbit-sample", *row, "--seed", str(seed), "--json"])
+                run_document(f"{name} seed {seed}",
+                             run(name, ["orbit-sample", *row, "--seed", str(seed)]))
     for seed in seeds:
         for k, op in enumerate(workloads.classify_orbit(ol, random.Random(seed))):
             run_document(f"seed {seed} classify-orbit {k}", op.doc)
