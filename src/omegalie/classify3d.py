@@ -43,7 +43,8 @@ from typing import Optional
 
 from .algebra_core import AlgebraSpec, _transport
 from .decomp3d import _CYCLIC, _UPPER, NabTriple, _t, _triple, _view
-from .tensor_core import Inertia, Matrix, SingularMatrixError, congruence_diagonalize, rational
+from .tensor_core import (Inertia, Matrix, SingularMatrixError, cleared,
+                          congruence_diagonalize, rational)
 
 
 class NotAnAlgebraError(ValueError):
@@ -174,9 +175,7 @@ def generate(label: str, param=None) -> AlgebraSpec:
     c[l] = nd[l], c[j] = -a_k, c[k] = a_j and omega = -2 nd[l] a_l, at the
     pair's i < j key with its sign; all but the shared +-1 of nd come from ints.
     """
-    if label not in _TABLE:
-        raise ValueError(f"unknown label {label!r}; known: {', '.join(sorted(_TABLE))}")
-    nd, apat, parametric = _TABLE[label]
+    nd, apat, parametric = table_row(label)
     if parametric:
         if param is None:
             raise ValueError(f"label {label} requires a positive parameter")
@@ -303,11 +302,6 @@ def _join(pairs):
     nums = [x * (lcm // m) for x, m in pairs]
     g = math.gcd(*nums, lcm)
     return [x // g for x in nums], lcm // g
-
-
-def _rvec(xs):
-    # the Fractions xs as one rational vector
-    return _join([(x.numerator, x.denominator) for x in xs])
 
 
 def _form(d, v):
@@ -485,7 +479,7 @@ def _certify(frame, trip: NabTriple, label: str):
     they carry the input onto the frame), and the row's sign patterns of d
     and of a on ker n."""
     (d, dd), (af, ad), cols = frame
-    (nv, nden), (av, aden) = _rvec(x for r in trip.n.rows for x in r), _rvec(trip.a)
+    (nv, nden), (av, aden) = cleared([x for r in trip.n.rows for x in r]), cleared(trip.a)
     c, s = zip(*cols)
     det = sum(c[0][i] * (c[1][i - 2] * c[2][i - 1] - c[1][i - 1] * c[2][i - 2]) for i in range(3))
     prod = s[0] * s[1] * s[2]  # det(P) = det / prod; below, times prod^2 dd nden
@@ -503,10 +497,10 @@ def _certify(frame, trip: NabTriple, label: str):
 def _exact_head(trip: NabTriple):
     """Label, squared parameter, certificates and the certified frame of trip."""
     p, d, det = congruence_diagonalize(trip.n)
-    av, aden = _rvec(trip.a)
-    cols = [_rvec(col) for col in zip(*p.rows)]
+    av, aden = cleared(trip.a)
+    cols = [cleared(col) for col in zip(*p.rows)]
     a = _join([(sum(x * y for x, y in zip(col, av)), s * aden) for col, s in cols])
-    d, dd = _rvec(d)
+    d, dd = cleared(d)
     label, param2, certs = _discrete_classify((d, dd), a)
     frame = _exact_stages((([det * x for x in d], dd), a, cols), label)
     _certify(frame, trip, label)

@@ -20,7 +20,8 @@ cm[m+2][m+1]) / 2 and b^k = omega[k+1][k+2].  ``decompose`` and ``t_of``
 read them as ints: with lc and lw the least common denominators of c and
 of omega (kept apart, since no power of lc need clear omega), n = N / 2lc,
 a = A / 2lc and b = B / lw, and t = 0 is N A lw + 2 B lc^2 = 0.  Fractions
-are built only for the ``NabTriple`` and for t.
+are built only for the ``NabTriple`` and for t; the forced b is b - t / 2.
+``forced_b`` and ``reconstruct`` are the Fraction route for library callers.
 """
 
 from __future__ import annotations
@@ -133,10 +134,10 @@ def reconstruct(t: NabTriple) -> AlgebraSpec:
 
 
 def forced_b(n: Matrix, a: Sequence) -> tuple:
-    """The unique b compatible with the bracket data: b = -2 n a."""
+    """The unique b compatible with the bracket data: -2 n a, or b' - t / 2 for any b'."""
     if n.dim != 3 or len(a) != 3:
         raise ValueError("forced_b requires 3-dimensional data")
-    return tuple(-2 * x for x in n.apply(a))
+    return tuple(-2 * sum(x * y for x, y in zip(row, a)) for row in n.rows)
 
 
 def t_vector(t: NabTriple) -> tuple:

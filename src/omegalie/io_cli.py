@@ -35,7 +35,7 @@ from .algebra_core import AlgebraSpec, residual
 from .classify3d import (FIRST_TABLE_ORDER, FLOAT_TOL, PARAMETRIC_LABELS,
                          SECOND_TABLE_ORDER, FloatRangeError, NotAnAlgebraError,
                          classify, generate, orbit_sample, table_row)
-from .decomp3d import NabTriple, _t, _t_residual, _triple, _view, decompose, forced_b, reconstruct
+from .decomp3d import _t, _t_residual, _triple, _view
 from .decomp_nd import check_deformability
 
 SCHEMA_VERSION = 1
@@ -231,12 +231,10 @@ def _load_spec(args) -> AlgebraSpec:
 
 
 def _force_omega(spec: AlgebraSpec) -> AlgebraSpec:
+    # the trace candidate; in dim 3 it is b = -2 n a and always compatible
     if spec.dim < 3:
-        raise _Usage("--force-omega requires dim >= 3; in dim 2 every omega "
+        raise _Usage(f"--force-omega requires dim >= 3; in dim {spec.dim} every omega "
                      "is compatible, so no forced form exists")
-    if spec.dim == 3:
-        trip = decompose(spec)
-        return reconstruct(NabTriple(trip.n, trip.a, forced_b(trip.n, trip.a)))
     result = check_deformability(spec)
     if not result.compatible:
         raise _Failure("no compatible omega exists for this bracket; the trace "
@@ -288,8 +286,7 @@ def _cmd_decompose(args):
         raise _Usage(f"decompose requires dim 3, got dim {spec.dim}")
     view = _view(spec)
     trip, t = _triple(view), _t(view)
-    fb = forced_b(trip.n, trip.a)
-    matches = trip.b == fb
+    fb, matches = [x - y / 2 for x, y in zip(trip.b, t)], not any(t)  # t = 2 (b - forced b)
     report = {
         "command": "decompose",
         "n": _mat(trip.n), "a": _vec(trip.a), "b": _vec(trip.b),

@@ -84,10 +84,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({list(map(list, self.rows))!r})"
 
-    def transpose(self) -> "Matrix":
-        n = self.dim
-        return Matrix(tuple(tuple(self.rows[j][i] for j in range(n)) for i in range(n)))
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix) or other.dim != self.dim:
             raise ValueError("dimension mismatch in matrix product")
@@ -95,12 +91,6 @@ class Matrix:
         return Matrix(tuple(
             tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(n)) for j in range(n))
             for i in range(n)))
-
-    def apply(self, vec: Sequence) -> tuple:
-        """Matrix-vector product, returning a tuple."""
-        if len(vec) != self.dim:
-            raise ValueError("dimension mismatch in matrix-vector product")
-        return tuple(sum(row[j] * vec[j] for j in range(self.dim)) for row in self.rows)
 
     def is_symmetric(self) -> bool:
         n = self.dim

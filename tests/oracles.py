@@ -21,12 +21,14 @@ store, and ``residual_components`` gives the dense [m][l][j][k] of a
 ``ResidualTensor``.
 
 The last section keeps the helpers that only tests call, so they are not
-part of the package's API: basis vectors, identity, diagonal and scaled
-matrices, the adjugate and the inverse (both read off the library's
-eliminations), inertia, the dual matrix of a dense dim-3 bracket, the
-forced omega of a dim-3 bracket, the compatible omega store or None, the
-brute-force check that omega's side of the identity vanishes, the exact
-witness of a classification and its whole-input float check.
+part of the package's API: basis vectors, identity, diagonal, scaled and
+transposed matrices, the matrix-vector product, the adjugate and the
+inverse (both read off the library's eliminations), inertia, the dual
+matrix of a dense dim-3 bracket, the forced b and the forced spec of a
+dim-3 spec by the dual route b = -2 n a, the forced omega of a dense dim-3
+bracket, the compatible omega store or None, the brute-force check that
+omega's side of the identity vanishes, the exact witness of a
+classification and its whole-input float check.
 """
 
 import random
@@ -34,8 +36,8 @@ from fractions import Fraction
 from itertools import permutations
 
 from omegalie import (AlgebraSpec, Inertia, Matrix, NabTriple, SingularMatrixError,
-                      check_deformability, congruence_diagonalize, decompose,
-                      forced_b, jacobiator, omega_rhs, reconstruct, table_row, transport)
+                      check_deformability, congruence_diagonalize, forced_b,
+                      jacobiator, omega_rhs, reconstruct, table_row, transport)
 from omegalie.tensor_core import int_adjugate
 
 _ZERO = Fraction(0)
@@ -416,6 +418,16 @@ def scale(m, s):
     return Matrix(tuple(tuple(s * x for x in r) for r in m.rows))
 
 
+def transpose(m):
+    """The transposed Matrix."""
+    return Matrix(tuple(zip(*m.rows)))
+
+
+def mat_vec(m, v):
+    """The product m v as a tuple, every term summed."""
+    return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in m.rows)
+
+
 def adjugate(m):
     """Adjugate (transposed cofactor matrix); satisfies m @ adj(m) = det(m) I."""
     n = m.dim
@@ -427,7 +439,7 @@ def adjugate(m):
         return Matrix(sub).det()
 
     cof = [[(-1) ** (r + c) * minor_det(m.rows, r, c) for c in range(n)] for r in range(n)]
-    return Matrix(cof).transpose()
+    return transpose(Matrix(cof))
 
 
 def inverse(m):
@@ -454,10 +466,24 @@ def dual_c(c):
     return Matrix(tuple(tuple(ci[j][k] for j, k in pairs) for ci in c))
 
 
+def dual_forced_b(spec):
+    """(forced b, whether b is it) of a dim-3 spec: -2 n a summed in Fractions
+    off ``fraction_decompose``, against the spec's own b."""
+    trip = fraction_decompose(spec)
+    fb = tuple(-2 * x for x in mat_vec(trip.n, trip.a))
+    return fb, trip.b == fb
+
+
+def dual_forced(spec):
+    """The dim-3 spec with its omega replaced through the dual route:
+    ``reconstruct(NabTriple(n, a, -2 n a))`` of ``fraction_decompose``'s (n, a)."""
+    trip = fraction_decompose(spec)
+    return reconstruct(NabTriple(trip.n, trip.a, dual_forced_b(spec)[0]))
+
+
 def forced_omega(c):
     """The unique compatible 2-form of a dense 3d skew bracket, as a full matrix."""
-    trip = decompose(spec_from_dense(c, omega_matrix(AlgebraSpec.zero(3))))
-    return omega_matrix(reconstruct(NabTriple(trip.n, trip.a, forced_b(trip.n, trip.a))))
+    return omega_matrix(dual_forced(spec_from_dense(c, omega_matrix(AlgebraSpec.zero(3)))))
 
 
 def deformability(spec):
@@ -503,9 +529,9 @@ def exact_witness_holds(trip, nf):
         return False
     rows = [list(r) for r in pm.rows]
     adj = Matrix(perm_adjugate(rows))
-    moved_n = scale(adj @ trip.n @ adj.transpose(), 1 / perm_det(rows))
+    moved_n = scale(adj @ trip.n @ transpose(adj), 1 / perm_det(rows))
     d = tuple(moved_n[i][i] for i in range(3))
-    a = pm.transpose().apply(trip.a)
+    a = mat_vec(transpose(pm), trip.a)
     nd, apat, _ = table_row(nf.label.name)
     return (moved_n == diagonal(d) and tuple((x > 0) - (x < 0) for x in d) == nd
             and all((a[i] != 0) == (apat[i] != 0) for i in range(3) if d[i] == 0))

@@ -430,7 +430,8 @@ def test_public_api_resolves_without_test_only_names():
     assert not any(hasattr(omegalie, name) for name in deleted)
     assert not any(hasattr(Matrix, name)
                    for name in ("zero", "from_rational", "scale", "T", "astype_float",
-                                "diagonal", "identity"))
+                                "diagonal", "identity", "transpose", "apply"))
+    assert not hasattr(omegalie.classify3d, "_rvec")
     assert not hasattr(omegalie.Inertia, "swapped")
     assert not hasattr(omegalie.DeformabilityResult, "omega")
     assert not hasattr(NabTriple, "satisfies_forced_b")

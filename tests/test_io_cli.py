@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegalie import (AlgebraSpec, DocumentError, NotAnAlgebraError,
+from omegalie import (FIRST_TABLE_ORDER, PARAMETRIC_LABELS, SECOND_TABLE_ORDER,
+                      AlgebraSpec, DocumentError, NotAnAlgebraError,
                       ResidualTensor, classify, decomp3d, generate,
                       orbit_sample, parse, serialize)
 from omegalie.io_cli import (SCHEMA_VERSION, _as_rational, _build_parser, _dumps,
-                             document_object, run)
-from oracles import c_tensor, omega_matrix, spec_from_dense
+                             _force_omega, document_object, run)
+from oracles import (c_tensor, dual_forced, dual_forced_b, fraction_decompose,
+                     omega_matrix, spec_from_dense, with_omega)
 from test_decomp3d import rand_spec
 
 
@@ -174,8 +176,8 @@ def test_cli_decompose(tmp_path, capsys):
 
 def test_decompose_and_classify_build_one_int_view(tmp_path, monkeypatch):
     # (n, a, b) and t come from one int view of the store, in the decompose
-    # command as in classify, and validate reads t and the residual off one
-    # view; the counter replaces every binding of _view
+    # command as in classify, also after --force-omega, and validate reads t
+    # and the residual off one view; the counter replaces every binding of _view
     original, calls = decomp3d._view, []
 
     def counted(spec):
@@ -189,7 +191,8 @@ def test_decompose_and_classify_build_one_int_view(tmp_path, monkeypatch):
         3, [(2, 3, 1, 1), (1, 3, 2, -1), (1, 2, 3, 1)], [(1, 2, 1)])
     for spec in (generate("VIII_a", 1), orbit_sample("VI_y", seed=4), bumped):
         path = write_doc(tmp_path, spec)
-        for argv in (["decompose", path], ["decompose", "--json", path]):
+        for argv in (["decompose", path], ["decompose", "--json", path],
+                     ["decompose", "--force-omega", path], ["classify", "--force-omega", path]):
             calls.clear()
             assert run(argv) == 0
             assert len(calls) == 1, argv
@@ -289,10 +292,85 @@ def test_cli_classify_force_omega(tmp_path, capsys):
 
 
 def test_cli_force_omega_dim2_exit_2(tmp_path, capsys):
-    path = tmp_path / "d2.json"
-    path.write_text('{"dim": 2, "c_entries": [[1, 2, 1, "1"]], "omega_entries": []}')
-    assert run(["validate", "--force-omega", str(path)]) == 2
-    assert "dim >= 3" in capsys.readouterr().err
+    # the message names the document's own dim
+    for dim, c_entries in ((2, '[[1, 2, 1, "1"]]'), (1, "[]")):
+        path = tmp_path / f"d{dim}.json"
+        path.write_text(f'{{"dim": {dim}, "c_entries": {c_entries}, "omega_entries": []}}')
+        assert run(["validate", "--force-omega", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --force-omega requires dim >= 3; in dim {dim} every omega "
+            "is compatible, so no forced form exists\n")
+
+
+def cli(argv, doc):
+    """(exit code, stdout) of one in-process run on the document text doc."""
+    out, stdin = io.StringIO(), sys.stdin
+    try:
+        sys.stdin = io.StringIO(doc)
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = run(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue()
+
+
+def assert_force_and_decompose_follow_the_dual_route(spec):
+    # --force-omega writes the document of reconstruct(NabTriple(n, a, -2 n a)),
+    # and decompose reports the forced b and b_is_forced of the dual route,
+    # on the store as given and with omega bumped at (1, 2)
+    ref = dual_forced(spec)
+    assert serialize(_force_omega(spec)) == serialize(ref)
+    code, out = cli(["decompose", "--json", "--force-omega"], serialize(spec))
+    report, trip = json.loads(out), fraction_decompose(ref)
+    assert code == 0 and report["b_is_forced"] is True
+    assert report["b"] == report["forced_b"] == [str(x) for x in trip.b]
+    assert report["n"] == [[str(x) for x in r] for r in trip.n.rows]
+    assert report["a"] == [str(x) for x in trip.a]
+    bumped = with_omega(spec, {**spec.omega_upper, (0, 1): spec.omega_upper.get((0, 1), 0) + 1})
+    for store in (spec, bumped):
+        code, out = cli(["decompose", "--json"], serialize(store))
+        report = json.loads(out)
+        fb, is_forced = dual_forced_b(store)
+        assert code == 0
+        assert (report["forced_b"], report["b_is_forced"]) == ([str(x) for x in fb], is_forced)
+
+
+def test_cli_force_omega_follows_the_dual_route_on_every_row():
+    # all 19 rows at seeds 0-3, parametric rows at 3/2 and 10**40/7, as sampled
+    # and with omega dropped; then integral brackets with omega_12 = 1/2
+    for label in FIRST_TABLE_ORDER + SECOND_TABLE_ORDER:
+        params = (Fraction(3, 2), Fraction(10 ** 40, 7)) if label in PARAMETRIC_LABELS else (None,)
+        for param in params:
+            for seed in range(4):
+                spec = orbit_sample(label, param, seed=seed)
+                for store in (spec, with_omega(spec, {})):
+                    assert_force_and_decompose_follow_the_dual_route(store)
+    for c in ([(2, 3, 1, 1), (1, 3, 2, -1), (1, 2, 3, 1)],
+              [(1, 2, 1, 3), (1, 2, 2, -1), (1, 3, 3, 2), (2, 3, 1, 5), (2, 3, 3, -4)]):
+        assert_force_and_decompose_follow_the_dual_route(
+            AlgebraSpec.from_entries(3, c, [(1, 2, Fraction(1, 2))]))
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_C_KEYS = [(i, j, k) for i, j in ((1, 2), (1, 3), (2, 3)) for k in (1, 2, 3)]
+
+
+@st.composite
+def coprime_brackets(draw):
+    # a dim-3 store, each value over its own prime: no power of c's common
+    # denominator clears omega's
+    dens = draw(st.permutations(_PRIMES))
+    nums = draw(st.lists(st.integers(-9, 9), min_size=12, max_size=12))
+    values = [Fraction(x, d) for x, d in zip(nums, dens)]
+    return AlgebraSpec.from_entries(
+        3, [(*key, v) for key, v in zip(_C_KEYS, values)],
+        [(i, j, v) for (i, j), v in zip(((1, 2), (1, 3), (2, 3)), values[9:])])
+
+
+@given(coprime_brackets())
+@settings(deadline=None, max_examples=60)
+def test_cli_force_omega_follows_the_dual_route_on_coprime_brackets(spec):
+    assert_force_and_decompose_follow_the_dual_route(spec)
 
 
 def test_cli_generate_pipes_into_parse(capsys):

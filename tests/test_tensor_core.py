@@ -1,5 +1,6 @@
 """Exact scalar and matrix layer, cross-checked against naive oracles."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 
 from omegalie import (Inertia, Matrix, SingularMatrixError,
                       congruence_diagonalize, rational)
-from omegalie.tensor_core import int_adjugate
+from omegalie.tensor_core import cleared, int_adjugate
 from oracles import (adjugate, descartes_inertia, diagonal, fraction_congruence_diagonalize,
-                     identity, inertia, inverse, perm_adjugate, perm_det, scale)
+                     identity, inertia, inverse, mat_vec, perm_adjugate, perm_det, scale,
+                     transpose)
 
 rationals = st.fractions(min_value=-60, max_value=60, max_denominator=9)
 
@@ -53,12 +55,24 @@ def test_rational_is_identity_on_fractions(x):
 def test_matrix_construction_and_ops():
     m = Matrix(((1, 2), (3, 4)))
     assert m.dim == 2
-    assert m.transpose() == Matrix(((1, 3), (2, 4)))
+    assert transpose(m) == Matrix(((1, 3), (2, 4)))
     assert m @ identity(2) == m
     assert (m @ m)[0][1] == 2 + 8
-    assert m.apply((1, 0)) == (1, 3)
+    assert mat_vec(m, (1, 0)) == (1, 3)
     assert scale(m, 2) == Matrix(((2, 4), (6, 8)))
     assert diagonal((5, 7)) == Matrix(((5, 0), (0, 7)))
+
+
+@given(st.lists(st.fractions(max_denominator=10 ** 12), max_size=9))
+@settings(deadline=None)
+def test_cleared_is_in_lowest_terms(xs):
+    # over the lcm of the denominators no common factor is left: a prime
+    # dividing the lcm divides some denominator fully, and that numerator is
+    # coprime to it
+    nums, den = cleared(xs)
+    assert math.gcd(*nums, den) == 1
+    assert [Fraction(x, den) for x in nums] == xs
+    assert all(type(x) is int for x in (*nums, den))
 
 
 def test_matrix_is_immutable():
@@ -70,11 +84,6 @@ def test_matrix_is_immutable():
 def test_matrix_symmetry():
     assert Matrix(((0, 1), (1, 0))).is_symmetric()
     assert not Matrix(((0, 1), (2, 0))).is_symmetric()
-
-
-def test_apply_requires_matching_length():
-    with pytest.raises(ValueError):
-        identity(3).apply((1, 2))
 
 
 # --- determinant / inverse / adjugate vs oracles ------------------------
@@ -194,7 +203,7 @@ def test_congruence_diagonalize_structure():
     for _ in range(60):
         m = rand_symmetric(rng)
         p, d, det = congruence_diagonalize(m)
-        assert p @ diagonal(d) @ p.transpose() == m
+        assert p @ diagonal(d) @ transpose(p) == m
         assert det == p.det() and det in (1, -1)
 
 
@@ -202,7 +211,7 @@ def test_congruence_diagonalize_hollow_matrix():
     # no nonzero diagonal entry: forces the rank-two split path
     m = Matrix(((0, 1, 0), (1, 0, 0), (0, 0, 0)))
     p, d, det = congruence_diagonalize(m)
-    assert p @ diagonal(d) @ p.transpose() == m
+    assert p @ diagonal(d) @ transpose(p) == m
     assert det == p.det() and det in (1, -1)
     assert inertia(m).as_tuple() == (1, 1, 1)
     mixed = Matrix(((0, 1, 0), (1, 0, 0), (0, 0, 1)))

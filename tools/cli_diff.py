@@ -19,7 +19,12 @@ subcommand through ``omegalie.io_cli.run``, in-process:
   parametric rows at each of ``EXTREME_PARAMS``, with and without
   ``--json``, and every document command on each of those orbit samples:
   the benchmark's parameters (1..6 over 1..4) leave the integer paths'
-  extreme values untried.
+  extreme values untried;
+* ``RANDOM_BRACKETS`` seeded random rational dim-3 documents per seed, every
+  document command on each: a full bracket (so n is not diagonal and a not
+  zero) with every value over its own denominator, pairwise coprime, and an
+  omega over denominators coprime to c's, which no power of c's common
+  denominator clears.  The documents above are all transported table rows.
 
 The generated documents count as outputs too.  Every exit code, stdout and
 stderr that differs between the trees is printed as a unified diff; when
@@ -35,6 +40,7 @@ import collections
 import difflib
 import importlib
 import json
+import math
 import random
 import subprocess
 import sys
@@ -45,6 +51,26 @@ FILE_COMMANDS = ("validate", "decompose", "classify", "deformability")
 DIM3_ONLY = ("decompose", "classify")
 MODES = ([], ["--json"])
 EXTREME_PARAMS = ("1/" + "1" + "0" * 30, "3/2", "1" + "0" * 40 + "/7")
+RANDOM_BRACKETS = 24
+
+
+def random_brackets(rng):
+    """``RANDOM_BRACKETS`` dim-3 document texts: all 9 c entries and all 3
+    omega entries nonzero, each over its own denominator of 1 to 7 digits,
+    the 12 denominators pairwise coprime."""
+    docs = []
+    for k in range(RANDOM_BRACKETS):
+        dens = []
+        while len(dens) < 12:
+            den = rng.randrange(2, 10 ** (2 + k % 6))
+            if all(math.gcd(den, d) == 1 for d in dens):
+                dens.append(den)
+        values = [f"{rng.choice((-1, 1)) * rng.randrange(1, 3 * d)}/{d}" for d in dens]
+        c = [[i, j, m, v] for (i, j, m), v in zip(
+            [(i, j, m) for i, j in ((1, 2), (1, 3), (2, 3)) for m in (1, 2, 3)], values)]
+        omega = [[i, j, v] for (i, j), v in zip(((1, 2), (1, 3), (2, 3)), values[9:])]
+        docs.append(json.dumps({"dim": 3, "c_entries": c, "omega_entries": omega}))
+    return docs
 
 
 def package_dir(path):
@@ -107,6 +133,8 @@ def run_tree(src, seeds):
                 run_document(name + " edited", edited[0])
         for k, op in enumerate(workloads.nd_sparse(ol, random.Random(seed))):
             run_document(f"seed {seed} nd-sparse {k}", op.doc)
+        for k, doc in enumerate(random_brackets(random.Random(f"{seed} brackets"))):
+            run_document(f"seed {seed} random bracket {k}", doc)
     return out
 
 

@@ -11,9 +11,10 @@ calls, each of
 
 * ``residual(spec)``;
 * ``transport(spec, p)``, p a seeded invertible matrix of small rationals;
-* in dim 3, the t that ``validate`` reports: ``t_of(spec)`` where the tree
-  has it, else ``t_vector(decompose(spec))``;
-* ``omegalie validate --json`` on the serialized store, in-process.
+* in dim 3, the t that ``validate`` reports, ``t_of(spec)``;
+* ``omegalie validate --json`` on the serialized store, in-process;
+* in dim 3, ``omegalie validate --json --force-omega`` on it, in-process:
+  the forced omega, then the report on the forced store.
 
 Every stored value has a denominator of the stated number of digits, and
 the denominators are pairwise coprime, so a common denominator of the store
@@ -88,22 +89,23 @@ def time_tree(src, seed):
     sys.path.insert(0, str(src))
     sys.set_int_max_str_digits(0)
     ol = importlib.import_module("omegalie")
-    t_of = getattr(ol, "t_of", None) or (lambda s: ol.t_vector(ol.decompose(s)))
     out = {}
     for name, dim, n_c, n_om, digits in ROWS:
         spec, p = build(ol, random.Random(f"{seed} {name}"), dim, n_c, n_om, digits)
         doc = ol.serialize(spec)
 
-        def validate():
+        def validate(*options):
             sys.stdin = io.StringIO(doc)
             with contextlib.redirect_stdout(io.StringIO()):
-                ol.io_cli.run(["validate", "--json"])
+                ol.io_cli.run(["validate", "--json", *options])
 
         kernels = {"residual": lambda: ol.residual(spec),
                    "transport": lambda: ol.transport(spec, p)}
         if dim == 3:
-            kernels["t"] = lambda: t_of(spec)
+            kernels["t"] = lambda: ol.t_of(spec)
         kernels["validate --json"] = validate
+        if dim == 3:
+            kernels["--force-omega"] = lambda: validate("--force-omega")
         out[name] = {k: min(timeit.repeat(f, number=1, repeat=3)) for k, f in kernels.items()}
     return out
 
