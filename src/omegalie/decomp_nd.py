@@ -14,7 +14,9 @@ In dimension 3 the candidate always works; from dimension 4 on it can fail.
 
 The trace terms cancel in it, a_i (c - alpha)[i][j][k] = a_j a_k - a_k a_j = 0,
 so omega_jk = (dim-1)/(dim-2) * a_i c[i][j][k], and ``check_deformability``
-reads the candidate off the bracket store without building alpha.
+reads the candidate off the bracket store without building alpha.  In
+dimension 3 the candidate is b = -2 n a of ``decomp3d``, so its defect
+t = 4 n a + 2 b is zero and no residual is computed.
 """
 
 from __future__ import annotations
@@ -114,4 +116,4 @@ def check_deformability(spec: AlgebraSpec) -> DeformabilityResult:
         raise ValueError("deformability requires dim >= 3")
     omega = _induced_upper(spec.c_upper, _trace_covector(spec))
     forced = AlgebraSpec._from_upper(spec.dim, spec.c_upper, omega)
-    return DeformabilityResult(forced, residual(forced))
+    return DeformabilityResult(forced, ResidualTensor(3, ()) if spec.dim == 3 else residual(forced))

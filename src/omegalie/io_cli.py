@@ -19,6 +19,19 @@ deeply to decode is a DocumentError like any other.
 Subcommands: validate, decompose, classify, generate, tables,
 orbit-sample, deformability.  Exit codes: 0 success/valid, 1 well-formed
 input that is not an omega-deformed Lie algebra, 2 parse or usage error.
+
+``run`` reads the plain command lines itself, into the namespace argparse
+would build:
+
+    validate | decompose | classify | deformability [--json] [--force-omega] [FILE]
+    generate LABEL [--param P] [--json]
+    orbit-sample LABEL --seed N [--param P] [--json]
+    tables [--json]
+
+with the options in any order, each spelled out in full, and no value or
+FILE but ``-`` that starts with ``-``.  Every other command line goes to
+argparse unchanged: help, abbreviations, ``--opt=value``, ``--`` and every
+usage error, so argparse writes all help, usage and error text.
 """
 
 from __future__ import annotations
@@ -465,6 +478,45 @@ def _cmd_deformability(args):
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
+#
+# One command table feeds both routes: ``_build_parser`` builds the argparse
+# parser from it, and ``_read_plain`` reads its plain command lines straight
+# into the namespace that parser would build.
+
+_OPTIONS = {  # option -> add_argument keywords
+    "--json": {"action": "store_true",
+               "help": "emit a machine-readable JSON report (schema-versioned)"},
+    "--force-omega": {"action": "store_true",
+                      "help": "replace the supplied omega by the forced one first"},
+    "--param": {"metavar": "P", "default": None,
+                "help": "positive rational parameter for parametric rows"},
+    "--seed": {"type": int, "required": True, "metavar": "N",
+               "help": "seed for the deterministic sampler"},
+}
+_POSITIONALS = {  # metavar -> (dest, add_argument keywords)
+    "FILE": ("file", {"nargs": "?", "default": "-", "metavar": "FILE",
+                      "help": "document path, or - for standard input (default)"}),
+    "LABEL": ("label", {"metavar": "LABEL", "help": "table row name, e.g. IX_a"}),
+}
+# name -> (handler, help, positional, options after --json), in help order;
+# the options are added after the positional, as argparse lists missing ones
+_COMMANDS = {
+    "validate": (_cmd_validate, "check the deformed Jacobi identity (prints t for dim 3)",
+                 "FILE", ("--force-omega",)),
+    "decompose": (_cmd_decompose, "decompose a dim-3 spec into (n, a, b)",
+                  "FILE", ("--force-omega",)),
+    "classify": (_cmd_classify, "classify a dim-3 spec onto its normal-form table row",
+                 "FILE", ("--force-omega",)),
+    "generate": (_cmd_generate, "print the canonical document of a table row",
+                 "LABEL", ("--param",)),
+    "orbit-sample": (_cmd_orbit_sample, "print a seeded random transport of a table row",
+                     "LABEL", ("--param", "--seed")),
+    "tables": (_cmd_tables, "re-emit both normal-form tables as a grid plus documents",
+               None, ()),
+    "deformability": (_cmd_deformability,
+                      "check whether a bracket (dim >= 3) admits a compatible omega",
+                      "FILE", ("--force-omega",)),
+}
 
 
 @functools.cache
@@ -476,55 +528,92 @@ def _build_parser():
         description="Exact tools for omega-deformed Lie algebras: validation, "
                     "(n, a, b) decomposition, Bianchi-style classification, "
                     "normal-form tables, and orbit sampling.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit a machine-readable JSON report (schema-versioned)")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def add(name, handler, help_, with_file=False, with_label=False):
-        p = sub.add_parser(name, parents=[common], help=help_, description=help_)
-        if with_file:
-            p.add_argument("file", nargs="?", default="-", metavar="FILE",
-                           help="document path, or - for standard input (default)")
-            p.add_argument("--force-omega", action="store_true",
-                           help="replace the supplied omega by the forced one first")
-        if with_label:
-            p.add_argument("label", metavar="LABEL", help="table row name, e.g. IX_a")
-            p.add_argument("--param", metavar="P", default=None,
-                           help="positive rational parameter for parametric rows")
+    for name, (handler, help_, positional, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_, description=help_)
+        p.add_argument("--json", **_OPTIONS["--json"])
+        if positional:
+            dest, keywords = _POSITIONALS[positional]
+            p.add_argument(dest, **keywords)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
         p.set_defaults(handler=handler)
-        return p
-
-    add("validate", _cmd_validate,
-        "check the deformed Jacobi identity (prints t for dim 3)", with_file=True)
-    add("decompose", _cmd_decompose,
-        "decompose a dim-3 spec into (n, a, b)", with_file=True)
-    add("classify", _cmd_classify,
-        "classify a dim-3 spec onto its normal-form table row", with_file=True)
-    add("generate", _cmd_generate,
-        "print the canonical document of a table row", with_label=True)
-    p = add("orbit-sample", _cmd_orbit_sample,
-            "print a seeded random transport of a table row", with_label=True)
-    p.add_argument("--seed", type=int, required=True, metavar="N",
-                   help="seed for the deterministic sampler")
-    add("tables", _cmd_tables,
-        "re-emit both normal-form tables as a grid plus documents")
-    add("deformability", _cmd_deformability,
-        "check whether a bracket (dim >= 3) admits a compatible omega", with_file=True)
     return parser
+
+
+def _plain_routes():
+    # name -> (namespace defaults, option -> (dest, converter, or None for a
+    # flag), positional dest, dests a plain line must set)
+    routes = {}
+    for name, (handler, _, positional, options) in _COMMANDS.items():
+        defaults, readers, required = {"command": name, "handler": handler}, {}, []
+        for option in ("--json", *options):
+            keywords, dest = _OPTIONS[option], option[2:].replace("-", "_")
+            flag = keywords.get("action") == "store_true"
+            readers[option] = dest, None if flag else keywords.get("type", str)
+            if keywords.get("required"):
+                required.append(dest)
+            else:
+                defaults[dest] = False if flag else keywords["default"]
+        dest, keywords = _POSITIONALS.get(positional, (None, {}))
+        if keywords.get("nargs") == "?":
+            defaults[dest] = keywords["default"]
+        elif dest:
+            required.append(dest)
+        routes[name] = defaults, readers, dest, tuple(required)
+    return routes
+
+
+_PLAIN = _plain_routes()
+
+
+def _read_plain(argv):
+    """The namespace argparse builds for ``argv``, when argv is a plain line
+    of the command table: a command, its own options spelled out in full, at
+    most one positional, and no value but ``-`` that starts with ``-``.
+    None for every other argv."""
+    if not argv or (route := _PLAIN.get(argv[0])) is None:
+        return None
+    defaults, readers, positional, required = route
+    values, placed, rest = dict(defaults), False, iter(argv[1:])
+    for arg in rest:
+        if (reader := readers.get(arg)) is not None:
+            dest, convert = reader
+            if convert is None:
+                values[dest] = True
+                continue
+            value = next(rest, "--")  # argparse reads a missing value as an option
+            if value[:1] == "-" and value != "-":
+                return None
+            try:
+                values[dest] = convert(value)
+            except ValueError:  # argparse's "invalid int value"
+                return None
+        elif placed or positional is None or arg[:1] == "-" and arg != "-":
+            return None
+        else:
+            values[positional], placed = arg, True
+    if not all(dest in values for dest in required):
+        return None
+    return argparse.Namespace(**values)
 
 
 def run(argv=None) -> int:
     """Entry point returning the exit code (0 ok, 1 not an algebra, 2 usage)."""
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
     except (DocumentError, _Usage, FloatRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a backstop: no bound on the work is read before it starts
+        print("error: out of memory", file=sys.stderr)
         return 2
     except _Failure as exc:
         if args.json:

@@ -18,7 +18,7 @@ from omegalie import (FIRST_TABLE_ORDER, PARAMETRIC_LABELS, SECOND_TABLE_ORDER,
                       ResidualTensor, classify, decomp3d, generate,
                       orbit_sample, parse, serialize)
 from omegalie.io_cli import (SCHEMA_VERSION, _as_rational, _build_parser, _dumps,
-                             _force_omega, document_object, run)
+                             _force_omega, _read_plain, document_object, run)
 from oracles import (c_tensor, dual_forced, dual_forced_b, fraction_decompose,
                      omega_matrix, spec_from_dense, with_omega)
 from test_decomp3d import rand_spec
@@ -577,6 +577,104 @@ def test_cli_parser_is_reused_across_swapped_streams(monkeypatch):
     assert codes == [0, 2, 0, 0, 0, 2]
     for code, out, err in fresh:
         assert out if code == 0 else (err and not out)
+
+
+COMMANDS = ("validate", "decompose", "classify", "generate", "orbit-sample", "tables",
+            "deformability")
+# every option, its = form and prefixes, and values argparse reads in more than one way
+ARGV_WORDS = COMMANDS + (
+    "--json", "--force-omega", "--param", "--seed", "--json=", "--force-omega=1",
+    "--param=3/2", "--seed=3", "--js", "--force", "--p", "--se", "--s", "-", "--", "-h",
+    "--help", "-1", "-3", "-1/2", "-0", "3", "3/2", "10/4", " 3", "3 ", "1 2", "+3", "1_0",
+    "x", "IX", "IX_a", "doc.json", "")
+
+
+argv_words = st.sampled_from(ARGV_WORDS)
+
+
+@st.composite
+def command_lines(draw):
+    # any words; or a command, one word where a positional may stand, and around it
+    # options of that command (a value option with any word after it) or any words
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.lists(argv_words, max_size=6))
+    command = draw(st.sampled_from(COMMANDS))
+    options = {"generate": ("--param",), "orbit-sample": ("--seed", "--param"),
+               "tables": ()}.get(command, ("--force-omega",))
+    pieces = draw(st.lists(st.one_of(
+        st.sampled_from(("--json",) + options).flatmap(
+            lambda option: st.tuples(st.just(option), argv_words).map(list)
+            if option in ("--param", "--seed") else st.just([option])),
+        argv_words.map(lambda word: [word])), max_size=4))
+    pieces.insert(draw(st.integers(0, len(pieces))), [draw(argv_words)])
+    return [command, *(word for piece in pieces for word in piece)]
+
+
+@given(command_lines())
+@settings(deadline=None, max_examples=1500)
+def test_plain_command_lines_read_as_argparse_reads_them(argv):
+    fast = _read_plain(argv)
+    if fast is None:
+        return
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            slow = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            pytest.fail(f"argparse refused {argv!r} (exit {exc.code}): {err.getvalue()}")
+    assert vars(fast) == vars(slow)
+    assert out.getvalue() == err.getvalue() == ""
+
+
+def test_benchmark_command_lines_never_build_the_parser(monkeypatch):
+    # the argv shapes of the three benchmark workloads are read without argparse
+    dim3 = serialize(orbit_sample("IX_a", Fraction(3, 2), seed=1))
+    dim5 = serialize(AlgebraSpec.from_entries(5, [(1, 2, 3, 1)]))
+    calls = [(["classify", "--json"], dim3), (["orbit-sample", "IX", "--seed", "7"], ""),
+             (["orbit-sample", "IX_a", "--seed", "7", "--param", "3/2"], ""),
+             (["validate", "--json"], dim3), (["validate", "--json"], dim5),
+             (["deformability", "--json"], dim5)]
+    _build_parser.cache_clear()
+    for argv, doc in calls:
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        with redirect_stdout(io.StringIO()):
+            assert run(argv) == 0, argv
+    assert _build_parser.cache_info().misses == 0
+
+
+def test_run_reads_sys_argv_on_both_routes(monkeypatch):
+    # --js is not a plain line, so argparse reads it, as an abbreviation of --json
+    doc = serialize(generate("IX_a", 2))
+    results = []
+    for argv in (["validate", "--json"], ["validate", "--js"]):
+        monkeypatch.setattr("sys.argv", ["omegalie", *argv])
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        _build_parser.cache_clear()
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = run()
+        results.append((code, out.getvalue(), _build_parser.cache_info().misses))
+    (code, out, direct), (code_js, out_js, parsed) = results
+    assert code == code_js == 0 and out == out_js and json.loads(out)["valid"] is True
+    assert (direct, parsed) == (0, 1)
+
+
+def test_cli_out_of_memory_exits_2_without_traceback(monkeypatch):
+    # a backstop only: run reads no bound on the work before it starts
+    def exhausted(*_):
+        raise MemoryError
+
+    monkeypatch.setattr("omegalie.io_cli.classify", exhausted)
+    monkeypatch.setattr("omegalie.io_cli.residual", exhausted)
+    dim3 = serialize(generate("IX_a", 2))
+    dim4 = serialize(AlgebraSpec.from_entries(4, [(1, 2, 3, 1)]))
+    for argv, doc in ((["classify", "--json"], dim3), (["validate"], dim4),
+                      (["validate", "--js"], dim4)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert run(argv) == 2, argv
+        assert out.getvalue() == "" and err.getvalue() == "error: out of memory\n", argv
 
 
 def filiform_document(dim):

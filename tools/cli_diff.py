@@ -24,7 +24,11 @@ subcommand through ``omegalie.io_cli.run``, in-process:
   document command on each: a full bracket (so n is not diagonal and a not
   zero) with every value over its own denominator, pairwise coprime, and an
   omega over denominators coprime to c's, which no power of c's common
-  denominator clears.  The documents above are all transported table rows.
+  denominator clears.  The documents above are all transported table rows;
+* ``USAGE``: the help of the program and of each command, and argvs that
+  are not plain command lines (an unknown command, abbreviated or ``=``
+  options, values that start with ``-``, a missing or repeated argument,
+  ``--``, options of another command), each with a document on stdin.
 
 The generated documents count as outputs too.  Every exit code, stdout and
 stderr that differs between the trees is printed as a unified diff; when
@@ -52,6 +56,14 @@ DIM3_ONLY = ("decompose", "classify")
 MODES = ([], ["--json"])
 EXTREME_PARAMS = ("1/" + "1" + "0" * 30, "3/2", "1" + "0" * 40 + "/7")
 RANDOM_BRACKETS = 24
+COMMANDS = ("validate", "decompose", "classify", "generate", "orbit-sample", "tables",
+            "deformability")
+USAGE = ([], ["-h"], ["--help"], *([command, "-h"] for command in COMMANDS),
+         ["no-such-command"], ["validate", "--js"], ["orbit-sample", "IX", "--seed=3"],
+         ["generate", "IX_a", "--param", "-1/2"], ["orbit-sample", "IX"],
+         ["orbit-sample", "IX", "--seed", "x"], ["validate", "a", "b"],
+         ["validate", "--", "-"], ["generate", "II", "--force-omega"],
+         ["tables", "--float-tol", "5"])
 
 
 def random_brackets(rng):
@@ -106,6 +118,9 @@ def run_tree(src, seeds):
 
     for mode in MODES:
         run("tables", ["tables", *mode])
+    usage_doc = ol.serialize(ol.generate("IX_a", 2))
+    for argv in USAGE:
+        run("usage", argv, usage_doc)
     for label in ol.FIRST_TABLE_ORDER + ol.SECOND_TABLE_ORDER:
         params = EXTREME_PARAMS if label in ol.PARAMETRIC_LABELS else (None,)
         for param in params:
