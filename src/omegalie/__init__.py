@@ -23,8 +23,7 @@ from .decomp3d import NabTriple, decompose, forced_b, reconstruct, t_of, t_vecto
 from .decomp_nd import (DeformabilityResult, GeneralSplit,
                         check_deformability, induced_omega, split_trace)
 from .io_cli import DocumentError, document_object, parse, serialize
-from .tensor_core import (Inertia, Matrix, SingularMatrixError,
-                          congruence_diagonalize, rational)
+from .tensor_core import Inertia, Matrix, SingularMatrixError, rational
 
 __version__ = "0.1.0"
 
@@ -34,9 +33,9 @@ __all__ = [
     "GeneralSplit", "Inertia", "Matrix", "NabTriple", "NormalForm",
     "NotAnAlgebraError", "PARAMETRIC_LABELS", "ResidualTensor",
     "SECOND_TABLE_ORDER", "SingularMatrixError", "bracket",
-    "check_deformability", "classify", "congruence_diagonalize", "decompose",
-    "document_object", "forced_b", "generate", "induced_omega", "jacobiator",
-    "omega_rhs", "omega_value", "orbit_sample", "parse", "rational",
-    "reconstruct", "residual", "serialize", "split_trace", "t_of",
-    "t_vector", "table_row", "transport",
+    "check_deformability", "classify", "decompose", "document_object",
+    "forced_b", "generate", "induced_omega", "jacobiator", "omega_rhs",
+    "omega_value", "orbit_sample", "parse", "rational", "reconstruct",
+    "residual", "serialize", "split_trace", "t_of", "t_vector", "table_row",
+    "transport",
 ]

@@ -11,14 +11,15 @@ and the continuous parameters are decided in exact rational arithmetic:
 * for rank-2 n with a in its kernel the ratio (a x a) / adjugate(n), which
   is invariant because the adjugate transforms by plain congruence.
 
-``classify`` decomposes once, diagonalizes n = p diag(d) p^T once and reads
-the invariants off (d, p^T a).  Every reduction stage acts on one frame
-(d, a, P) by index.  The exact head (sign sorting, shears, gauge swap,
-scalings, and rational Cayley and null boosts) runs on ints, each vector an
-int list over one denominator, and certifies P by cross-multiplied integer
-equalities; Fractions come in with the decomposition and go out as
-``exact_transform`` and the parameter.  The float tail is a 3x3 Q on that
-frame.  The transform is P Q, and ``transform_error`` checks Q.
+``classify`` reads the decomposition once as ints, n = N / 2lc and
+a = A / 2lc, diagonalizes N = p diag(d) p^T once and reads the invariants
+off (d, p^T a).  Every reduction stage acts on one frame (d, a, P) by
+index.  The exact head (sign sorting, shears, gauge swap, scalings, and
+rational Cayley and null boosts) runs on ints, each vector an int list over
+one denominator, and certifies P by integer equalities cross-multiplied
+against N, A and 2lc; Fractions are built only for the results
+``exact_transform`` and ``decomposition``.  The float tail is a 3x3 Q on
+that frame.  The transform is P Q, and ``transform_error`` checks Q.
 
 VI_y and every VIII_na parameter are not orbits of their own: both report
 on a canonical representative (VI_x, VIII_na at parameter 1) with a note
@@ -43,8 +44,7 @@ from typing import Optional
 
 from .algebra_core import AlgebraSpec, _transport
 from .decomp3d import _CYCLIC, _UPPER, NabTriple, _t, _triple, _view
-from .tensor_core import (Inertia, Matrix, SingularMatrixError, cleared,
-                          congruence_diagonalize, rational)
+from .tensor_core import Inertia, Matrix, SingularMatrixError, int_congruence, rational
 
 
 class NotAnAlgebraError(ValueError):
@@ -473,37 +473,38 @@ def _exact_stages(frame, label: str):
     return frame
 
 
-def _certify(frame, trip: NabTriple, label: str):
+def _certify(frame, view, label: str):
     """Integer equality of P diag(d) P^T = det(P) n, with det(P) read off the
-    columns, and of P^T a = a_frame, both cross-multiplied (with b forced,
-    they carry the input onto the frame), and the row's sign patterns of d
-    and of a on ker n."""
+    columns, and of P^T a = a_frame, both cross-multiplied against the view's
+    n = N / 2lc and a = A / 2lc (with b forced, they carry the input onto the
+    frame), and the row's sign patterns of d and of a on ker n."""
     (d, dd), (af, ad), cols = frame
-    (nv, nden), (av, aden) = cleared([x for r in trip.n.rows for x in r]), cleared(trip.a)
+    nv, av, _, lc, _ = view
     c, s = zip(*cols)
     det = sum(c[0][i] * (c[1][i - 2] * c[2][i - 1] - c[1][i - 1] * c[2][i - 2]) for i in range(3))
-    prod = s[0] * s[1] * s[2]  # det(P) = det / prod; below, times prod^2 dd nden
-    t = [x * (prod // y) ** 2 * nden for x, y in zip(d, s)]
+    prod = s[0] * s[1] * s[2]  # det(P) = det / prod; below, times prod^2 dd 2lc
+    t = [x * (prod // y) ** 2 * 2 * lc for x, y in zip(d, s)]
     nd, apat, _ = _TABLE[label]
-    if (any(sum(c[k][i] * t[k] * c[k][j] for k in range(3)) != det * prod * dd * nv[3 * i + j]
+    if (any(sum(c[k][i] * t[k] * c[k][j] for k in range(3)) != det * prod * dd * nv[i][j]
             for i in range(3) for j in range(i, 3))
-            or any(ad * sum(x * y for x, y in zip(col, av)) != y * sk * aden
+            or any(ad * sum(x * y for x, y in zip(col, av)) != y * sk * 2 * lc
                    for col, sk, y in zip(c, s, af))
             or tuple((x > 0) - (x < 0) for x in d) != nd
             or any((af[i] != 0) != (apat[i] != 0) for i in range(3) if d[i] == 0)):
         raise AssertionError(f"the exact reduction to {label} failed its certificate")
 
 
-def _exact_head(trip: NabTriple):
-    """Label, squared parameter, certificates and the certified frame of trip."""
-    p, d, det = congruence_diagonalize(trip.n)
-    av, aden = cleared(trip.a)
-    cols = [cleared(col) for col in zip(*p.rows)]
-    a = _join([(sum(x * y for x, y in zip(col, av)), s * aden) for col, s in cols])
-    d, dd = cleared(d)
-    label, param2, certs = _discrete_classify((d, dd), a)
-    frame = _exact_stages((([det * x for x in d], dd), a, cols), label)
-    _certify(frame, trip, label)
+def _exact_head(view):
+    """Label, squared parameter, certificates and the certified frame of the
+    view's n = N / 2lc and a = A / 2lc."""
+    nv, av, _, lc, _ = view
+    cols, dens, d, det = int_congruence(nv)
+    a = _join([(sum(x * y for x, y in zip(col, av)), 2 * lc * s) for col, s in zip(cols, dens)])
+    d = _join([(det * x, 2 * lc * y) for x, y in d])
+    label, param2, certs = _discrete_classify(d, a)
+    frame = _exact_stages((d, a, [_join([(x, s) for x in col]) for col, s in zip(cols, dens)]),
+                          label)
+    _certify(frame, view, label)
     return label, param2, certs, frame
 
 
@@ -628,9 +629,8 @@ def classify(spec: AlgebraSpec) -> NormalForm:
     t = _t(view)
     if any(t):
         raise NotAnAlgebraError(t)
-    trip = _triple(view)
 
-    label, param2, certs, frame = _exact_head(trip)
+    label, param2, certs, frame = _exact_head(view)
     try:
         parameter = None if param2 is None else _reported(*_root(*param2))
         tail = _float_tail(frame, label)
@@ -651,4 +651,4 @@ def classify(spec: AlgebraSpec) -> NormalForm:
         notes.append(f"canonical transform check exceeded tolerance: max deviation {err:.3e}")
     exact = tuple(tuple(Fraction(col[r], s) for col, s in frame[2]) for r in range(3))
     return NormalForm(BianchiLabel(label, parameter), Matrix(exact),
-                      transform, certs, tuple(notes), err, trip)
+                      transform, certs, tuple(notes), err, _triple(view))

@@ -7,8 +7,8 @@ type: ``Matrix`` passes every entry through it, so a matrix holds only
 Fractions (ints are converted, floats and bools raise ``TypeError``).
 ``det`` divides exactly: it reads det(M) of the int matrix M = den m off
 ``int_adjugate``, the one elimination, which ``transport`` shares for adj(M).
-It and ``congruence_diagonalize`` eliminate fraction-free on ints and build
-Fractions only for their results.
+Both it and ``int_congruence``, the congruence diagonalization ``classify``
+runs, eliminate fraction-free on ints and return ints.
 """
 
 from __future__ import annotations
@@ -141,22 +141,22 @@ def int_adjugate(rows) -> tuple[list, int]:
     return [[sign * x for x in r[n:]] for r in a], sign * prev
 
 
-def congruence_diagonalize(m: Matrix) -> tuple[Matrix, tuple, int]:
-    """(p, d, det(p)) with m = p diag(d) p^T for a symmetric rational m, by
-    symmetric elimination with swaps and unit shears: p collects their
-    inverses as column operations, and det(p) = +-1 is the swap parity.  When
-    every remaining diagonal entry vanishes but some off-diagonal entry q,r
-    is nonzero, the split e_q -> e_q + e_r exposes the pivots 2m and -m/2.
+def int_congruence(rows) -> tuple[list, list, list, int]:
+    """(cols, dens, d, det) with M = p diag(d) p^T for a symmetric int matrix
+    M given as rows, by symmetric elimination with swaps and unit shears: p
+    collects their inverses as column operations, column j of p is the int
+    vector cols[j] over its pivot dens[j], d[i] = piv_i / prev_i is given as
+    that pair ((0, 1) past the last pivot), and det(p) = +-1 is the swap
+    parity.  When every remaining diagonal entry vanishes but some
+    off-diagonal entry q,r is nonzero, the split e_q -> e_q + e_r exposes the
+    pivots 2m and -m/2.
 
-    Fraction-free (Bareiss 1968): for m = a / L, a integer, the trailing block
-    after a pivot b is B / (L b) with B integer (the next step divides exactly
-    by b), and a pivot column of p is an integer vector over its pivot."""
-    if not m.is_symmetric():
-        raise ValueError("congruence_diagonalize requires a symmetric matrix")
-    n = m.dim
-    a, den = m.int_rows()
+    Fraction-free (Bareiss 1968): the trailing block after a pivot b is B / b
+    with B integer (the next step divides exactly by b), and a pivot column
+    of p is an integer vector over its pivot."""
+    a, n = [list(r) for r in rows], len(rows)
     cols = [[int(i == j) for i in range(n)] for j in range(n)]  # cols[j]: column j of p
-    dens, d = [1] * n, [Fraction(0)] * n
+    dens, d = [1] * n, [(0, 1)] * n
     det, prev = 1, 1
 
     def swap(i, j):
@@ -189,13 +189,12 @@ def congruence_diagonalize(m: Matrix) -> tuple[Matrix, tuple, int]:
         # e_q -> e_q - (a_qi / piv) e_i for q > i; p: column i += (a_qi / piv) column q
         cols[i] = [piv * x + sum(a[q][i] * cols[q][k] for q in rest)
                    for k, x in enumerate(cols[i])]
-        dens[i], d[i] = piv, Fraction(piv, den * prev)
+        dens[i], d[i] = piv, (piv, prev)
         for q in rest:
             a[q][i + 1:] = [(piv * x - a[q][i] * y) // prev
                             for x, y in zip(a[q][i + 1:], a[i][i + 1:])]
         prev = piv
-    p = tuple(tuple(Fraction(col[r], s) for col, s in zip(cols, dens)) for r in range(n))
-    return Matrix(p), tuple(d), det
+    return cols, dens, d, det
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,8 @@ from fractions import Fraction
 from itertools import permutations
 
 from omegalie import (AlgebraSpec, Inertia, Matrix, NabTriple, SingularMatrixError,
-                      check_deformability, congruence_diagonalize, forced_b,
-                      jacobiator, omega_rhs, reconstruct, table_row, transport)
+                      check_deformability, forced_b, jacobiator, omega_rhs, reconstruct,
+                      table_row, transport)
 from omegalie.tensor_core import int_adjugate
 
 _ZERO = Fraction(0)
@@ -350,8 +350,8 @@ def fraction_orbit_sample(label, param=None, *, seed):
 
 def fraction_congruence_diagonalize(m):
     """(p, d, det(p)) with m = p diag(d) p^T, eliminated in Fractions step by
-    step: the library's ``congruence_diagonalize`` makes the same swaps,
-    splits and shears fraction-free and must return exactly this."""
+    step: the library's ``int_congruence`` makes the same swaps, splits and
+    shears fraction-free on the int rows and must return exactly this."""
     n = m.dim
     a = [list(r) for r in m.rows]
     p = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
@@ -452,7 +452,7 @@ def inverse(m):
 
 def inertia(m):
     """Signature (positive, negative, zero) of a symmetric rational matrix."""
-    return Inertia.of_diagonal(congruence_diagonalize(m)[1])
+    return Inertia.of_diagonal(fraction_congruence_diagonalize(m)[1])
 
 
 def dual_c(c):

@@ -1,10 +1,12 @@
 """Normal-form tables, exact certificates, the classifier and the public API."""
 
 import ast
+import collections
 import dataclasses
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +20,8 @@ from omegalie import (AlgebraSpec, BianchiLabel, FloatRangeError, Matrix,
                       PARAMETRIC_LABELS, classify, decompose, forced_b,
                       generate, orbit_sample, reconstruct, serialize,
                       t_vector, table_row, transport)
+from omegalie.classify3d import _certify, _exact_head
+from omegalie.decomp3d import _triple, _view
 from oracles import (c_tensor, dense_transport, diagonal, eps_reconstruct,
                      exact_witness_holds, flat, fraction_orbit_sample, omega_matrix,
                      reconstructed_row, transport_error)
@@ -220,11 +224,10 @@ def test_integer_certificate_rejects_every_single_change():
     # of the certificate
     for label, p in (("VIII_a", Fraction(3, 2)), ("IX_a", Fraction(2, 5)), ("VI_x", None)):
         for seed in range(4):
-            trip = decompose(orbit_sample(label, p, seed=seed))
-            name, _, _, frame = omegalie.classify3d._exact_head(trip)
+            view = _view(orbit_sample(label, p, seed=seed))
+            name, _, _, frame = _exact_head(view)
             assert name == label
-            certify = omegalie.classify3d._certify
-            certify(frame, trip, label)
+            _certify(frame, view, label)
             (d, dd), (a, ad), cols = frame
             mutants = []
             for k, (col, s) in enumerate(cols):
@@ -243,7 +246,50 @@ def test_integer_certificate_rejects_every_single_change():
             assert len(mutants) == 21
             for mutant in mutants:
                 with pytest.raises(AssertionError, match="failed its certificate"):
-                    certify(mutant, trip, label)
+                    _certify(mutant, view, label)
+
+
+def test_exact_head_ignores_the_views_representation():
+    # _view does not reduce N and A against 2lc: scaling (N, A, lc) by 6 and
+    # (B, lw) by 5 describes the same (n, a, b), and the exact head returns
+    # the identical label, squared parameter, certificates and frame
+    for label in ALL_LABELS:
+        p = Fraction(3, 2) if label in PARAMETRIC_LABELS else None
+        for seed in range(4):
+            view = _view(orbit_sample(label, p, seed=seed))
+            n, a, b, lc, lw = view
+            scaled = ([[6 * x for x in r] for r in n], [6 * x for x in a],
+                      [5 * x for x in b], 6 * lc, 5 * lw)
+            assert _triple(scaled) == _triple(view)
+            assert _exact_head(scaled) == _exact_head(view), (label, seed)
+
+
+def test_classify_clears_only_the_view_and_builds_two_matrices(monkeypatch):
+    # classify reads n and a off the int view: tensor_core.cleared runs only
+    # for _view's two stores, and the only Matrix objects it builds are the
+    # decomposition's n and exact_transform
+    counts = collections.Counter()
+    original_cleared, original_init = omegalie.tensor_core.cleared, Matrix.__init__
+
+    def cleared(xs):
+        counts["cleared"] += 1
+        return original_cleared(xs)
+
+    def init(self, rows):
+        counts["Matrix"] += 1
+        original_init(self, rows)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "omegalie" and \
+                getattr(module, "cleared", None) is original_cleared:
+            monkeypatch.setattr(module, "cleared", cleared)
+    monkeypatch.setattr(Matrix, "__init__", init)
+    for label in ALL_LABELS:
+        spec = orbit_sample(label, Fraction(3, 2) if label in PARAMETRIC_LABELS else None, seed=7)
+        counts.clear()
+        nf = classify(spec)
+        assert nf.label.name == ("VI_x" if label == "VI_y" else label)
+        assert counts == {"cleared": 2, "Matrix": 2}, (label, counts)
 
 
 def test_classify_at_magnitudes_far_from_1():
@@ -425,9 +471,10 @@ def test_public_api_resolves_without_test_only_names():
         getattr(omegalie, name)
     deleted = ("ScalingGroup", "residual_scalings", "causal_character", "levi_civita",
                "forced_omega", "inertia", "deformability", "validate_skew",
-               "omega_rhs_is_identically_zero", "dual_c", "adjugate")
+               "omega_rhs_is_identically_zero", "dual_c", "adjugate", "congruence_diagonalize")
     assert not set(deleted) & set(omegalie.__all__)
     assert not any(hasattr(omegalie, name) for name in deleted)
+    assert not hasattr(omegalie.tensor_core, "congruence_diagonalize")
     assert not any(hasattr(Matrix, name)
                    for name in ("zero", "from_rational", "scale", "T", "astype_float",
                                 "diagonal", "identity", "transpose", "apply"))
@@ -465,11 +512,11 @@ PUBLIC_API = [
     "GeneralSplit", "Inertia", "Matrix", "NabTriple", "NormalForm",
     "NotAnAlgebraError", "PARAMETRIC_LABELS", "ResidualTensor",
     "SECOND_TABLE_ORDER", "SingularMatrixError", "bracket",
-    "check_deformability", "classify", "congruence_diagonalize", "decompose",
-    "document_object", "forced_b", "generate", "induced_omega", "jacobiator",
-    "omega_rhs", "omega_value", "orbit_sample", "parse", "rational",
-    "reconstruct", "residual", "serialize", "split_trace", "t_of",
-    "t_vector", "table_row", "transport",
+    "check_deformability", "classify", "decompose", "document_object",
+    "forced_b", "generate", "induced_omega", "jacobiator", "omega_rhs",
+    "omega_value", "orbit_sample", "parse", "rational", "reconstruct",
+    "residual", "serialize", "split_trace", "t_of", "t_vector", "table_row",
+    "transport",
 ]
 
 

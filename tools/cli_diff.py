@@ -25,6 +25,11 @@ subcommand through ``omegalie.io_cli.run``, in-process:
   zero) with every value over its own denominator, pairwise coprime, and an
   omega over denominators coprime to c's, which no power of c's common
   denominator clears.  The documents above are all transported table rows;
+* ``LOW_RANK_BRACKETS`` seeded valid dim-3 documents per seed whose n is
+  hollow (zero diagonal, some off-diagonal entry nonzero) or of rank 1 or 2,
+  with a != 0 and the forced omega, every document command on each: they
+  run the congruence elimination's split and early break on an int view
+  (N, A, lc) that shares factors with 2lc, which transported rows rarely do;
 * ``USAGE``: the help of the program and of each command, and argvs that
   are not plain command lines (an unknown command, abbreviated or ``=``
   options, values that start with ``-``, a missing or repeated argument,
@@ -48,6 +53,7 @@ import math
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,6 +62,7 @@ DIM3_ONLY = ("decompose", "classify")
 MODES = ([], ["--json"])
 EXTREME_PARAMS = ("1/" + "1" + "0" * 30, "3/2", "1" + "0" * 40 + "/7")
 RANDOM_BRACKETS = 24
+LOW_RANK_BRACKETS = 24
 COMMANDS = ("validate", "decompose", "classify", "generate", "orbit-sample", "tables",
             "deformability")
 USAGE = ([], ["-h"], ["--help"], *([command, "-h"] for command in COMMANDS),
@@ -82,6 +89,62 @@ def random_brackets(rng):
             [(i, j, m) for i, j in ((1, 2), (1, 3), (2, 3)) for m in (1, 2, 3)], values)]
         omega = [[i, j, v] for (i, j), v in zip(((1, 2), (1, 3), (2, 3)), values[9:])]
         docs.append(json.dumps({"dim": 3, "c_entries": c, "omega_entries": omega}))
+    return docs
+
+
+def _cross(u, v):
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+def low_rank_brackets(rng):
+    """``LOW_RANK_BRACKETS`` valid dim-3 document texts: by turns n hollow (of
+    rank 2 or 3), n = e v v^T of rank 1 and n = e v v^T + f w w^T of rank 2,
+    each value over a denominator of 1 to 12, a != 0 (in ker n for every
+    other low-rank n) and omega the forced b = -2 n a, written out through
+    c[i][j][k] = n[i][l] eps_jkl - delta_ij a_k + delta_ik a_j."""
+    def value(zero=False):
+        x = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        return x if x or zero else value()
+
+    def vector():
+        v = [rng.randint(-3, 3) for _ in range(3)]
+        return v if any(v) else vector()
+
+    docs = []
+    for m in range(LOW_RANK_BRACKETS):
+        rank = m % 3
+        if rank == 0:
+            n = [[Fraction(0)] * 3 for _ in range(3)]
+            while not any(n[0][1:] + n[1][2:]):
+                for i, j in ((0, 1), (0, 2), (1, 2)):
+                    n[i][j] = n[j][i] = value(zero=True)
+            a = [value(zero=True) for _ in range(3)]
+        else:
+            vs = [vector() for _ in range(rank)]
+            while rank == 2 and not any(_cross(*vs)):
+                vs[1] = vector()
+            es = [value() for _ in vs]
+            n = [[sum(e * v[i] * v[j] for e, v in zip(es, vs)) for j in range(3)]
+                 for i in range(3)]
+            if m // 3 % 2:  # a orthogonal to every v, so n a = 0
+                w, t = vs[1] if rank == 2 else vector(), value()
+                a = [t * x for x in _cross(vs[0], w)]
+            else:
+                a = [value(zero=True) for _ in range(3)]
+        if not any(a):
+            a[rng.randrange(3)] = value()
+        b = [-2 * sum(x * y for x, y in zip(r, a)) for r in n]
+        c, omega = [], []
+        for l in range(3):
+            j, k = (l + 1) % 3, (l + 2) % 3
+            key, sign = sorted((j, k)), 1 if j < k else -1
+            for i in range(3):
+                v = sign * (n[i][l] - (i == j) * a[k] + (i == k) * a[j])
+                if v:
+                    c.append([key[0] + 1, key[1] + 1, i + 1, str(v)])
+            if b[l]:
+                omega.append([key[0] + 1, key[1] + 1, str(sign * b[l])])
+        docs.append(json.dumps({"dim": 3, "c_entries": sorted(c), "omega_entries": sorted(omega)}))
     return docs
 
 
@@ -150,6 +213,8 @@ def run_tree(src, seeds):
             run_document(f"seed {seed} nd-sparse {k}", op.doc)
         for k, doc in enumerate(random_brackets(random.Random(f"{seed} brackets"))):
             run_document(f"seed {seed} random bracket {k}", doc)
+        for k, doc in enumerate(low_rank_brackets(random.Random(f"{seed} low rank"))):
+            run_document(f"seed {seed} low-rank bracket {k}", doc)
     return out
 
 
