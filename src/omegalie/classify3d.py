@@ -11,6 +11,11 @@ and the continuous parameters are decided in exact rational arithmetic:
 * for rank-2 n with a in its kernel the ratio (a x a) / adjugate(n), which
   is invariant because the adjugate transforms by plain congruence.
 
+The label is looked up by (inertia, causal character) in a map that runs the
+same invariants on the table's own rows at import; the sign of the row's
+ratio there gives the parameter's.  VI_x and VI_y share a key, and VIII_na's
+ratio q / det(n) is zero, so it takes no parameter.
+
 ``classify`` reads the decomposition once as ints, n = N / 2lc and
 a = A / 2lc, diagonalizes N = p diag(d) p^T once and reads the invariants
 off (d, p^T a).  Every reduction stage acts on one frame (d, a, P) by
@@ -103,15 +108,15 @@ PARAMETRIC_LABELS = frozenset(l for l, (_, _, p) in _TABLE.items() if p)
 FLOAT_TOL = 1e-9  # bound on transform_error before classify adds a note
 _UNIT = {1: Fraction(1), -1: Fraction(-1)}  # the nonzero entries of a row's n
 
-_VI_COLLAPSE_NOTE = (
-    "VI_x and VI_y lie on one orbit: the basis swap e1 <-> e2 (determinant -1) "
-    "preserves n = diag(1, -1, 0) and exchanges their a data; VI_x is the "
-    "canonical representative reported here.")
-_VIII_NA_COLLAPSE_NOTE = (
-    "VIII_na rows of every parameter lie on one orbit: the boost "
-    "[[5/4, 0, 3/4], [0, 1, 0], [3/4, 0, 5/4]] (determinant 1) preserves "
-    "n = diag(1, 1, -1) and doubles the null a = (p, 0, p); VIII_na at "
-    "parameter 1 is the canonical representative reported here.")
+_COLLAPSE_NOTES = {
+    "VI_x": "VI_x and VI_y lie on one orbit: the basis swap e1 <-> e2 (determinant -1) "
+            "preserves n = diag(1, -1, 0) and exchanges their a data; VI_x is the "
+            "canonical representative reported here.",
+    "VIII_na": "VIII_na rows of every parameter lie on one orbit: the boost "
+               "[[5/4, 0, 3/4], [0, 1, 0], [3/4, 0, 5/4]] (determinant 1) preserves "
+               "n = diag(1, 1, -1) and doubles the null a = (p, 0, p); VIII_na at "
+               "parameter 1 is the canonical representative reported here.",
+}
 
 
 @dataclass(frozen=True)
@@ -220,13 +225,15 @@ def orbit_sample(label: str, param=None, *, seed: int) -> AlgebraSpec:
 # exact discrete classification
 
 
-_AZERO_LABELS = {(0, 0, 3): "I", (1, 0, 2): "II", (1, 1, 1): "VI0",
-                 (2, 0, 1): "VII0", (2, 1, 0): "VIII", (3, 0, 0): "IX"}
+def _form(d, v):
+    # B(v, v) = v^T diag(d) v, preserved by every stabiliser of n
+    return sum(x * y * y for x, y in zip(d, v))
 
 
-def _discrete_classify(d, a):
-    """Label, squared parameter (num, den) and certificates, read off n = p diag(d) p^T, a = p^T a."""
-    (d, dd), (a, ad) = d, a
+def _invariants(d, a):
+    """Certificates of n = diag(d) and a, and the row's ratio (num, den): the
+    invariant a x a / adjugate(n) on rank 2 with a in ker n, a^T n a / det(n)
+    on rank 3, None otherwise; scaling d and a scales it by a positive square."""
     inert = Inertia.of_diagonal(d)
     praw, qraw = inert.positive, inert.negative
     canon = Inertia(max(praw, qraw), min(praw, qraw), inert.zero)
@@ -247,43 +254,43 @@ def _discrete_classify(d, a):
             flip = praw == 0
         qc = -qf if flip else qf
         causal = "spacelike" if qc > 0 else ("timelike" if qc < 0 else "null")
+    ratio = None
+    if rank == 2 and kernel_only:
+        # a = a_k p^-T e_k and adjugate(n) = d_i d_j (p^-T e_k)(p^-T e_k)^T,
+        # k the zero of d
+        ratio = (sum(x * x for x in a), math.prod(x for x in d if x))
+    elif rank == 3:
+        ratio = (qf, math.prod(d))
+    return ExactCertificates(canon, a_zero, causal), ratio
 
-    # each ratio below is the invariant times (ad / dd)^2
-    param2 = None
-    if a_zero:
-        label = _AZERO_LABELS[canon.as_tuple()]
-    elif rank == 0:
-        label = "V"
-    elif rank == 1:
-        label = "IV" if kernel_only else "IV_x"
-    elif rank == 2:
-        if kernel_only:
-            # a x a = rho adjugate(n), a full orbit invariant; a = a_k p^-T e_k
-            # and adjugate(n) = d_i d_j (p^-T e_k)(p^-T e_k)^T, k the zero of d
-            rho = (sum(x * x for x in a), math.prod(x for x in d if x))
-            if canon.as_tuple() == (1, 1, 1):
-                label, param2 = "VI_a", (-rho[0], rho[1])
-            else:
-                label, param2 = "VII_a", rho
-        elif canon.as_tuple() == (1, 1, 1):
-            label = "VI_n" if qf == 0 else "VI_x"
-        else:
-            label = "VII_x"
-    else:
-        det = math.prod(d)  # r = qf / det
-        if canon.as_tuple() == (3, 0, 0):
-            label, param2 = "IX_a", (qf, det)
-        elif qf * det > 0:
-            label, param2 = "VIII_a", (qf, det)
-        elif qf * det < 0:
-            label, param2 = "VIII_xa", (-qf, det)
-        else:
-            label = "VIII_na"
-    if param2 is not None:
-        param2 = (param2[0] * dd * dd, param2[1] * ad * ad)
-        if param2[0] * param2[1] <= 0:
-            raise AssertionError(f"parameter invariant lost positivity for {label}: {param2}")
-    return label, param2, ExactCertificates(canon, a_zero, causal)
+
+def _sign(ratio) -> int:
+    return 0 if ratio is None else (ratio[0] * ratio[1] > 0) - (ratio[0] * ratio[1] < 0)
+
+
+def _label_map():
+    # (n_inertia, causal) -> (label, sign of the row's ratio), off the table's
+    # own rows; the first row of a key represents it: VI_y shares VI_x's key
+    labels = {}
+    for label, (nd, apat, _) in _TABLE.items():
+        certs, ratio = _invariants(nd, apat)
+        labels.setdefault((certs.n_inertia, certs.causal), (label, _sign(ratio)))
+    return labels
+
+
+_LABELS = _label_map()
+
+
+def _discrete_classify(d, a):
+    """Label, squared parameter (num, den) and certificates, read off n = p diag(d) p^T, a = p^T a."""
+    (d, dd), (a, ad) = d, a
+    certs, ratio = _invariants(d, a)
+    label, sign = _LABELS[certs.n_inertia, certs.causal]
+    if _sign(ratio) != sign:
+        raise AssertionError(f"the ratio of {label} lost its sign: {ratio}")
+    # the ratio is the invariant times (ad / dd)^2
+    param2 = (sign * ratio[0] * dd * dd, ratio[1] * ad * ad) if sign else None
+    return label, param2, certs
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +309,6 @@ def _join(pairs):
     nums = [x * (lcm // m) for x, m in pairs]
     g = math.gcd(*nums, lcm)
     return [x // g for x in nums], lcm // g
-
-
-def _form(d, v):
-    # B(v, v) = v^T diag(d) v, preserved by every stabiliser of n
-    return sum(x * y * y for x, y in zip(d, v))
 
 
 def _half_log2(num, den) -> int:
@@ -525,23 +527,22 @@ def _root(num: int, den: int, up: bool = False) -> tuple:
 
 
 def _float_scale(frame, lams):
-    # _scale on a float frame (d, a, cols, det) of the tail, which tracks det
-    d, a, cols, det = frame
+    # _scale on a float frame (a, cols, det) of the tail, which tracks det
+    a, cols, det = frame
     q = lams[0] * lams[1] * lams[2]
-    return ([q * x / (lam * lam) if x else x for x, lam in zip(d, lams)],
-            [lam * x for x, lam in zip(a, lams)],
+    return ([lam * x for x, lam in zip(a, lams)],
             [[lam * x for x in col] for col, lam in zip(cols, lams)],
             q * det)
 
 
 def _float_recombine(frame, new):
     # e'_m = sum of coef e_q over (q, coef) in new[m] on a float frame
-    d, a, cols, det = frame
+    a, cols, det = frame
     a2, cols2 = list(a), list(cols)
     for m, terms in new.items():
         a2[m] = sum(coef * a[q] for q, coef in terms)
         cols2[m] = [sum(coef * cols[q][r] for q, coef in terms) for r in range(3)]
-    return d, a2, cols2, det
+    return a2, cols2, det
 
 
 def _plane(i, j, c, s, t):
@@ -551,16 +552,16 @@ def _plane(i, j, c, s, t):
 
 
 def _float_tail(frame, label: str):
-    """The float tail: the float frame (d, a, columns of Q, det Q) that carries
+    """The float tail: the float frame (a, columns of Q, det Q) that carries
     the exact frame's (d, a), from Q = identity, onto the canonical row."""
     (d_exact, dd), (a_exact, ad) = frame[0], frame[1]
     nz = [abs(x) for x in d_exact if x]
     # mu_i = sqrt(|d_i|) / g with g = prod sqrt(|d_i|) normalizes n to signs
     mu = [x / y for x, y in (_root((abs(v) or dd) * dd ** len(nz), dd * math.prod(nz))
                              for v in d_exact)]
-    frame = _float_scale(([x / dd for x in d_exact], [x / ad for x in a_exact],
+    frame = _float_scale(([x / ad for x in a_exact],
                           [[float(i == j) for i in range(3)] for j in range(3)], 1.0), mu)
-    a = frame[1]
+    a = frame[0]
     if label in ("VII_x", "VIII_a", "VIII_xa", "VIII_na") and (a[0] != 0.0 or a[1] != 0.0):
         rho = math.hypot(a[0], a[1])
         frame = _float_recombine(frame, _plane(0, 1, a[0] / rho, a[1] / rho, -a[1] / rho))
@@ -586,7 +587,7 @@ def _float_tail(frame, label: str):
         frame = _float_recombine(frame, {0: tuple(enumerate(u)), 1: tuple(enumerate(v)),
                                          2: tuple(enumerate(w))})
     if label in ("VI_n", "VI_x", "VII_x"):
-        t = 1.0 / frame[1][0]
+        t = 1.0 / frame[0][0]
         frame = _float_scale(frame, (t, t, 1.0))
     return frame
 
@@ -597,7 +598,7 @@ def _tail_error(frame, tail, label: str, parameter) -> float:
     nd, apat, _ = _TABLE[label]
     ac = [x * (1.0 if parameter is None else parameter) for x in apat]
     d, a = ([x / den for x in nums] for nums, den in frame[:2])
-    q, det = tail[2], tail[3]  # q[j] is column j of Q
+    q, det = tail[1], tail[2]  # q[j] is column j of Q
     devs = [sum(q[k][i] * nd[k] * q[k][j] for k in range(3)) - (det * d[i] if i == j else 0.0)
             for i in range(3) for j in range(i, 3)]
     devs += [sum(x * y for x, y in zip(col, a)) - c for col, c in zip(q, ac)]
@@ -636,17 +637,13 @@ def classify(spec: AlgebraSpec) -> NormalForm:
         tail = _float_tail(frame, label)
         pf = [[_reported(x, s) for x in col] for col, s in frame[2]]  # pf[k][r] = P[r][k]
         transform = tuple(
-            tuple(_reported(sum(pf[k][r] * tail[2][j][k] for k in range(3))) for j in range(3))
+            tuple(_reported(sum(pf[k][r] * tail[1][j][k] for k in range(3))) for j in range(3))
             for r in range(3))
     except OverflowError:
         raise FloatRangeError("the parameter or transform lies outside the float range") from None
     err = _tail_error(frame, tail, label, parameter)
 
-    notes = []
-    if label == "VI_x":
-        notes.append(_VI_COLLAPSE_NOTE)
-    if label == "VIII_na":
-        notes.append(_VIII_NA_COLLAPSE_NOTE)
+    notes = [_COLLAPSE_NOTES[label]] if label in _COLLAPSE_NOTES else []
     if not err <= FLOAT_TOL:
         notes.append(f"canonical transform check exceeded tolerance: max deviation {err:.3e}")
     exact = tuple(tuple(Fraction(col[r], s) for col, s in frame[2]) for r in range(3))

@@ -6,9 +6,10 @@ inertia, direct evaluation of the deformed Jacobi identity on basis
 triples, the dense O(dim^5) component formula of the residual tensor,
 the 27-term Levi-Civita sums of the dimension-3 dictionary, the dense
 basis change of a spec, the dim-3 decomposition, its defect t and
-symmetric elimination in Fractions, and the table rows and orbit samples
-built through ``Matrix``, ``forced_b`` and ``reconstruct``.  Slow but
-obviously correct, and sharing no code
+symmetric elimination in Fractions, the hand-written label chain of the
+dim-3 classification, and the table rows and orbit samples built through
+``Matrix``, ``forced_b`` and ``reconstruct``.  Slow but obviously correct,
+and sharing no code
 paths with the package under test (``deformed_identity_holds`` uses the
 library's ``jacobiator`` and ``omega_rhs``, which tests compare against
 ``dense_bracket`` and ``dense_omega``).
@@ -31,13 +32,14 @@ omega's side of the identity vanishes, the exact witness of a
 classification and its whole-input float check.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
 
-from omegalie import (AlgebraSpec, Inertia, Matrix, NabTriple, SingularMatrixError,
-                      check_deformability, forced_b, jacobiator, omega_rhs, reconstruct,
-                      table_row, transport)
+from omegalie import (AlgebraSpec, ExactCertificates, Inertia, Matrix, NabTriple,
+                      SingularMatrixError, check_deformability, forced_b, jacobiator,
+                      omega_rhs, reconstruct, table_row, transport)
 from omegalie.tensor_core import int_adjugate
 
 _ZERO = Fraction(0)
@@ -393,6 +395,84 @@ def fraction_congruence_diagonalize(m):
             if a[q][i]:
                 add_row(q, i, -a[q][i] / piv)
     return Matrix(p), tuple(a[i][i] for i in range(n)), det
+
+
+# --- the hand-written dim-3 label chain ---------------------------------------
+# What classify3d ran before it looked labels up in the map built from its
+# table: rank, inertia, the kernel test and the sign of q decide the label by
+# hand, and each parametric row fixes its parameter's sign.  Copied verbatim,
+# with the B(v, v) it reads.
+
+
+def _form(d, v):
+    # B(v, v) = v^T diag(d) v, preserved by every stabiliser of n
+    return sum(x * y * y for x, y in zip(d, v))
+
+
+_AZERO_LABELS = {(0, 0, 3): "I", (1, 0, 2): "II", (1, 1, 1): "VI0",
+                 (2, 0, 1): "VII0", (2, 1, 0): "VIII", (3, 0, 0): "IX"}
+
+
+def _discrete_classify(d, a):
+    """Label, squared parameter (num, den) and certificates, read off n = p diag(d) p^T, a = p^T a."""
+    (d, dd), (a, ad) = d, a
+    inert = Inertia.of_diagonal(d)
+    praw, qraw = inert.positive, inert.negative
+    canon = Inertia(max(praw, qraw), min(praw, qraw), inert.zero)
+    rank = canon.rank
+    a_zero = all(x == 0 for x in a)
+    kernel_only = (not a_zero) and all(x * y == 0 for x, y in zip(d, a))
+    qf = _form(d, a)  # a^T n a times dd ad^2 > 0
+    if a_zero:
+        causal = "zero"
+    elif kernel_only:
+        causal = "kernel-only"
+    else:
+        if rank == 3:
+            flip = praw < qraw
+        elif rank == 2:
+            flip = (qf < 0) if praw == qraw else (praw == 0)
+        else:
+            flip = praw == 0
+        qc = -qf if flip else qf
+        causal = "spacelike" if qc > 0 else ("timelike" if qc < 0 else "null")
+
+    # each ratio below is the invariant times (ad / dd)^2
+    param2 = None
+    if a_zero:
+        label = _AZERO_LABELS[canon.as_tuple()]
+    elif rank == 0:
+        label = "V"
+    elif rank == 1:
+        label = "IV" if kernel_only else "IV_x"
+    elif rank == 2:
+        if kernel_only:
+            # a x a = rho adjugate(n), a full orbit invariant; a = a_k p^-T e_k
+            # and adjugate(n) = d_i d_j (p^-T e_k)(p^-T e_k)^T, k the zero of d
+            rho = (sum(x * x for x in a), math.prod(x for x in d if x))
+            if canon.as_tuple() == (1, 1, 1):
+                label, param2 = "VI_a", (-rho[0], rho[1])
+            else:
+                label, param2 = "VII_a", rho
+        elif canon.as_tuple() == (1, 1, 1):
+            label = "VI_n" if qf == 0 else "VI_x"
+        else:
+            label = "VII_x"
+    else:
+        det = math.prod(d)  # r = qf / det
+        if canon.as_tuple() == (3, 0, 0):
+            label, param2 = "IX_a", (qf, det)
+        elif qf * det > 0:
+            label, param2 = "VIII_a", (qf, det)
+        elif qf * det < 0:
+            label, param2 = "VIII_xa", (-qf, det)
+        else:
+            label = "VIII_na"
+    if param2 is not None:
+        param2 = (param2[0] * dd * dd, param2[1] * ad * ad)
+        if param2[0] * param2[1] <= 0:
+            raise AssertionError(f"parameter invariant lost positivity for {label}: {param2}")
+    return label, param2, ExactCertificates(canon, a_zero, causal)
 
 
 # --- helpers only tests use ---------------------------------------------------

@@ -20,8 +20,10 @@ from omegalie import (AlgebraSpec, BianchiLabel, FloatRangeError, Matrix,
                       PARAMETRIC_LABELS, classify, decompose, forced_b,
                       generate, orbit_sample, reconstruct, serialize,
                       t_vector, table_row, transport)
-from omegalie.classify3d import _certify, _exact_head
+from omegalie.classify3d import (_LABELS, _TABLE, _certify, _discrete_classify, _exact_head,
+                                 _invariants)
 from omegalie.decomp3d import _triple, _view
+from oracles import _discrete_classify as chain_classify
 from oracles import (c_tensor, dense_transport, diagonal, eps_reconstruct,
                      exact_witness_holds, flat, fraction_orbit_sample, omega_matrix,
                      reconstructed_row, transport_error)
@@ -262,6 +264,45 @@ def test_exact_head_ignores_the_views_representation():
                       [5 * x for x in b], 6 * lc, 5 * lw)
             assert _triple(scaled) == _triple(view)
             assert _exact_head(scaled) == _exact_head(view), (label, seed)
+
+
+def row_key(label):
+    nd, apat, _ = _TABLE[label]
+    certs, _ = _invariants(nd, apat)
+    return certs.n_inertia, certs.causal
+
+
+def test_label_map_is_read_off_the_table():
+    # 19 rows reach 18 keys: VI_x and VI_y are one orbit, and VI_x comes first
+    assert len(_LABELS) == 18
+    for label in ALL_LABELS:
+        assert _LABELS[row_key(label)][0] == ("VI_x" if label == "VI_y" else label)
+    # a row takes no parameter iff its ratio has sign 0; VIII_na's ratio
+    # a^T n a / det n is 0, which is its parameter collapse
+    assert ({label for label in ALL_LABELS if _LABELS[row_key(label)][1] == 0}
+            == set(ALL_LABELS) - PARAMETRIC_LABELS | {"VIII_na"})
+
+
+def test_discrete_classify_refuses_a_ratio_of_the_wrong_sign(monkeypatch):
+    for label, sign in list(_LABELS.values()):
+        nd, apat, _ = _TABLE[label]
+        frame = ((nd, 1), (apat, 1))
+        assert _discrete_classify(*frame)[0] == label
+        monkeypatch.setitem(_LABELS, row_key(label), (label, 1 if sign == 0 else -sign))
+        with pytest.raises(AssertionError, match="lost its sign"):
+            _discrete_classify(*frame)
+
+
+small_ints = st.one_of(st.just(0), st.integers(-9, 9))
+
+
+@given(st.lists(small_ints, min_size=3, max_size=3), st.integers(1, 12),
+       st.lists(small_ints, min_size=3, max_size=3), st.integers(1, 12))
+@settings(deadline=None, max_examples=500)
+def test_discrete_classify_matches_the_label_chain(d, dd, a, ad):
+    # label, raw squared parameter and certificates of the table lookup are
+    # those of the hand-written chain on every int frame
+    assert _discrete_classify((d, dd), (a, ad)) == chain_classify((d, dd), (a, ad))
 
 
 def test_classify_clears_only_the_view_and_builds_two_matrices(monkeypatch):

@@ -30,6 +30,11 @@ subcommand through ``omegalie.io_cli.run``, in-process:
   with a != 0 and the forced omega, every document command on each: they
   run the congruence elimination's split and early break on an int view
   (N, A, lc) that shares factors with 2lc, which transported rows rarely do;
+* every table row as written (the parametric rows at each of
+  ``EXTREME_PARAMS``) and its twin with n -> -n and the forced omega, every
+  document command on each: seeds 0..3 give some rows (VII0, VII_a, VII_x)
+  only negative-leaning n, which leaves the classifier's orientation flips
+  untried on the others;
 * ``USAGE``: the help of the program and of each command, and argvs that
   are not plain command lines (an unknown command, abbreviated or ``=``
   options, values that start with ``-``, a missing or repeated argument,
@@ -100,8 +105,7 @@ def low_rank_brackets(rng):
     """``LOW_RANK_BRACKETS`` valid dim-3 document texts: by turns n hollow (of
     rank 2 or 3), n = e v v^T of rank 1 and n = e v v^T + f w w^T of rank 2,
     each value over a denominator of 1 to 12, a != 0 (in ker n for every
-    other low-rank n) and omega the forced b = -2 n a, written out through
-    c[i][j][k] = n[i][l] eps_jkl - delta_ij a_k + delta_ik a_j."""
+    other low-rank n) and omega the forced b = -2 n a."""
     def value(zero=False):
         x = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
         return x if x or zero else value()
@@ -133,18 +137,40 @@ def low_rank_brackets(rng):
                 a = [value(zero=True) for _ in range(3)]
         if not any(a):
             a[rng.randrange(3)] = value()
-        b = [-2 * sum(x * y for x, y in zip(r, a)) for r in n]
-        c, omega = [], []
-        for l in range(3):
-            j, k = (l + 1) % 3, (l + 2) % 3
-            key, sign = sorted((j, k)), 1 if j < k else -1
-            for i in range(3):
-                v = sign * (n[i][l] - (i == j) * a[k] + (i == k) * a[j])
-                if v:
-                    c.append([key[0] + 1, key[1] + 1, i + 1, str(v)])
-            if b[l]:
-                omega.append([key[0] + 1, key[1] + 1, str(sign * b[l])])
-        docs.append(json.dumps({"dim": 3, "c_entries": sorted(c), "omega_entries": sorted(omega)}))
+        docs.append(document(n, a))
+    return docs
+
+
+def document(n, a):
+    """The dim-3 document text of (n, a) with the forced omega b = -2 n a,
+    written out through c[i][j][k] = n[i][l] eps_jkl - delta_ij a_k + delta_ik a_j."""
+    b = [-2 * sum(x * y for x, y in zip(r, a)) for r in n]
+    c, omega = [], []
+    for l in range(3):
+        j, k = (l + 1) % 3, (l + 2) % 3
+        key, sign = sorted((j, k)), 1 if j < k else -1
+        for i in range(3):
+            v = sign * (n[i][l] - (i == j) * a[k] + (i == k) * a[j])
+            if v:
+                c.append([key[0] + 1, key[1] + 1, i + 1, str(v)])
+        if b[l]:
+            omega.append([key[0] + 1, key[1] + 1, str(sign * b[l])])
+    return json.dumps({"dim": 3, "c_entries": sorted(c), "omega_entries": sorted(omega)})
+
+
+def orientations(ol):
+    """{case name: document text} of every table row, the parametric rows at
+    each of ``EXTREME_PARAMS``, and of its twin with n -> -n (omega forced),
+    so that every row runs with both orientations of n."""
+    docs = {}
+    for label in ol.FIRST_TABLE_ORDER + ol.SECOND_TABLE_ORDER:
+        nd, apat, parametric = ol.table_row(label)
+        for param in EXTREME_PARAMS if parametric else (None,):
+            p = Fraction(1 if param is None else param)
+            for sign, twin in ((1, "n"), (-1, "-n")):
+                n = [[sign * nd[i] * (i == j) for j in range(3)] for i in range(3)]
+                name = f"orientation {label}" + ("" if param is None else f" at {param}")
+                docs[f"{name} {twin}"] = document(n, [p * x for x in apat])
     return docs
 
 
@@ -195,6 +221,8 @@ def run_tree(src, seeds):
                 run(name, ["orbit-sample", *row, "--seed", str(seed), "--json"])
                 run_document(f"{name} seed {seed}",
                              run(name, ["orbit-sample", *row, "--seed", str(seed)]))
+    for name, doc in orientations(ol).items():
+        run_document(name, doc)
     for seed in seeds:
         for k, op in enumerate(workloads.classify_orbit(ol, random.Random(seed))):
             run_document(f"seed {seed} classify-orbit {k}", op.doc)
