@@ -17,6 +17,7 @@ holds; ``residual`` packages its component form (the antisymmetrized
 quadratic constraint, weight 1/3!) so that validity is ``residual(spec).is_zero``.
 ``residual`` adds Fractions, each term reduced locally; ``transport`` sums on
 ints over common denominators, as each of its outputs reads every stored entry.
+No library path transports: ``orbit_sample`` moves a dim-3 row's (n, a) instead.
 """
 
 from __future__ import annotations
@@ -203,8 +204,9 @@ def residual(spec: AlgebraSpec) -> ResidualTensor:
     for (m, l, j, k), total in acc.items():
         if total != 0:
             val = total / 3
+            signed = {1: val, -1: -val}
             idx = (l + 1, j + 1, k + 1)
-            entries.extend(((m + 1, idx[p0], idx[p1], idx[p2]), val if sign > 0 else -val)
+            entries.extend(((m + 1, idx[p0], idx[p1], idx[p2]), signed[sign])
                            for (p0, p1, p2), sign in _PERM3)
     entries.sort(key=lambda entry: entry[0])
     return ResidualTensor(n, tuple(entries))
@@ -224,12 +226,7 @@ def transport(spec: AlgebraSpec, p: Matrix) -> AlgebraSpec:
     """
     if p.dim != spec.dim:
         raise ValueError("transform dimension does not match spec")
-    return _transport(spec, *p.int_rows())
-
-
-def _transport(spec, rows, m) -> AlgebraSpec:
-    # transport by p = M / m, M given as int rows
-    n = spec.dim
+    n, (rows, m) = spec.dim, p.int_rows()
     adj, det = int_adjugate(rows)
     cv, lc = cleared(spec.c_upper.values())
     wv, lw = cleared(spec.omega_upper.values())

@@ -42,14 +42,13 @@ from __future__ import annotations
 import math
 import random
 import sys
-from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra_core import AlgebraSpec, _transport
+from .algebra_core import AlgebraSpec
 from .decomp3d import _CYCLIC, _UPPER, NabTriple, _t, _triple, _view
-from .tensor_core import Inertia, Matrix, SingularMatrixError, int_congruence, rational
+from .tensor_core import Inertia, Matrix, int_congruence, rational
 
 
 class NotAnAlgebraError(ValueError):
@@ -106,7 +105,6 @@ SECOND_TABLE_ORDER = ("V", "IV", "IV_x", "VI_a", "VI_x", "VI_y", "VI_n",
                       "VII_a", "VII_x", "VIII_a", "VIII_xa", "VIII_na", "IX_a")
 PARAMETRIC_LABELS = frozenset(l for l, (_, _, p) in _TABLE.items() if p)
 FLOAT_TOL = 1e-9  # bound on transform_error before classify adds a note
-_UNIT = {1: Fraction(1), -1: Fraction(-1)}  # the nonzero entries of a row's n
 
 _COLLAPSE_NOTES = {
     "VI_x": "VI_x and VI_y lie on one orbit: the basis swap e1 <-> e2 (determinant -1) "
@@ -171,54 +169,73 @@ def table_row(label: str) -> tuple:
     return _TABLE[label]
 
 
+def _row(label: str, param) -> tuple:
+    # (nd, apat, pn, pd): the row's ints and its parameter pn / pd, checked
+    nd, apat, parametric = table_row(label)
+    if parametric == (param is None):
+        raise ValueError(f"label {label} requires a positive parameter" if parametric
+                         else f"label {label} does not take a parameter")
+    pn, pd = (1, 1) if param is None else rational(param).as_integer_ratio()
+    if pn <= 0:
+        raise ValueError(f"parameter for {label} must be positive, got {param}")
+    return nd, apat, pn, pd
+
+
+def _store(n, a, den: int) -> AlgebraSpec:
+    """The dim-3 spec of the ints n (symmetric) and a over den, with b = -2 n a:
+    at each cyclic pair (j, k) of l, ``reconstruct``'s c[i] = n[l][i] - delta_ij a_k
+    + delta_ik a_j and omega = b_l, at the pair's i < j key with its sign."""
+    c, om = {}, {}
+    for l, ((j, k), (uj, uk, sign)) in enumerate(zip(_CYCLIC, _UPPER)):
+        row = n[l]
+        for i, v in ((l, row[l]), (j, row[j] - a[k]), (k, row[k] + a[j])):
+            if v:
+                c[uj, uk, i] = Fraction(sign * v, den)
+        b = row[0] * a[0] + row[1] * a[1] + row[2] * a[2]
+        if b:
+            om[uj, uk] = Fraction(-2 * sign * b, den * den)
+    return AlgebraSpec._from_upper(3, c, om)
+
+
 def generate(label: str, param=None) -> AlgebraSpec:
     """The exact canonical spec of one table row, written on ints.
 
     Parametric rows (VI_a, VII_a, VIII_a, VIII_xa, VIII_na, IX_a) require a
-    positive rational parameter p; all others refuse one.  With n = diag(nd)
-    and a = p apat, ``reconstruct`` reduces at each cyclic pair (j, k) to
-    c[l] = nd[l], c[j] = -a_k, c[k] = a_j and omega = -2 nd[l] a_l, at the
-    pair's i < j key with its sign; all but the shared +-1 of nd come from ints.
+    positive rational parameter p = pn / pd; all others refuse one.  The
+    row's n = diag(nd) and a = p apat are pd diag(nd) and pn apat over pd.
     """
-    nd, apat, parametric = table_row(label)
-    if parametric:
-        if param is None:
-            raise ValueError(f"label {label} requires a positive parameter")
-        p = rational(param)
-        pn, pd = p.numerator, p.denominator
-        if pn <= 0:
-            raise ValueError(f"parameter for {label} must be positive, got {param}")
-    else:
-        if param is not None:
-            raise ValueError(f"label {label} does not take a parameter")
-        pn = pd = 1
-    c, om = {}, {}
-    for l, ((j, k), (uj, uk, sign)) in enumerate(zip(_CYCLIC, _UPPER)):
-        if nd[l]:
-            c[uj, uk, l] = _UNIT[sign * nd[l]]
-        c.update(((uj, uk, i), Fraction(sign * x * pn, pd))
-                 for i, x in ((j, -apat[k]), (k, apat[j])) if x)
-        if nd[l] * apat[l]:
-            om[uj, uk] = Fraction(-2 * sign * nd[l] * apat[l] * pn, pd)
-    return AlgebraSpec._from_upper(3, c, om)
+    nd, apat, pn, pd = _row(label, param)
+    return _store([[pd * x if i == j else 0 for j in range(3)] for i, x in enumerate(nd)],
+                  [pn * x for x in apat], pd)
+
+
+def _adjugate3(rows) -> tuple:
+    # (adj(M), det(M)) of a 3x3 int M: adj[i][j] = M[j+1][i+1] M[j+2][i+2] - M[j+1][i+2] M[j+2][i+1]
+    adj = [[rows[j1][i1] * rows[j2][i2] - rows[j1][i2] * rows[j2][i1] for j1, j2 in _CYCLIC]
+           for i1, i2 in _CYCLIC]
+    return adj, sum(x * r[0] for x, r in zip(rows[0], adj))
 
 
 def orbit_sample(label: str, param=None, *, seed: int) -> AlgebraSpec:
     """A pseudorandom point on the orbit of generate(label, param).
 
-    Transports the canonical spec by the matrix of entries r / d (r in -3..3,
-    d in 1..2) drawn row by row from a generator seeded with ``seed``,
-    resampling on singular draws.  On ints: the matrix is M / m, m = 2 when
-    some odd r has d = 2 (else 1) and M = r m / d, the rows transport clears.
+    Moves the row by M / m, its entries r / d (r in -3..3, d in 1..2) drawn row
+    by row from a generator seeded with ``seed`` and redrawn while singular, m = 2
+    when some odd r has d = 2, else 1.  As classify's frame moves, n' = adj(M) n
+    adj(M)^T / (m det M) and a' = M^T a / m, over the one denominator m det(M) pd.
     """
-    base = generate(label, param)
-    rng = random.Random(seed)
-    while True:
+    nd, apat, pn, pd = _row(label, param)
+    rng, det = random.Random(seed), 0
+    while not det:
         draws = [(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(9)]
         m = 2 if any(d == 2 and r % 2 for r, d in draws) else 1
         rows = [[r * m // d for r, d in draws[i:i + 3]] for i in (0, 3, 6)]
-        with suppress(SingularMatrixError):
-            return _transport(base, rows, m)
+        adj, det = _adjugate3(rows)
+    d0, d1, d2 = (pd * x for x in nd)
+    a0, a1, a2 = (pn * det * x for x in apat)
+    return _store([[d0 * i0 * j0 + d1 * i1 * j1 + d2 * i2 * j2 for j0, j1, j2 in adj]
+                   for i0, i1, i2 in adj],
+                  [a0 * x + a1 * y + a2 * z for x, y, z in zip(*rows)], m * det * pd)
 
 
 # ---------------------------------------------------------------------------

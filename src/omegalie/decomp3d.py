@@ -96,7 +96,8 @@ def _t_residual(t) -> ResidualTensor:
     for m, x in enumerate(t, 1):
         if x:
             v = x / 6
-            entries.extend(((m, l + 1, j + 1, k + 1), v if sign > 0 else -v)
+            signed = {1: v, -1: -v}
+            entries.extend(((m, l + 1, j + 1, k + 1), signed[sign])
                            for (l, j, k), sign in sorted(_PERM3))  # in index order
     return ResidualTensor(3, tuple(entries))
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra_core import AlgebraSpec, ResidualTensor, residual
+from .algebra_core import _ZERO, AlgebraSpec, ResidualTensor, residual
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def _trace_covector(spec: AlgebraSpec) -> tuple:
             trace[j] += v   # c[i][i][j]
         elif k == j:
             trace[i] -= v   # c[j][j][i] = -c[j][i][j]
-    return tuple(x / Fraction(spec.dim - 1) for x in trace)
+    return tuple(x / (spec.dim - 1) if x else _ZERO for x in trace)
 
 
 def split_trace(spec: AlgebraSpec) -> GeneralSplit:

@@ -20,9 +20,10 @@ from omegalie import (AlgebraSpec, BianchiLabel, FloatRangeError, Matrix,
                       PARAMETRIC_LABELS, classify, decompose, forced_b,
                       generate, orbit_sample, reconstruct, serialize,
                       t_vector, table_row, transport)
-from omegalie.classify3d import (_LABELS, _TABLE, _certify, _discrete_classify, _exact_head,
-                                 _invariants)
+from omegalie.classify3d import (_LABELS, _TABLE, _adjugate3, _certify, _discrete_classify,
+                                 _exact_head, _invariants)
 from omegalie.decomp3d import _triple, _view
+from omegalie.tensor_core import SingularMatrixError, int_adjugate
 from oracles import _discrete_classify as chain_classify
 from oracles import (c_tensor, dense_transport, diagonal, eps_reconstruct,
                      exact_witness_holds, flat, fraction_orbit_sample, omega_matrix,
@@ -75,8 +76,8 @@ def test_generate_is_exact():
 
 def test_generate_writes_the_reconstructed_row_on_ints():
     for label in ALL_LABELS:
-        params = ((1, Fraction(3, 2), Fraction(10 ** 40, 7), Fraction(1, 10 ** 30))
-                  if label in PARAMETRIC_LABELS else (None,))
+        params = ((1, Fraction(1, 7), Fraction(3, 2), 5, Fraction(10 ** 40, 7),
+                   Fraction(1, 10 ** 30)) if label in PARAMETRIC_LABELS else (None,))
         for p in params:
             spec, ref = generate(label, p), reconstructed_row(label, p)
             assert list(spec.c_upper.items()) == list(ref.c_upper.items()), (label, p)
@@ -452,17 +453,36 @@ def test_orbit_sample_resamples_a_singular_draw_with_the_same_stream():
 
 
 def test_orbit_sample_draws_the_fraction_matrix_on_ints():
-    # the int draws M / m transport exactly as the Matrix of Fraction draws;
-    # seed 0's first draw is singular
-    for label in ALL_LABELS:
-        p = Fraction(3, 2) if label in PARAMETRIC_LABELS else None
-        for seed in range(40):
-            sample = orbit_sample(label, p, seed=seed)
-            ref = fraction_orbit_sample(label, p, seed=seed)
-            assert list(sample.c_upper.items()) == list(ref.c_upper.items()), (label, seed)
-            assert list(sample.omega_upper.items()) == list(ref.omega_upper.items()), (label, seed)
-            assert all(type(x) is Fraction
-                       for x in (*sample.c_upper.values(), *sample.omega_upper.values()))
+    # the (n, a) frame moved by the int draws M / m gives exactly the store the
+    # Matrix of Fraction draws transports; seed 0's first draw is singular
+    cases = [(label, Fraction(3, 2) if label in PARAMETRIC_LABELS else None, seed)
+             for label in ALL_LABELS for seed in range(40)]
+    cases += [(label, p, seed) for label in sorted(PARAMETRIC_LABELS)
+              for p in (Fraction(1, 10 ** 30), Fraction(10 ** 40, 7)) for seed in range(10)]
+    for label, p, seed in cases:
+        sample = orbit_sample(label, p, seed=seed)
+        ref = fraction_orbit_sample(label, p, seed=seed)
+        assert list(sample.c_upper.items()) == list(ref.c_upper.items()), (label, p, seed)
+        assert list(sample.omega_upper.items()) == list(ref.omega_upper.items()), (label, p, seed)
+        assert all(type(x) is Fraction
+                   for x in (*sample.c_upper.values(), *sample.omega_upper.values()))
+
+
+def test_cofactor_adjugate_matches_the_elimination():
+    # orbit_sample's closed-form (adj(M), det(M)) against the Bareiss elimination
+    rng = random.Random(208)
+    singular = 0
+    for _ in range(2000):
+        rows = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)]
+        adj, det = _adjugate3(rows)
+        assert {type(x) for r in adj for x in r} | {type(det)} == {int}, rows
+        if det == 0:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                int_adjugate(rows)
+            continue
+        assert (adj, det) == int_adjugate(rows), rows
+    assert singular > 0
 
 
 def test_orbit_samples_classify_back():

@@ -56,6 +56,23 @@ def test_split_reassembles_the_bracket():
                     assert back == c[i][j][k]
 
 
+def test_split_trace_covector_matches_the_dense_trace():
+    # a_k = sum_i c[i][i][k] / (dim - 1), every entry a Fraction, zeros too
+    rng = random.Random(34)
+    for dim in range(3, 9):
+        keys = [(i, j, k) for i in range(1, dim) for j in range(i + 1, dim + 1)
+                for k in range(1, dim + 1)]
+        for _ in range(8):
+            chosen = rng.sample(keys, rng.randint(0, 2 * dim))
+            spec = AlgebraSpec.from_entries(
+                dim, [(*key, Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for key in chosen])
+            c = c_tensor(spec)
+            a = split_trace(spec).a
+            assert a == tuple(sum(c[i][i][k] for i in range(dim)) / Fraction(dim - 1)
+                              for k in range(dim)), spec
+            assert {type(x) for x in a} == {Fraction}, spec
+
+
 def test_split_requires_dim_at_least_2():
     with pytest.raises(ValueError):
         split_trace(AlgebraSpec.zero(1))

@@ -20,6 +20,10 @@ subcommand through ``omegalie.io_cli.run``, in-process:
   ``--json``, and every document command on each of those orbit samples:
   the benchmark's parameters (1..6 over 1..4) leave the integer paths'
   extreme values untried;
+* ``orbit-sample`` with and without ``--json`` on every table row (the
+  parametric rows at 3/2) for each seed in ``ORBIT_SEEDS``, and
+  ``validate --json`` and ``classify --json`` on each sample: two hundred
+  seeds per row run many singular redraws and matrices over m = 2;
 * ``RANDOM_BRACKETS`` seeded random rational dim-3 documents per seed, every
   document command on each: a full bracket (so n is not diagonal and a not
   zero) with every value over its own denominator, pairwise coprime, and an
@@ -66,6 +70,7 @@ FILE_COMMANDS = ("validate", "decompose", "classify", "deformability")
 DIM3_ONLY = ("decompose", "classify")
 MODES = ([], ["--json"])
 EXTREME_PARAMS = ("1/" + "1" + "0" * 30, "3/2", "1" + "0" * 40 + "/7")
+ORBIT_SEEDS = range(200)
 RANDOM_BRACKETS = 24
 LOW_RANK_BRACKETS = 24
 COMMANDS = ("validate", "decompose", "classify", "generate", "orbit-sample", "tables",
@@ -221,6 +226,14 @@ def run_tree(src, seeds):
                 run(name, ["orbit-sample", *row, "--seed", str(seed), "--json"])
                 run_document(f"{name} seed {seed}",
                              run(name, ["orbit-sample", *row, "--seed", str(seed)]))
+    for label in ol.FIRST_TABLE_ORDER + ol.SECOND_TABLE_ORDER:
+        row = [label] + (["--param", "3/2"] if label in ol.PARAMETRIC_LABELS else [])
+        for seed in ORBIT_SEEDS:
+            name = f"orbit {label} seed {seed}"
+            run(name, ["orbit-sample", *row, "--seed", str(seed), "--json"])
+            doc = run(name, ["orbit-sample", *row, "--seed", str(seed)])
+            for command in ("validate", "classify"):
+                run(name, [command, "--json"], doc)
     for name, doc in orientations(ol).items():
         run_document(name, doc)
     for seed in seeds:
