@@ -51,14 +51,14 @@ class AlgebraSpec:
 
     @classmethod
     def _from_upper(cls, dim, c_upper, omega_upper) -> "AlgebraSpec":
-        """The spec whose store holds these i < j Fraction entries (the
-        kernels' constructor); zero values are dropped and the keys sorted."""
+        """The spec whose store holds these i < j entries, keys sorted (the
+        kernels' constructor).  Callers pass nonzero Fractions only: each
+        writer drops its zeros where it decides them, mostly on ints."""
         if not isinstance(dim, int) or dim < 1:
             raise ValueError("dim must be a positive integer")
         spec = object.__new__(cls)
-        for name, value in (("dim", dim),
-                            ("c_upper", dict(sorted(x for x in c_upper.items() if x[1]))),
-                            ("omega_upper", dict(sorted(x for x in omega_upper.items() if x[1])))):
+        for name, value in (("dim", dim), ("c_upper", dict(sorted(c_upper.items()))),
+                            ("omega_upper", dict(sorted(omega_upper.items())))):
             object.__setattr__(spec, name, value)
         return spec
 
@@ -75,6 +75,7 @@ class AlgebraSpec:
 
         ``c_entries``: iterable of (i, j, k, value) meaning the e_k component of
         [e_i, e_j], with i < j.  ``omega_entries``: (i, j, value) with i < j.
+        A zero value is checked like any other and then dropped, on its numerator.
         """
         c, om = {}, {}
         for (i, j, k, value) in c_entries:
@@ -89,7 +90,8 @@ class AlgebraSpec:
             if (i - 1, j - 1) in om:
                 raise ValueError(f"duplicate omega entry ({i},{j})")
             om[i - 1, j - 1] = rational(value)
-        return cls._from_upper(dim, c, om)
+        return cls._from_upper(dim, {key: v for key, v in c.items() if v.numerator},
+                               {key: v for key, v in om.items() if v.numerator})
 
 
 def _check_vec(spec, vec):

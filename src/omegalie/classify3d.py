@@ -30,7 +30,8 @@ VI_y and every VIII_na parameter are not orbits of their own: both report
 on a canonical representative (VI_x, VIII_na at parameter 1) with a note
 giving the exact witness basis change.
 
-Canonical commutation relations of every table row (b = -2 n a throughout):
+Canonical commutation relations of every table row (b = -2 n a throughout),
+the store ``generate`` writes with ``decomp3d._store``, as ``orbit_sample`` does:
 
     [e1,e2] = n3 e3 - a2 e1 + a1 e2       omega(e1,e2) = -2 n3 a3
     [e3,e1] = n2 e2 - a1 e3 + a3 e1       omega(e3,e1) = -2 n2 a2
@@ -47,7 +48,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra_core import AlgebraSpec
-from .decomp3d import _CYCLIC, _UPPER, NabTriple, _t, _triple, _view
+from .decomp3d import _CYCLIC, NabTriple, _store, _t, _triple, _view
 from .tensor_core import Inertia, Matrix, int_congruence, rational
 
 
@@ -181,20 +182,9 @@ def _row(label: str, param) -> tuple:
     return nd, apat, pn, pd
 
 
-def _store(n, a, den: int) -> AlgebraSpec:
-    """The dim-3 spec of the ints n (symmetric) and a over den, with b = -2 n a:
-    at each cyclic pair (j, k) of l, ``reconstruct``'s c[i] = n[l][i] - delta_ij a_k
-    + delta_ik a_j and omega = b_l, at the pair's i < j key with its sign."""
-    c, om = {}, {}
-    for l, ((j, k), (uj, uk, sign)) in enumerate(zip(_CYCLIC, _UPPER)):
-        row = n[l]
-        for i, v in ((l, row[l]), (j, row[j] - a[k]), (k, row[k] + a[j])):
-            if v:
-                c[uj, uk, i] = Fraction(sign * v, den)
-        b = row[0] * a[0] + row[1] * a[1] + row[2] * a[2]
-        if b:
-            om[uj, uk] = Fraction(-2 * sign * b, den * den)
-    return AlgebraSpec._from_upper(3, c, om)
+def _forced(N, A, lc) -> AlgebraSpec:
+    # the spec of n = N / 2lc and a = A / 2lc with b = -2 n a, that is B = -N A over 2 lc^2
+    return _store(N, A, [-r[0] * A[0] - r[1] * A[1] - r[2] * A[2] for r in N], lc, 2 * lc * lc)
 
 
 def generate(label: str, param=None) -> AlgebraSpec:
@@ -202,11 +192,12 @@ def generate(label: str, param=None) -> AlgebraSpec:
 
     Parametric rows (VI_a, VII_a, VIII_a, VIII_xa, VIII_na, IX_a) require a
     positive rational parameter p = pn / pd; all others refuse one.  The
-    row's n = diag(nd) and a = p apat are pd diag(nd) and pn apat over pd.
+    row's n = diag(nd) and a = p apat are 2pd diag(nd) and 2pn apat over 2pd,
+    written with b = -2 n a by ``decomp3d._store``.
     """
     nd, apat, pn, pd = _row(label, param)
-    return _store([[pd * x if i == j else 0 for j in range(3)] for i, x in enumerate(nd)],
-                  [pn * x for x in apat], pd)
+    return _forced([[2 * pd * x if i == j else 0 for j in range(3)] for i, x in enumerate(nd)],
+                   [2 * pn * x for x in apat], pd)
 
 
 def _adjugate3(rows) -> tuple:
@@ -222,7 +213,8 @@ def orbit_sample(label: str, param=None, *, seed: int) -> AlgebraSpec:
     Moves the row by M / m, its entries r / d (r in -3..3, d in 1..2) drawn row
     by row from a generator seeded with ``seed`` and redrawn while singular, m = 2
     when some odd r has d = 2, else 1.  As classify's frame moves, n' = adj(M) n
-    adj(M)^T / (m det M) and a' = M^T a / m, over the one denominator m det(M) pd.
+    adj(M)^T / (m det M) and a' = M^T a / m, over the one denominator m det(M) pd,
+    written with b = -2 n a by ``decomp3d._store``.
     """
     nd, apat, pn, pd = _row(label, param)
     rng, det = random.Random(seed), 0
@@ -231,11 +223,11 @@ def orbit_sample(label: str, param=None, *, seed: int) -> AlgebraSpec:
         m = 2 if any(d == 2 and r % 2 for r, d in draws) else 1
         rows = [[r * m // d for r, d in draws[i:i + 3]] for i in (0, 3, 6)]
         adj, det = _adjugate3(rows)
-    d0, d1, d2 = (pd * x for x in nd)
-    a0, a1, a2 = (pn * det * x for x in apat)
-    return _store([[d0 * i0 * j0 + d1 * i1 * j1 + d2 * i2 * j2 for j0, j1, j2 in adj]
-                   for i0, i1, i2 in adj],
-                  [a0 * x + a1 * y + a2 * z for x, y, z in zip(*rows)], m * det * pd)
+    d0, d1, d2 = (2 * pd * x for x in nd)
+    a0, a1, a2 = (2 * pn * det * x for x in apat)
+    return _forced([[d0 * i0 * j0 + d1 * i1 * j1 + d2 * i2 * j2 for j0, j1, j2 in adj]
+                    for i0, i1, i2 in adj],
+                   [a0 * x + a1 * y + a2 * z for x, y, z in zip(*rows)], m * det * pd)
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,13 @@ sign(s) t_m / 6 for each permutation s, and every other component is zero.
 
 With indices mod 3 each eps sum is a single term: the dual matrix is
 cm[i][l] = c[i][l+1][l+2], n is its symmetric part, a_m = (cm[m+1][m+2] -
-cm[m+2][m+1]) / 2 and b^k = omega[k+1][k+2].  ``decompose`` and ``t_of``
-read them as ints: with lc and lw the least common denominators of c and
-of omega (kept apart, since no power of lc need clear omega), n = N / 2lc,
-a = A / 2lc and b = B / lw, and t = 0 is N A lw + 2 B lc^2 = 0.  Fractions
-are built only for the ``NabTriple`` and for t; the forced b is b - t / 2.
-``forced_b`` and ``reconstruct`` are the Fraction route for library callers.
+cm[m+2][m+1]) / 2 and b^k = omega[k+1][k+2].  A dim-3 store travels as the
+int view (N, A, B, lc, lw): n = N / 2lc, a = A / 2lc and b = B / lw, with lc
+and lw the least common denominators of c and of omega (kept apart: no power
+of lc need clear omega).  ``_view`` reads a store into it, and its inverse
+``_store``, the one writer of the cyclic layout, writes one back.  On a view
+t = 0 is N A lw + 2 B lc^2 = 0; Fractions are built only for stored values,
+the ``NabTriple`` and t, and the forced b is b - t / 2.
 """
 
 from __future__ import annotations
@@ -75,6 +76,29 @@ def _view(spec):
     return n, a, [sign * w.get((j, k), 0) for j, k, sign in _UPPER], lc, lw
 
 
+def _store(N, A, B, lc, lw) -> AlgebraSpec:
+    """The spec of the view (n = N / 2lc symmetric): at each cyclic pair (j, k) of
+    l, c[i] = n[l][i] - delta_ij a_k + delta_ik a_j and omega = b_l, at the pair's
+    j < k key with its sign, zeros dropped on the ints.  _store(*_view(s)) == s."""
+    c, om = {}, {}
+    for l, ((j, k), (uj, uk, sign)) in enumerate(zip(_CYCLIC, _UPPER)):
+        row = N[l]
+        for i, v in ((l, row[l]), (j, row[j] - A[k]), (k, row[k] + A[j])):
+            if v:
+                c[uj, uk, i] = Fraction(sign * v, 2 * lc)
+        if B[l]:
+            om[uj, uk] = Fraction(sign * B[l], lw)
+    return AlgebraSpec._from_upper(3, c, om)
+
+
+def _triple_view(t: NabTriple) -> tuple:
+    # the view of a triple: n and a over one denominator, b over its own
+    nums, lc = cleared([*t.n[0], *t.n[1], *t.n[2], *t.a])
+    B, lw = cleared(t.b)
+    N = [[2 * x for x in nums[r:r + 3]] for r in (0, 3, 6)]
+    return N, [2 * x for x in nums[9:]], B, lc, lw
+
+
 def _triple(view) -> NabTriple:
     n, a, b, lc, lw = view
     return NabTriple(Matrix(tuple(tuple(Fraction(x, 2 * lc) for x in r) for r in n)),
@@ -118,20 +142,9 @@ def reconstruct(t: NabTriple) -> AlgebraSpec:
 
     c[i][j][k] = n[i][l] - delta_ij a_k + delta_ik a_j for the cyclic
     (j, k) = (l+1, l+2), and omega[l+1][l+2] = b^l, each stored at its
-    j < k key.
+    j < k key; the triple is cleared to ints once and written by ``_store``.
     """
-    n, a = t.n, t.a
-    c, om = {}, {}
-    for l, ((j, k), (uj, uk, sign)) in enumerate(zip(_CYCLIC, _UPPER)):
-        for i in range(3):
-            v = n[i][l]
-            if i == j:
-                v = v - a[k]
-            elif i == k:
-                v = v + a[j]
-            c[uj, uk, i] = sign * v
-        om[uj, uk] = sign * t.b[l]
-    return AlgebraSpec._from_upper(3, c, om)
+    return _store(*_triple_view(t))
 
 
 def forced_b(n: Matrix, a: Sequence) -> tuple:
@@ -143,4 +156,4 @@ def forced_b(n: Matrix, a: Sequence) -> tuple:
 
 def t_vector(t: NabTriple) -> tuple:
     """Validity defect t = 4 n a + 2 b; zero iff the triple is a valid algebra."""
-    return t_of(reconstruct(t))
+    return _t(_triple_view(t))

@@ -61,10 +61,11 @@ def split_trace(spec: AlgebraSpec) -> GeneralSplit:
     for k, ak in enumerate(a):
         if ak:
             for i in range(n):
-                if i < k:    # alpha[i][i][k] = c[i][i][k] - a_k
-                    alpha[i, k, i] = alpha.get((i, k, i), 0) - ak
-                elif i > k:  # alpha[i][k][i] = c[i][k][i] + a_k
-                    alpha[k, i, i] = alpha.get((k, i, i), 0) + ak
+                if i != k:  # alpha[i][i][k] = c[i][i][k] - a_k, alpha[i][k][i] = c[i][k][i] + a_k
+                    key, v = ((i, k, i), -ak) if i < k else ((k, i, i), ak)
+                    v += alpha.pop(key, 0)
+                    if v:
+                        alpha[key] = v
     return GeneralSplit(AlgebraSpec._from_upper(n, alpha, {}), a)
 
 
@@ -78,7 +79,7 @@ def _induced_upper(c_upper: dict, a: tuple) -> dict:
         if a[i]:
             om[j, k] = om.get((j, k), 0) + a[i] * v
     factor = Fraction(n - 1, n - 2)
-    return {jk: factor * x for jk, x in om.items()}
+    return {jk: factor * x for jk, x in om.items() if x}
 
 
 def induced_omega(split: GeneralSplit) -> dict:
@@ -88,8 +89,7 @@ def induced_omega(split: GeneralSplit) -> dict:
     the result is an omega store: {(j, k): value} with j < k, nonzero
     values only, in key order.
     """
-    return AlgebraSpec._from_upper(
-        split.trace_free.dim, {}, _induced_upper(split.trace_free.c_upper, split.a)).omega_upper
+    return dict(sorted(_induced_upper(split.trace_free.c_upper, split.a).items()))
 
 
 @dataclass(frozen=True)

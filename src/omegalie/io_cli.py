@@ -327,7 +327,6 @@ def _cmd_classify(args):
         raise _Failure(f"not an omega-deformed Lie algebra: {exc}",
                        {"command": "classify", "valid": False,
                         "t": _vec(exc.t)}) from None
-    trip = nf.decomposition
     nd, apat, brow = _canonical_row(nf.label.name)
     certs = nf.certificates
     p = nf.parameter
@@ -341,8 +340,6 @@ def _cmd_classify(args):
             "a_is_zero": certs.a_is_zero,
             "causal": certs.causal,
         },
-        "decomposition": {"n": _mat(trip.n), "a": _vec(trip.a), "b": _vec(trip.b),
-                          "b_is_forced": True},
         "canonical_row": {
             "n_diagonal": list(nd),
             "a": [x * (p if p is not None else 1) for x in apat],
@@ -350,10 +347,14 @@ def _cmd_classify(args):
             "b_rule": "b = -2 n a",
         },
         "transform": [list(row) for row in nf.transform],
-        "exact_transform": _mat(nf.exact_transform),
         "transform_error": nf.transform_error,
         "notes": list(nf.notes),
     }
+    if args.json:  # the exact values print only here, and can pass the int-to-text limit
+        trip = nf.decomposition
+        report["decomposition"] = {"n": _mat(trip.n), "a": _vec(trip.a), "b": _vec(trip.b),
+                                   "b_is_forced": True}
+        report["exact_transform"] = _mat(nf.exact_transform)
     scaled = (lambda xs: "(" + ", ".join(f"{x * (p if p is not None else 1):g}" for x in xs) + ")")
     lines = [
         f"label: {nf.label}",
@@ -377,30 +378,16 @@ def _parse_param(args):
         raise _Usage(str(exc)) from None
 
 
-def _cmd_generate(args):
+def _cmd_row(args):
+    # generate and orbit-sample: the document of a table row or of a point on its orbit
+    sample = {} if args.command == "generate" else {"seed": args.seed}
     try:
-        spec = generate(args.label, _parse_param(args))
+        spec = (orbit_sample if sample else generate)(args.label, _parse_param(args), **sample)
     except ValueError as exc:
         raise _Usage(str(exc)) from None
     if args.json:
-        report = {"command": "generate", "label": args.label,
-                  "parameter": args.param, "document": document_object(spec)}
-        _emit(args, report, [])
-    else:
-        sys.stdout.write(serialize(spec))
-    return 0
-
-
-def _cmd_orbit_sample(args):
-    try:
-        spec = orbit_sample(args.label, _parse_param(args), seed=args.seed)
-    except ValueError as exc:
-        raise _Usage(str(exc)) from None
-    if args.json:
-        report = {"command": "orbit-sample", "label": args.label,
-                  "parameter": args.param, "seed": args.seed,
-                  "document": document_object(spec)}
-        _emit(args, report, [])
+        _emit(args, {"command": args.command, "label": args.label, "parameter": args.param,
+                     **sample, "document": document_object(spec)}, [])
     else:
         sys.stdout.write(serialize(spec))
     return 0
@@ -507,9 +494,9 @@ _COMMANDS = {
                   "FILE", ("--force-omega",)),
     "classify": (_cmd_classify, "classify a dim-3 spec onto its normal-form table row",
                  "FILE", ("--force-omega",)),
-    "generate": (_cmd_generate, "print the canonical document of a table row",
+    "generate": (_cmd_row, "print the canonical document of a table row",
                  "LABEL", ("--param",)),
-    "orbit-sample": (_cmd_orbit_sample, "print a seeded random transport of a table row",
+    "orbit-sample": (_cmd_row, "print a seeded random transport of a table row",
                      "LABEL", ("--param", "--seed")),
     "tables": (_cmd_tables, "re-emit both normal-form tables as a grid plus documents",
                None, ()),

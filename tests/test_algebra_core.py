@@ -1,20 +1,25 @@
 """Spec container, bracket evaluation, residual tensor, basis transport."""
 
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegalie import (AlgebraSpec, SingularMatrixError, Matrix, NabTriple,
-                      bracket, check_deformability, decompose, generate,
-                      jacobiator, omega_rhs, omega_value, reconstruct,
-                      residual, split_trace, transport)
+from omegalie import (AlgebraSpec, DocumentError, SingularMatrixError, Matrix,
+                      NabTriple, bracket, check_deformability, decompose,
+                      generate, induced_omega, jacobiator, omega_rhs,
+                      omega_value, parse, reconstruct, residual, split_trace,
+                      transport)
+from omegalie.io_cli import run
 from oracles import (basis, c_tensor, deformed_identity_holds, dense_bracket,
-                     dense_omega, dense_residual, dense_transport, diagonal, flat,
-                     identity, omega_matrix, omega_rhs_is_identically_zero,
-                     residual_components, spec_from_dense)
+                     dense_omega, dense_residual, dense_transport, diagonal,
+                     eps_reconstruct, flat, identity, omega_matrix,
+                     omega_rhs_is_identically_zero, residual_components,
+                     spec_from_dense)
 from test_io_cli import exact_specs
 
 
@@ -391,3 +396,95 @@ def test_kernels_keep_fraction_entries(spec, seed):
         results.append(reconstruct(trip))
     for result in results:
         assert all(type(x) is Fraction for x in store(result)), result
+
+
+# --- no store holds a zero: each writer drops its zeros where it decides them
+
+def _zero_entries():
+    # explicit zero values next to nonzero ones; each store equals the one without them
+    spec = AlgebraSpec.from_entries(4, [(1, 2, 3, 0), (1, 2, 4, "0"), (1, 3, 1, Fraction(0)),
+                                        (2, 3, 1, "1/2"), (3, 4, 2, "-0/5")],
+                                    [(1, 2, 0), (2, 4, "-0"), (3, 4, 7)])
+    assert spec == AlgebraSpec.from_entries(4, [(2, 3, 1, "1/2")], [(3, 4, 7)])
+    return [spec]
+
+
+def _parsed_zeros():
+    specs = []
+    for zero in ('"0"', '"-0"', '"0/7"', "0"):
+        doc = ('{"dim": 3, "c_entries": [[1, 2, 3, ZERO], [2, 3, 1, "1"], [1, 3, 3, ZERO]], '
+               '"omega_entries": [[1, 2, ZERO], [2, 3, "-1/2"]]}').replace("ZERO", zero)
+        specs.append(parse(doc))
+        assert specs[-1] == AlgebraSpec.from_entries(3, [(2, 3, 1, 1)], [(2, 3, "-1/2")])
+    return specs
+
+
+# documents whose c entry (1, 2, 3) repeats, once or twice with a zero value
+ZERO_DUPLICATES = [f'{{"dim": 3, "c_entries": [[1, 2, 3, {first}], [2, 3, 1, "1"], '
+                   f'[1, 2, 3, {second}]], "omega_entries": [[1, 2, "0"]]}}'
+                   for first, second in (('"0"', '"1"'), ('"1"', '"-0"'), ('"0/7"', "0"))]
+
+
+def _reconstructed_zeros():
+    # n[0][1] = a[2] cancels c[1][1][2] and n[2][1] = -a[0] cancels c[1][0][1]; b holds zeros
+    specs = []
+    for n, a, b in ((((0, 1, 0), (1, 0, 0), (0, 0, 2)), (0, 0, 1), (0, 0, 0)),
+                    (((0, 0, 0), (0, 0, 3), (0, 3, 0)), (-3, 0, 0), (5, 0, Fraction(1, 2)))):
+        spec = reconstruct(NabTriple(Matrix(n), a, b))
+        assert spec == spec_from_dense(*eps_reconstruct(n, a, b))
+        specs.append(spec)
+    return specs
+
+
+def _trace_split_zeros():
+    # type V and [e1, e2] = e2 are all trace: alpha = c - trace part cancels everywhere
+    v = AlgebraSpec.from_entries(3, [(1, 3, 1, -1), (2, 3, 2, -1)])
+    pure = AlgebraSpec.from_entries(2, [(1, 2, 2, 1)])
+    splits = [split_trace(v).trace_free, split_trace(pure).trace_free]
+    assert splits == [AlgebraSpec.zero(3), AlgebraSpec.zero(2)]
+    return splits
+
+
+def _induced_zeros():
+    # [e1, e2] = e1 + e2: a_0 c^0_12 + a_1 c^1_12 = 0 in every dim
+    specs = []
+    for dim in (3, 4):
+        spec = AlgebraSpec.from_entries(dim, [(1, 2, 1, 1), (1, 2, 2, 1)], [(1, 2, 5)])
+        assert induced_omega(split_trace(spec)) == {}
+        forced = check_deformability(spec).spec
+        assert forced == AlgebraSpec.from_entries(dim, [(1, 2, 1, 1), (1, 2, 2, 1)])
+        specs.append(forced)
+    return specs
+
+
+def _transported_zeros():
+    # a shear of VI0 and a swap of VIII_a: most outputs of the int sums are zero
+    specs = []
+    for spec, rows in ((generate("VI0"), ((1, 1, 0), (0, 1, 0), (0, 0, 1))),
+                       (generate("VIII_a", 2), ((0, 1, 0), (1, 0, 0), (0, 0, 1)))):
+        moved = transport(spec, Matrix(rows))
+        assert moved == spec_from_dense(*dense_transport(spec, Matrix(rows).rows))
+        specs.append(moved)
+    return specs
+
+
+@pytest.mark.parametrize("build", [_zero_entries, _parsed_zeros, _reconstructed_zeros,
+                                   _trace_split_zeros, _induced_zeros, _transported_zeros])
+def test_no_store_holds_a_zero(build, monkeypatch):
+    for spec in build():
+        for value in (*spec.c_upper.values(), *spec.omega_upper.values()):
+            assert type(value) is Fraction and value != 0, (build.__name__, spec)
+        assert list(spec.c_upper) == sorted(spec.c_upper), spec
+        assert list(spec.omega_upper) == sorted(spec.omega_upper), spec
+    if build is _parsed_zeros:  # a zero-valued duplicate is still a duplicate
+        for doc in ZERO_DUPLICATES:
+            with pytest.raises(DocumentError) as exc:
+                parse(doc)
+            assert str(exc.value) == "duplicate c entry (1,2,3)"
+            for argv in (["validate"], ["classify", "--json", "--force-omega"]):
+                monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    assert run(argv) == 2
+                assert (out.getvalue(), err.getvalue()) == (
+                    "", "error: duplicate c entry (1,2,3)\n")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from omegalie import (AlgebraSpec, Matrix, NabTriple, decompose, forced_b,
                       generate, orbit_sample, reconstruct, residual, t_of, t_vector)
-from omegalie.decomp3d import _t_residual
+from omegalie.decomp3d import _store, _t_residual, _view
 from oracles import (c_tensor, diagonal, dual_c, eps_decompose, eps_dual_c,
                      eps_reconstruct, flat, forced_omega, fraction_decompose,
                      fraction_t_vector, identity, omega_matrix, spec_from_dense)
@@ -260,6 +260,33 @@ def test_residual_read_off_t_matches_the_residual_kernel(spec):
     assert [idx for idx, _ in res.nonzero] == [idx for idx, _ in ref.nonzero]
     assert all(type(x) is Fraction and type(y) is Fraction
                for (_, x), (_, y) in zip(res.nonzero, ref.nonzero))
+
+
+# codec stores: each of the 9 c and 3 omega slots zero or a value over its own
+# power of a prime, the primes distinct, so the denominators are pairwise
+# coprime and omega's are coprime to c's
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 10 ** 9 + 7, 10 ** 12 + 39)
+
+
+@st.composite
+def coprime_stores(draw):
+    primes = draw(st.permutations(PRIMES))
+    values = [draw(st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6)))
+              * Fraction(1, p ** draw(st.integers(0, 3))) for p in primes[:12]]
+    return _spec([(*key, v) for key, v in zip(C_KEYS, values)],
+                  [(*key, v) for key, v in zip([(1, 2), (1, 3), (2, 3)], values[9:])])
+
+
+@given(coprime_stores())
+@example(AlgebraSpec.zero(3))
+@example(orbit_sample("VIII_xa", Fraction(3, 2), seed=7))  # a full, valid store
+@settings(deadline=None, max_examples=200)
+def test_store_inverts_the_view(spec):
+    back = _store(*_view(spec))
+    assert back == spec
+    assert list(back.c_upper.items()) == list(spec.c_upper.items())
+    assert list(back.omega_upper.items()) == list(spec.omega_upper.items())
+    assert all(type(v) is Fraction for v in (*back.c_upper.values(), *back.omega_upper.values()))
 
 
 def test_decompose_requires_dim3():

@@ -3,6 +3,7 @@
 import collections
 import io
 import json
+import math
 import random
 import sys
 import time
@@ -546,6 +547,41 @@ def test_cli_report_values_beyond_the_int_digit_limit_exit_2(monkeypatch):
             assert run(argv) == 2, argv
         assert out.getvalue() == "", argv
         assert err.getvalue().startswith("error: ") and "digits" in err.getvalue(), argv
+
+
+def tall_document(seed, digits=150):
+    """A dim-3 document text of 9 c entries p/q, each p and q of ``digits``
+    digits, the denominators pairwise coprime, and no omega."""
+    rng = random.Random(seed)
+    dens = []
+    while len(dens) < 9:
+        den = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        if all(math.gcd(den, d) == 1 for d in dens):
+            dens.append(den)
+    keys = [(i, j, k) for i, j in ((1, 2), (1, 3), (2, 3)) for k in (1, 2, 3)]
+    c = [[*key, f"{rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10 ** digits)}/{den}"]
+         for key, den in zip(keys, dens)]
+    return json.dumps({"dim": 3, "c_entries": c, "omega_entries": []})
+
+
+def test_human_classify_formats_only_what_it_prints(monkeypatch):
+    # a 2.9 KB document whose exact_transform passes the int-to-text digit
+    # limit: the human report prints no exact value, so it classifies; the
+    # JSON report still exits 2 with the message
+    doc = tall_document(0)
+    assert len(doc) < 3000
+    for argv, code in ((["classify", "--force-omega"], 0),
+                       (["classify", "--json", "--force-omega"], 2)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert run(argv) == code, argv
+        if code == 0:
+            assert out.getvalue().startswith("label: VIII_xa(") and err.getvalue() == ""
+        else:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: a result value has more digits than the "
+                                             "integer-to-text conversion limit")
 
 
 def test_cli_parser_is_reused_across_swapped_streams(monkeypatch):

@@ -34,6 +34,13 @@ subcommand through ``omegalie.io_cli.run``, in-process:
   with a != 0 and the forced omega, every document command on each: they
   run the congruence elimination's split and early break on an int view
   (N, A, lc) that shares factors with 2lc, which transported rows rarely do;
+* zero-entry documents, every document command on each: the seed's
+  low-rank brackets, the first ``ZERO_BASES`` random brackets and nd-sparse
+  documents, each with explicit zero values (spelled as in ``ZEROS``) at
+  some of the c and omega keys it leaves empty, entries shuffled, and a copy
+  with a zero-valued duplicate of a stored or a zero entry, in c or omega.
+  Serialized documents hold no zero, so the sets above cannot show that
+  parsing drops zeros without changing an output or an error;
 * every table row as written (the parametric rows at each of
   ``EXTREME_PARAMS``) and its twin with n -> -n and the forced omega, every
   document command on each: seeds 0..3 give some rows (VII0, VII_a, VII_x)
@@ -73,6 +80,8 @@ EXTREME_PARAMS = ("1/" + "1" + "0" * 30, "3/2", "1" + "0" * 40 + "/7")
 ORBIT_SEEDS = range(200)
 RANDOM_BRACKETS = 24
 LOW_RANK_BRACKETS = 24
+ZERO_BASES = 8
+ZEROS = ("0", "-0", "0/7", "-00/13", 0)
 COMMANDS = ("validate", "decompose", "classify", "generate", "orbit-sample", "tables",
             "deformability")
 USAGE = ([], ["-h"], ["--help"], *([command, "-h"] for command in COMMANDS),
@@ -144,6 +153,31 @@ def low_rank_brackets(rng):
             a[rng.randrange(3)] = value()
         docs.append(document(n, a))
     return docs
+
+
+def zero_entry_documents(rng, docs):
+    """For each document text of ``docs``: a copy with zero-valued c and
+    omega entries at up to 6 and 2 of the keys it leaves empty, the entries
+    shuffled, and a copy of that with one zero-valued duplicate of a c or an
+    omega entry (stored or zero), placed before or after the entry."""
+    out = []
+    for doc in docs:
+        obj = json.loads(doc)
+        dim, c, omega = obj["dim"], obj["c_entries"], obj["omega_entries"]
+        pairs = [(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
+        c_keys = [[i, j, k] for i, j in pairs for k in range(1, dim + 1)]
+        for entries, keys, limit in ((c, c_keys, 6), (omega, [[*ij] for ij in pairs], 2)):
+            stored = [e[:-1] for e in entries]
+            empty = [key for key in keys if key not in stored]
+            entries += [key + [rng.choice(ZEROS)]
+                        for key in rng.sample(empty, min(limit, len(empty)))]
+            rng.shuffle(entries)
+        out.append(json.dumps(obj))
+        entries = c if not omega or rng.random() < 0.5 else omega
+        pos = rng.randrange(len(entries))
+        entries.insert(pos + rng.randint(0, 1), [*entries[pos][:-1], rng.choice(ZEROS)])
+        out.append(json.dumps(obj))
+    return out
 
 
 def document(n, a):
@@ -250,12 +284,18 @@ def run_tree(src, seeds):
             edited = workloads.bump_omega(doc) if op.bump else None
             if edited:
                 run_document(name + " edited", edited[0])
-        for k, op in enumerate(workloads.nd_sparse(ol, random.Random(seed))):
-            run_document(f"seed {seed} nd-sparse {k}", op.doc)
-        for k, doc in enumerate(random_brackets(random.Random(f"{seed} brackets"))):
+        nd_docs = [op.doc for op in workloads.nd_sparse(ol, random.Random(seed))]
+        for k, doc in enumerate(nd_docs):
+            run_document(f"seed {seed} nd-sparse {k}", doc)
+        brackets = random_brackets(random.Random(f"{seed} brackets"))
+        for k, doc in enumerate(brackets):
             run_document(f"seed {seed} random bracket {k}", doc)
-        for k, doc in enumerate(low_rank_brackets(random.Random(f"{seed} low rank"))):
+        low_rank = low_rank_brackets(random.Random(f"{seed} low rank"))
+        for k, doc in enumerate(low_rank):
             run_document(f"seed {seed} low-rank bracket {k}", doc)
+        bases = low_rank + brackets[:ZERO_BASES] + nd_docs[:ZERO_BASES]
+        for k, doc in enumerate(zero_entry_documents(random.Random(f"{seed} zeros"), bases)):
+            run_document(f"seed {seed} zero-entry {k}", doc)
     return out
 
 
