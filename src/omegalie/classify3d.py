@@ -636,8 +636,8 @@ def classify(spec: AlgebraSpec) -> NormalForm:
     if spec.dim != 3:
         raise ValueError("classify requires dim 3")
     view = _view(spec)
-    t = _t(view)
-    if any(t):
+    t, nonzero = _t(view)
+    if any(nonzero):
         raise NotAnAlgebraError(t)
 
     label, param2, certs, frame = _exact_head(view)

@@ -21,8 +21,9 @@ int view (N, A, B, lc, lw): n = N / 2lc, a = A / 2lc and b = B / lw, with lc
 and lw the least common denominators of c and of omega (kept apart: no power
 of lc need clear omega).  ``_view`` reads a store into it, and its inverse
 ``_store``, the one writer of the cyclic layout, writes one back.  On a view
-t = 0 is N A lw + 2 B lc^2 = 0; Fractions are built only for stored values,
-the ``NabTriple`` and t, and the forced b is b - t / 2.
+t_m = 0 is (N A)_m lw + 2 B_m lc^2 = 0, decided on ints and handed on with t;
+Fractions are built only for stored values, the ``NabTriple`` and t, and the
+forced b is b - t / 2.
 """
 
 from __future__ import annotations
@@ -106,19 +107,20 @@ def _triple(view) -> NabTriple:
 
 
 def _t(view) -> tuple:
-    # a nonzero t = N A / lc^2 + 2 B / lw is reduced by one lc at a time: short gcds
+    # (t, nonzero): t_m = 0 is decided on the int lw (N A)_m + 2 lc^2 B_m, and a
+    # nonzero t_m = (N A)_m / lc^2 + 2 B_m / lw is reduced by one lc at a time: short gcds
     n, a, b, lc, lw = view
     na = [sum(x * y for x, y in zip(r, a)) for r in n]
-    if not any(lw * x + 2 * lc * lc * z for x, z in zip(na, b)):
-        return (_ZERO,) * 3
-    return tuple(Fraction(x, lc) / lc + Fraction(2 * z, lw) for x, z in zip(na, b))
+    nonzero = tuple(bool(lw * x + 2 * lc * lc * z) for x, z in zip(na, b))
+    return tuple(Fraction(x, lc) / lc + Fraction(2 * z, lw) if nz else _ZERO
+                 for x, z, nz in zip(na, b, nonzero)), nonzero
 
 
-def _t_residual(t) -> ResidualTensor:
-    # the dim-3 residual read off t: component (m, s(1, 2, 3)) = sign(s) t_m / 6
+def _t_residual(t, nonzero) -> ResidualTensor:
+    # the dim-3 residual read off _t's (t, nonzero): component (m, s(1, 2, 3)) = sign(s) t_m / 6
     entries = []
-    for m, x in enumerate(t, 1):
-        if x:
+    for m, (x, nz) in enumerate(zip(t, nonzero), 1):
+        if nz:
             v = x / 6
             signed = {1: v, -1: -v}
             entries.extend(((m, l + 1, j + 1, k + 1), signed[sign])
@@ -134,7 +136,7 @@ def decompose(spec: AlgebraSpec) -> NabTriple:
 
 def t_of(spec: AlgebraSpec) -> tuple:
     """t = 4 n a + 2 b of a dim-3 spec, zero iff the spec is valid."""
-    return _t(_view(spec))
+    return _t(_view(spec))[0]
 
 
 def reconstruct(t: NabTriple) -> AlgebraSpec:
@@ -156,4 +158,4 @@ def forced_b(n: Matrix, a: Sequence) -> tuple:
 
 def t_vector(t: NabTriple) -> tuple:
     """Validity defect t = 4 n a + 2 b; zero iff the triple is a valid algebra."""
-    return _t(_triple_view(t))
+    return _t(_triple_view(t))[0]

@@ -19,6 +19,8 @@ deeply to decode is a DocumentError like any other.
 Subcommands: validate, decompose, classify, generate, tables,
 orbit-sample, deformability.  Exit codes: 0 success/valid, 1 well-formed
 input that is not an omega-deformed Lie algebra, 2 parse or usage error.
+A handler builds one report of unformatted values, and ``_emit`` renders it
+as JSON (``--json``) or as the command's text, formatting only what it prints.
 
 ``run`` reads the plain command lines itself, into the namespace argparse
 would build:
@@ -44,10 +46,10 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra_core import AlgebraSpec, residual
+from .algebra_core import AlgebraSpec, ResidualTensor, residual
 from .classify3d import (FIRST_TABLE_ORDER, FLOAT_TOL, PARAMETRIC_LABELS,
-                         SECOND_TABLE_ORDER, FloatRangeError, NotAnAlgebraError,
-                         classify, generate, orbit_sample, table_row)
+                         SECOND_TABLE_ORDER, BianchiLabel, FloatRangeError,
+                         NotAnAlgebraError, classify, generate, orbit_sample, table_row)
 from .decomp3d import _t, _t_residual, _triple, _view
 from .decomp_nd import check_deformability
 
@@ -165,29 +167,19 @@ def serialize(spec: AlgebraSpec) -> str:
     return _dumps(document_object(spec)) + "\n"
 
 
-def _dumps(obj, pad="\n") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte; json skips its
-    C encoder when an indent is set.  ``pad`` is the newline and indent before obj's
-    closing bracket.  A non-str dict key or a value json cannot encode raises TypeError."""
-    kind = type(obj)
-    if kind not in _SCALARS and kind not in _CONTAINERS:  # a subclass, in json's order
-        kind = next((t for t in (str, int, float, list, tuple, dict) if isinstance(obj, t)), None)
-        if kind is None:
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    return _SCALARS[kind](obj) if kind in _SCALARS else _CONTAINERS[kind](obj, pad)
-
-
-def _write_list(xs, pad):
-    inner, get = pad + "  ", _SCALARS.get
+def _write_list(xs, pad, writers):
+    inner, get = pad + "  ", writers[0].get
     return "[" + inner + ("," + inner).join(
-        [w(x) if (w := get(type(x))) else _dumps(x, inner) for x in xs]) + pad + "]" if xs else "[]"
+        [w(x) if (w := get(type(x))) else _dumps(x, inner, writers) for x in xs]
+    ) + pad + "]" if xs else "[]"
 
 
-def _write_dict(d, pad):
-    inner, get = pad + "  ", _SCALARS.get
+def _write_dict(d, pad, writers):
+    inner, get = pad + "  ", writers[0].get
     return "{" + inner + ("," + inner).join(
-        [_encode_str(k) + ": " + (w(x) if (w := get(type(x := d[k]))) else _dumps(x, inner))
-         for k in sorted(d)]) + pad + "}" if d else "{}"
+        [_encode_str(k) + ": " + (w(x) if (w := get(type(x := d[k])))
+                                  else _dumps(x, inner, writers)) for k in sorted(d)]
+    ) + pad + "}" if d else "{}"
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -196,34 +188,62 @@ _SCALARS = {str: _encode_str, int: int.__repr__, type(None): lambda _: "null",
                 float.__repr__(x) if math.isfinite(x)
                 else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity")}
 _CONTAINERS = {list: _write_list, tuple: _write_list, dict: _write_dict}
+_JSON = (_SCALARS, _CONTAINERS)
+# a report also holds exact values, each formatted where the walk meets it: a
+# Fraction as its string, a spec as its document, a residual as its components
+_REPORT = ({**_SCALARS, Fraction: lambda x: _encode_str(_rat_str(x))},
+           {**_CONTAINERS, AlgebraSpec: lambda s, pad, w: _write_dict(document_object(s), pad, w),
+            ResidualTensor: lambda res, pad, w: _write_list(
+                [{"indices": idx, "value": v} for idx, v in res.nonzero], pad, w)})
+
+
+def _dumps(obj, pad="\n", writers=_JSON) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte; json skips its
+    C encoder when an indent is set.  ``pad`` is the newline and indent before obj's
+    closing bracket.  A non-str dict key or a value json cannot encode raises TypeError.
+    ``writers`` are (scalar, container) writers by type: ``_REPORT`` writes a report."""
+    scalars, containers = writers
+    kind = type(obj)
+    if kind not in scalars and kind not in containers:  # a subclass, in json's order
+        kind = next((t for t in (str, int, float, list, tuple, dict) if isinstance(obj, t)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return scalars[kind](obj) if kind in scalars else containers[kind](obj, pad, writers)
 
 
 # ---------------------------------------------------------------------------
-# report helpers
+# reports: one per command, of unformatted values, rendered by _emit
 
 
 class _Failure(Exception):
-    # exit 1: well-formed input that is not an omega-deformed Lie algebra
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report or {}
+    """exit 1 with the report args[0]: well-formed input that is not an
+    omega-deformed Lie algebra"""
 
 
-def _vec(v):
-    return [_rat_str(x) for x in v]
-
-
-def _mat(m):
-    return [[_rat_str(x) for x in row] for row in m.rows]
-
-
-def _emit(args, report, human_lines):
+def _emit(args, report):
     if args.json:
         report["schema"] = SCHEMA_VERSION
-        print(_dumps(report))
-    else:
-        for line in human_lines:
-            print(line)
+        sys.stdout.write(_dumps(report, writers=_REPORT) + "\n")
+    elif "error" in report:
+        print(f"invalid: {report['error']}", file=sys.stderr)
+    else:  # the whole text first: a value past the digit limit prints nothing
+        sys.stdout.write(_TEMPLATES[report["command"]](report))
+
+
+def _text(xs):
+    return "(" + ", ".join(map(_rat_str, xs)) + ")"
+
+
+def _lines(lines):
+    return "".join(line + "\n" for line in lines)
+
+
+def _residual_lines(res, limit=20):
+    lines = [f"  residual[m={m} l={l} j={j} k={k}] = {_rat_str(v)}"
+             for (m, l, j, k), v in res.nonzero[:limit]]
+    if len(res.nonzero) > limit:
+        lines.append(f"  ... and {len(res.nonzero) - limit} more")
+    return lines
 
 
 def _read_text(path):
@@ -250,21 +270,10 @@ def _force_omega(spec: AlgebraSpec) -> AlgebraSpec:
                      "is compatible, so no forced form exists")
     result = check_deformability(spec)
     if not result.compatible:
-        raise _Failure("no compatible omega exists for this bracket; the trace "
-                       "candidate leaves a nonzero defect",
-                       {"valid": False, "deformable": False})
+        raise _Failure({"valid": False, "deformable": False,
+                        "error": "no compatible omega exists for this bracket; the trace "
+                                 "candidate leaves a nonzero defect"})
     return result.spec
-
-
-def _residual_report(args, res, report, key, lines, limit=20):
-    # only what the mode prints: every component under report[key], or at most limit lines
-    if args.json:
-        report[key] = [{"indices": list(idx), "value": _rat_str(v)} for idx, v in res.nonzero]
-        return
-    lines.extend(f"  residual[m={m} l={l} j={j} k={k}] = {_rat_str(v)}"
-                 for (m, l, j, k), v in res.nonzero[:limit])
-    if len(res.nonzero) > limit:
-        lines.append(f"  ... and {len(res.nonzero) - limit} more")
 
 
 def _canonical_row(label):
@@ -274,23 +283,29 @@ def _canonical_row(label):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, report); its human template follows it
 
 
 def _cmd_validate(args):
     spec = _load_spec(args)
     t = _t(_view(spec)) if spec.dim == 3 else None  # dim 3: the residual collapses to t
-    res = residual(spec) if t is None else _t_residual(t)
-    report, lines = {"command": "validate", "dim": spec.dim, "valid": res.is_zero}, []
+    res = residual(spec) if t is None else _t_residual(*t)
+    report = {"command": "validate", "dim": spec.dim, "valid": res.is_zero}
     if t is not None:
-        report["t"] = _vec(t)
-        lines.append(f"t = ({', '.join(report['t'])})")
+        report["t"] = t[0]
     if not res.is_zero:
-        _residual_report(args, res, report, "nonzero_residual_components", lines)
-    lines.insert(0, "valid: the deformed Jacobi identity holds (residual = 0)" if res.is_zero
-                 else "invalid: nonzero residual components")
-    _emit(args, report, lines)
-    return 0 if res.is_zero else 1
+        report["nonzero_residual_components"] = res
+    return (0 if res.is_zero else 1), report
+
+
+def _validate_text(r):
+    lines = ["valid: the deformed Jacobi identity holds (residual = 0)" if r["valid"]
+             else "invalid: nonzero residual components"]
+    if "t" in r:
+        lines.append(f"t = {_text(r['t'])}")
+    if not r["valid"]:
+        lines += _residual_lines(r["nonzero_residual_components"])
+    return _lines(lines)
 
 
 def _cmd_decompose(args):
@@ -298,23 +313,19 @@ def _cmd_decompose(args):
     if spec.dim != 3:
         raise _Usage(f"decompose requires dim 3, got dim {spec.dim}")
     view = _view(spec)
-    trip, t = _triple(view), _t(view)
-    fb, matches = [x - y / 2 for x, y in zip(trip.b, t)], not any(t)  # t = 2 (b - forced b)
-    report = {
-        "command": "decompose",
-        "n": _mat(trip.n), "a": _vec(trip.a), "b": _vec(trip.b),
-        "forced_b": _vec(fb), "b_is_forced": matches, "t": _vec(t),
-    }
-    lines = [
-        "n = " + "; ".join("(" + ", ".join(r) + ")" for r in _mat(trip.n)),
-        f"a = ({', '.join(_vec(trip.a))})",
-        f"b = ({', '.join(_vec(trip.b))})",
-        f"forced b = -2 n a = ({', '.join(_vec(fb))})"
-        + ("  [matches]" if matches else "  [differs: not an algebra]"),
-        f"t = 4 n a + 2 b = ({', '.join(_vec(t))})",
-    ]
-    _emit(args, report, lines)
-    return 0
+    trip, (t, nonzero) = _triple(view), _t(view)
+    return 0, {"command": "decompose", "n": trip.n.rows, "a": trip.a, "b": trip.b,
+               "forced_b": tuple(x - y / 2 for x, y in zip(trip.b, t)),  # t = 2 (b - forced b)
+               "b_is_forced": not any(nonzero), "t": t}
+
+
+def _decompose_text(r):
+    return _lines(["n = " + "; ".join(map(_text, r["n"])),
+                   f"a = {_text(r['a'])}",
+                   f"b = {_text(r['b'])}",
+                   f"forced b = -2 n a = {_text(r['forced_b'])}"
+                   + ("  [matches]" if r["b_is_forced"] else "  [differs: not an algebra]"),
+                   f"t = 4 n a + 2 b = {_text(r['t'])}"])
 
 
 def _cmd_classify(args):
@@ -324,49 +335,46 @@ def _cmd_classify(args):
     try:
         nf = classify(spec)
     except NotAnAlgebraError as exc:
-        raise _Failure(f"not an omega-deformed Lie algebra: {exc}",
-                       {"command": "classify", "valid": False,
-                        "t": _vec(exc.t)}) from None
+        return 1, {"command": "classify", "valid": False, "t": exc.t,
+                   "error": f"not an omega-deformed Lie algebra: {exc}"}
     nd, apat, brow = _canonical_row(nf.label.name)
-    certs = nf.certificates
-    p = nf.parameter
-    report = {
+    certs, trip = nf.certificates, nf.decomposition
+    scale = 1 if nf.parameter is None else nf.parameter
+    return 0, {
         "command": "classify",
         "valid": True,
         "label": nf.label.name,
-        "parameter": p,
+        "parameter": nf.parameter,
         "certificates": {
-            "n_inertia": list(certs.n_inertia.as_tuple()),
+            "n_inertia": certs.n_inertia.as_tuple(),
             "a_is_zero": certs.a_is_zero,
             "causal": certs.causal,
         },
         "canonical_row": {
-            "n_diagonal": list(nd),
-            "a": [x * (p if p is not None else 1) for x in apat],
-            "b": [x * (p if p is not None else 1) for x in brow],
+            "n_diagonal": nd,
+            "a": tuple(x * scale for x in apat),
+            "b": tuple(x * scale for x in brow),
             "b_rule": "b = -2 n a",
         },
-        "transform": [list(row) for row in nf.transform],
+        "transform": nf.transform,
         "transform_error": nf.transform_error,
-        "notes": list(nf.notes),
+        "notes": nf.notes,
+        "decomposition": {"n": trip.n.rows, "a": trip.a, "b": trip.b, "b_is_forced": True},
+        "exact_transform": nf.exact_transform.rows,
     }
-    if args.json:  # the exact values print only here, and can pass the int-to-text limit
-        trip = nf.decomposition
-        report["decomposition"] = {"n": _mat(trip.n), "a": _vec(trip.a), "b": _vec(trip.b),
-                                   "b_is_forced": True}
-        report["exact_transform"] = _mat(nf.exact_transform)
-    scaled = (lambda xs: "(" + ", ".join(f"{x * (p if p is not None else 1):g}" for x in xs) + ")")
-    lines = [
-        f"label: {nf.label}",
+
+
+def _classify_text(r):
+    certs, row = r["certificates"], r["canonical_row"]
+    floats = (lambda xs: "(" + ", ".join(f"{x:g}" for x in xs) + ")")
+    return _lines([
+        f"label: {BianchiLabel(r['label'], r['parameter'])}",
         "certificates: inertia {}; a {}; causal {}".format(
-            certs.n_inertia.as_tuple(), "zero" if certs.a_is_zero else "nonzero", certs.causal),
-        f"canonical row: n = diag{tuple(nd)}, a = {scaled(apat)}, b = {scaled(brow)}"
-        "   [b = -2 n a]",
-        f"transform error: {nf.transform_error:.3e} (tolerance {FLOAT_TOL:g})",
-    ]
-    lines.extend(f"note: {note}" for note in nf.notes)
-    _emit(args, report, lines)
-    return 0
+            certs["n_inertia"], "zero" if certs["a_is_zero"] else "nonzero", certs["causal"]),
+        f"canonical row: n = diag{row['n_diagonal']}, a = {floats(row['a'])}, "
+        f"b = {floats(row['b'])}   [{row['b_rule']}]",
+        f"transform error: {r['transform_error']:.3e} (tolerance {FLOAT_TOL:g})",
+        *(f"note: {note}" for note in r["notes"])])
 
 
 def _parse_param(args):
@@ -385,55 +393,37 @@ def _cmd_row(args):
         spec = (orbit_sample if sample else generate)(args.label, _parse_param(args), **sample)
     except ValueError as exc:
         raise _Usage(str(exc)) from None
-    if args.json:
-        _emit(args, {"command": args.command, "label": args.label, "parameter": args.param,
-                     **sample, "document": document_object(spec)}, [])
-    else:
-        sys.stdout.write(serialize(spec))
-    return 0
+    return 0, {"command": args.command, "label": args.label, "parameter": args.param,
+               **sample, "document": spec}
+
+
+def _row_text(r):
+    return serialize(r["document"])
 
 
 def _cmd_tables(args):
-    def rows(order, table_no):
-        out = []
-        for label in order:
-            parametric = label in PARAMETRIC_LABELS
-            spec = generate(label, 1 if parametric else None)
-            nd, apat, brow = _canonical_row(label)
-            row = {"label": label, "table": table_no,
-                   "n_diagonal": list(nd), "a": _vec(apat), "b": _vec(brow),
-                   "parametric": parametric,
-                   "document": document_object(spec)}
-            if parametric:
-                row["parameter_note"] = "parametric family, emitted at parameter 1"
-            out.append(row)
-        return out
+    def row(label, table_no):
+        nd, apat, brow = _canonical_row(label)
+        parametric = label in PARAMETRIC_LABELS
+        return {"label": label, "table": table_no, "n_diagonal": nd,
+                "a": tuple(map(Fraction, apat)), "b": tuple(map(Fraction, brow)),
+                "parametric": parametric, "document": generate(label, 1 if parametric else None),
+                **({"parameter_note": "parametric family, emitted at parameter 1"}
+                   if parametric else {})}
 
-    first, second = rows(FIRST_TABLE_ORDER, 1), rows(SECOND_TABLE_ORDER, 2)
-    if args.json:
-        _emit(args, {"command": "tables", "first_table": first, "second_table": second}, [])
-        return 0
+    return 0, {"command": "tables", "first_table": [row(x, 1) for x in FIRST_TABLE_ORDER],
+               "second_table": [row(x, 2) for x in SECOND_TABLE_ORDER]}
 
-    def grid(rows_):
-        fmt = "  {:<8} {:<12} {:<14} {:<14} {}"
-        yield fmt.format("label", "n diagonal", "a", "b", "")
-        for r in rows_:
-            mark = "parametric (at 1)" if r["parametric"] else ""
-            yield fmt.format(r["label"], "(" + ", ".join(map(str, r["n_diagonal"])) + ")",
-                             "(" + ", ".join(r["a"]) + ")", "(" + ", ".join(r["b"]) + ")", mark)
 
-    print("table 1 (a = 0):")
-    for line in grid(first):
-        print(line)
-    print()
-    print("table 2 (a != 0, b = -2 n a):")
-    for line in grid(second):
-        print(line)
-    for r in first + second:
-        print()
-        print(f"--- {r['label']} ---")
-        sys.stdout.write(_dumps(r["document"]) + "\n")
-    return 0
+def _tables_text(r):
+    fmt, lines = "  {:<8} {:<12} {:<14} {:<14} {}", []
+    for key, title in (("first_table", "table 1 (a = 0):"),
+                       ("second_table", "\ntable 2 (a != 0, b = -2 n a):")):
+        lines += [title, fmt.format("label", "n diagonal", "a", "b", "")]
+        lines += [fmt.format(x["label"], _text(x["n_diagonal"]), _text(x["a"]), _text(x["b"]),
+                             "parametric (at 1)" if x["parametric"] else "") for x in r[key]]
+    return _lines(lines) + "".join(f"\n--- {x['label']} ---\n" + serialize(x["document"])
+                                   for x in r["first_table"] + r["second_table"])
 
 
 def _cmd_deformability(args):
@@ -441,26 +431,31 @@ def _cmd_deformability(args):
     if spec.dim < 3:
         raise _Usage(f"deformability requires dim >= 3, got dim {spec.dim}")
     result = check_deformability(spec)
-    report = {"command": "deformability", "dim": spec.dim,
-              "deformable": result.compatible}
-    if result.compatible:
-        cand = result.spec.omega_upper
-        report["candidate_omega"] = [[i + 1, j + 1, _rat_str(v)] for (i, j), v in cand.items()]
-        report["matches_document_omega"] = cand == spec.omega_upper
-        lines = ["deformable: the trace candidate omega closes the deformed Jacobi identity"]
-        entries = report["candidate_omega"]
-        lines.append("candidate omega entries (i, j, value): "
-                     + (", ".join(f"({i}, {j}, {v})" for i, j, v in entries) if entries else "none (omega = 0)"))
-        lines.append("matches the omega stored in the document"
-                     if report["matches_document_omega"]
-                     else "differs from the omega stored in the document")
-        _emit(args, report, lines)
-        return 0
-    lines = ["not deformable: no omega closes the deformed Jacobi identity",
-             "defect of the unique trace candidate:"]
-    _residual_report(args, result.defect, report, "defect_components", lines)
-    _emit(args, report, lines)
-    return 1
+    report = {"command": "deformability", "dim": spec.dim, "deformable": result.compatible}
+    if not result.compatible:
+        report["defect_components"] = result.defect
+        return 1, report
+    cand = result.spec.omega_upper
+    report["candidate_omega"] = [(i + 1, j + 1, v) for (i, j), v in cand.items()]
+    report["matches_document_omega"] = cand == spec.omega_upper
+    return 0, report
+
+
+def _deformability_text(r):
+    if not r["deformable"]:
+        return _lines(["not deformable: no omega closes the deformed Jacobi identity",
+                       "defect of the unique trace candidate:",
+                       *_residual_lines(r["defect_components"])])
+    entries = ", ".join(f"({i}, {j}, {_rat_str(v)})" for i, j, v in r["candidate_omega"])
+    return _lines(["deformable: the trace candidate omega closes the deformed Jacobi identity",
+                   "candidate omega entries (i, j, value): " + (entries or "none (omega = 0)"),
+                   "matches the omega stored in the document" if r["matches_document_omega"]
+                   else "differs from the omega stored in the document"])
+
+
+_TEMPLATES = {"validate": _validate_text, "decompose": _decompose_text,
+              "classify": _classify_text, "generate": _row_text, "orbit-sample": _row_text,
+              "tables": _tables_text, "deformability": _deformability_text}
 
 
 # ---------------------------------------------------------------------------
@@ -594,20 +589,19 @@ def run(argv=None) -> int:
             args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.handler(args)
+    try:  # formatting a report can exit 2 too, past the digit limit
+        try:
+            code, report = args.handler(args)
+        except _Failure as exc:
+            code, report = 1, exc.args[0]
+        _emit(args, report)
+        return code
     except (DocumentError, _Usage, FloatRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:  # a backstop: no bound on the work is read before it starts
         print("error: out of memory", file=sys.stderr)
         return 2
-    except _Failure as exc:
-        if args.json:
-            _emit(args, {**exc.report, "error": str(exc)}, [])
-        else:
-            print(f"invalid: {exc}", file=sys.stderr)
-        return 1
 
 
 def main(argv=None):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from omegalie import (AlgebraSpec, Matrix, NabTriple, decompose, forced_b,
                       generate, orbit_sample, reconstruct, residual, t_of, t_vector)
-from omegalie.decomp3d import _store, _t_residual, _view
+from omegalie.decomp3d import _store, _t, _t_residual, _view
 from oracles import (c_tensor, diagonal, dual_c, eps_decompose, eps_dual_c,
                      eps_reconstruct, flat, forced_omega, fraction_decompose,
                      fraction_t_vector, identity, omega_matrix, spec_from_dense)
@@ -255,7 +255,7 @@ def test_int_view_matches_the_fraction_reference(spec):
 @settings(deadline=None, max_examples=150)
 def test_residual_read_off_t_matches_the_residual_kernel(spec):
     # component (m, s(1, 2, 3)) = sign(s) t_m / 6 is all of the dim-3 residual
-    res, ref = _t_residual(t_of(spec)), residual(spec)
+    res, ref = _t_residual(*_t(_view(spec))), residual(spec)
     assert res == ref
     assert [idx for idx, _ in res.nonzero] == [idx for idx, _ in ref.nonzero]
     assert all(type(x) is Fraction and type(y) is Fraction

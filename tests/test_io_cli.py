@@ -533,7 +533,7 @@ def test_cli_report_values_beyond_the_int_digit_limit_exit_2(monkeypatch):
                        "omega_entries": [[1, 2, "1"]]})
     for text, argv in ((dim4, ["validate", "--json"]), (dim4, ["validate"]),
                        (dim4, ["deformability", "--json"]), (dim4, ["deformability"]),
-                       (dim3, ["classify", "--json"]), (dim3, ["classify"]),
+                       (dim3, ["classify", "--json"]),
                        (dim3, ["deformability", "--json"]),
                        # transported entries grow a few digits past a parameter's
                        ("", ["orbit-sample", "IX_a", "--param", "9" * 4299, "--seed", "0"]),
@@ -547,6 +547,14 @@ def test_cli_report_values_beyond_the_int_digit_limit_exit_2(monkeypatch):
             assert run(argv) == 2, argv
         assert out.getvalue() == "", argv
         assert err.getvalue().startswith("error: ") and "digits" in err.getvalue(), argv
+    # human classify prints only its message, which writes t through _brief
+    monkeypatch.setattr("sys.stdin", io.StringIO(dim3))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert run(["classify"]) == 1
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("invalid: not an omega-deformed Lie algebra: ")
+    assert "<more digits than the int-to-text limit>" in err.getvalue()
 
 
 def tall_document(seed, digits=150):
@@ -582,6 +590,71 @@ def test_human_classify_formats_only_what_it_prints(monkeypatch):
             assert out.getvalue() == ""
             assert err.getvalue().startswith("error: a result value has more digits than the "
                                              "integer-to-text conversion limit")
+
+
+_MODE_DOCS = {
+    "valid dim 3": serialize(orbit_sample("VIII_a", Fraction(3, 2), seed=2)),
+    "invalid dim 3": serialize(AlgebraSpec.from_entries(
+        3, [(2, 3, 1, 1), (1, 3, 2, -1), (1, 2, 3, 1)], [(1, 2, 1)])),
+    "sparse dim 5": serialize(AlgebraSpec.from_entries(
+        5, [(1, 5, 1, -1), (2, 5, 2, -1), (3, 5, 3, -1), (1, 2, 3, 1), (1, 3, 4, "2/3")],
+        [(4, 5, Fraction(1, 2))])),
+}
+
+
+def run_streams(argv, doc):
+    """(exit code, stdout, stderr) of one in-process run on the document text doc."""
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    try:
+        sys.stdin = io.StringIO(doc)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_residual_lines(lines, components):
+    # the human text lists the first 20 components of the JSON report and counts the rest
+    shown = [f"  residual[m={m} l={l} j={j} k={k}] = {c['value']}"
+             for c in components[:20] for m, l, j, k in [c["indices"]]]
+    more = [f"  ... and {len(components) - 20} more"] if len(components) > 20 else []
+    assert [x for x in lines if x.startswith(("  residual[", "  ... and"))] == shown + more
+
+
+@pytest.mark.parametrize("doc", list(_MODE_DOCS))
+@pytest.mark.parametrize("command", ["validate", "decompose", "classify", "deformability"])
+def test_human_text_shows_the_json_report(command, doc):
+    # both modes render one report: the human text shows the report's verdict,
+    # label and t, or its residual components
+    code, out, err = run_streams([command], _MODE_DOCS[doc])
+    code_js, out_js, err_js = run_streams([command, "--json"], _MODE_DOCS[doc])
+    assert code == code_js
+    if code == 2:  # decompose and classify in dim 5
+        assert out == out_js == "" and err == err_js and "requires dim 3" in err
+        return
+    report, lines = json.loads(out_js), out.splitlines()
+    t = "(" + ", ".join(report.get("t", ())) + ")"
+    if "error" in report:  # classify on the invalid document
+        assert (code, out, err) == (1, "", f"invalid: {report['error']}\n")
+        assert f"t = 4 n a + 2 b = {t}" in err and report["t"] != ["0", "0", "0"]
+    elif command == "validate":
+        assert lines[0].startswith("valid:" if report["valid"] else "invalid:")
+        assert (f"t = {t}" in lines) == ("t" in report) == (report["dim"] == 3)
+        assert_residual_lines(lines, report.get("nonzero_residual_components", []))
+    elif command == "decompose":
+        assert lines[-1] == f"t = 4 n a + 2 b = {t}"
+        assert lines[3].endswith("[matches]" if report["b_is_forced"] else "[differs: not an algebra]")
+    elif command == "classify":
+        p = report["parameter"]
+        assert lines[0] == f"label: {report['label']}" + ("" if p is None else f"({p:.12g})")
+        assert f"causal {report['certificates']['causal']}" in lines[1]
+    else:
+        assert lines[0].startswith("deformable:" if report["deformable"] else "not deformable:")
+        if report["deformable"]:
+            assert lines[1].endswith(", ".join(f"({i}, {j}, {v})"
+                                               for i, j, v in report["candidate_omega"]))
+        assert_residual_lines(lines, report.get("defect_components", []))
 
 
 def test_cli_parser_is_reused_across_swapped_streams(monkeypatch):

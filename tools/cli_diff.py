@@ -46,6 +46,11 @@ subcommand through ``omegalie.io_cli.run``, in-process:
   document command on each: seeds 0..3 give some rows (VII0, VII_a, VII_x)
   only negative-leaning n, which leaves the classifier's orientation flips
   untried on the others;
+* ``error_documents()``: documents of dim 1, 2 and 4, a dim-4 bracket that
+  admits no omega, and two documents whose report values pass the int-to-text
+  digit limit, every document command on each, in dim 3 or not: they run the
+  dim checks, ``--force-omega`` below dim 3 and without a compatible omega,
+  and a report that fails while it is formatted;
 * ``USAGE``: the help of the program and of each command, and argvs that
   are not plain command lines (an unknown command, abbreviated or ``=``
   options, values that start with ``-``, a missing or repeated argument,
@@ -213,6 +218,20 @@ def orientations(ol):
     return docs
 
 
+def error_documents():
+    """{case name: document text} of the documents that end in a usage error,
+    a failure report or a report past the int-to-text digit limit."""
+    big = "7" * 3000
+    dim4 = [[1, 4, 1, "-1"], [2, 4, 2, "-1"], [3, 4, 3, "-1"]]
+    docs = {"dim 1": (1, [], []), "dim 2": (2, [[1, 2, 1, "1"]], [[1, 2, "1/2"]]),
+            "dim 4": (4, dim4, [[1, 2, "3"]]),
+            "dim 4 not deformable": (4, dim4 + [[1, 2, 3, "1"]], []),
+            "dim 4 past the digit limit": (4, [[1, 2, 3, big], [3, 4, 1, big]], []),
+            "dim 3 past the digit limit": (3, [[1, 2, 3, big], [2, 3, 2, big]], [[1, 2, "1"]])}
+    return {name: json.dumps({"dim": dim, "c_entries": c, "omega_entries": omega})
+            for name, (dim, c, omega) in docs.items()}
+
+
 def package_dir(path):
     path = Path(path).resolve()
     for candidate in (path, path / "src"):
@@ -234,11 +253,11 @@ def run_tree(src, seeds):
                                                       stderr.replace(str(src), "SRC")]
         return stdout
 
-    def run_document(name, doc):
+    def run_document(name, doc, every=False):
         out[f"{name}: document"] = [None, doc, ""]
         dim = json.loads(doc)["dim"]
         for command in FILE_COMMANDS:
-            if command in DIM3_ONLY and dim != 3:
+            if command in DIM3_ONLY and dim != 3 and not every:
                 continue
             for mode in MODES:
                 for force in ([], ["--force-omega"]):
@@ -270,6 +289,8 @@ def run_tree(src, seeds):
                 run(name, [command, "--json"], doc)
     for name, doc in orientations(ol).items():
         run_document(name, doc)
+    for name, doc in error_documents().items():
+        run_document(f"error {name}", doc, every=True)
     for seed in seeds:
         for k, op in enumerate(workloads.classify_orbit(ol, random.Random(seed))):
             run_document(f"seed {seed} classify-orbit {k}", op.doc)
