@@ -101,9 +101,8 @@ _TABLE = {
     "IX_a":    ((1, 1, 1),  (0, 0, 1), True),
 }
 
-FIRST_TABLE_ORDER = ("I", "II", "VI0", "VII0", "VIII", "IX")
-SECOND_TABLE_ORDER = ("V", "IV", "IV_x", "VI_a", "VI_x", "VI_y", "VI_n",
-                      "VII_a", "VII_x", "VIII_a", "VIII_xa", "VIII_na", "IX_a")
+FIRST_TABLE_ORDER = tuple(l for l, (_, apat, _) in _TABLE.items() if not any(apat))
+SECOND_TABLE_ORDER = tuple(l for l in _TABLE if l not in FIRST_TABLE_ORDER)
 PARAMETRIC_LABELS = frozenset(l for l, (_, _, p) in _TABLE.items() if p)
 FLOAT_TOL = 1e-9  # bound on transform_error before classify adds a note
 

@@ -101,8 +101,12 @@ def _triple_view(t: NabTriple) -> tuple:
 
 
 def _triple(view) -> NabTriple:
+    # n's lower triangle, and above it the same Fractions: is_symmetric then
+    # compares each entry with itself, and tuple equality skips __eq__ for that
     n, a, b, lc, lw = view
-    return NabTriple(Matrix(tuple(tuple(Fraction(x, 2 * lc) for x in r) for r in n)),
+    low = [[Fraction(x, 2 * lc) for x in r[:i + 1]] for i, r in enumerate(n)]
+    rows = [r + [low[j][i] for j in range(i + 1, 3)] for i, r in enumerate(low)]
+    return NabTriple(Matrix(rows),
                      tuple(Fraction(x, 2 * lc) for x in a), tuple(Fraction(x, lw) for x in b))
 
 

@@ -33,7 +33,8 @@ would build:
 with the options in any order, each spelled out in full, and no value or
 FILE but ``-`` that starts with ``-``.  Every other command line goes to
 argparse unchanged: help, abbreviations, ``--opt=value``, ``--`` and every
-usage error, so argparse writes all help, usage and error text.
+usage error, so argparse writes all help, usage and error text.  Both routes
+and ``_emit`` read one command table, ``_COMMANDS``, in place.
 """
 
 from __future__ import annotations
@@ -227,7 +228,7 @@ def _emit(args, report):
     elif "error" in report:
         print(f"invalid: {report['error']}", file=sys.stderr)
     else:  # the whole text first: a value past the digit limit prints nothing
-        sys.stdout.write(_TEMPLATES[report["command"]](report))
+        sys.stdout.write(_COMMANDS[args.command][1](report))
 
 
 def _text(xs):
@@ -453,51 +454,46 @@ def _deformability_text(r):
                    else "differs from the omega stored in the document"])
 
 
-_TEMPLATES = {"validate": _validate_text, "decompose": _decompose_text,
-              "classify": _classify_text, "generate": _row_text, "orbit-sample": _row_text,
-              "tables": _tables_text, "deformability": _deformability_text}
-
-
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 #
-# One command table feeds both routes: ``_build_parser`` builds the argparse
-# parser from it, and ``_read_plain`` reads its plain command lines straight
-# into the namespace that parser would build.
+# One command table, read in place: ``_build_parser`` builds the argparse
+# parser from it, ``_read_plain`` reads its plain command lines straight into
+# the namespace that parser would build, and ``_emit`` renders a report with
+# the command's template.  An argument without a default is required.
 
 _OPTIONS = {  # option -> add_argument keywords
-    "--json": {"action": "store_true",
+    "--json": {"dest": "json", "action": "store_true", "default": False,
                "help": "emit a machine-readable JSON report (schema-versioned)"},
-    "--force-omega": {"action": "store_true",
+    "--force-omega": {"dest": "force_omega", "action": "store_true", "default": False,
                       "help": "replace the supplied omega by the forced one first"},
-    "--param": {"metavar": "P", "default": None,
+    "--param": {"dest": "param", "metavar": "P", "default": None,
                 "help": "positive rational parameter for parametric rows"},
-    "--seed": {"type": int, "required": True, "metavar": "N",
+    "--seed": {"dest": "seed", "type": int, "required": True, "metavar": "N",
                "help": "seed for the deterministic sampler"},
 }
-_POSITIONALS = {  # metavar -> (dest, add_argument keywords)
-    "FILE": ("file", {"nargs": "?", "default": "-", "metavar": "FILE",
-                      "help": "document path, or - for standard input (default)"}),
-    "LABEL": ("label", {"metavar": "LABEL", "help": "table row name, e.g. IX_a"}),
+_POSITIONALS = {  # dest -> add_argument keywords
+    "file": {"nargs": "?", "default": "-", "metavar": "FILE",
+             "help": "document path, or - for standard input (default)"},
+    "label": {"metavar": "LABEL", "help": "table row name, e.g. IX_a"},
 }
-# name -> (handler, help, positional, options after --json), in help order;
-# the options are added after the positional, as argparse lists missing ones
+# name -> (handler, human template, positional, options after --json, help), in
+# help order; the options are added after the positional, as argparse lists missing ones
 _COMMANDS = {
-    "validate": (_cmd_validate, "check the deformed Jacobi identity (prints t for dim 3)",
-                 "FILE", ("--force-omega",)),
-    "decompose": (_cmd_decompose, "decompose a dim-3 spec into (n, a, b)",
-                  "FILE", ("--force-omega",)),
-    "classify": (_cmd_classify, "classify a dim-3 spec onto its normal-form table row",
-                 "FILE", ("--force-omega",)),
-    "generate": (_cmd_row, "print the canonical document of a table row",
-                 "LABEL", ("--param",)),
-    "orbit-sample": (_cmd_row, "print a seeded random transport of a table row",
-                     "LABEL", ("--param", "--seed")),
-    "tables": (_cmd_tables, "re-emit both normal-form tables as a grid plus documents",
-               None, ()),
-    "deformability": (_cmd_deformability,
-                      "check whether a bracket (dim >= 3) admits a compatible omega",
-                      "FILE", ("--force-omega",)),
+    "validate": (_cmd_validate, _validate_text, "file", ("--force-omega",),
+                 "check the deformed Jacobi identity (prints t for dim 3)"),
+    "decompose": (_cmd_decompose, _decompose_text, "file", ("--force-omega",),
+                  "decompose a dim-3 spec into (n, a, b)"),
+    "classify": (_cmd_classify, _classify_text, "file", ("--force-omega",),
+                 "classify a dim-3 spec onto its normal-form table row"),
+    "generate": (_cmd_row, _row_text, "label", ("--param",),
+                 "print the canonical document of a table row"),
+    "orbit-sample": (_cmd_row, _row_text, "label", ("--param", "--seed"),
+                     "print a seeded random transport of a table row"),
+    "tables": (_cmd_tables, _tables_text, None, (),
+               "re-emit both normal-form tables as a grid plus documents"),
+    "deformability": (_cmd_deformability, _deformability_text, "file", ("--force-omega",),
+                      "check whether a bracket (dim >= 3) admits a compatible omega"),
 }
 
 
@@ -511,42 +507,15 @@ def _build_parser():
                     "(n, a, b) decomposition, Bianchi-style classification, "
                     "normal-form tables, and orbit sampling.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, (handler, help_, positional, options) in _COMMANDS.items():
+    for name, (handler, _, positional, options, help_) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_, description=help_)
         p.add_argument("--json", **_OPTIONS["--json"])
         if positional:
-            dest, keywords = _POSITIONALS[positional]
-            p.add_argument(dest, **keywords)
+            p.add_argument(positional, **_POSITIONALS[positional])
         for option in options:
             p.add_argument(option, **_OPTIONS[option])
         p.set_defaults(handler=handler)
     return parser
-
-
-def _plain_routes():
-    # name -> (namespace defaults, option -> (dest, converter, or None for a
-    # flag), positional dest, dests a plain line must set)
-    routes = {}
-    for name, (handler, _, positional, options) in _COMMANDS.items():
-        defaults, readers, required = {"command": name, "handler": handler}, {}, []
-        for option in ("--json", *options):
-            keywords, dest = _OPTIONS[option], option[2:].replace("-", "_")
-            flag = keywords.get("action") == "store_true"
-            readers[option] = dest, None if flag else keywords.get("type", str)
-            if keywords.get("required"):
-                required.append(dest)
-            else:
-                defaults[dest] = False if flag else keywords["default"]
-        dest, keywords = _POSITIONALS.get(positional, (None, {}))
-        if keywords.get("nargs") == "?":
-            defaults[dest] = keywords["default"]
-        elif dest:
-            required.append(dest)
-        routes[name] = defaults, readers, dest, tuple(required)
-    return routes
-
-
-_PLAIN = _plain_routes()
 
 
 def _read_plain(argv):
@@ -554,30 +523,36 @@ def _read_plain(argv):
     of the command table: a command, its own options spelled out in full, at
     most one positional, and no value but ``-`` that starts with ``-``.
     None for every other argv."""
-    if not argv or (route := _PLAIN.get(argv[0])) is None:
+    if not argv or (entry := _COMMANDS.get(argv[0])) is None:
         return None
-    defaults, readers, positional, required = route
-    values, placed, rest = dict(defaults), False, iter(argv[1:])
+    handler, _, positional, options, _ = entry
+    options, values, rest = ("--json", *options), {}, iter(argv[1:])
     for arg in rest:
-        if (reader := readers.get(arg)) is not None:
-            dest, convert = reader
-            if convert is None:
-                values[dest] = True
+        if arg in options:
+            keywords = _OPTIONS[arg]
+            if keywords.get("action") == "store_true":
+                values[keywords["dest"]] = True
                 continue
             value = next(rest, "--")  # argparse reads a missing value as an option
             if value[:1] == "-" and value != "-":
                 return None
             try:
-                values[dest] = convert(value)
+                values[keywords["dest"]] = keywords.get("type", str)(value)
             except ValueError:  # argparse's "invalid int value"
                 return None
-        elif placed or positional is None or arg[:1] == "-" and arg != "-":
+        elif positional is None or positional in values or arg[:1] == "-" and arg != "-":
             return None
         else:
-            values[positional], placed = arg, True
-    if not all(dest in values for dest in required):
-        return None
-    return argparse.Namespace(**values)
+            values[positional] = arg
+    arguments = [(_OPTIONS[option]["dest"], _OPTIONS[option]) for option in options]
+    if positional:
+        arguments.append((positional, _POSITIONALS[positional]))
+    for dest, keywords in arguments:
+        if dest not in values:
+            if "default" not in keywords:
+                return None
+            values[dest] = keywords["default"]
+    return argparse.Namespace(command=argv[0], handler=handler, **values)
 
 
 def run(argv=None) -> int:

@@ -93,8 +93,8 @@ class Matrix:
             for i in range(n)))
 
     def is_symmetric(self) -> bool:
-        n = self.dim
-        return all(self.rows[i][j] == self.rows[j][i] for i in range(n) for j in range(i + 1, n))
+        # tuple equality tests identity first: a shared entry costs no __eq__
+        return self.rows == tuple(zip(*self.rows))
 
     def int_rows(self) -> tuple[list, int]:
         """(rows, den): the entries as int rows over their least common denominator."""

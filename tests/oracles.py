@@ -618,18 +618,24 @@ def exact_witness_holds(trip, nf):
 
 
 def transport_error(spec, nf):
-    """Largest deviation of the float transport of the whole input by the
-    reported float transform from the canonical row, both dense: the check
-    classify made before it certified its exact head and checked floats
-    on the 3x3 frame only.  It does not call the library's ``transport``."""
-    c = [[[float(x) for x in row] for row in plane] for plane in c_tensor(spec)]
-    om = [[float(x) for x in row] for row in omega_matrix(spec)]
-    moved = dense_transport((c, om), nf.transform)
+    """Largest deviation of the transport of the whole input by the reported
+    float transform from the canonical row, both dense: the check classify
+    made before it certified its exact head and checked floats on the 3x3
+    frame only.  The transform's floats are read as the rationals they are
+    (``Fraction`` of a float is exact), the input is transported by them and
+    compared with the row exactly, and the deviation is rounded once: a
+    near-singular transform is inverted by its exact determinant, never by a
+    rounded one, and one that rounds to a singular matrix reads inf.  It does
+    not call the library's ``transport``."""
+    pm = [[Fraction(x) for x in row] for row in nf.transform]
+    if perm_det(pm) == 0:
+        return math.inf
+    moved = dense_transport(spec, pm)
     nd, apat, _ = table_row(nf.label.name)
-    a = [x * (1.0 if nf.parameter is None else nf.parameter) for x in apat]
-    n = [[float(nd[i]) if i == j else 0.0 for j in range(3)] for i in range(3)]
+    a = [x * Fraction(1 if nf.parameter is None else nf.parameter) for x in apat]
+    n = [[nd[i] if i == j else 0 for j in range(3)] for i in range(3)]
     target = eps_reconstruct(n, a, [-2 * nd[i] * a[i] for i in range(3)])
-    return max(abs(x - y) for x, y in zip(flat(moved), flat(target)))
+    return float(max(abs(x - y) for x, y in zip(flat(moved), flat(target))))
 
 
 def flat(x):

@@ -62,6 +62,11 @@ def test_from_entries_rejects_bad_input():
         AlgebraSpec.from_entries(3, [(2, 1, 3, 1)])  # needs i < j
     with pytest.raises(ValueError, match="duplicate omega entry"):
         AlgebraSpec.from_entries(3, [], [(1, 2, 1), (1, 2, 1)])
+    for entry in ((1, 4, 1), (2, 1, 1), (0, 2, 1)):
+        with pytest.raises(ValueError, match="omega entry .* out of range for dim 3"):
+            AlgebraSpec.from_entries(3, [], [entry])
+    with pytest.raises(ValueError, match="dim must be a positive integer"):
+        AlgebraSpec.from_entries(0)
     with pytest.raises(TypeError):
         AlgebraSpec.from_entries(3, [(1, 2, 3, 0.5)])
 
@@ -105,6 +110,9 @@ def test_bracket_on_type_ii():
     assert bracket(s, e3, e2) == (-1, 0, 0)
     assert bracket(s, e1, e2) == (0, 0, 0)
     assert bracket(s, (0, 2, 0), (0, 0, Fraction(1, 2))) == (1, 0, 0)
+    for x, y in (((0, 1), e3), (e1, (0, 0, 1, 0))):
+        with pytest.raises(ValueError, match="does not match dim 3"):
+            bracket(s, x, y)
 
 
 def test_omega_value_is_skew():
@@ -339,6 +347,8 @@ def test_transport_preserves_validity_and_invalidity():
 
 def test_transport_rejects_singular():
     s = AlgebraSpec.zero(3)
+    with pytest.raises(ValueError, match="transform dimension does not match spec"):
+        transport(s, Matrix(((1, 0), (0, 1))))
     with pytest.raises(SingularMatrixError):
         transport(s, Matrix(((1, 0, 0), (0, 1, 0), (1, 1, 0))))
     rng = random.Random(31)

@@ -91,6 +91,11 @@ def test_table_row_and_parametric_set():
     assert table_row("VIII_na") == ((1, 1, -1), (1, 0, 1), True)
     assert PARAMETRIC_LABELS == {"VI_a", "VII_a", "VIII_a", "VIII_xa",
                                  "VIII_na", "IX_a"}
+    # the two orders are read off the table: its a = 0 rows, then the rest
+    assert omegalie.FIRST_TABLE_ORDER == ("I", "II", "VI0", "VII0", "VIII", "IX")
+    assert omegalie.SECOND_TABLE_ORDER == (
+        "V", "IV", "IV_x", "VI_a", "VI_x", "VI_y", "VI_n",
+        "VII_a", "VII_x", "VIII_a", "VIII_xa", "VIII_na", "IX_a")
     with pytest.raises(ValueError):
         table_row("nope")
 
@@ -219,6 +224,31 @@ def test_classification_is_invariant_under_rational_basis_changes(label, p, basi
     assert nf.certificates == base.certificates
     assert exact_witness_holds(decompose(moved), nf)
     assert nf.transform_error <= 1e-9, nf.transform_error
+
+
+def test_transport_error_reads_near_singular_transforms_exactly():
+    # the float transform of a near-singular basis has a determinant that
+    # rounding can make tiny or zero; the oracle inverts the exact rationals
+    # its floats are, so it reads a value on every transform that is
+    # invertible, and inf on one the floats round to a singular matrix
+    rng, checked = random.Random(7), 0
+    for label in ALL_LABELS:
+        p = Fraction(3, 2) if label in PARAMETRIC_LABELS else None
+        for k in (5, 10, 15, 20, 25, 30) * 2:
+            r1, r2, z = ([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
+                         for _ in range(3))
+            s, t = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2))
+            basis = Matrix((r1, r2, [s * x + t * y + w / 10 ** k for x, y, w in zip(r1, r2, z)]))
+            if basis.det() == 0:
+                continue
+            moved = transport(generate(label, p), basis)
+            nf = classify(moved)
+            err = transport_error(moved, nf)
+            singular = Matrix([map(Fraction, row) for row in nf.transform]).det() == 0
+            assert err == math.inf if singular else math.isfinite(err), (label, k)
+            assert exact_witness_holds(decompose(moved), nf), (label, k)
+            checked += 1
+    assert checked >= 200
 
 
 def test_integer_certificate_rejects_every_single_change():

@@ -239,6 +239,8 @@ def test_int_view_matches_the_fraction_reference(spec):
     trip, ref = decompose(spec), fraction_decompose(spec)
     assert trip == ref
     assert all(type(x) is Fraction for x in (*flat(trip.n.rows), *trip.a, *trip.b))
+    # n is built symmetric: each off-diagonal Fraction sits at (i, j) and (j, i)
+    assert all(trip.n[i][j] is trip.n[j][i] for i in range(3) for j in range(3))
     t = t_of(spec)
     assert t == fraction_t_vector(ref) == t_vector(trip)
     assert all(type(x) is Fraction for x in (*t, *t_vector(trip)))
@@ -296,6 +298,9 @@ def test_decompose_requires_dim3():
         decompose(AlgebraSpec.zero(4))
     with pytest.raises(ValueError):
         t_of(AlgebraSpec.zero(4))
+    for n, a in ((identity(2), (0, 0)), (identity(3), (0, 0)), (identity(2), (0, 0, 0))):
+        with pytest.raises(ValueError, match="requires 3-dimensional data"):
+            forced_b(n, a)
 
 
 def test_nab_triple_validation():

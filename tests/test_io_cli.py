@@ -2,6 +2,7 @@
 
 import collections
 import io
+import itertools
 import json
 import math
 import random
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from omegalie import (FIRST_TABLE_ORDER, PARAMETRIC_LABELS, SECOND_TABLE_ORDER,
                       AlgebraSpec, DocumentError, NotAnAlgebraError,
-                      ResidualTensor, classify, decomp3d, generate,
+                      ResidualTensor, classify, classify3d, decomp3d, generate,
                       orbit_sample, parse, serialize)
 from omegalie.io_cli import (SCHEMA_VERSION, _as_rational, _build_parser, _dumps,
                              _force_omega, _read_plain, document_object, run)
@@ -49,6 +50,13 @@ def test_parse_accepts_meta_and_bare_integers():
     assert c_tensor(parse(text))[0][0][1] == -3
 
 
+BAD_INDEX_DOCUMENTS = (
+    '{"dim": 3, "c_entries": [[1.5, 2, 3, "1"]], "omega_entries": []}',
+    '{"dim": 3, "c_entries": [[1, "2", 3, "1"]], "omega_entries": []}',
+    '{"dim": 3, "c_entries": [], "omega_entries": [[1, true, "1"]]}',
+)
+
+
 def test_parse_error_catalog():
     cases = [
         ("not json", "syntax error at line 1"),
@@ -66,6 +74,7 @@ def test_parse_error_catalog():
         ('{"dim": 3, "c_entries": [[1, 2, 3, "1"], [1, 2, 3, "2"]], "omega_entries": []}', "duplicate"),
         ('{"dim": 3, "c_entries": [], "omega_entries": [[1, 2, "1"], [1, 2, "1"]]}', "duplicate"),
         ('{"dim": 3, "c_entries": {}, "omega_entries": []}', "must be a list"),
+        *((doc, "indices must be integers") for doc in BAD_INDEX_DOCUMENTS),
     ]
     for text, fragment in cases:
         with pytest.raises(DocumentError, match=fragment):
@@ -257,6 +266,20 @@ def test_cli_classify_outside_the_float_range_exits_2(monkeypatch):
         with redirect_stdout(stdout), redirect_stderr(err):
             assert run(argv) == 2, argv
         assert stdout.getvalue() == "" and err.getvalue().startswith("error: "), argv
+
+
+def test_cli_classify_reports_the_tolerance_note(monkeypatch):
+    # a transform_error past FLOAT_TOL is reported: in the normal form's notes,
+    # in the --json notes and as a human note: line
+    monkeypatch.setattr(classify3d, "FLOAT_TOL", -1.0)
+    spec = orbit_sample("IX_a", Fraction(3, 2), seed=1)
+    nf = classify(spec)
+    note = f"canonical transform check exceeded tolerance: max deviation {nf.transform_error:.3e}"
+    assert note in nf.notes
+    code, out, _ = run_streams(["classify", "--json"], serialize(spec))
+    assert code == 0 and note in json.loads(out)["notes"]
+    code, out, _ = run_streams(["classify"], serialize(spec))
+    assert code == 0 and f"note: {note}" in out.splitlines()
 
 
 def test_cli_classify_viii_na_reports_the_parameter_1_row(tmp_path, capsys):
@@ -492,6 +515,11 @@ def test_cli_parse_failures_exit_2(tmp_path, capsys, monkeypatch):
     garbled.write_text("{")
     assert run(["validate", str(garbled)]) == 2
     assert "syntax error" in capsys.readouterr().err
+    for text in BAD_INDEX_DOCUMENTS:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run(["validate", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "indices must be integers, got" in captured.err
     nest = "[" * 100000 + "]" * 100000
     for text in (nest, '{"dim": 3, "c_entries": [], "omega_entries": [], "meta": %s}' % nest):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -733,6 +761,42 @@ def test_plain_command_lines_read_as_argparse_reads_them(argv):
             pytest.fail(f"argparse refused {argv!r} (exit {exc.code}): {err.getvalue()}")
     assert vars(fast) == vars(slow)
     assert out.getvalue() == err.getvalue() == ""
+
+
+# command -> (its options after --json, valid values of its positional)
+PLAIN_GRAMMAR = {
+    "validate": (("--force-omega",), ("-", "doc.json")),
+    "decompose": (("--force-omega",), ("-", "doc.json")),
+    "classify": (("--force-omega",), ("-", "doc.json")),
+    "deformability": (("--force-omega",), ("-", "doc.json")),
+    "generate": (("--param",), ("IX_a",)),
+    "orbit-sample": (("--param", "--seed"), ("IX_a",)),
+    "tables": ((), ()),
+}
+
+
+def test_every_plain_command_line_is_read_without_argparse():
+    # each ordered subset of a command's options, with no positional or with one
+    # at each place between them: _read_plain builds argparse's namespace, and
+    # returns None only where argparse refuses the line (a required argument missing)
+    words = {"--param": ["--param", "3/2"], "--seed": ["--seed", "3"]}
+    read = 0
+    for command, (options, positionals) in PLAIN_GRAMMAR.items():
+        units = [words.get(option, [option]) for option in ("--json", *options)]
+        for size in range(len(units) + 1):
+            for chosen in itertools.permutations(units, size):
+                for pieces in [chosen] + [chosen[:at] + ([word],) + chosen[at:]
+                                          for at in range(size + 1) for word in positionals]:
+                    argv = [command, *itertools.chain.from_iterable(pieces)]
+                    fast = _read_plain(argv)
+                    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                        try:
+                            slow = vars(_build_parser().parse_args(argv))
+                        except SystemExit:
+                            slow = None
+                    assert (fast if fast is None else vars(fast)) == slow, argv
+                    read += fast is not None
+    assert read == 159
 
 
 def test_benchmark_command_lines_never_build_the_parser(monkeypatch):

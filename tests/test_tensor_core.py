@@ -41,6 +41,11 @@ def test_rational_rejects_floats_and_bools():
         rational(0.5)
     with pytest.raises(TypeError):
         rational(True)
+    for text in ("x", "1/0"):
+        with pytest.raises(ValueError, match="malformed rational literal"):
+            rational(text)
+    with pytest.raises(TypeError, match="cannot interpret NoneType"):
+        rational(None)
 
 
 @given(rationals)
@@ -60,6 +65,11 @@ def test_matrix_construction_and_ops():
     assert mat_vec(m, (1, 0)) == (1, 3)
     assert scale(m, 2) == Matrix(((2, 4), (6, 8)))
     assert diagonal((5, 7)) == Matrix(((5, 0), (0, 7)))
+    for rows in (((1, 2),), ((1, 2), (3,)), ()):
+        with pytest.raises(ValueError, match="square and non-empty"):
+            Matrix(rows)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        m @ identity(3)
 
 
 @given(st.lists(st.fractions(max_denominator=10 ** 12), max_size=9))
@@ -83,6 +93,20 @@ def test_matrix_is_immutable():
 def test_matrix_symmetry():
     assert Matrix(((0, 1), (1, 0))).is_symmetric()
     assert not Matrix(((0, 1), (2, 0))).is_symmetric()
+    # equal entries that are distinct objects, or one shared object, read alike
+    half, shared = Fraction(1, 2), Fraction(3, 4)
+    assert Matrix(((1, half), (Fraction(2, 4), 1))).is_symmetric()
+    assert Matrix(((0, shared, 1), (shared, 0, 5), (1, 5, 0))).is_symmetric()
+    assert not Matrix(((0, shared, 1), (shared, 0, 5), (1, -5, 0))).is_symmetric()
+    assert Matrix(((7,),)).is_symmetric()
+    rng = random.Random(83)
+    for dim in range(1, 5):
+        for _ in range(50):
+            rows = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(dim)]
+                    for _ in range(dim)]
+            m = Matrix(rows)
+            assert m.is_symmetric() == all(rows[i][j] == rows[j][i]
+                                           for i in range(dim) for j in range(dim))
 
 
 # --- determinant / inverse / adjugate vs oracles ------------------------
