@@ -170,6 +170,19 @@ class ResidualTensor:
         return not self.nonzero
 
 
+def _defect(dim, independent) -> ResidualTensor:
+    """The defect with these independent components ((m, l, j, k), value),
+    1-based with l < j < k: each is written with its five signed reorderings,
+    the one layout of every defect, in index order."""
+    entries = []
+    for (m, l, j, k), v in independent:
+        signed, idx = {1: v, -1: -v}, (l, j, k)
+        entries.extend(((m, idx[p0], idx[p1], idx[p2]), signed[sign])
+                       for (p0, p1, p2), sign in _PERM3)
+    entries.sort(key=lambda entry: entry[0])
+    return ResidualTensor(dim, tuple(entries))
+
+
 def residual(spec: AlgebraSpec) -> ResidualTensor:
     """The validity defect tensor; ``residual(spec).is_zero`` decides validity.
 
@@ -202,16 +215,8 @@ def residual(spec: AlgebraSpec) -> ResidualTensor:
             key = (m, j, k, l)
         acc[key] = acc.get(key, 0) + v
 
-    entries = []
-    for (m, l, j, k), total in acc.items():
-        if total != 0:
-            val = total / 3
-            signed = {1: val, -1: -val}
-            idx = (l + 1, j + 1, k + 1)
-            entries.extend(((m + 1, idx[p0], idx[p1], idx[p2]), signed[sign])
-                           for (p0, p1, p2), sign in _PERM3)
-    entries.sort(key=lambda entry: entry[0])
-    return ResidualTensor(n, tuple(entries))
+    return _defect(n, (((m + 1, l + 1, j + 1, k + 1), total / 3)
+                       for (m, l, j, k), total in acc.items() if total != 0))
 
 
 def transport(spec: AlgebraSpec, p: Matrix) -> AlgebraSpec:

@@ -491,7 +491,7 @@ def _certify(frame, view, label: str):
     (d, dd), (af, ad), cols = frame
     nv, av, _, lc, _ = view
     c, s = zip(*cols)
-    det = sum(c[0][i] * (c[1][i - 2] * c[2][i - 1] - c[1][i - 1] * c[2][i - 2]) for i in range(3))
+    det = _adjugate3(c)[1]
     prod = s[0] * s[1] * s[2]  # det(P) = det / prod; below, times prod^2 dd 2lc
     t = [x * (prod // y) ** 2 * 2 * lc for x, y in zip(d, s)]
     nd, apat, _ = _TABLE[label]
@@ -600,9 +600,11 @@ def _float_tail(frame, label: str):
     return frame
 
 
-def _tail_error(frame, tail, label: str, parameter) -> float:
+def _tail_error(frame, tail, label: str, parameter) -> tuple:
     """Largest entry of Q n_c Q^T - det(Q) diag(d), Q^T a - a_c, Q b_c - det(Q) b:
-    zero iff the float tail Q carries the frame (diag(d), a, b) onto the row."""
+    zero iff the float tail Q carries the frame (diag(d), a, b) onto the row.
+    Returns it as is and on the rows' own scale: the a and b rows, which grow
+    with a_c, divided by max(1, parameter)."""
     nd, apat, _ = _TABLE[label]
     ac = [x * (1.0 if parameter is None else parameter) for x in apat]
     d, a = ([x / den for x in nums] for nums, den in frame[:2])
@@ -612,7 +614,8 @@ def _tail_error(frame, tail, label: str, parameter) -> float:
     devs += [sum(x * y for x, y in zip(col, a)) - c for col, c in zip(q, ac)]
     devs += [2 * det * d[i] * a[i] - 2 * sum(q[k][i] * nd[k] * ac[k] for k in range(3))
              for i in range(3)]
-    return max(map(abs, devs))
+    scale = max(1.0, parameter or 1.0)
+    return max(map(abs, devs)), max(map(abs, devs[:6] + [x / scale for x in devs[6:]]))
 
 
 def _reported(num, den: int = 1) -> float:
@@ -649,10 +652,10 @@ def classify(spec: AlgebraSpec) -> NormalForm:
             for r in range(3))
     except OverflowError:
         raise FloatRangeError("the parameter or transform lies outside the float range") from None
-    err = _tail_error(frame, tail, label, parameter)
+    err, scaled = _tail_error(frame, tail, label, parameter)
 
     notes = [_COLLAPSE_NOTES[label]] if label in _COLLAPSE_NOTES else []
-    if not err <= FLOAT_TOL:
+    if not scaled <= FLOAT_TOL:
         notes.append(f"canonical transform check exceeded tolerance: max deviation {err:.3e}")
     exact = tuple(tuple(Fraction(col[r], s) for col, s in frame[2]) for r in range(3))
     return NormalForm(BianchiLabel(label, parameter), Matrix(exact),

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra_core import _PERM3, _ZERO, AlgebraSpec, ResidualTensor
+from .algebra_core import _ZERO, AlgebraSpec, ResidualTensor, _defect
 from .tensor_core import Matrix, cleared, rational
 
 
@@ -122,14 +122,7 @@ def _t(view) -> tuple:
 
 def _t_residual(t, nonzero) -> ResidualTensor:
     # the dim-3 residual read off _t's (t, nonzero): component (m, s(1, 2, 3)) = sign(s) t_m / 6
-    entries = []
-    for m, (x, nz) in enumerate(zip(t, nonzero), 1):
-        if nz:
-            v = x / 6
-            signed = {1: v, -1: -v}
-            entries.extend(((m, l + 1, j + 1, k + 1), signed[sign])
-                           for (l, j, k), sign in sorted(_PERM3))  # in index order
-    return ResidualTensor(3, tuple(entries))
+    return _defect(3, (((m, 1, 2, 3), x / 6) for m, (x, nz) in enumerate(zip(t, nonzero), 1) if nz))
 
 
 def decompose(spec: AlgebraSpec) -> NabTriple:

@@ -388,6 +388,20 @@ def test_classify_at_magnitudes_far_from_1():
             classify(generate(label, p))
 
 
+@pytest.mark.parametrize("label, e, err", [
+    ("IX_a", 12, 0.0001220703125), ("VIII_xa", 12, 0.00048828125),
+    ("VIII_a", 12, 1.8086284336465771e-06), ("IX_a", 40, 2.4178516392292583e+24),
+    ("VIII_xa", 40, 2.4178516392292583e+24), ("VIII_a", 40, 2.4178516392292583e+24)])
+def test_tolerance_note_reads_the_deviation_on_the_rows_scale(label, e, err):
+    # the canonical a and b grow with the parameter, and so does their float
+    # rounding: the absolute transform_error passes FLOAT_TOL, while the a and
+    # b rows over max(1, parameter) stay at rounding level, so no note is added
+    nf = classify(orbit_sample(label, 10 ** e, seed=1))
+    assert nf.label.name == label and nf.parameter == float(10 ** e)
+    assert nf.transform_error == err  # the absolute reading, as before scaling
+    assert not any("tolerance" in note for note in nf.notes)
+
+
 # --- classify: exact invariants on messy representatives -------------------
 
 def test_classify_rescaled_definite_n():
