@@ -52,10 +52,8 @@ class AlgebraSpec:
     @classmethod
     def _from_upper(cls, dim, c_upper, omega_upper) -> "AlgebraSpec":
         """The spec whose store holds these i < j entries, keys sorted (the
-        kernels' constructor).  Callers pass nonzero Fractions only: each
-        writer drops its zeros where it decides them, mostly on ints."""
-        if not isinstance(dim, int) or dim < 1:
-            raise ValueError("dim must be a positive integer")
+        kernels' constructor).  Callers pass a valid dim and nonzero Fractions
+        only: each writer drops its zeros where it decides them, mostly on ints."""
         spec = object.__new__(cls)
         for name, value in (("dim", dim), ("c_upper", dict(sorted(c_upper.items()))),
                             ("omega_upper", dict(sorted(omega_upper.items())))):
@@ -67,29 +65,51 @@ class AlgebraSpec:
 
     @classmethod
     def zero(cls, dim: int) -> "AlgebraSpec":
-        return cls._from_upper(dim, {}, {})
+        return cls.from_entries(dim)
 
     @classmethod
     def from_entries(cls, dim, c_entries=(), omega_entries=()) -> "AlgebraSpec":
         """Build a spec from sparse 1-based entries, the document's own form.
 
-        ``c_entries``: iterable of (i, j, k, value) meaning the e_k component of
-        [e_i, e_j], with i < j.  ``omega_entries``: (i, j, value) with i < j.
+        ``c_entries``: a list or tuple of (i, j, k, value), the e_k component of
+        [e_i, e_j], i < j; ``omega_entries``: (i, j, value), i < j.  The one
+        checker of entries: an error names the entry, as in ``c_entries[2]:
+        index 4 out of range 1..3`` (TypeError for a wrong type, else ValueError).
         A zero value is checked like any other and then dropped, on its numerator.
         """
-        c, om = {}, {}
-        for (i, j, k, value) in c_entries:
-            if not (1 <= i < j <= dim and 1 <= k <= dim):
-                raise ValueError(f"c entry ({i},{j},{k}) out of range for dim {dim}")
-            if (i - 1, j - 1, k - 1) in c:
-                raise ValueError(f"duplicate c entry ({i},{j},{k})")
-            c[i - 1, j - 1, k - 1] = rational(value)
-        for (i, j, value) in omega_entries:
-            if not (1 <= i < j <= dim):
-                raise ValueError(f"omega entry ({i},{j}) out of range for dim {dim}")
-            if (i - 1, j - 1) in om:
-                raise ValueError(f"duplicate omega entry ({i},{j})")
-            om[i - 1, j - 1] = rational(value)
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {dim!r}")
+        c, om, duplicate = {}, {}, None
+        for name, width, entries, store in (("c_entries", 4, c_entries, c),
+                                            ("omega_entries", 3, omega_entries, om)):
+            if not isinstance(entries, (list, tuple)):
+                raise TypeError(f"{name} must be a list")
+            for pos, entry in enumerate(entries):
+                try:  # each check raises without the place, added below
+                    if not isinstance(entry, (list, tuple)) or len(entry) != width:
+                        raise ValueError("expected [i, j, k, value]" if width == 4
+                                         else "expected [i, j, value]")
+                    for x in entry[:-1]:
+                        if isinstance(x, bool) or not isinstance(x, int):
+                            raise TypeError(f"indices must be integers, got {x!r}")
+                        if not 1 <= x <= dim:
+                            raise ValueError(f"index {x} out of range 1..{dim}")
+                    i, j, value = entry[0], entry[1], entry[-1]
+                    if not i < j:
+                        raise ValueError(f"requires i < j, got i={i}, j={j}")
+                    try:
+                        value = rational(value)
+                    except TypeError:
+                        raise TypeError(f"values must be rational strings, got {value!r}") from None
+                except (TypeError, ValueError) as exc:
+                    raise type(exc)(f"{name}[{pos}]: {exc}") from None
+                key = (i - 1, j - 1, entry[2] - 1) if width == 4 else (i - 1, j - 1)
+                if key in store and duplicate is None:
+                    duplicate = (f"duplicate {name.split('_')[0]} entry "
+                                 f"({','.join(str(x + 1) for x in key)})")
+                store[key] = value
+        if duplicate:
+            raise ValueError(duplicate)
         return cls._from_upper(dim, {key: v for key, v in c.items() if v.numerator},
                                {key: v for key, v in om.items() if v.numerator})
 

@@ -657,6 +657,13 @@ def classify(spec: AlgebraSpec) -> NormalForm:
     notes = [_COLLAPSE_NOTES[label]] if label in _COLLAPSE_NOTES else []
     if not scaled <= FLOAT_TOL:
         notes.append(f"canonical transform check exceeded tolerance: max deviation {err:.3e}")
+    # the floats are exact dyadic rationals: over their largest denominator, one int determinant
+    ratios = [x.as_integer_ratio() for row in transform for x in row]
+    den = max(d for _, d in ratios)
+    ints = [n * (den // d) for n, d in ratios]
+    if not _adjugate3([ints[0:3], ints[3:6], ints[6:9]])[1]:
+        notes.append("the float transform rounds to a singular matrix: exact_transform is "
+                     "the certified basis change (the exact head P of transform = P Q)")
     exact = tuple(tuple(Fraction(col[r], s) for col, s in frame[2]) for r in range(3))
     return NormalForm(BianchiLabel(label, parameter), Matrix(exact),
                       transform, certs, tuple(notes), err, _triple(view))

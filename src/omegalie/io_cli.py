@@ -10,11 +10,15 @@ The on-disk format is a single JSON object:
 
 Rationals travel as strings ("p" or "p/q", lowest terms on output) so no
 binary float ever enters the exact pipeline; bare JSON integers are also
-accepted on input.  Only the i < j orientation is written, and the parser
-keeps exactly that: the nonzero entries become the spec's store, so parsing
-and ``document_object`` cost in the number of entries, never in dim^3.  An
-optional "meta" object is accepted and ignored; a document nested too
-deeply to decode is a DocumentError like any other.
+accepted on input.  The parser checks the JSON object and its keys, and
+``AlgebraSpec.from_entries`` the rest, as for the library: dim, and each
+entry's shape, indices and value, read by ``tensor_core.rational``, the one
+grammar of documents, ``--param`` and the library.  Only the i < j
+orientation is written, and the parser keeps exactly that: the nonzero
+entries become the spec's store, so parsing and ``document_object`` cost in
+the number of entries, never in dim^3.  An optional "meta" object is
+accepted and ignored; a document nested too deeply to decode is a
+DocumentError like any other.
 
 Subcommands: validate, decompose, classify, generate, tables,
 orbit-sample, deformability.  Exit codes: 0 success/valid, 1 well-formed
@@ -43,7 +47,6 @@ import argparse
 import functools
 import json
 import math
-import re
 import sys
 from fractions import Fraction
 
@@ -53,10 +56,9 @@ from .classify3d import (FIRST_TABLE_ORDER, FLOAT_TOL, PARAMETRIC_LABELS,
                          NotAnAlgebraError, classify, generate, orbit_sample, table_row)
 from .decomp3d import _t, _t_residual, _triple, _view
 from .decomp_nd import check_deformability
+from .tensor_core import rational
 
 SCHEMA_VERSION = 1
-
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
 
 
 class DocumentError(ValueError):
@@ -67,21 +69,9 @@ class DocumentError(ValueError):
 # parse / serialize
 
 
-def _as_rational(value, where):
-    if isinstance(value, str):
-        if not (match := _RATIONAL_RE.fullmatch(value)):
-            raise DocumentError(f"{where}: malformed rational {value!r}; write 'p' or 'p/q'")
-        try:  # the terms, not the string: Fraction would parse it a second time
-            return Fraction(int(match[1]), int(match[2] or 1))
-        except ValueError:  # more digits than int() converts from a string
-            raise DocumentError(f"{where}: rational has too many digits") from None
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise DocumentError(f"{where}: values must be rational strings, got {value!r}")
-
-
 def parse_object(obj) -> AlgebraSpec:
-    """Build an exact spec from an already-decoded document object."""
+    """Build an exact spec from an already-decoded document object: an object
+    with the document's keys, whose dim and entries ``from_entries`` checks."""
     if not isinstance(obj, dict):
         raise DocumentError("document must be a JSON object")
     unknown = set(obj) - {"dim", "c_entries", "omega_entries", "meta"}
@@ -90,36 +80,9 @@ def parse_object(obj) -> AlgebraSpec:
     missing = [k for k in ("dim", "c_entries", "omega_entries") if k not in obj]
     if missing:
         raise DocumentError(f"missing document keys: {', '.join(missing)}")
-    dim = obj["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise DocumentError(f"dim must be a positive integer, got {dim!r}")
-
-    def read_entries(key, width):
-        raw = obj[key]
-        if not isinstance(raw, list):
-            raise DocumentError(f"{key} must be a list")
-        shape = "[i, j, k, value]" if width == 4 else "[i, j, value]"
-        out = []
-        for pos, entry in enumerate(raw):
-            where = f"{key}[{pos}]"
-            if not isinstance(entry, list) or len(entry) != width:
-                raise DocumentError(f"{where}: expected {shape}")
-            idx = entry[:-1]
-            for v in idx:
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise DocumentError(f"{where}: indices must be integers, got {v!r}")
-                if not 1 <= v <= dim:
-                    raise DocumentError(f"{where}: index {v} out of range 1..{dim}")
-            if not idx[0] < idx[1]:
-                raise DocumentError(f"{where}: requires i < j, got i={idx[0]}, j={idx[1]}")
-            out.append((*idx, _as_rational(entry[-1], where)))
-        return out
-
-    c_entries = read_entries("c_entries", 4)
-    omega_entries = read_entries("omega_entries", 3)
     try:
-        return AlgebraSpec.from_entries(dim, c_entries, omega_entries)
-    except ValueError as exc:
+        return AlgebraSpec.from_entries(obj["dim"], obj["c_entries"], obj["omega_entries"])
+    except (TypeError, ValueError) as exc:
         raise DocumentError(str(exc)) from None
 
 
@@ -378,20 +341,15 @@ def _classify_text(r):
         *(f"note: {note}" for note in r["notes"])])
 
 
-def _parse_param(args):
-    if args.param is None:
-        return None
-    try:  # p or p/q: Fraction() alone takes exponents, numerals of unbounded size
-        return _as_rational(args.param, "--param")
-    except DocumentError as exc:
-        raise _Usage(str(exc)) from None
-
-
 def _cmd_row(args):
     # generate and orbit-sample: the document of a table row or of a point on its orbit
     sample = {} if args.command == "generate" else {"seed": args.seed}
     try:
-        spec = (orbit_sample if sample else generate)(args.label, _parse_param(args), **sample)
+        param = None if args.param is None else rational(args.param)
+    except ValueError as exc:
+        raise _Usage(f"--param: {exc}") from None
+    try:
+        spec = (orbit_sample if sample else generate)(args.label, param, **sample)
     except ValueError as exc:
         raise _Usage(str(exc)) from None
     return 0, {"command": args.command, "label": args.label, "parameter": args.param,

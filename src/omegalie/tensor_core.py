@@ -4,7 +4,9 @@ Everything in this module stays in Q: scalars are ``fractions.Fraction``,
 matrices are immutable row tuples, and congruence diagonalization / inertia
 counting never take square roots.  ``rational`` alone decides the scalar
 type: ``Matrix`` passes every entry through it, so a matrix holds only
-Fractions (ints are converted, floats and bools raise ``TypeError``).
+Fractions (ints are converted, floats and bools raise ``TypeError``), and it
+alone reads rational text, for documents, ``--param`` and the library alike:
+``p`` or ``p/q``, no decimal, exponent, ``+`` or whitespace.
 ``det`` divides exactly: it reads det(M) of the int matrix M = den m off
 ``int_adjugate``, the one elimination, which ``transport`` shares for adj(M).
 Both it and ``int_congruence``, the congruence diagonalization ``classify``
@@ -14,9 +16,13 @@ runs, eliminate fraction-free on ints and return ints.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+
+_RATIONAL = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
 
 
 class SingularMatrixError(ValueError):
@@ -24,11 +30,18 @@ class SingularMatrixError(ValueError):
 
 
 def rational(value) -> Fraction:
-    """Coerce an int, Fraction, or string like ``-3/4`` to an exact Fraction.
+    """Coerce an int, Fraction, or string ``p`` or ``p/q`` to an exact Fraction.
 
     Floats are refused: letting one in would silently contaminate the exact
     arithmetic path.
     """
+    if isinstance(value, str):  # first: testing a str against Fraction, an ABC, is slow
+        if not (match := _RATIONAL.fullmatch(value)):
+            raise ValueError(f"malformed rational {value!r}; write 'p' or 'p/q'")
+        try:  # the terms, not the string: Fraction would parse it a second time
+            return Fraction(int(match[1]), int(match[2] or 1))
+        except ValueError:  # more digits than int() converts from a string
+            raise ValueError("rational has too many digits") from None
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -37,11 +50,6 @@ def rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         raise TypeError(f"refusing to coerce float {value!r} to an exact rational")
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed rational literal {value!r}") from exc
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational scalar")
 
 

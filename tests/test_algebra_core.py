@@ -2,6 +2,7 @@
 
 import io
 import random
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -56,19 +57,33 @@ def test_from_entries_skew_completion():
 def test_from_entries_rejects_bad_input():
     with pytest.raises(ValueError, match="duplicate c entry"):
         AlgebraSpec.from_entries(3, [(1, 2, 3, 1), (1, 2, 3, 2)])
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=r"^c_entries\[0\]: index 4 out of range 1\.\.3$"):
         AlgebraSpec.from_entries(3, [(1, 4, 3, 1)])
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=r"^c_entries\[0\]: requires i < j, got i=2, j=1$"):
         AlgebraSpec.from_entries(3, [(2, 1, 3, 1)])  # needs i < j
     with pytest.raises(ValueError, match="duplicate omega entry"):
         AlgebraSpec.from_entries(3, [], [(1, 2, 1), (1, 2, 1)])
-    for entry in ((1, 4, 1), (2, 1, 1), (0, 2, 1)):
-        with pytest.raises(ValueError, match="omega entry .* out of range for dim 3"):
+    for entry, message in (((1, 4, 1), "index 4 out of range 1..3"),
+                           ((2, 1, 1), "requires i < j, got i=2, j=1"),
+                           ((0, 2, 1), "index 0 out of range 1..3")):
+        with pytest.raises(ValueError, match=re.escape(f"omega_entries[0]: {message}") + "$"):
             AlgebraSpec.from_entries(3, [], [entry])
     with pytest.raises(ValueError, match="dim must be a positive integer"):
         AlgebraSpec.from_entries(0)
     with pytest.raises(TypeError):
         AlgebraSpec.from_entries(3, [(1, 2, 3, 0.5)])
+
+
+def test_from_entries_refuses_what_documents_refuse():
+    # the library reads entries by the document's rules and messages
+    for index in (True, 1.0, "2"):
+        with pytest.raises(TypeError, match=re.escape(
+                f"c_entries[0]: indices must be integers, got {index!r}") + "$"):
+            AlgebraSpec.from_entries(4, [(index, 3, 1, 1)])
+    for value in ("1.5", "1e3", " 2"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"omega_entries[1]: malformed rational {value!r}; write 'p' or 'p/q'") + "$"):
+            AlgebraSpec.from_entries(4, [], [(1, 2, 1), (2, 3, value)])
 
 
 def test_constructors_refuse_floats():

@@ -231,7 +231,7 @@ def test_transport_error_reads_near_singular_transforms_exactly():
     # rounding can make tiny or zero; the oracle inverts the exact rationals
     # its floats are, so it reads a value on every transform that is
     # invertible, and inf on one the floats round to a singular matrix
-    rng, checked = random.Random(7), 0
+    rng, checked, singulars = random.Random(7), 0, 0
     for label in ALL_LABELS:
         p = Fraction(3, 2) if label in PARAMETRIC_LABELS else None
         for k in (5, 10, 15, 20, 25, 30) * 2:
@@ -246,9 +246,12 @@ def test_transport_error_reads_near_singular_transforms_exactly():
             err = transport_error(moved, nf)
             singular = Matrix([map(Fraction, row) for row in nf.transform]).det() == 0
             assert err == math.inf if singular else math.isfinite(err), (label, k)
+            assert any("rounds to a singular matrix" in note for note in nf.notes) == singular, (
+                label, k)
+            singulars += singular
             assert exact_witness_holds(decompose(moved), nf), (label, k)
             checked += 1
-    assert checked >= 200
+    assert checked >= 200 and singulars >= 1, (checked, singulars)
 
 
 def test_integer_certificate_rejects_every_single_change():

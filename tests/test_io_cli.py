@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from omegalie import (FIRST_TABLE_ORDER, PARAMETRIC_LABELS, SECOND_TABLE_ORDER,
                       AlgebraSpec, DocumentError, NotAnAlgebraError,
                       ResidualTensor, classify, classify3d, decomp3d, generate,
-                      orbit_sample, parse, serialize)
-from omegalie.io_cli import (SCHEMA_VERSION, _as_rational, _build_parser, _dumps,
+                      orbit_sample, parse, rational, serialize)
+from omegalie.io_cli import (SCHEMA_VERSION, _build_parser, _dumps,
                              _force_omega, _read_plain, document_object, run)
 from oracles import (c_tensor, dual_forced, dual_forced_b, fraction_decompose,
                      omega_matrix, spec_from_dense, with_omega)
@@ -75,6 +75,9 @@ def test_parse_error_catalog():
         ('{"dim": 3, "c_entries": [], "omega_entries": [[1, 2, "1"], [1, 2, "1"]]}', "duplicate"),
         ('{"dim": 3, "c_entries": {}, "omega_entries": []}', "must be a list"),
         *((doc, "indices must be integers") for doc in BAD_INDEX_DOCUMENTS),
+        # the first error in document order: c_entries before omega_entries is read
+        ('{"dim": 3, "c_entries": [[1, 2, 3, "1.5"]], "omega_entries": "x"}',
+         r"^c_entries\[0\]: malformed rational '1\.5'; write 'p' or 'p/q'$"),
     ]
     for text, fragment in cases:
         with pytest.raises(DocumentError, match=fragment):
@@ -85,11 +88,11 @@ def test_rational_values_read_as_fraction_reads_them():
     # the grammar's capture groups give the terms Fraction's own parser would
     for value in ("0", "-0", "-00", "007/14", "-12/8", "3/1", "\u0661\u0662", "5/1\u0660",
                   "9" * 4299, "-1/" + "7" * 4299):
-        x = _as_rational(value, "value")
+        x = rational(value)
         assert type(x) is Fraction and x == Fraction(value), value
     for value in ("9" * 4301, "1/" + "9" * 4301):
-        with pytest.raises(DocumentError, match="rational has too many digits"):
-            _as_rational(value, "value")
+        with pytest.raises(ValueError, match="^rational has too many digits$"):
+            rational(value)
 
 
 # --- serialize ---------------------------------------------------------------
@@ -956,6 +959,51 @@ def test_run_never_raises(text):
                     assert run([command, *mode]) in (0, 1, 2)
     finally:
         sys.stdin = stdin
+
+
+@st.composite
+def entry_lists(draw):
+    # (dim, c_entries, omega_entries) as a document decodes them: valid
+    # entries mixed with wrong widths, bool, float and str indices, indices
+    # out of range or with i >= j, bad numerals, floats, non-list entries and
+    # lists, and duplicates in either list (dim 1-3 makes them frequent)
+    dim = draw(st.integers(1, 3) | st.sampled_from([0, True, 2.0]))
+    n = dim if type(dim) is int and dim > 0 else 3
+    index = st.integers(1, n) | st.integers(-1, n + 2) | st.sampled_from([True, 1.0, "2"])
+    value = numerals | st.integers(-3, 3) | st.sampled_from(
+        ["1.5", "1e3", " 2", "+1", "1/0", 0.5, True, None])
+
+    def entries(width):
+        def entry():
+            if draw(st.integers(0, 3)):
+                i, j = sorted(draw(st.lists(st.integers(1, n), min_size=2, max_size=2,
+                                            unique=True))) if n > 1 else (1, 2)
+                return [i, j, *(draw(st.integers(1, n)) for _ in range(width - 3)), draw(numerals)]
+            if draw(st.integers(0, 5)):
+                return [*(draw(index) for _ in range(draw(st.integers(width - 2, width)))),
+                        draw(value)]
+            return draw(st.sampled_from(["[1, 2]", 3, {"i": 1}]))
+        if not draw(st.integers(0, 12)):
+            return draw(st.sampled_from([{}, "x", 3]))
+        return [entry() for _ in range(draw(st.integers(0, 4)))]
+
+    return dim, entries(4), entries(3)
+
+
+@given(entry_lists())
+@settings(deadline=None, max_examples=400)
+def test_parse_reads_entries_as_from_entries_does(case):
+    dim, c_entries, omega_entries = case
+    try:
+        expected = AlgebraSpec.from_entries(dim, c_entries, omega_entries)
+    except (TypeError, ValueError) as exc:
+        expected = str(exc)
+    try:
+        got = parse(json.dumps({"dim": dim, "c_entries": c_entries,
+                                "omega_entries": omega_entries}))
+    except DocumentError as exc:
+        got = str(exc)
+    assert got == expected
 
 
 def _spec_of(case):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -42,10 +43,18 @@ def test_rational_rejects_floats_and_bools():
     with pytest.raises(TypeError):
         rational(True)
     for text in ("x", "1/0"):
-        with pytest.raises(ValueError, match="malformed rational literal"):
+        with pytest.raises(ValueError, match=f"^malformed rational '{text}'; write 'p' or 'p/q'$"):
             rational(text)
     with pytest.raises(TypeError, match="cannot interpret NoneType"):
         rational(None)
+
+
+def test_rational_reads_only_p_or_p_over_q():
+    # the one grammar of documents, --param and the library
+    for text in ("1.5", "1e3", " 2", "2 ", "+1", "1/-2", "1/02", "1_000", "0x10", ""):
+        with pytest.raises(ValueError, match=re.escape(f"malformed rational {text!r}; "
+                                                       "write 'p' or 'p/q'") + "$"):
+            rational(text)
 
 
 @given(rationals)

@@ -152,8 +152,9 @@ def main(argv=None):
     for what, col in (("operations", 0), ("constructions", 1)):
         total_old = sum(c[col] for v in old.values() for c in v)
         total_new = sum(c[col] for v in new.values() for c in v)
+        ratio = f"{total_new / total_old:.3f}" if total_old else "n/a"
         print(f"{what} over {units} {args.workload} units: old {total_old}, new {total_new}"
-              f" ({total_new / total_old:.3f} of old)")
+              f" ({ratio} of old)")
     return 0
 
 
