@@ -11,19 +11,43 @@ with the forced choice b = -2 n a, splits general-dimension brackets into
 trace part and trace-free part, classifies every valid 3-dimensional
 instance onto one of two Bianchi-style normal-form tables, and ships a
 JSON document format plus the ``omegalie`` command line around it all.
+
+Importing the package loads what every document command shares:
+``tensor_core``, ``algebra_core``, ``decomp3d`` (with the tables,
+``generate`` and ``orbit_sample``) and ``io_cli``.  The classifier
+``classify3d`` and the general-dimension ``decomp_nd`` are loaded the first
+time one of their names is read, here or by the command that runs them.
 """
 
 from .algebra_core import (AlgebraSpec, ResidualTensor, bracket, jacobiator,
                            omega_rhs, omega_value, residual, transport)
-from .classify3d import (FIRST_TABLE_ORDER, PARAMETRIC_LABELS,
-                         SECOND_TABLE_ORDER, BianchiLabel, ExactCertificates,
-                         FloatRangeError, NormalForm, NotAnAlgebraError,
-                         classify, generate, orbit_sample, table_row)
-from .decomp3d import NabTriple, decompose, forced_b, reconstruct, t_of, t_vector
-from .decomp_nd import (DeformabilityResult, GeneralSplit,
-                        check_deformability, induced_omega, split_trace)
+from .decomp3d import (FIRST_TABLE_ORDER, PARAMETRIC_LABELS, SECOND_TABLE_ORDER,
+                       NabTriple, decompose, forced_b, generate, orbit_sample,
+                       reconstruct, t_of, t_vector, table_row)
 from .io_cli import DocumentError, document_object, parse, serialize
 from .tensor_core import Inertia, Matrix, SingularMatrixError, rational
+
+# name -> the module that defines it, imported when the name is first read
+_DEFERRED = {name: module for module, names in (
+    ("classify3d", ("BianchiLabel", "ExactCertificates", "FloatRangeError", "NormalForm",
+                    "NotAnAlgebraError", "classify")),
+    ("decomp_nd", ("DeformabilityResult", "GeneralSplit", "check_deformability",
+                   "induced_omega", "split_trace")),
+) for name in (module, *names)}
+
+
+def __getattr__(name):
+    module = _DEFERRED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = import_module(f"{__name__}.{module}")
+    return value if name == module else getattr(value, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_DEFERRED})
+
 
 __version__ = "0.1.0"
 

@@ -22,19 +22,17 @@ No library path transports: ``orbit_sample`` moves a dim-3 row's (n, a) instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
-from .tensor_core import Matrix, cleared, int_adjugate, rational
+from .tensor_core import Matrix, _Record, cleared, int_adjugate, rational
 
 # The zero of the kernels' results, which hold Fractions only: every nonzero
 # value is a stored Fraction or a product with one.
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True, init=False)
-class AlgebraSpec:
+class AlgebraSpec(_Record):
     """Structure constants and 2-form of one algebra, dimension ``dim``.
 
     The store: ``c_upper`` maps 0-based (i, j, k) with i < j to the nonzero
@@ -45,9 +43,7 @@ class AlgebraSpec:
     each entry through ``rational``, so floats and bools raise TypeError.
     """
 
-    dim: int
-    c_upper: dict
-    omega_upper: dict
+    __slots__ = ("dim", "c_upper", "omega_upper")
 
     @classmethod
     def _from_upper(cls, dim, c_upper, omega_upper) -> "AlgebraSpec":
@@ -55,9 +51,7 @@ class AlgebraSpec:
         kernels' constructor).  Callers pass a valid dim and nonzero Fractions
         only: each writer drops its zeros where it decides them, mostly on ints."""
         spec = object.__new__(cls)
-        for name, value in (("dim", dim), ("c_upper", dict(sorted(c_upper.items()))),
-                            ("omega_upper", dict(sorted(omega_upper.items())))):
-            object.__setattr__(spec, name, value)
+        spec._fill(dim, dict(sorted(c_upper.items())), dict(sorted(omega_upper.items())))
         return spec
 
     def __hash__(self):
@@ -170,8 +164,7 @@ _PERM3 = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
           ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
 
 
-@dataclass(frozen=True)
-class ResidualTensor:
+class ResidualTensor(_Record):
     """Antisymmetrized validity defect; zero iff the spec is a valid algebra.
 
     Component (m, l, j, k) is the weight-1/3! antisymmetrization over
@@ -182,8 +175,10 @@ class ResidualTensor:
     1-based (m, l, j, k) and value, in lexicographic index order.
     """
 
-    dim: int
-    nonzero: tuple  # (((m, l, j, k) 1-based, value), ...), lexicographic
+    __slots__ = ("dim", "nonzero")
+
+    def __init__(self, dim: int, nonzero: tuple):
+        self._fill(dim, nonzero)
 
     @property
     def is_zero(self) -> bool:

@@ -30,26 +30,19 @@ VI_y and every VIII_na parameter are not orbits of their own: both report
 on a canonical representative (VI_x, VIII_na at parameter 1) with a note
 giving the exact witness basis change.
 
-Canonical commutation relations of every table row (b = -2 n a throughout),
-the store ``generate`` writes with ``decomp3d._store``, as ``orbit_sample`` does:
-
-    [e1,e2] = n3 e3 - a2 e1 + a1 e2       omega(e1,e2) = -2 n3 a3
-    [e3,e1] = n2 e2 - a1 e3 + a3 e1       omega(e3,e1) = -2 n2 a2
-    [e2,e3] = n1 e1 - a3 e2 + a2 e3       omega(e2,e3) = -2 n1 a1
+The table rows, ``generate`` and ``orbit_sample`` live in ``decomp3d``, which
+every command loads; this module, the reduction, is loaded on first use.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .algebra_core import AlgebraSpec
-from .decomp3d import _CYCLIC, NabTriple, _store, _t, _triple, _view
-from .tensor_core import Inertia, Matrix, int_congruence, rational
+from .decomp3d import _TABLE, NabTriple, _t, _triple, _view
+from .tensor_core import Inertia, Matrix, _Record, int_congruence
 
 
 class NotAnAlgebraError(ValueError):
@@ -75,35 +68,6 @@ def _brief(x) -> str:
         return "<more digits than the int-to-text limit>"
 
 
-# label -> (n diagonal, a pattern, has continuous parameter)
-# Parametric labels scale the a pattern by the parameter.
-_TABLE = {
-    # a = 0 family
-    "I":       ((0, 0, 0),  (0, 0, 0), False),
-    "II":      ((1, 0, 0),  (0, 0, 0), False),
-    "VI0":     ((1, -1, 0), (0, 0, 0), False),
-    "VII0":    ((1, 1, 0),  (0, 0, 0), False),
-    "VIII":    ((1, 1, -1), (0, 0, 0), False),
-    "IX":      ((1, 1, 1),  (0, 0, 0), False),
-    # a != 0 family
-    "V":       ((0, 0, 0),  (0, 0, 1), False),
-    "IV":      ((1, 0, 0),  (0, 0, 1), False),
-    "IV_x":    ((1, 0, 0),  (1, 0, 0), False),
-    "VI_a":    ((1, -1, 0), (0, 0, 1), True),
-    "VI_x":    ((1, -1, 0), (1, 0, 0), False),
-    "VI_y":    ((1, -1, 0), (0, 1, 0), False),
-    "VI_n":    ((1, -1, 0), (1, 1, 0), False),
-    "VII_a":   ((1, 1, 0),  (0, 0, 1), True),
-    "VII_x":   ((1, 1, 0),  (1, 0, 0), False),
-    "VIII_a":  ((1, 1, -1), (0, 0, 1), True),
-    "VIII_xa": ((1, 1, -1), (1, 0, 0), True),
-    "VIII_na": ((1, 1, -1), (1, 0, 1), True),
-    "IX_a":    ((1, 1, 1),  (0, 0, 1), True),
-}
-
-FIRST_TABLE_ORDER = tuple(l for l, (_, apat, _) in _TABLE.items() if not any(apat))
-SECOND_TABLE_ORDER = tuple(l for l in _TABLE if l not in FIRST_TABLE_ORDER)
-PARAMETRIC_LABELS = frozenset(l for l, (_, _, p) in _TABLE.items() if p)
 FLOAT_TOL = 1e-9  # bound on transform_error before classify adds a note
 
 _COLLAPSE_NOTES = {
@@ -117,18 +81,17 @@ _COLLAPSE_NOTES = {
 }
 
 
-@dataclass(frozen=True)
-class BianchiLabel:
+class BianchiLabel(_Record):
     """A table row name plus its continuous parameter when the row has one."""
 
-    name: str
-    parameter: Optional[float] = None
+    __slots__ = ("name", "parameter")
 
-    def __post_init__(self):
-        if self.name not in _TABLE:
-            raise ValueError(f"unknown label {self.name!r}")
-        if self.parameter is not None and not self.parameter > 0:
+    def __init__(self, name: str, parameter: float | None = None):
+        if name not in _TABLE:
+            raise ValueError(f"unknown label {name!r}")
+        if parameter is not None and not parameter > 0:
             raise ValueError("parameter must be positive")
+        self._fill(name, parameter)
 
     def __str__(self):
         if self.parameter is None:
@@ -136,97 +99,38 @@ class BianchiLabel:
         return f"{self.name}({self.parameter:.12g})"
 
 
-@dataclass(frozen=True)
-class ExactCertificates:
-    """Rational-arithmetic invariants backing a classification."""
+class ExactCertificates(_Record):
+    """Rational-arithmetic invariants backing a classification: ``n_inertia``
+    in canonical orientation (positive >= negative), ``a_is_zero`` and the
+    causal character of a, zero / kernel-only / spacelike / timelike / null."""
 
-    n_inertia: Inertia     # canonical orientation: positive >= negative
-    a_is_zero: bool
-    causal: str            # zero / kernel-only / spacelike / timelike / null
+    __slots__ = ("n_inertia", "a_is_zero", "causal")
+
+    def __init__(self, n_inertia: Inertia, a_is_zero: bool, causal: str):
+        self._fill(n_inertia, a_is_zero, causal)
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    """Classification outcome: label, exact and float basis transforms."""
+class NormalForm(_Record):
+    """Classification outcome: label, exact and float basis transforms.
 
-    label: BianchiLabel
-    exact_transform: Matrix    # the certified exact head P
-    transform: tuple           # float rows of P Q; the basis change onto the canonical row
-    certificates: ExactCertificates
-    notes: tuple
-    transform_error: float     # deviation of the float tail Q on the frame
-    decomposition: NabTriple   # exact (n, a, b) of the input
+    ``exact_transform`` is the certified exact head P; ``transform`` the float
+    rows of P Q, the basis change onto the canonical row; ``transform_error``
+    the deviation of the float tail Q on the frame; ``decomposition`` the exact
+    (n, a, b) of the input.
+    """
+
+    __slots__ = ("label", "exact_transform", "transform", "certificates", "notes",
+                 "transform_error", "decomposition")
+
+    def __init__(self, label: BianchiLabel, exact_transform: Matrix, transform: tuple,
+                 certificates: ExactCertificates, notes: tuple, transform_error: float,
+                 decomposition: NabTriple):
+        self._fill(label, exact_transform, transform, certificates, notes, transform_error,
+                   decomposition)
 
     @property
     def parameter(self):
         return self.label.parameter
-
-
-def table_row(label: str) -> tuple:
-    """(n diagonal, a pattern, parametric flag) of one table row."""
-    if label not in _TABLE:
-        raise ValueError(f"unknown label {label!r}; known: {', '.join(sorted(_TABLE))}")
-    return _TABLE[label]
-
-
-def _row(label: str, param) -> tuple:
-    # (nd, apat, pn, pd): the row's ints and its parameter pn / pd, checked
-    nd, apat, parametric = table_row(label)
-    if parametric == (param is None):
-        raise ValueError(f"label {label} requires a positive parameter" if parametric
-                         else f"label {label} does not take a parameter")
-    pn, pd = (1, 1) if param is None else rational(param).as_integer_ratio()
-    if pn <= 0:
-        raise ValueError(f"parameter for {label} must be positive, got {param}")
-    return nd, apat, pn, pd
-
-
-def _forced(N, A, lc) -> AlgebraSpec:
-    # the spec of n = N / 2lc and a = A / 2lc with b = -2 n a, that is B = -N A over 2 lc^2
-    return _store(N, A, [-r[0] * A[0] - r[1] * A[1] - r[2] * A[2] for r in N], lc, 2 * lc * lc)
-
-
-def generate(label: str, param=None) -> AlgebraSpec:
-    """The exact canonical spec of one table row, written on ints.
-
-    Parametric rows (VI_a, VII_a, VIII_a, VIII_xa, VIII_na, IX_a) require a
-    positive rational parameter p = pn / pd; all others refuse one.  The
-    row's n = diag(nd) and a = p apat are 2pd diag(nd) and 2pn apat over 2pd,
-    written with b = -2 n a by ``decomp3d._store``.
-    """
-    nd, apat, pn, pd = _row(label, param)
-    return _forced([[2 * pd * x if i == j else 0 for j in range(3)] for i, x in enumerate(nd)],
-                   [2 * pn * x for x in apat], pd)
-
-
-def _adjugate3(rows) -> tuple:
-    # (adj(M), det(M)) of a 3x3 int M: adj[i][j] = M[j+1][i+1] M[j+2][i+2] - M[j+1][i+2] M[j+2][i+1]
-    adj = [[rows[j1][i1] * rows[j2][i2] - rows[j1][i2] * rows[j2][i1] for j1, j2 in _CYCLIC]
-           for i1, i2 in _CYCLIC]
-    return adj, sum(x * r[0] for x, r in zip(rows[0], adj))
-
-
-def orbit_sample(label: str, param=None, *, seed: int) -> AlgebraSpec:
-    """A pseudorandom point on the orbit of generate(label, param).
-
-    Moves the row by M / m, its entries r / d (r in -3..3, d in 1..2) drawn row
-    by row from a generator seeded with ``seed`` and redrawn while singular, m = 2
-    when some odd r has d = 2, else 1.  As classify's frame moves, n' = adj(M) n
-    adj(M)^T / (m det M) and a' = M^T a / m, over the one denominator m det(M) pd,
-    written with b = -2 n a by ``decomp3d._store``.
-    """
-    nd, apat, pn, pd = _row(label, param)
-    rng, det = random.Random(seed), 0
-    while not det:
-        draws = [(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(9)]
-        m = 2 if any(d == 2 and r % 2 for r, d in draws) else 1
-        rows = [[r * m // d for r, d in draws[i:i + 3]] for i in (0, 3, 6)]
-        adj, det = _adjugate3(rows)
-    d0, d1, d2 = (2 * pd * x for x in nd)
-    a0, a1, a2 = (2 * pn * det * x for x in apat)
-    return _forced([[d0 * i0 * j0 + d1 * i1 * j1 + d2 * i2 * j2 for j0, j1, j2 in adj]
-                    for i0, i1, i2 in adj],
-                   [a0 * x + a1 * y + a2 * z for x, y, z in zip(*rows)], m * det * pd)
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +387,12 @@ def _exact_stages(frame, label: str):
     return frame
 
 
+def _det3(rows) -> int:
+    # det of a 3x3 int matrix, along its first row
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def _certify(frame, view, label: str):
     """Integer equality of P diag(d) P^T = det(P) n, with det(P) read off the
     columns, and of P^T a = a_frame, both cross-multiplied against the view's
@@ -491,7 +401,7 @@ def _certify(frame, view, label: str):
     (d, dd), (af, ad), cols = frame
     nv, av, _, lc, _ = view
     c, s = zip(*cols)
-    det = _adjugate3(c)[1]
+    det = _det3(c)
     prod = s[0] * s[1] * s[2]  # det(P) = det / prod; below, times prod^2 dd 2lc
     t = [x * (prod // y) ** 2 * 2 * lc for x, y in zip(d, s)]
     nd, apat, _ = _TABLE[label]
@@ -661,7 +571,7 @@ def classify(spec: AlgebraSpec) -> NormalForm:
     ratios = [x.as_integer_ratio() for row in transform for x in row]
     den = max(d for _, d in ratios)
     ints = [n * (den // d) for n, d in ratios]
-    if not _adjugate3([ints[0:3], ints[3:6], ints[6:9]])[1]:
+    if not _det3((ints[0:3], ints[3:6], ints[6:9])):
         notes.append("the float transform rounds to a singular matrix: exact_transform is "
                      "the certified basis change (the exact head P of transform = P Q)")
     exact = tuple(tuple(Fraction(col[r], s) for col, s in frame[2]) for r in range(3))

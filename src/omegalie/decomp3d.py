@@ -24,20 +24,29 @@ of lc need clear omega).  ``_view`` reads a store into it, and its inverse
 t_m = 0 is (N A)_m lw + 2 B_m lc^2 = 0, decided on ints and handed on with t;
 Fractions are built only for stored values, the ``NabTriple`` and t, and the
 forced b is b - t / 2.
+
+The 19 rows of the two normal-form tables (six with a = 0, thirteen with
+a != 0) live here too, with the two writers built on
+``_store``: ``generate`` writes a row's canonical spec and ``orbit_sample``
+a point on its orbit.  ``classify3d`` classifies onto these rows.
+Canonical commutation relations of every table row (b = -2 n a throughout):
+
+    [e1,e2] = n3 e3 - a2 e1 + a1 e2       omega(e1,e2) = -2 n3 a3
+    [e3,e1] = n2 e2 - a1 e3 + a3 e1       omega(e3,e1) = -2 n2 a2
+    [e2,e3] = n1 e1 - a3 e2 + a2 e3       omega(e2,e3) = -2 n1 a1
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .algebra_core import _ZERO, AlgebraSpec, ResidualTensor, _defect
-from .tensor_core import Matrix, cleared, rational
+from .tensor_core import Matrix, _Record, cleared, rational
 
 
-@dataclass(frozen=True)
-class NabTriple:
+class NabTriple(_Record):
     """(n, a, b) data of one 3-dimensional algebra.
 
     n: symmetric Matrix (upper indices), a: covector, b: vector, all of
@@ -45,17 +54,14 @@ class NabTriple:
     valid algebra iff b = -2 n a, equivalently t_vector == 0.
     """
 
-    n: Matrix
-    a: tuple
-    b: tuple
+    __slots__ = ("n", "a", "b")
 
-    def __post_init__(self):
-        if self.n.dim != 3 or len(self.a) != 3 or len(self.b) != 3:
+    def __init__(self, n: Matrix, a: tuple, b: tuple):
+        if n.dim != 3 or len(a) != 3 or len(b) != 3:
             raise ValueError("NabTriple is strictly 3-dimensional")
-        if not self.n.is_symmetric():
+        if not n.is_symmetric():
             raise ValueError("n must be symmetric")
-        object.__setattr__(self, "a", tuple(map(rational, self.a)))
-        object.__setattr__(self, "b", tuple(map(rational, self.b)))
+        self._fill(n, tuple(map(rational, a)), tuple(map(rational, b)))
 
 
 # (l + 1, l + 2) mod 3 for l = 0, 1, 2: the pair with eps_{jkl} = +1, and
@@ -156,3 +162,105 @@ def forced_b(n: Matrix, a: Sequence) -> tuple:
 def t_vector(t: NabTriple) -> tuple:
     """Validity defect t = 4 n a + 2 b; zero iff the triple is a valid algebra."""
     return _t(_triple_view(t))[0]
+
+
+# ---------------------------------------------------------------------------
+# the normal-form tables and their writers
+
+
+# label -> (n diagonal, a pattern, has continuous parameter)
+# Parametric labels scale the a pattern by the parameter.
+_TABLE = {
+    # a = 0 family
+    "I":       ((0, 0, 0),  (0, 0, 0), False),
+    "II":      ((1, 0, 0),  (0, 0, 0), False),
+    "VI0":     ((1, -1, 0), (0, 0, 0), False),
+    "VII0":    ((1, 1, 0),  (0, 0, 0), False),
+    "VIII":    ((1, 1, -1), (0, 0, 0), False),
+    "IX":      ((1, 1, 1),  (0, 0, 0), False),
+    # a != 0 family
+    "V":       ((0, 0, 0),  (0, 0, 1), False),
+    "IV":      ((1, 0, 0),  (0, 0, 1), False),
+    "IV_x":    ((1, 0, 0),  (1, 0, 0), False),
+    "VI_a":    ((1, -1, 0), (0, 0, 1), True),
+    "VI_x":    ((1, -1, 0), (1, 0, 0), False),
+    "VI_y":    ((1, -1, 0), (0, 1, 0), False),
+    "VI_n":    ((1, -1, 0), (1, 1, 0), False),
+    "VII_a":   ((1, 1, 0),  (0, 0, 1), True),
+    "VII_x":   ((1, 1, 0),  (1, 0, 0), False),
+    "VIII_a":  ((1, 1, -1), (0, 0, 1), True),
+    "VIII_xa": ((1, 1, -1), (1, 0, 0), True),
+    "VIII_na": ((1, 1, -1), (1, 0, 1), True),
+    "IX_a":    ((1, 1, 1),  (0, 0, 1), True),
+}
+
+FIRST_TABLE_ORDER = tuple(l for l, (_, apat, _) in _TABLE.items() if not any(apat))
+SECOND_TABLE_ORDER = tuple(l for l in _TABLE if l not in FIRST_TABLE_ORDER)
+PARAMETRIC_LABELS = frozenset(l for l, (_, _, p) in _TABLE.items() if p)
+
+
+def table_row(label: str) -> tuple:
+    """(n diagonal, a pattern, parametric flag) of one table row."""
+    if label not in _TABLE:
+        raise ValueError(f"unknown label {label!r}; known: {', '.join(sorted(_TABLE))}")
+    return _TABLE[label]
+
+
+def _row(label: str, param) -> tuple:
+    # (nd, apat, pn, pd): the row's ints and its parameter pn / pd, checked
+    nd, apat, parametric = table_row(label)
+    if parametric == (param is None):
+        raise ValueError(f"label {label} requires a positive parameter" if parametric
+                         else f"label {label} does not take a parameter")
+    pn, pd = (1, 1) if param is None else rational(param).as_integer_ratio()
+    if pn <= 0:
+        raise ValueError(f"parameter for {label} must be positive, got {param}")
+    return nd, apat, pn, pd
+
+
+def _forced(N, A, lc) -> AlgebraSpec:
+    # the spec of n = N / 2lc and a = A / 2lc with b = -2 n a, that is B = -N A over 2 lc^2
+    return _store(N, A, [-r[0] * A[0] - r[1] * A[1] - r[2] * A[2] for r in N], lc, 2 * lc * lc)
+
+
+def generate(label: str, param=None) -> AlgebraSpec:
+    """The exact canonical spec of one table row, written on ints.
+
+    Parametric rows (VI_a, VII_a, VIII_a, VIII_xa, VIII_na, IX_a) require a
+    positive rational parameter p = pn / pd; all others refuse one.  The
+    row's n = diag(nd) and a = p apat are 2pd diag(nd) and 2pn apat over 2pd,
+    written with b = -2 n a by ``_store``.
+    """
+    nd, apat, pn, pd = _row(label, param)
+    return _forced([[2 * pd * x if i == j else 0 for j in range(3)] for i, x in enumerate(nd)],
+                   [2 * pn * x for x in apat], pd)
+
+
+def _adjugate3(rows) -> tuple:
+    # (adj(M), det(M)) of a 3x3 int M: adj[i][j] = M[j+1][i+1] M[j+2][i+2] - M[j+1][i+2] M[j+2][i+1]
+    adj = [[rows[j1][i1] * rows[j2][i2] - rows[j1][i2] * rows[j2][i1] for j1, j2 in _CYCLIC]
+           for i1, i2 in _CYCLIC]
+    return adj, sum(x * r[0] for x, r in zip(rows[0], adj))
+
+
+def orbit_sample(label: str, param=None, *, seed: int) -> AlgebraSpec:
+    """A pseudorandom point on the orbit of generate(label, param).
+
+    Moves the row by M / m, its entries r / d (r in -3..3, d in 1..2) drawn row
+    by row from a generator seeded with ``seed`` and redrawn while singular, m = 2
+    when some odd r has d = 2, else 1.  As classify's frame moves, n' = adj(M) n
+    adj(M)^T / (m det M) and a' = M^T a / m, over the one denominator m det(M) pd,
+    written with b = -2 n a by ``_store``.
+    """
+    nd, apat, pn, pd = _row(label, param)
+    rng, det = random.Random(seed), 0
+    while not det:
+        draws = [(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(9)]
+        m = 2 if any(d == 2 and r % 2 for r, d in draws) else 1
+        rows = [[r * m // d for r, d in draws[i:i + 3]] for i in (0, 3, 6)]
+        adj, det = _adjugate3(rows)
+    d0, d1, d2 = (2 * pd * x for x in nd)
+    a0, a1, a2 = (2 * pn * det * x for x in apat)
+    return _forced([[d0 * i0 * j0 + d1 * i1 * j1 + d2 * i2 * j2 for j0, j1, j2 in adj]
+                    for i0, i1, i2 in adj],
+                   [a0 * x + a1 * y + a2 * z for x, y, z in zip(*rows)], m * det * pd)

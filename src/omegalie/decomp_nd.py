@@ -21,22 +21,23 @@ t = 4 n a + 2 b is zero and no residual is computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra_core import _ZERO, AlgebraSpec, ResidualTensor, residual
+from .tensor_core import _Record
 
 
-@dataclass(frozen=True)
-class GeneralSplit:
+class GeneralSplit(_Record):
     """Trace-free part alpha and trace covector a of one skew bracket.
 
     alpha is skew in its lower pair like a bracket, so it is stored as the
     bracket of ``trace_free`` (omega = 0).
     """
 
-    trace_free: AlgebraSpec
-    a: tuple      # covector
+    __slots__ = ("trace_free", "a")
+
+    def __init__(self, trace_free: AlgebraSpec, a: tuple):
+        self._fill(trace_free, a)
 
 
 def _trace_covector(spec: AlgebraSpec) -> tuple:
@@ -92,15 +93,16 @@ def induced_omega(split: GeneralSplit) -> dict:
     return dict(sorted(_induced_upper(split.trace_free.c_upper, split.a).items()))
 
 
-@dataclass(frozen=True)
-class DeformabilityResult:
+class DeformabilityResult(_Record):
     """Outcome of the forced-omega check, keeping the candidate either way.
 
     ``spec`` is the bracket with the candidate omega in its omega store.
     """
 
-    spec: AlgebraSpec
-    defect: ResidualTensor
+    __slots__ = ("spec", "defect")
+
+    def __init__(self, spec: AlgebraSpec, defect: ResidualTensor):
+        self._fill(spec, defect)
 
     @property
     def compatible(self) -> bool:

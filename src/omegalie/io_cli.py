@@ -26,8 +26,8 @@ input that is not an omega-deformed Lie algebra, 2 parse or usage error.
 A handler builds one report of unformatted values, and ``_emit`` renders it
 as JSON (``--json``) or as the command's text, formatting only what it prints.
 
-``run`` reads the plain command lines itself, into the namespace argparse
-would build:
+``run`` reads the plain command lines itself, into a namespace with the
+attributes argparse would set:
 
     validate | decompose | classify | deformability [--json] [--force-omega] [FILE]
     generate LABEL [--param P] [--json]
@@ -39,23 +39,24 @@ FILE but ``-`` that starts with ``-``.  Every other command line goes to
 argparse unchanged: help, abbreviations, ``--opt=value``, ``--`` and every
 usage error, so argparse writes all help, usage and error text.  Both routes
 and ``_emit`` read one command table, ``_COMMANDS``, in place.
+
+A command imports only the modules it runs: argparse is imported when a
+line needs it, ``classify3d`` by classify, and ``decomp_nd`` by
+deformability and ``--force-omega``.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .algebra_core import AlgebraSpec, ResidualTensor, residual
-from .classify3d import (FIRST_TABLE_ORDER, FLOAT_TOL, PARAMETRIC_LABELS,
-                         SECOND_TABLE_ORDER, BianchiLabel, FloatRangeError,
-                         NotAnAlgebraError, classify, generate, orbit_sample, table_row)
-from .decomp3d import _t, _t_residual, _triple, _view
-from .decomp_nd import check_deformability
+from .decomp3d import (FIRST_TABLE_ORDER, PARAMETRIC_LABELS, SECOND_TABLE_ORDER, _t,
+                       _t_residual, _triple, _view, generate, orbit_sample, table_row)
 from .tensor_core import rational
 
 SCHEMA_VERSION = 1
@@ -232,6 +233,7 @@ def _force_omega(spec: AlgebraSpec) -> AlgebraSpec:
     if spec.dim < 3:
         raise _Usage(f"--force-omega requires dim >= 3; in dim {spec.dim} every omega "
                      "is compatible, so no forced form exists")
+    from .decomp_nd import check_deformability
     result = check_deformability(spec)
     if not result.compatible:
         raise _Failure({"valid": False, "deformable": False,
@@ -296,11 +298,14 @@ def _cmd_classify(args):
     spec = _load_spec(args)
     if spec.dim != 3:
         raise _Usage(f"classify requires dim 3, got dim {spec.dim}")
+    from .classify3d import FloatRangeError, NotAnAlgebraError, classify
     try:
         nf = classify(spec)
     except NotAnAlgebraError as exc:
         return 1, {"command": "classify", "valid": False, "t": exc.t,
                    "error": f"not an omega-deformed Lie algebra: {exc}"}
+    except FloatRangeError as exc:
+        raise _Usage(str(exc)) from None
     nd, apat, brow = _canonical_row(nf.label.name)
     certs, trip = nf.certificates, nf.decomposition
     scale = 1 if nf.parameter is None else nf.parameter
@@ -329,6 +334,7 @@ def _cmd_classify(args):
 
 
 def _classify_text(r):
+    from .classify3d import FLOAT_TOL, BianchiLabel
     certs, row = r["certificates"], r["canonical_row"]
     floats = (lambda xs: "(" + ", ".join(f"{x:g}" for x in xs) + ")")
     return _lines([
@@ -389,6 +395,7 @@ def _cmd_deformability(args):
     spec = _load_spec(args)
     if spec.dim < 3:
         raise _Usage(f"deformability requires dim >= 3, got dim {spec.dim}")
+    from .decomp_nd import check_deformability
     result = check_deformability(spec)
     report = {"command": "deformability", "dim": spec.dim, "deformable": result.compatible}
     if not result.compatible:
@@ -459,6 +466,7 @@ _COMMANDS = {
 def _build_parser():
     # Built once per process: argparse looks up sys.stdout and sys.stderr
     # when it prints, not when it is built, so swapped streams still work.
+    import argparse
     parser = argparse.ArgumentParser(
         prog="omegalie",
         description="Exact tools for omega-deformed Lie algebras: validation, "
@@ -477,10 +485,10 @@ def _build_parser():
 
 
 def _read_plain(argv):
-    """The namespace argparse builds for ``argv``, when argv is a plain line
-    of the command table: a command, its own options spelled out in full, at
-    most one positional, and no value but ``-`` that starts with ``-``.
-    None for every other argv."""
+    """A namespace with the attributes argparse sets for ``argv``, when argv
+    is a plain line of the command table: a command, its own options spelled
+    out in full, at most one positional, and no value but ``-`` that starts
+    with ``-``.  None for every other argv."""
     if not argv or (entry := _COMMANDS.get(argv[0])) is None:
         return None
     handler, _, positional, options, _ = entry
@@ -510,7 +518,7 @@ def _read_plain(argv):
             if "default" not in keywords:
                 return None
             values[dest] = keywords["default"]
-    return argparse.Namespace(command=argv[0], handler=handler, **values)
+    return SimpleNamespace(command=argv[0], handler=handler, **values)
 
 
 def run(argv=None) -> int:
@@ -529,7 +537,7 @@ def run(argv=None) -> int:
             code, report = 1, exc.args[0]
         _emit(args, report)
         return code
-    except (DocumentError, _Usage, FloatRangeError) as exc:
+    except (DocumentError, _Usage) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:  # a backstop: no bound on the work is read before it starts

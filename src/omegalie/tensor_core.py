@@ -10,16 +10,16 @@ alone reads rational text, for documents, ``--param`` and the library alike:
 ``det`` divides exactly: it reads det(M) of the int matrix M = den m off
 ``int_adjugate``, the one elimination, which ``transport`` shares for adj(M).
 Both it and ``int_congruence``, the congruence diagonalization ``classify``
-runs, eliminate fraction-free on ints and return ints.
+runs, eliminate fraction-free on ints and return ints.  ``_Record`` is the
+base of the package's immutable records, ``Inertia`` among them.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 
 _RATIONAL = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
@@ -38,8 +38,9 @@ def rational(value) -> Fraction:
     if isinstance(value, str):  # first: testing a str against Fraction, an ABC, is slow
         if not (match := _RATIONAL.fullmatch(value)):
             raise ValueError(f"malformed rational {value!r}; write 'p' or 'p/q'")
-        try:  # the terms, not the string: Fraction would parse it a second time
-            return Fraction(int(match[1]), int(match[2] or 1))
+        p, q = match.groups()
+        try:  # the terms, not the string, which Fraction would parse again; no gcd for an int
+            return Fraction(int(p), int(q)) if q else Fraction(int(p))
         except ValueError:  # more digits than int() converts from a string
             raise ValueError("rational has too many digits") from None
     if isinstance(value, Fraction):
@@ -205,13 +206,52 @@ def int_congruence(rows) -> tuple[list, list, list, int]:
     return cols, dens, d, det
 
 
-@dataclass(frozen=True)
-class Inertia:
+class _Record:
+    """An immutable record whose fields are its class's ``__slots__``.
+
+    A subclass's ``__init__`` writes them with ``_fill``, in slot order.  Two
+    records are equal when their classes are the same and their fields are
+    equal; the hash is that of the fields, and the repr names each field.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):  # copy and pickle pass (None, {field: value})
+        self._fill(*map(state[1].get, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = zip(self.__slots__, self._fields())
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+
+class Inertia(_Record):
     """Sylvester signature counts of a symmetric matrix."""
 
-    positive: int
-    negative: int
-    zero: int
+    __slots__ = ("positive", "negative", "zero")
+
+    def __init__(self, positive: int, negative: int, zero: int):
+        self._fill(positive, negative, zero)
 
     @property
     def rank(self) -> int:

@@ -2,7 +2,6 @@
 
 import ast
 import collections
-import dataclasses
 import json
 import math
 import random
@@ -20,9 +19,9 @@ from omegalie import (AlgebraSpec, BianchiLabel, FloatRangeError, Matrix,
                       PARAMETRIC_LABELS, classify, decompose, forced_b,
                       generate, orbit_sample, reconstruct, serialize,
                       t_vector, table_row, transport)
-from omegalie.classify3d import (_LABELS, _TABLE, _adjugate3, _certify, _discrete_classify,
+from omegalie.classify3d import (_LABELS, _TABLE, _certify, _det3, _discrete_classify,
                                  _exact_head, _invariants)
-from omegalie.decomp3d import _triple, _view
+from omegalie.decomp3d import _adjugate3, _triple, _view
 from omegalie.tensor_core import SingularMatrixError, int_adjugate
 from oracles import _discrete_classify as chain_classify
 from oracles import (c_tensor, dense_transport, diagonal, eps_reconstruct,
@@ -532,6 +531,18 @@ def test_cofactor_adjugate_matches_the_elimination():
     assert singular > 0
 
 
+def test_direct_determinant_matches_the_cofactors():
+    # the note's and _certify's determinant, along the first row, against
+    # orbit_sample's nine cofactors, on small entries and on 120-bit ones
+    rng = random.Random(209)
+    cases = [[[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)] for _ in range(2000)]
+    cases += [[[rng.getrandbits(120) - (1 << 119) for _ in range(3)] for _ in range(3)]
+              for _ in range(200)]
+    for rows in cases:
+        assert _det3(rows) == _adjugate3(rows)[1], rows
+    assert any(_det3(rows) == 0 for rows in cases)
+
+
 def test_orbit_samples_classify_back():
     rng = random.Random(44)
     for label in ("V", "VI_n", "VII0", "IX"):
@@ -599,7 +610,7 @@ def test_public_api_resolves_without_test_only_names():
     assert not any(hasattr(AlgebraSpec, name) for name in ("zero_value", "c_at", "omega_at"))
     assert not hasattr(AlgebraSpec.zero(3), "zero_value")
     assert not hasattr(omegalie.tensor_core, "_field")
-    assert "canonical" not in {f.name for f in dataclasses.fields(NormalForm)}
+    assert hasattr(NormalForm, "transform") and not hasattr(NormalForm, "canonical")
     # the store is the only data shape: no dense views, constructor or skew errors
     for name in ("SkewViolation", "SkewViolationError", "invert", "Scalar"):
         assert not hasattr(omegalie, name) and name not in omegalie.__all__

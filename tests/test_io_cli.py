@@ -840,7 +840,7 @@ def test_cli_out_of_memory_exits_2_without_traceback(monkeypatch):
     def exhausted(*_):
         raise MemoryError
 
-    monkeypatch.setattr("omegalie.io_cli.classify", exhausted)
+    monkeypatch.setattr("omegalie.classify3d.classify", exhausted)
     monkeypatch.setattr("omegalie.io_cli.residual", exhausted)
     dim3 = serialize(generate("IX_a", 2))
     dim4 = serialize(AlgebraSpec.from_entries(4, [(1, 2, 3, 1)]))
