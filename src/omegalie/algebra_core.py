@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .tensor_core import Matrix, _Record, cleared, int_adjugate, rational
+from .tensor_core import Matrix, _Record, _vector, cleared, int_adjugate, rational
 
 # The zero of the kernels' results, which hold Fractions only: every nonzero
 # value is a stored Fraction or a product with one.
@@ -108,16 +108,9 @@ class AlgebraSpec(_Record):
                                {key: v for key, v in om.items() if v.numerator})
 
 
-def _check_vec(spec, vec):
-    if len(vec) != spec.dim:
-        raise ValueError(f"vector length {len(vec)} does not match dim {spec.dim}")
-
-
 def _bracket(spec, x, y) -> list:
-    # [x, y] with int 0 where no stored entry contributes, so that the
-    # nested brackets of jacobiator skip those components at int speed
-    _check_vec(spec, x)
-    _check_vec(spec, y)
+    # [x, y] of read vectors, int 0 where no stored entry contributes, so that
+    # the nested brackets of jacobiator skip those components at int speed
     out = [0] * spec.dim
     for (i, j, k), v in spec.c_upper.items():
         xi, xj = x[i], x[j]
@@ -131,21 +124,24 @@ def _bracket(spec, x, y) -> list:
 def bracket(spec: AlgebraSpec, x: Sequence, y: Sequence) -> tuple:
     """[x, y]_k = sum over the stored c[k][i][j] of c[k][i][j] (x_i y_j - x_j y_i).
 
-    Entries where x vanishes at both i and j are skipped.
-    """
-    return tuple(v or _ZERO for v in _bracket(spec, x, y))
+    Entries where x vanishes at both i and j are skipped.  Here and below each
+    vector argument is read by ``_vector`` (ints, Fractions, ``p/q`` strings)."""
+    return tuple(v or _ZERO for v in _bracket(spec, _vector(x, spec.dim), _vector(y, spec.dim)))
 
 
-def omega_value(spec: AlgebraSpec, x: Sequence, y: Sequence):
-    """omega(x, y), summed over the stored omega[i][j] like ``bracket``."""
-    _check_vec(spec, x)
-    _check_vec(spec, y)
+def _omega_value(spec, x, y):
     return sum((v * (x[i] * y[j] - x[j] * y[i])
                 for (i, j), v in spec.omega_upper.items() if x[i] or x[j]), _ZERO)
 
 
+def omega_value(spec: AlgebraSpec, x: Sequence, y: Sequence):
+    """omega(x, y), summed over the stored omega[i][j] like ``bracket``."""
+    return _omega_value(spec, _vector(x, spec.dim), _vector(y, spec.dim))
+
+
 def jacobiator(spec: AlgebraSpec, a: Sequence, b: Sequence, c: Sequence) -> tuple:
     """[a,[b,c]] + [c,[a,b]] + [b,[c,a]]; identically zero exactly for Lie brackets."""
+    a, b, c = _vector(a, spec.dim), _vector(b, spec.dim), _vector(c, spec.dim)
     first = _bracket(spec, a, _bracket(spec, b, c))
     second = _bracket(spec, c, _bracket(spec, a, b))
     third = _bracket(spec, b, _bracket(spec, c, a))
@@ -154,9 +150,11 @@ def jacobiator(spec: AlgebraSpec, a: Sequence, b: Sequence, c: Sequence) -> tupl
 
 def omega_rhs(spec: AlgebraSpec, a: Sequence, b: Sequence, c: Sequence) -> tuple:
     """omega(b,c) a + omega(a,b) c + omega(c,a) b, the deformation side."""
-    terms = [(w, v) for w, v in ((omega_value(spec, b, c), a), (omega_value(spec, a, b), c),
-                                 (omega_value(spec, c, a), b)) if w]
-    return tuple(sum((w * v[m] for w, v in terms), _ZERO) for m in range(spec.dim))
+    a, b, c = _vector(a, spec.dim), _vector(b, spec.dim), _vector(c, spec.dim)
+    terms = [(w, v) for w, v in ((_omega_value(spec, b, c), a), (_omega_value(spec, a, b), c),
+                                 (_omega_value(spec, c, a), b)) if w]
+    return (tuple(sum((w * v[m] for w, v in terms), _ZERO) for m in range(spec.dim))
+            if terms else (_ZERO,) * spec.dim)
 
 
 # The six permutations of three slots with their signs.
@@ -246,6 +244,8 @@ def transport(spec: AlgebraSpec, p: Matrix) -> AlgebraSpec:
     computed: they are the new store.  On ints, for p = M / m, c = C / lc and
     omega = W / lw: c' = adj(M) C (M x M) / (lc m det M), omega' = M^T W M / (lw m^2).
     """
+    if not isinstance(p, Matrix):
+        raise TypeError(f"transport needs a Matrix, got {type(p).__name__}")
     if p.dim != spec.dim:
         raise ValueError("transform dimension does not match spec")
     n, (rows, m) = spec.dim, p.int_rows()

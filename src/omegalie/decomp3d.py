@@ -38,12 +38,11 @@ Canonical commutation relations of every table row (b = -2 n a throughout):
 
 from __future__ import annotations
 
-import random
 from collections.abc import Sequence
 from fractions import Fraction
 
 from .algebra_core import _ZERO, AlgebraSpec, ResidualTensor, _defect
-from .tensor_core import Matrix, _Record, cleared, rational
+from .tensor_core import Matrix, _Record, _vector, cleared, rational
 
 
 class NabTriple(_Record):
@@ -153,9 +152,11 @@ def reconstruct(t: NabTriple) -> AlgebraSpec:
 
 
 def forced_b(n: Matrix, a: Sequence) -> tuple:
-    """The unique b compatible with the bracket data: -2 n a, or b' - t / 2 for any b'."""
+    """The unique b compatible with the bracket data: -2 n a, or b' - t / 2 for any b'.
+    ``a`` is read by ``_vector``, as ``bracket`` reads a vector."""
     if n.dim != 3 or len(a) != 3:
         raise ValueError("forced_b requires 3-dimensional data")
+    a = _vector(a, 3)
     return tuple(-2 * sum(x * y for x, y in zip(row, a)) for row in n.rows)
 
 
@@ -252,6 +253,7 @@ def orbit_sample(label: str, param=None, *, seed: int) -> AlgebraSpec:
     adj(M)^T / (m det M) and a' = M^T a / m, over the one denominator m det(M) pd,
     written with b = -2 n a by ``_store``.
     """
+    import random  # here, not at the top: no other command draws
     nd, apat, pn, pd = _row(label, param)
     rng, det = random.Random(seed), 0
     while not det:

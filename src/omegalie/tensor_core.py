@@ -6,12 +6,13 @@ counting never take square roots.  ``rational`` alone decides the scalar
 type: ``Matrix`` passes every entry through it, so a matrix holds only
 Fractions (ints are converted, floats and bools raise ``TypeError``), and it
 alone reads rational text, for documents, ``--param`` and the library alike:
-``p`` or ``p/q``, no decimal, exponent, ``+`` or whitespace.
+``p`` or ``p/q``, no decimal, exponent, ``+`` or whitespace.  ``_vector``
+reads vector arguments: other entries than ints and Fractions go through it.
 ``det`` divides exactly: it reads det(M) of the int matrix M = den m off
 ``int_adjugate``, the one elimination, which ``transport`` shares for adj(M).
 Both it and ``int_congruence``, the congruence diagonalization ``classify``
-runs, eliminate fraction-free on ints and return ints.  ``_Record`` is the
-base of the package's immutable records, ``Inertia`` among them.
+runs, eliminate fraction-free on ints and return ints.  ``_Record``, the base of
+the package's immutable records (``Matrix``, ``Inertia``, ...), copies and pickles them.
 """
 
 from __future__ import annotations
@@ -54,7 +55,57 @@ def rational(value) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational scalar")
 
 
-class Matrix:
+def _vector(values, dim) -> Sequence:
+    """A vector argument of length ``dim``: itself if it holds only ints and Fractions,
+    else its entries through ``rational``."""
+    if len(values) != dim:
+        raise ValueError(f"vector length {len(values)} does not match dim {dim}")
+    for x in values:
+        if type(x) is not int and type(x) is not Fraction:
+            return tuple(map(rational, values))
+    return values
+
+
+class _Record:
+    """An immutable record whose fields are its class's ``__slots__``.
+
+    A subclass's ``__init__`` writes them with ``_fill``, in slot order.  Two
+    records are equal when their classes are the same and their fields are
+    equal; the hash is that of the fields, and the repr names each field.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):  # copy and pickle pass (None, {field: value})
+        self._fill(*map(state[1].get, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = zip(self.__slots__, self._fields())
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+
+class Matrix(_Record):
     """Immutable square matrix of Fractions.
 
     Rows are stored as a tuple of tuples with 0-based Python indexing;
@@ -66,13 +117,9 @@ class Matrix:
 
     def __init__(self, rows):
         rows = tuple(tuple(map(rational, r)) for r in rows)
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
+        if not rows or any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square and non-empty")
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+        self._fill(rows)
 
     @property
     def dim(self) -> int:
@@ -81,25 +128,14 @@ class Matrix:
     def __getitem__(self, i):
         return self.rows[i]
 
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
     def __repr__(self):
         return f"Matrix({list(map(list, self.rows))!r})"
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix) or other.dim != self.dim:
             raise ValueError("dimension mismatch in matrix product")
-        n = self.dim
-        return Matrix(tuple(
-            tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)))
+        cols = tuple(zip(*other.rows))
+        return Matrix([[sum(x * y for x, y in zip(r, c)) for c in cols] for r in self.rows])
 
     def is_symmetric(self) -> bool:
         # tuple equality tests identity first: a shared entry costs no __eq__
@@ -204,45 +240,6 @@ def int_congruence(rows) -> tuple[list, list, list, int]:
                             for x, y in zip(a[q][i + 1:], a[i][i + 1:])]
         prev = piv
     return cols, dens, d, det
-
-
-class _Record:
-    """An immutable record whose fields are its class's ``__slots__``.
-
-    A subclass's ``__init__`` writes them with ``_fill``, in slot order.  Two
-    records are equal when their classes are the same and their fields are
-    equal; the hash is that of the fields, and the repr names each field.
-    """
-
-    __slots__ = ()
-
-    def _fill(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __setstate__(self, state):  # copy and pickle pass (None, {field: value})
-        self._fill(*map(state[1].get, self.__slots__))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = zip(self.__slots__, self._fields())
-        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
 
 
 class Inertia(_Record):

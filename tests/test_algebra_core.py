@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from omegalie import (AlgebraSpec, DocumentError, SingularMatrixError, Matrix,
                       NabTriple, bracket, check_deformability, decompose,
-                      generate, induced_omega, jacobiator, omega_rhs,
-                      omega_value, parse, reconstruct, residual, split_trace,
-                      transport)
+                      forced_b, generate, induced_omega, jacobiator, omega_rhs,
+                      omega_value, orbit_sample, parse, reconstruct, residual,
+                      split_trace, transport)
 from omegalie.io_cli import run
 from oracles import (basis, c_tensor, deformed_identity_holds, dense_bracket,
                      dense_omega, dense_residual, dense_transport, diagonal,
@@ -146,6 +146,40 @@ def test_jacobiator_vanishes_for_so3_like_bracket():
         for b in vectors:
             for c in vectors:
                 assert jacobiator(s, a, b, c) == (0, 0, 0)
+
+
+# a valid spec with nonzero c and omega, and the public functions that read
+# vectors, each as (name, function of the spec and its vector arguments, arity)
+VECTOR_SPEC = orbit_sample("VIII_na", Fraction(3, 2), seed=5)
+VECTOR_FUNCTIONS = (
+    ("bracket", bracket, 2), ("omega_value", omega_value, 2),
+    ("jacobiator", jacobiator, 3), ("omega_rhs", omega_rhs, 3),
+    ("forced_b", lambda spec, a: forced_b(decompose(spec).n, a), 1))
+
+
+@pytest.mark.parametrize("name, fn, arity", VECTOR_FUNCTIONS,
+                         ids=[name for name, *_ in VECTOR_FUNCTIONS])
+def test_vector_arguments_are_read_as_exact_rationals(name, fn, arity):
+    # every argument position refuses a float, a bool and a malformed string
+    exact = [(1, Fraction(-2, 3), 5), (Fraction(1, 2), 0, -1), (2, 1, Fraction(1, 4))][:arity]
+    refused = ((0.5, TypeError, "refusing to coerce float 0.5 to an exact rational"),
+               (True, TypeError, "bool is not a scalar"),
+               ("1.5", ValueError, "malformed rational '1.5'; write 'p' or 'p/q'"))
+    for pos in range(arity):
+        for bad, error, message in refused:
+            args = list(exact)
+            args[pos] = (args[pos][0], bad, args[pos][2])
+            with pytest.raises(error, match=re.escape(message) + "$"):
+                fn(VECTOR_SPEC, *args)
+    # int, Fraction and p/q entries, alone or mixed, give the all-Fraction result in Fractions
+    mixed = [(1, "-2/3", 5), ("1/2", 0, -1), (2, 1, Fraction(1, 4))][:arity]
+    ints = [(1, 0, 5), (0, 3, -1), (2, 1, 0)][:arity]
+    for args in (mixed, ints):
+        got = fn(VECTOR_SPEC, *args)
+        want = fn(VECTOR_SPEC, *[tuple(map(Fraction, v)) for v in args])
+        assert got == want, name
+        entries = got if isinstance(got, tuple) else (got,)
+        assert any(entries) and all(type(x) is Fraction for x in entries), (name, got)
 
 
 # --- residual ------------------------------------------------------------
@@ -364,6 +398,8 @@ def test_transport_rejects_singular():
     s = AlgebraSpec.zero(3)
     with pytest.raises(ValueError, match="transform dimension does not match spec"):
         transport(s, Matrix(((1, 0), (0, 1))))
+    with pytest.raises(TypeError, match="^transport needs a Matrix, got list$"):
+        transport(s, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(SingularMatrixError):
         transport(s, Matrix(((1, 0, 0), (0, 1, 0), (1, 1, 0))))
     rng = random.Random(31)

@@ -19,7 +19,7 @@ from omegalie import (FIRST_TABLE_ORDER, PARAMETRIC_LABELS, SECOND_TABLE_ORDER,
                       AlgebraSpec, DocumentError, NotAnAlgebraError,
                       ResidualTensor, classify, classify3d, decomp3d, generate,
                       orbit_sample, parse, rational, serialize)
-from omegalie.io_cli import (SCHEMA_VERSION, _build_parser, _dumps,
+from omegalie.io_cli import (_REPORT, SCHEMA_VERSION, _build_parser, _dumps,
                              _force_omega, _read_plain, document_object, run)
 from oracles import (c_tensor, dual_forced, dual_forced_b, fraction_decompose,
                      omega_matrix, spec_from_dense, with_omega)
@@ -1066,6 +1066,42 @@ writer_values = st.recursive(
 @settings(deadline=None, max_examples=300)
 def test_report_writer_matches_indented_sorted_json(value):
     assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+# a report's exact values: Fractions, specs and residuals, each with the
+# plain JSON value the report writer formats it as
+residuals = st.builds(ResidualTensor, st.integers(1, 6), st.lists(st.tuples(
+    st.tuples(*[st.integers(1, 6)] * 4), st.fractions()), max_size=4).map(tuple))
+exact_values = st.one_of(st.fractions(), exact_specs, residuals)
+
+
+def _plain(value):
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, AlgebraSpec):
+        return document_object(value)
+    if isinstance(value, ResidualTensor):
+        return [{"indices": list(idx), "value": str(v)} for idx, v in value.nonzero]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _nested(depth):
+    # containers nested ``depth`` deep, exact values and plain scalars at the leaves
+    inner = exact_values | writer_scalars
+    for _ in range(depth):
+        inner = (st.lists(inner, min_size=1, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+                 | st.dictionaries(writer_keys, inner, min_size=1, max_size=3))
+    return inner
+
+
+@given(st.integers(1, 3).flatmap(_nested))
+@settings(deadline=None, max_examples=200)
+def test_report_writer_formats_exact_values_as_their_plain_json(value):
+    assert _dumps(value, writers=_REPORT) == json.dumps(_plain(value), indent=2, sort_keys=True)
 
 
 def test_report_writer_rejects_what_it_cannot_write():

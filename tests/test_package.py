@@ -3,6 +3,7 @@ contract of its immutable record classes."""
 
 import copy
 import json
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -60,6 +61,10 @@ def test_document_commands_load_only_the_shared_modules():
     for names in loaded:
         assert names.isdisjoint(DEFERRED + UNUSED), sorted(names & {*DEFERRED, *UNUSED})
     assert {"omegalie.decomp3d", "omegalie.io_cli"} <= loaded[0]
+    # only orbit-sample draws: a process that validates loads no random
+    doc = omegalie.serialize(omegalie.generate("IX"))
+    codes, loaded = run_fresh([(["validate", "--json"], doc)])
+    assert codes == [0] and all("random" not in names for names in loaded)
 
 
 def test_classify_and_deformability_load_their_module_on_first_use():
@@ -109,6 +114,8 @@ def records():
                   "a_is_zero=False, causal='spacelike')")
     a = (Fraction(1), Fraction(0))
     return [
+        (Matrix([[1, 2], [3, 4]]), Matrix(((1, Fraction(2)), ("3", 4))), ("rows",),
+         f"Matrix([[{one}, Fraction(2, 1)], [Fraction(3, 1), Fraction(4, 1)]])"),
         (Inertia(2, 1, 0), Inertia(positive=2, negative=1, zero=0),
          ("positive", "negative", "zero"), "Inertia(positive=2, negative=1, zero=0)"),
         (spec(), spec(), ("dim", "c_upper", "omega_upper"), spec_repr),
@@ -137,7 +144,8 @@ RECORDS = records()
                          ids=[type(first).__name__ for first, *_ in RECORDS])
 def test_record_contract(first, second, fields, text):
     # immutable, equal and hashed on the fields, never equal to a tuple of
-    # them, a repr that names each field; a copy is an equal record
+    # them, a repr that names each field; a copy, a deep copy and a pickle
+    # round trip are equal records
     assert first is not second and first == second and hash(first) == hash(second)
     assert repr(first) == repr(second) == text
     values = tuple(getattr(first, name) for name in fields)
@@ -149,5 +157,5 @@ def test_record_contract(first, second, fields, text):
         with pytest.raises(AttributeError):
             delattr(first, name)
     assert tuple(getattr(first, name) for name in fields) == values
-    twin = copy.copy(first)
-    assert type(twin) is type(first) and twin == first and repr(twin) == text
+    for twin in (copy.copy(first), copy.deepcopy(first), pickle.loads(pickle.dumps(first))):
+        assert type(twin) is type(first) and twin == first and repr(twin) == text

@@ -97,6 +97,9 @@ def test_matrix_is_immutable():
     m = identity(2)
     with pytest.raises(AttributeError):
         m.rows = ()
+    with pytest.raises(AttributeError):
+        del m.rows
+    assert m == identity(2) and m.det() == 1
 
 
 def test_matrix_symmetry():
