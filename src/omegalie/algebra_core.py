@@ -35,15 +35,18 @@ _ZERO = Fraction(0)
 class AlgebraSpec(_Record):
     """Structure constants and 2-form of one algebra, dimension ``dim``.
 
-    The store: ``c_upper`` maps 0-based (i, j, k) with i < j to the nonzero
-    c[k][i][j], and ``omega_upper`` maps (i, j) with i < j to the nonzero
-    omega[i][j], both in lexicographic key order, the order of a document.
+    The fields, in order: ``dim`` and the store, ``c_upper`` mapping 0-based
+    (i, j, k) with i < j to the nonzero c[k][i][j] and ``omega_upper`` mapping
+    (i, j) with i < j to the nonzero omega[i][j], in lexicographic key order.
     The entries with i > j follow by skewness and are never stored.  Every
-    value is a Fraction: ``from_entries``, the public constructor, passes
+    value is a Fraction: ``from_entries``, the one public constructor, passes
     each entry through ``rational``, so floats and bools raise TypeError.
     """
 
     __slots__ = ("dim", "c_upper", "omega_upper")
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("an AlgebraSpec is built by AlgebraSpec.from_entries")
 
     @classmethod
     def _from_upper(cls, dim, c_upper, omega_upper) -> "AlgebraSpec":
@@ -51,7 +54,8 @@ class AlgebraSpec(_Record):
         kernels' constructor).  Callers pass a valid dim and nonzero Fractions
         only: each writer drops its zeros where it decides them, mostly on ints."""
         spec = object.__new__(cls)
-        spec._fill(dim, dict(sorted(c_upper.items())), dict(sorted(omega_upper.items())))
+        _Record.__init__(spec, dim, dict(sorted(c_upper.items())),
+                         dict(sorted(omega_upper.items())))
         return spec
 
     def __hash__(self):
@@ -169,14 +173,11 @@ class ResidualTensor(_Record):
     (l, j, k) of  sum_i c[m][i][l] c[i][j][k] + delta(m,l) omega[j][k].
     On basis triples, jacobiator minus omega_rhs equals -3 times this.
 
-    Only the nonzero components are stored, as ``nonzero``: pairs of
-    1-based (m, l, j, k) and value, in lexicographic index order.
+    The fields, in order: ``dim`` and ``nonzero``, the nonzero components
+    only, as pairs of 1-based (m, l, j, k) and value in lexicographic order.
     """
 
     __slots__ = ("dim", "nonzero")
-
-    def __init__(self, dim: int, nonzero: tuple):
-        self._fill(dim, nonzero)
 
     @property
     def is_zero(self) -> bool:

@@ -82,7 +82,7 @@ _COLLAPSE_NOTES = {
 
 
 class BianchiLabel(_Record):
-    """A table row name plus its continuous parameter when the row has one."""
+    """A table row's ``name`` plus its continuous ``parameter`` when the row has one."""
 
     __slots__ = ("name", "parameter")
 
@@ -91,7 +91,7 @@ class BianchiLabel(_Record):
             raise ValueError(f"unknown label {name!r}")
         if parameter is not None and not parameter > 0:
             raise ValueError("parameter must be positive")
-        self._fill(name, parameter)
+        super().__init__(name, parameter)
 
     def __str__(self):
         if self.parameter is None:
@@ -100,33 +100,25 @@ class BianchiLabel(_Record):
 
 
 class ExactCertificates(_Record):
-    """Rational-arithmetic invariants backing a classification: ``n_inertia``
-    in canonical orientation (positive >= negative), ``a_is_zero`` and the
-    causal character of a, zero / kernel-only / spacelike / timelike / null."""
+    """Rational-arithmetic invariants backing a classification, the fields in order:
+    ``n_inertia`` in canonical orientation (positive >= negative), ``a_is_zero`` and
+    ``causal``, the causal character of a: zero, kernel-only, spacelike, timelike or null."""
 
     __slots__ = ("n_inertia", "a_is_zero", "causal")
-
-    def __init__(self, n_inertia: Inertia, a_is_zero: bool, causal: str):
-        self._fill(n_inertia, a_is_zero, causal)
 
 
 class NormalForm(_Record):
     """Classification outcome: label, exact and float basis transforms.
 
-    ``exact_transform`` is the certified exact head P; ``transform`` the float
-    rows of P Q, the basis change onto the canonical row; ``transform_error``
-    the deviation of the float tail Q on the frame; ``decomposition`` the exact
+    The fields, in order: ``label``; ``exact_transform``, the certified exact
+    head P; ``transform``, the float rows of P Q, the basis change onto the
+    canonical row; ``certificates``; ``notes``; ``transform_error``, the
+    deviation of the float tail Q on the frame; ``decomposition``, the exact
     (n, a, b) of the input.
     """
 
     __slots__ = ("label", "exact_transform", "transform", "certificates", "notes",
                  "transform_error", "decomposition")
-
-    def __init__(self, label: BianchiLabel, exact_transform: Matrix, transform: tuple,
-                 certificates: ExactCertificates, notes: tuple, transform_error: float,
-                 decomposition: NabTriple):
-        self._fill(label, exact_transform, transform, certificates, notes, transform_error,
-                   decomposition)
 
     @property
     def parameter(self):

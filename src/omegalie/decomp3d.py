@@ -46,7 +46,7 @@ from .tensor_core import Matrix, _Record, _vector, cleared, rational
 
 
 class NabTriple(_Record):
-    """(n, a, b) data of one 3-dimensional algebra.
+    """(n, a, b) data of one 3-dimensional algebra, the fields in that order.
 
     n: symmetric Matrix (upper indices), a: covector, b: vector, all of
     Fractions (a and b pass through ``rational``).  The triple comes from a
@@ -56,11 +56,13 @@ class NabTriple(_Record):
     __slots__ = ("n", "a", "b")
 
     def __init__(self, n: Matrix, a: tuple, b: tuple):
+        if not isinstance(n, Matrix):
+            raise TypeError(f"NabTriple needs a Matrix, got {type(n).__name__}")
         if n.dim != 3 or len(a) != 3 or len(b) != 3:
             raise ValueError("NabTriple is strictly 3-dimensional")
         if not n.is_symmetric():
             raise ValueError("n must be symmetric")
-        self._fill(n, tuple(map(rational, a)), tuple(map(rational, b)))
+        super().__init__(n, tuple(map(rational, a)), tuple(map(rational, b)))
 
 
 # (l + 1, l + 2) mod 3 for l = 0, 1, 2: the pair with eps_{jkl} = +1, and
@@ -154,9 +156,11 @@ def reconstruct(t: NabTriple) -> AlgebraSpec:
 def forced_b(n: Matrix, a: Sequence) -> tuple:
     """The unique b compatible with the bracket data: -2 n a, or b' - t / 2 for any b'.
     ``a`` is read by ``_vector``, as ``bracket`` reads a vector."""
+    if not isinstance(n, Matrix):
+        raise TypeError(f"forced_b needs a Matrix, got {type(n).__name__}")
+    a = _vector(a, len(a))  # refuses a str; the length is checked with n's dim
     if n.dim != 3 or len(a) != 3:
         raise ValueError("forced_b requires 3-dimensional data")
-    a = _vector(a, 3)
     return tuple(-2 * sum(x * y for x, y in zip(row, a)) for row in n.rows)
 
 

@@ -30,14 +30,11 @@ from .tensor_core import _Record
 class GeneralSplit(_Record):
     """Trace-free part alpha and trace covector a of one skew bracket.
 
-    alpha is skew in its lower pair like a bracket, so it is stored as the
-    bracket of ``trace_free`` (omega = 0).
+    The fields, in order: ``trace_free``, the spec whose bracket is alpha
+    (skew in its lower pair like a bracket; omega = 0), and ``a``.
     """
 
     __slots__ = ("trace_free", "a")
-
-    def __init__(self, trace_free: AlgebraSpec, a: tuple):
-        self._fill(trace_free, a)
 
 
 def _trace_covector(spec: AlgebraSpec) -> tuple:
@@ -96,13 +93,11 @@ def induced_omega(split: GeneralSplit) -> dict:
 class DeformabilityResult(_Record):
     """Outcome of the forced-omega check, keeping the candidate either way.
 
-    ``spec`` is the bracket with the candidate omega in its omega store.
+    The fields, in order: ``spec``, the bracket with the candidate omega in
+    its omega store, and ``defect``, its ``ResidualTensor``.
     """
 
     __slots__ = ("spec", "defect")
-
-    def __init__(self, spec: AlgebraSpec, defect: ResidualTensor):
-        self._fill(spec, defect)
 
     @property
     def compatible(self) -> bool:

@@ -11,8 +11,8 @@ reads vector arguments: other entries than ints and Fractions go through it.
 ``det`` divides exactly: it reads det(M) of the int matrix M = den m off
 ``int_adjugate``, the one elimination, which ``transport`` shares for adj(M).
 Both it and ``int_congruence``, the congruence diagonalization ``classify``
-runs, eliminate fraction-free on ints and return ints.  ``_Record``, the base of
-the package's immutable records (``Matrix``, ``Inertia``, ...), copies and pickles them.
+runs, eliminate fraction-free on ints and return ints.  ``_Record``, the base of the
+package's immutable records (``Matrix``, ``Inertia``, ...), builds, copies and pickles them.
 """
 
 from __future__ import annotations
@@ -57,7 +57,9 @@ def rational(value) -> Fraction:
 
 def _vector(values, dim) -> Sequence:
     """A vector argument of length ``dim``: itself if it holds only ints and Fractions,
-    else its entries through ``rational``."""
+    else its entries through ``rational``.  A str is refused, not read as numerals."""
+    if isinstance(values, str):
+        raise TypeError("a vector is a sequence of scalars, not a str")
     if len(values) != dim:
         raise ValueError(f"vector length {len(values)} does not match dim {dim}")
     for x in values:
@@ -67,17 +69,25 @@ def _vector(values, dim) -> Sequence:
 
 
 class _Record:
-    """An immutable record whose fields are its class's ``__slots__``.
+    """An immutable record whose fields are its class's ``__slots__``, declared there once.
 
-    A subclass's ``__init__`` writes them with ``_fill``, in slot order.  Two
-    records are equal when their classes are the same and their fields are
-    equal; the hash is that of the fields, and the repr names each field.
+    It is built by position, keyword or both, in slot order, every field given
+    once (else TypeError naming the fields); a subclass that checks its input
+    passes the checked values on to this ``__init__``.  Records are equal when
+    their classes and fields are; the hash is the fields', the repr names each.
     """
 
     __slots__ = ()
 
-    def _fill(self, *values):
-        for name, value in zip(self.__slots__, values):
+    def __init__(self, *values, **fields):
+        slots = self.__slots__
+        if fields or len(values) != len(slots):
+            given = [*slots[:len(values)], *["<extra>"] * (len(values) - len(slots)), *fields]
+            if sorted(given) != sorted(slots):
+                raise TypeError(f"{type(self).__qualname__} takes the fields ({', '.join(slots)}); "
+                                f"got ({', '.join(given)})")
+            values += tuple(map(fields.get, slots[len(values):]))
+        for name, value in zip(slots, values):
             object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
@@ -90,7 +100,7 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __setstate__(self, state):  # copy and pickle pass (None, {field: value})
-        self._fill(*map(state[1].get, self.__slots__))
+        _Record.__init__(self, *map(state[1].get, self.__slots__))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -106,7 +116,7 @@ class _Record:
 
 
 class Matrix(_Record):
-    """Immutable square matrix of Fractions.
+    """Immutable square matrix of Fractions, built from its rows: the one field ``rows``.
 
     Rows are stored as a tuple of tuples with 0-based Python indexing;
     ``m[i][j]`` is the entry in row i, column j.  Every entry passes through
@@ -119,7 +129,7 @@ class Matrix(_Record):
         rows = tuple(tuple(map(rational, r)) for r in rows)
         if not rows or any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square and non-empty")
-        self._fill(rows)
+        super().__init__(rows)
 
     @property
     def dim(self) -> int:
@@ -243,12 +253,9 @@ def int_congruence(rows) -> tuple[list, list, list, int]:
 
 
 class Inertia(_Record):
-    """Sylvester signature counts of a symmetric matrix."""
+    """Sylvester signature counts of a symmetric matrix: ``positive``, ``negative``, ``zero``."""
 
     __slots__ = ("positive", "negative", "zero")
-
-    def __init__(self, positive: int, negative: int, zero: int):
-        self._fill(positive, negative, zero)
 
     @property
     def rank(self) -> int:

@@ -161,6 +161,7 @@ VECTOR_FUNCTIONS = (
                          ids=[name for name, *_ in VECTOR_FUNCTIONS])
 def test_vector_arguments_are_read_as_exact_rationals(name, fn, arity):
     # every argument position refuses a float, a bool and a malformed string
+    # entry, and a string in place of the vector, even one of numerals
     exact = [(1, Fraction(-2, 3), 5), (Fraction(1, 2), 0, -1), (2, 1, Fraction(1, 4))][:arity]
     refused = ((0.5, TypeError, "refusing to coerce float 0.5 to an exact rational"),
                (True, TypeError, "bool is not a scalar"),
@@ -170,6 +171,11 @@ def test_vector_arguments_are_read_as_exact_rationals(name, fn, arity):
             args = list(exact)
             args[pos] = (args[pos][0], bad, args[pos][2])
             with pytest.raises(error, match=re.escape(message) + "$"):
+                fn(VECTOR_SPEC, *args)
+        for bad in ("100", "1", ""):
+            args = list(exact)
+            args[pos] = bad
+            with pytest.raises(TypeError, match="^a vector is a sequence of scalars, not a str$"):
                 fn(VECTOR_SPEC, *args)
     # int, Fraction and p/q entries, alone or mixed, give the all-Fraction result in Fractions
     mixed = [(1, "-2/3", 5), ("1/2", 0, -1), (2, 1, Fraction(1, 4))][:arity]

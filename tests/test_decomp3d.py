@@ -301,6 +301,8 @@ def test_decompose_requires_dim3():
     for n, a in ((identity(2), (0, 0)), (identity(3), (0, 0)), (identity(2), (0, 0, 0))):
         with pytest.raises(ValueError, match="requires 3-dimensional data"):
             forced_b(n, a)
+    with pytest.raises(TypeError, match="^forced_b needs a Matrix, got list$"):
+        forced_b([[1, 0, 0], [0, 1, 0], [0, 0, 1]], (0, 0, 1))
 
 
 def test_nab_triple_validation():
@@ -308,3 +310,5 @@ def test_nab_triple_validation():
         NabTriple(Matrix(((0, 1, 0), (0, 0, 0), (0, 0, 0))), (0, 0, 0), (0, 0, 0))
     with pytest.raises(ValueError):
         NabTriple(identity(2), (0, 0), (0, 0))
+    with pytest.raises(TypeError, match="^NabTriple needs a Matrix, got list$"):
+        NabTriple([[1, 0, 0], [0, 1, 0], [0, 0, 1]], (0, 0, 1), (0, 0, 0))

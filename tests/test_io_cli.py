@@ -10,6 +10,7 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -643,6 +644,28 @@ def run_streams(argv, doc):
     finally:
         sys.stdin = stdin
     return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_diff_error_set_reaches_one_message_per_case():
+    # tools/cli_diff.py compares these outputs byte for byte between two trees:
+    # a case that stopped exiting 2 with its own message would pin nothing
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+    try:
+        import cli_diff
+    finally:
+        sys.path.pop(0)
+    cases = [(["validate", "--json"], doc) for doc in cli_diff.MALFORMED_DOCUMENTS]
+    cases += [([command, *row, *seed], "") for command, seed in (("generate", []),
+              ("orbit-sample", ["--seed", "1"])) for row in cli_diff.ROW_ERRORS]
+    messages = []
+    for argv, doc in cases + [(["classify", cli_diff.MISSING_FILE], "")]:
+        code, out, err = run_streams(argv, doc)
+        assert code == 2 and out == "" and err.startswith("error: "), (argv, err)
+        assert err.count("\n") == 1 and "Traceback" not in err
+        messages.append((argv[0], err))
+    # the last document repeats an earlier message: it pins which of two errors is read
+    last = len(cli_diff.MALFORMED_DOCUMENTS) - 1
+    assert messages[last] in messages[:last] and len(set(messages)) == len(messages) - 1
 
 
 def assert_residual_lines(lines, components):

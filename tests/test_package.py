@@ -4,6 +4,7 @@ contract of its immutable record classes."""
 import copy
 import json
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,6 +15,7 @@ import pytest
 import omegalie
 from omegalie import (AlgebraSpec, BianchiLabel, DeformabilityResult, ExactCertificates,
                       GeneralSplit, Inertia, Matrix, NabTriple, NormalForm, ResidualTensor)
+from omegalie.tensor_core import _Record
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -138,6 +140,9 @@ def records():
 
 
 RECORDS = records()
+# the records that check no input, built by the one constructor of _Record
+SHARED_CONSTRUCTOR = {Inertia, ResidualTensor, GeneralSplit, DeformabilityResult,
+                      ExactCertificates, NormalForm}
 
 
 @pytest.mark.parametrize("first, second, fields, text", RECORDS,
@@ -159,3 +164,26 @@ def test_record_contract(first, second, fields, text):
     assert tuple(getattr(first, name) for name in fields) == values
     for twin in (copy.copy(first), copy.deepcopy(first), pickle.loads(pickle.dumps(first))):
         assert type(twin) is type(first) and twin == first and repr(twin) == text
+    # the fields are declared once: the shared constructor binds by position,
+    # keyword or both in slot order, and refuses a missing, extra, unknown or
+    # doubly-given field; an AlgebraSpec is built only by from_entries
+    cls = type(first)
+    assert (cls.__init__ is _Record.__init__) == (cls in SHARED_CONSTRUCTOR)
+    if cls is AlgebraSpec:
+        for args, kwargs in (((3, {}, {}), {}), ((), dict(zip(fields, values)))):
+            with pytest.raises(TypeError, match="AlgebraSpec.from_entries"):
+                AlgebraSpec(*args, **kwargs)
+    if cls not in SHARED_CONSTRUCTOR:
+        return
+    for k in range(len(fields) + 1):
+        built = cls(*values[:k], **dict(zip(fields[k:], values[k:])))
+        assert built == first and repr(built) == text
+    refused = (
+        (values[:-1], {}), ((), dict(zip(fields[1:], values[1:]))),    # missing
+        (values + (None,), {}),                                         # extra
+        (values[:-1], {"extra": None}), (values, {"extra": None}),      # unknown
+        (values, {fields[0]: values[0]}),                               # given twice
+        (values[:1], dict(zip(fields, values))))
+    for args, kwargs in refused:
+        with pytest.raises(TypeError, match=re.escape(f"takes the fields ({', '.join(fields)})")):
+            cls(*args, **kwargs)

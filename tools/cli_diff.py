@@ -54,7 +54,12 @@ subcommand through ``omegalie.io_cli.run``, in-process:
 * ``USAGE``: the help of the program and of each command, and argvs that
   are not plain command lines (an unknown command, abbreviated or ``=``
   options, values that start with ``-``, a missing or repeated argument,
-  ``--``, options of another command), each with a document on stdin.
+  ``--``, options of another command), each with a document on stdin;
+* the exit-2 messages of malformed input: every document command, with and
+  without ``--json``, on each of ``MALFORMED_DOCUMENTS`` (a JSON, key, entry
+  or rational error each) and on the FILE ``MISSING_FILE``, and
+  ``generate`` and ``orbit-sample`` on each of ``ROW_ERRORS``.  No set
+  above reaches a parse, entry, FILE or row error, so none pins these messages.
 
 The generated documents count as outputs too.  Every exit code, stdout and
 stderr that differs between the trees is printed as a unified diff; when
@@ -95,6 +100,37 @@ USAGE = ([], ["-h"], ["--help"], *([command, "-h"] for command in COMMANDS),
          ["orbit-sample", "IX", "--seed", "x"], ["validate", "a", "b"],
          ["validate", "--", "-"], ["generate", "II", "--force-omega"],
          ["tables", "--float-tol", "5"])
+# one document per error message of parse, from_entries and rational; the
+# last holds two errors, of which the first in document order is reported
+MALFORMED_DOCUMENTS = (
+    "not json", "[1, 2]", '{"dim": 3}',
+    '{"dim": 3, "c_entries": [], "omega_entries": [], "extra": 1}',
+    '{"dim": 0, "c_entries": [], "omega_entries": []}',
+    '{"dim": true, "c_entries": [], "omega_entries": []}',
+    '{"dim": 3, "c_entries": [[1, 2, 3]], "omega_entries": []}',
+    '{"dim": 3, "c_entries": [], "omega_entries": [[1, 2]]}',
+    '{"dim": 3, "c_entries": [[2, 1, 3, "1"]], "omega_entries": []}',
+    '{"dim": 3, "c_entries": [[1, 4, 3, "1"]], "omega_entries": []}',
+    '{"dim": 3, "c_entries": [[1, 2, 3, "1/0"]], "omega_entries": []}',
+    '{"dim": 3, "c_entries": [[1, 2, 3, "1.5"]], "omega_entries": []}',
+    '{"dim": 3, "c_entries": [[1, 2, 3, "2\\n"]], "omega_entries": []}',
+    '{"dim": 3, "c_entries": [[1, 2, 3, 1.5]], "omega_entries": []}',
+    '{"dim": 3, "c_entries": [[1, 2, 3, "%s"]], "omega_entries": []}' % ("9" * 4301),
+    '{"dim": 3, "c_entries": [[1, 2, 3, "1"], [1, 2, 3, "2"]], "omega_entries": []}',
+    '{"dim": 3, "c_entries": [], "omega_entries": [[1, 2, "1"], [1, 2, "1"]]}',
+    '{"dim": 3, "c_entries": {}, "omega_entries": []}',
+    '{"dim": 3, "c_entries": [], "omega_entries": "x"}',
+    '{"dim": 3, "c_entries": [[1.5, 2, 3, "1"]], "omega_entries": []}',
+    '{"dim": 3, "c_entries": [[1, "2", 3, "1"]], "omega_entries": []}',
+    '{"dim": 3, "c_entries": [], "omega_entries": [[1, true, "1"]]}',
+    '{"dim": %s, "c_entries": [], "omega_entries": []}' % ("9" * 4301), "[" * 100000,
+    '{"dim": 3, "c_entries": [[1, 2, 3, "1.5"]], "omega_entries": "x"}')
+MISSING_FILE = "no-such-omegalie-document.json"  # relative: the outputs name no tree
+# generate and orbit-sample argvs past the label: an unknown label, a parametric
+# row without --param, a fixed row with one, and --param values that are refused
+ROW_ERRORS = (["IX_b"], ["IX_a"], ["IX", "--param", "2"], ["IX_a", "--param", "0"],
+              ["IX_a", "--param", "x"], ["IX_a", "--param", "1e4000000"],
+              ["IX_a", "--param", "9" * 4301])
 
 
 def random_brackets(rng):
@@ -291,6 +327,15 @@ def run_tree(src, seeds):
         run_document(name, doc)
     for name, doc in error_documents().items():
         run_document(f"error {name}", doc, every=True)
+    for command in FILE_COMMANDS:
+        for mode in MODES:
+            run("missing file", [command, *mode, MISSING_FILE])
+            for k, doc in enumerate(MALFORMED_DOCUMENTS):
+                run(f"malformed {k}", [command, *mode], doc)
+    for row in ROW_ERRORS:
+        for mode in MODES:
+            run("row error", ["generate", *row, *mode])
+            run("row error", ["orbit-sample", *row, "--seed", "1", *mode])
     for seed in seeds:
         for k, op in enumerate(workloads.classify_orbit(ol, random.Random(seed))):
             run_document(f"seed {seed} classify-orbit {k}", op.doc)
