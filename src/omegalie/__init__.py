@@ -25,12 +25,12 @@ from .decomp3d import (FIRST_TABLE_ORDER, PARAMETRIC_LABELS, SECOND_TABLE_ORDER,
                        NabTriple, decompose, forced_b, generate, orbit_sample,
                        reconstruct, t_of, t_vector, table_row)
 from .io_cli import DocumentError, document_object, parse, serialize
-from .tensor_core import Inertia, Matrix, SingularMatrixError, rational
+from .tensor_core import Matrix, SingularMatrixError, rational
 
 # name -> the module that defines it, imported when the name is first read
 _DEFERRED = {name: module for module, names in (
-    ("classify3d", ("BianchiLabel", "ExactCertificates", "FloatRangeError", "NormalForm",
-                    "NotAnAlgebraError", "classify")),
+    ("classify3d", ("BianchiLabel", "ExactCertificates", "FloatRangeError", "Inertia",
+                    "NormalForm", "NotAnAlgebraError", "classify")),
     ("decomp_nd", ("DeformabilityResult", "GeneralSplit", "check_deformability",
                    "induced_omega", "split_trace")),
 ) for name in (module, *names)}

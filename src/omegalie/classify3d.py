@@ -17,14 +17,14 @@ ratio there gives the parameter's.  VI_x and VI_y share a key, and VIII_na's
 ratio q / det(n) is zero, so it takes no parameter.
 
 ``classify`` reads the decomposition once as ints, n = N / 2lc and
-a = A / 2lc, diagonalizes N = p diag(d) p^T once and reads the invariants
-off (d, p^T a).  Every reduction stage acts on one frame (d, a, P) by
-index.  The exact head (sign sorting, shears, gauge swap, scalings, and
-rational Cayley and null boosts) runs on ints, each vector an int list over
-one denominator, and certifies P by integer equalities cross-multiplied
-against N, A and 2lc; Fractions are built only for the results
-``exact_transform`` and ``decomposition``.  The float tail is a 3x3 Q on
-that frame.  The transform is P Q, and ``transform_error`` checks Q.
+a = A / 2lc, diagonalizes N = p diag(d) p^T once (``int_congruence``) and
+reads ``Inertia`` and the other invariants off (d, p^T a).  Every reduction
+stage acts on one frame (d, a, P) by index.  The exact head (sign sorting,
+shears, gauge swap, scalings, and rational Cayley and null boosts) runs on
+ints, each vector an int list over one denominator, and certifies P by
+integer equalities cross-multiplied against N, A and 2lc; Fractions are built
+only for the results ``exact_transform`` and ``decomposition``.  The float
+tail is a 3x3 Q on that frame.  The transform is P Q; ``transform_error`` checks Q.
 
 VI_y and every VIII_na parameter are not orbits of their own: both report
 on a canonical representative (VI_x, VIII_na at parameter 1) with a note
@@ -38,11 +38,12 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .algebra_core import AlgebraSpec
 from .decomp3d import _TABLE, NabTriple, _t, _triple, _view
-from .tensor_core import Inertia, Matrix, _Record, int_congruence
+from .tensor_core import Matrix, _Record
 
 
 class NotAnAlgebraError(ValueError):
@@ -79,6 +80,26 @@ _COLLAPSE_NOTES = {
                "n = diag(1, 1, -1) and doubles the null a = (p, 0, p); VIII_na at "
                "parameter 1 is the canonical representative reported here.",
 }
+
+
+class Inertia(_Record):
+    """Sylvester signature counts of a symmetric matrix: ``positive``, ``negative``, ``zero``."""
+
+    __slots__ = ("positive", "negative", "zero")
+
+    @property
+    def rank(self) -> int:
+        return self.positive + self.negative
+
+    def as_tuple(self) -> tuple[int, int, int]:
+        return (self.positive, self.negative, self.zero)
+
+    @classmethod
+    def of_diagonal(cls, d: Sequence) -> "Inertia":
+        """Sign counts of a congruence diagonal (Sylvester's law of inertia)."""
+        pos = sum(1 for x in d if x > 0)
+        neg = sum(1 for x in d if x < 0)
+        return cls(pos, neg, len(d) - pos - neg)
 
 
 class BianchiLabel(_Record):
@@ -127,6 +148,62 @@ class NormalForm(_Record):
 
 # ---------------------------------------------------------------------------
 # exact discrete classification
+
+
+def int_congruence(rows) -> tuple[list, list, list, int]:
+    """(cols, dens, d, det) with M = p diag(d) p^T for a symmetric int matrix
+    M given as rows, by symmetric elimination with swaps and unit shears: p
+    collects their inverses as column operations, column j of p is the int
+    vector cols[j] over its pivot dens[j], d[i] = piv_i / prev_i is given as
+    that pair ((0, 1) past the last pivot), and det(p) = +-1 is the swap
+    parity.  When every remaining diagonal entry vanishes but some
+    off-diagonal entry q,r is nonzero, the split e_q -> e_q + e_r exposes the
+    pivots 2m and -m/2.
+
+    Fraction-free (Bareiss 1968): the trailing block after a pivot b is B / b
+    with B integer (the next step divides exactly by b), and a pivot column
+    of p is an integer vector over its pivot."""
+    a, n = [list(r) for r in rows], len(rows)
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]  # cols[j]: column j of p
+    dens, d = [1] * n, [(0, 1)] * n
+    det, prev = 1, 1
+
+    def swap(i, j):
+        nonlocal det
+        a[i], a[j] = a[j], a[i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        cols[i], cols[j] = cols[j], cols[i]
+        det = -det
+
+    for i in range(n):
+        if a[i][i] == 0:
+            cand = next((q for q in range(i + 1, n) if a[q][q] != 0), None)
+            if cand is not None:
+                swap(i, cand)
+            else:
+                pair = next(((q, r) for q in range(i, n) for r in range(q + 1, n)
+                             if a[q][r] != 0), None)
+                if pair is None:
+                    break  # trailing block is identically zero
+                q, r = pair
+                # e_q -> e_q + e_r congruently on a; p: column r -= column q
+                a[q] = [x + y for x, y in zip(a[q], a[r])]
+                for row in a:
+                    row[q] += row[r]
+                cols[r] = [x - y for x, y in zip(cols[r], cols[q])]
+                if q != i:
+                    swap(i, q)
+        piv, rest = a[i][i], range(i + 1, n)
+        # e_q -> e_q - (a_qi / piv) e_i for q > i; p: column i += (a_qi / piv) column q
+        cols[i] = [piv * x + sum(a[q][i] * cols[q][k] for q in rest)
+                   for k, x in enumerate(cols[i])]
+        dens[i], d[i] = piv, (piv, prev)
+        for q in rest:
+            a[q][i + 1:] = [(piv * x - a[q][i] * y) // prev
+                            for x, y in zip(a[q][i + 1:], a[i][i + 1:])]
+        prev = piv
+    return cols, dens, d, det
 
 
 def _form(d, v):

@@ -1,18 +1,17 @@
-"""Exact scalars and small dense matrices.
+"""Exact scalars and small dense matrices: what every command shares.
 
-Everything in this module stays in Q: scalars are ``fractions.Fraction``,
-matrices are immutable row tuples, and congruence diagonalization / inertia
-counting never take square roots.  ``rational`` alone decides the scalar
+Everything in this module stays in Q: scalars are ``fractions.Fraction`` and
+matrices are immutable row tuples.  ``rational`` alone decides the scalar
 type: ``Matrix`` passes every entry through it, so a matrix holds only
 Fractions (ints are converted, floats and bools raise ``TypeError``), and it
 alone reads rational text, for documents, ``--param`` and the library alike:
 ``p`` or ``p/q``, no decimal, exponent, ``+`` or whitespace.  ``_vector``
 reads vector arguments: other entries than ints and Fractions go through it.
-``det`` divides exactly: it reads det(M) of the int matrix M = den m off
-``int_adjugate``, the one elimination, which ``transport`` shares for adj(M).
-Both it and ``int_congruence``, the congruence diagonalization ``classify``
-runs, eliminate fraction-free on ints and return ints.  ``_Record``, the base of the
-package's immutable records (``Matrix``, ``Inertia``, ...), builds, copies and pickles them.
+``det`` divides exactly: it reads det(M) of the int matrix M = den m, which
+``cleared`` gives, off ``int_adjugate``, the one elimination here, fraction-free
+on ints; ``transport`` shares it for adj(M).  ``_Record``, the base of the
+package's immutable records (``Matrix``, ``AlgebraSpec``, ...), builds, copies and
+pickles them.  The congruence diagonalization and ``Inertia`` live in ``classify3d``.
 """
 
 from __future__ import annotations
@@ -194,79 +193,3 @@ def int_adjugate(rows) -> tuple[list, int]:
             row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], pk[k + 1:])]
         prev = p
     return [[sign * x for x in r[n:]] for r in a], sign * prev
-
-
-def int_congruence(rows) -> tuple[list, list, list, int]:
-    """(cols, dens, d, det) with M = p diag(d) p^T for a symmetric int matrix
-    M given as rows, by symmetric elimination with swaps and unit shears: p
-    collects their inverses as column operations, column j of p is the int
-    vector cols[j] over its pivot dens[j], d[i] = piv_i / prev_i is given as
-    that pair ((0, 1) past the last pivot), and det(p) = +-1 is the swap
-    parity.  When every remaining diagonal entry vanishes but some
-    off-diagonal entry q,r is nonzero, the split e_q -> e_q + e_r exposes the
-    pivots 2m and -m/2.
-
-    Fraction-free (Bareiss 1968): the trailing block after a pivot b is B / b
-    with B integer (the next step divides exactly by b), and a pivot column
-    of p is an integer vector over its pivot."""
-    a, n = [list(r) for r in rows], len(rows)
-    cols = [[int(i == j) for i in range(n)] for j in range(n)]  # cols[j]: column j of p
-    dens, d = [1] * n, [(0, 1)] * n
-    det, prev = 1, 1
-
-    def swap(i, j):
-        nonlocal det
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        cols[i], cols[j] = cols[j], cols[i]
-        det = -det
-
-    for i in range(n):
-        if a[i][i] == 0:
-            cand = next((q for q in range(i + 1, n) if a[q][q] != 0), None)
-            if cand is not None:
-                swap(i, cand)
-            else:
-                pair = next(((q, r) for q in range(i, n) for r in range(q + 1, n)
-                             if a[q][r] != 0), None)
-                if pair is None:
-                    break  # trailing block is identically zero
-                q, r = pair
-                # e_q -> e_q + e_r congruently on a; p: column r -= column q
-                a[q] = [x + y for x, y in zip(a[q], a[r])]
-                for row in a:
-                    row[q] += row[r]
-                cols[r] = [x - y for x, y in zip(cols[r], cols[q])]
-                if q != i:
-                    swap(i, q)
-        piv, rest = a[i][i], range(i + 1, n)
-        # e_q -> e_q - (a_qi / piv) e_i for q > i; p: column i += (a_qi / piv) column q
-        cols[i] = [piv * x + sum(a[q][i] * cols[q][k] for q in rest)
-                   for k, x in enumerate(cols[i])]
-        dens[i], d[i] = piv, (piv, prev)
-        for q in rest:
-            a[q][i + 1:] = [(piv * x - a[q][i] * y) // prev
-                            for x, y in zip(a[q][i + 1:], a[i][i + 1:])]
-        prev = piv
-    return cols, dens, d, det
-
-
-class Inertia(_Record):
-    """Sylvester signature counts of a symmetric matrix: ``positive``, ``negative``, ``zero``."""
-
-    __slots__ = ("positive", "negative", "zero")
-
-    @property
-    def rank(self) -> int:
-        return self.positive + self.negative
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.positive, self.negative, self.zero)
-
-    @classmethod
-    def of_diagonal(cls, d: Sequence) -> "Inertia":
-        """Sign counts of a congruence diagonal (Sylvester's law of inertia)."""
-        pos = sum(1 for x in d if x > 0)
-        neg = sum(1 for x in d if x < 0)
-        return cls(pos, neg, len(d) - pos - neg)

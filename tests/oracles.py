@@ -27,9 +27,10 @@ transposed matrices, the matrix-vector product, the adjugate and the
 inverse (both read off the library's eliminations), inertia, the dual
 matrix of a dense dim-3 bracket, the forced b and the forced spec of a
 dim-3 spec by the dual route b = -2 n a, the forced omega of a dense dim-3
-bracket, the compatible omega store or None, the brute-force check that
-omega's side of the identity vanishes, the exact witness of a
-classification and its whole-input float check.
+bracket, the deformed identity as linear equations in omega with their
+exact solution and the compatible omega store or None read off it, the
+brute-force check that omega's side of the identity vanishes, the exact
+witness of a classification and its whole-input float check.
 """
 
 import math
@@ -38,8 +39,8 @@ from fractions import Fraction
 from itertools import permutations
 
 from omegalie import (AlgebraSpec, ExactCertificates, Inertia, Matrix, NabTriple,
-                      SingularMatrixError, check_deformability, forced_b, jacobiator,
-                      omega_rhs, reconstruct, table_row, transport)
+                      SingularMatrixError, forced_b, jacobiator, omega_rhs,
+                      reconstruct, table_row, transport)
 from omegalie.tensor_core import int_adjugate
 
 _ZERO = Fraction(0)
@@ -566,11 +567,80 @@ def forced_omega(c):
     return omega_matrix(dual_forced(spec_from_dense(c, omega_matrix(AlgebraSpec.zero(3)))))
 
 
+def deformability_equations(spec):
+    """(unknowns, rows): the deformed Jacobi identity as linear equations in
+    the dim(dim-1)/2 unknowns omega_pq, p < q, built from the c store.
+
+    On (e_l, e_j, e_k), l < j < k, the e_m component of the identity reads
+    omega_jk delta_ml + omega_lj delta_mk - omega_lk delta_mj = J_m, with
+    J = [e_l,[e_j,e_k]] + [e_k,[e_l,e_j]] + [e_j,[e_k,e_l]] summed densely.
+    Each row is the coefficient list followed by the right side J_m."""
+    n, c = spec.dim, c_tensor(spec)
+    unknowns = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    col = {pq: i for i, pq in enumerate(unknowns)}
+    rows = []
+    for l in range(n):
+        for j in range(l + 1, n):
+            for k in range(j + 1, n):
+                for m in range(n):
+                    row = [_ZERO] * (len(unknowns) + 1)  # Fractions: no division floats
+                    if m == l:
+                        row[col[j, k]] = Fraction(1)
+                    elif m == k:
+                        row[col[l, j]] = Fraction(1)
+                    elif m == j:
+                        row[col[l, k]] = Fraction(-1)
+                    row[-1] = sum(c[m][l][i] * c[i][j][k] + c[m][k][i] * c[i][l][j]
+                                  + c[m][j][i] * c[i][k][l] for i in range(n))
+                    rows.append(row)
+    return unknowns, rows
+
+
+def solve_exactly(rows, width):
+    """(solution, free) of the augmented rows in ``width`` unknowns by
+    Gauss-Jordan elimination in Fractions: solution None when the system is
+    inconsistent, else a list with every free unknown set to 0; free counts
+    the unknowns no pivot determines."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(width):
+        piv = next((r for r in range(len(pivots), len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[piv] = rows[piv], rows[top]
+        lead = rows[top][col]
+        rows[top] = [x / lead for x in rows[top]]
+        for r, row in enumerate(rows):
+            if r != top and row[col]:
+                f = row[col]
+                rows[r] = [x - f * y for x, y in zip(row, rows[top])]
+        pivots.append(col)
+    if any(row[-1] for row in rows[len(pivots):]):
+        return None, width - len(pivots)
+    solution = [_ZERO] * width
+    for r, col in enumerate(pivots):
+        solution[col] = rows[r][-1]
+    return solution, width - len(pivots)
+
+
+def linear_deformability(spec):
+    """(omega store or None, free unknowns) of ``spec``'s bracket, by solving
+    ``deformability_equations`` exactly; the store keeps the nonzero values."""
+    unknowns, rows = deformability_equations(spec)
+    solution, free = solve_exactly(rows, len(unknowns))
+    if solution is None:
+        return None, free
+    return {pq: v for pq, v in zip(unknowns, solution) if v}, free
+
+
 def deformability(spec):
     """The omega store of the unique 2-form making the bracket of ``spec``
-    valid, or None."""
-    result = check_deformability(spec)
-    return result.spec.omega_upper if result.compatible else None
+    valid, or None, read off the linear system (``linear_deformability``)."""
+    omega, free = linear_deformability(spec)
+    if free:
+        raise ValueError(f"{free} unknowns of omega are free: no unique 2-form")
+    return omega
 
 
 def omega_rhs_is_identically_zero(omega):

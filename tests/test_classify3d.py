@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 import omegalie
 from omegalie import (AlgebraSpec, BianchiLabel, FloatRangeError, Matrix,
                       NabTriple, NormalForm, NotAnAlgebraError,
-                      PARAMETRIC_LABELS, classify, decompose, forced_b,
-                      generate, orbit_sample, reconstruct, serialize,
-                      t_vector, table_row, transport)
+                      PARAMETRIC_LABELS, check_deformability, classify,
+                      decompose, forced_b, generate, orbit_sample, reconstruct,
+                      serialize, t_vector, table_row, transport)
 from omegalie.classify3d import (_LABELS, _TABLE, _certify, _det3, _discrete_classify,
                                  _exact_head, _invariants)
 from omegalie.decomp3d import _adjugate3, _triple, _view
@@ -402,6 +402,34 @@ def test_tolerance_note_reads_the_deviation_on_the_rows_scale(label, e, err):
     assert nf.label.name == label and nf.parameter == float(10 ** e)
     assert nf.transform_error == err  # the absolute reading, as before scaling
     assert not any("tolerance" in note for note in nf.notes)
+
+
+# the real 3-dim Lie algebras in their textbook bases (Bianchi 1898; Patera
+# and Winternitz, J. Math. Phys. 18, 1977): {(i, j): {k: c}} gives
+# [e_i, e_j] = sum of c e_k, and the row each lands on with omega = 0
+BIANCHI_LIST = [
+    ("Heisenberg", {(1, 2): {3: 1}}, BianchiLabel("II")),
+    ("so(3)", {(1, 2): {3: 1}, (2, 3): {1: 1}, (3, 1): {2: 1}}, BianchiLabel("IX")),
+    ("sl(2,R)", {(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}}, BianchiLabel("VIII")),
+    ("e(2)", {(3, 1): {2: 1}, (3, 2): {1: -1}}, BianchiLabel("VII0")),
+    ("e(1,1)", {(3, 1): {1: 1}, (3, 2): {2: -1}}, BianchiLabel("VI0")),
+    ("r_3", {(3, 1): {1: 1}, (3, 2): {1: 1, 2: 1}}, BianchiLabel("IV")),
+    ("r_3,1", {(3, 1): {1: 1}, (3, 2): {2: 1}}, BianchiLabel("V")),
+    ("III", {(1, 3): {1: 1}}, BianchiLabel("VI_a", 1.0)),
+    ("r_3,1/2", {(3, 1): {1: 1}, (3, 2): {2: Fraction(1, 2)}}, BianchiLabel("VI_a", 3.0)),
+    ("r'_3,1", {(3, 1): {1: 1, 2: -1}, (3, 2): {1: 1, 2: 1}}, BianchiLabel("VII_a", 1.0)),
+]
+
+
+@pytest.mark.parametrize("name,brackets,row", BIANCHI_LIST, ids=[b[0] for b in BIANCHI_LIST])
+def test_bianchi_list_in_textbook_bases(name, brackets, row):
+    entries = [(min(i, j), max(i, j), k, v if i < j else -v)
+               for (i, j), vec in brackets.items() for k, v in vec.items()]
+    spec = AlgebraSpec.from_entries(3, entries)
+    assert check_deformability(spec).spec.omega_upper == {}  # a Lie algebra: omega = 0 is forced
+    assert classify(spec).label == row
+    unimodular = Matrix([[1, 2, 0], [0, 1, 3], [1, 0, -5]])  # det 1
+    assert classify(transport(spec, unimodular)).label == row
 
 
 # --- classify: exact invariants on messy representatives -------------------

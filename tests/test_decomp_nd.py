@@ -4,13 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omegalie import (AlgebraSpec, check_deformability, decompose, generate,
                       induced_omega, residual, split_trace)
 from omegalie.decomp_nd import _induced_upper
-from oracles import c_tensor, deformability, omega_matrix, with_omega
+from oracles import c_tensor, deformability, linear_deformability, omega_matrix, with_omega
 
 
 def rand_bracket_spec(rng, dim):
@@ -173,9 +173,9 @@ def test_candidate_is_kept_even_when_incompatible():
 
 
 @st.composite
-def sparse_brackets(draw):
-    # dim 3-8, up to 3 dim stored c entries; about a quarter of the keys carry trace
-    dim = draw(st.integers(3, 8))
+def sparse_brackets(draw, dims=(3, 8)):
+    # dim 3-8 by default, up to 3 dim stored c entries; about a quarter of the keys carry trace
+    dim = draw(st.integers(*dims))
     keys = [(i, j, k) for i in range(1, dim) for j in range(i + 1, dim + 1)
             for k in range(1, dim + 1)]
     chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=3 * dim))
@@ -190,3 +190,27 @@ def test_candidate_from_the_bracket_store_matches_the_alpha_formula(spec):
     split = split_trace(spec)
     reference = _induced_upper(split.trace_free.c_upper, split.a)
     assert check_deformability(spec).spec.omega_upper == {jk: v for jk, v in reference.items() if v}
+
+
+# [e1, e2] = -e3, [e1, e3] = e1, [e2, e3] = e4, [e3, e4] = -e4: deformed, omega_12 = -1
+DEFORMED_DIM4 = AlgebraSpec.from_entries(4, [(1, 2, 3, -1), (1, 3, 1, 1), (2, 3, 4, 1),
+                                             (3, 4, 4, -1)])
+
+
+@given(sparse_brackets(dims=(4, 6)))
+@example(DEFORMED_DIM4)
+@settings(deadline=None, max_examples=200)
+def test_deformability_agrees_with_the_linear_system_in_omega(spec):
+    # the identity is linear in omega: exact elimination over its dim(dim-1)/2
+    # unknowns decides existence, leaves no unknown free, and finds the candidate
+    omega, free = linear_deformability(spec)
+    result = check_deformability(spec)
+    assert free == 0
+    assert (omega is not None) == result.compatible
+    if omega is not None:
+        assert omega == result.spec.omega_upper
+
+
+def test_the_linear_system_finds_a_nonzero_deformation():
+    # random sparse brackets rarely force a nonzero omega: the example above does
+    assert linear_deformability(DEFORMED_DIM4) == ({(0, 1): -1}, 0)

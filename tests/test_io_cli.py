@@ -21,7 +21,7 @@ from omegalie import (FIRST_TABLE_ORDER, PARAMETRIC_LABELS, SECOND_TABLE_ORDER,
                       ResidualTensor, classify, classify3d, decomp3d, generate,
                       orbit_sample, parse, rational, serialize)
 from omegalie.io_cli import (_REPORT, SCHEMA_VERSION, _build_parser, _dumps,
-                             _force_omega, _read_plain, document_object, run)
+                             _force_omega, _read_plain, document_object, main, run)
 from oracles import (c_tensor, dual_forced, dual_forced_b, fraction_decompose,
                      omega_matrix, spec_from_dense, with_omega)
 from test_decomp3d import rand_spec
@@ -541,6 +541,17 @@ def test_cli_usage_errors_exit_2(capsys):
     assert run(["generate", "II", "--force-omega"]) == 2
     assert run(["tables", "--float-tol", "5"]) == 2
 
+
+def test_main_exits_with_the_code_run_returns(tmp_path, capsys):
+    # the console script's entry point: main prints what run prints, then exits with its code
+    missing = str(tmp_path / "absent.json")
+    for argv, code in ((["tables"], 0), (["validate", missing], 2)):
+        assert run(argv) == code
+        printed = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        assert capsys.readouterr() == printed
 
 def test_cli_numerals_beyond_the_int_digit_limit_exit_2(monkeypatch):
     huge = "1" * 5000

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omegalie import Inertia, Matrix, SingularMatrixError, rational
-from omegalie.tensor_core import cleared, int_adjugate, int_congruence
+from omegalie.classify3d import int_congruence
+from omegalie.tensor_core import cleared, int_adjugate
 from oracles import (adjugate, descartes_inertia, diagonal, fraction_congruence_diagonalize,
                      identity, inertia, inverse, mat_vec, perm_adjugate, perm_det, scale,
                      transpose)
