@@ -7,8 +7,8 @@ satisfying, for all A, B, C,
 
 The package represents such structures exactly (rational arithmetic
 throughout), decomposes the 3-dimensional ones into dual data (n, a, b)
-with the forced choice b = -2 n a, splits general-dimension brackets into
-trace part and trace-free part, classifies every valid 3-dimensional
+with the forced choice b = -2 n a, checks a bracket of any dimension
+against its one candidate 2-form, classifies every valid 3-dimensional
 instance onto one of two Bianchi-style normal-form tables, and ships a
 JSON document format plus the ``omegalie`` command line around it all.
 
@@ -31,8 +31,7 @@ from .tensor_core import Matrix, SingularMatrixError, rational
 _DEFERRED = {name: module for module, names in (
     ("classify3d", ("BianchiLabel", "ExactCertificates", "FloatRangeError", "Inertia",
                     "NormalForm", "NotAnAlgebraError", "classify")),
-    ("decomp_nd", ("DeformabilityResult", "GeneralSplit", "check_deformability",
-                   "induced_omega", "split_trace")),
+    ("decomp_nd", ("DeformabilityResult", "check_deformability")),
 ) for name in (module, *names)}
 
 
@@ -53,13 +52,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraSpec", "BianchiLabel", "DeformabilityResult", "DocumentError",
-    "ExactCertificates", "FIRST_TABLE_ORDER", "FloatRangeError",
-    "GeneralSplit", "Inertia", "Matrix", "NabTriple", "NormalForm",
-    "NotAnAlgebraError", "PARAMETRIC_LABELS", "ResidualTensor",
-    "SECOND_TABLE_ORDER", "SingularMatrixError", "bracket",
-    "check_deformability", "classify", "decompose", "document_object",
-    "forced_b", "generate", "induced_omega", "jacobiator", "omega_rhs",
-    "omega_value", "orbit_sample", "parse", "rational", "reconstruct",
-    "residual", "serialize", "split_trace", "t_of", "t_vector", "table_row",
+    "ExactCertificates", "FIRST_TABLE_ORDER", "FloatRangeError", "Inertia",
+    "Matrix", "NabTriple", "NormalForm", "NotAnAlgebraError",
+    "PARAMETRIC_LABELS", "ResidualTensor", "SECOND_TABLE_ORDER",
+    "SingularMatrixError", "bracket", "check_deformability", "classify",
+    "decompose", "document_object", "forced_b", "generate", "jacobiator",
+    "omega_rhs", "omega_value", "orbit_sample", "parse", "rational",
+    "reconstruct", "residual", "serialize", "t_of", "t_vector", "table_row",
     "transport",
 ]

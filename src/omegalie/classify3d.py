@@ -42,7 +42,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .algebra_core import AlgebraSpec
-from .decomp3d import _TABLE, NabTriple, _t, _triple, _view
+from .decomp3d import _TABLE, NabTriple, _adjugate3, _t, _triple, _view
 from .tensor_core import Matrix, _Record
 
 
@@ -456,12 +456,6 @@ def _exact_stages(frame, label: str):
     return frame
 
 
-def _det3(rows) -> int:
-    # det of a 3x3 int matrix, along its first row
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def _certify(frame, view, label: str):
     """Integer equality of P diag(d) P^T = det(P) n, with det(P) read off the
     columns, and of P^T a = a_frame, both cross-multiplied against the view's
@@ -470,7 +464,7 @@ def _certify(frame, view, label: str):
     (d, dd), (af, ad), cols = frame
     nv, av, _, lc, _ = view
     c, s = zip(*cols)
-    det = _det3(c)
+    det = _adjugate3(c)[1]
     prod = s[0] * s[1] * s[2]  # det(P) = det / prod; below, times prod^2 dd 2lc
     t = [x * (prod // y) ** 2 * 2 * lc for x, y in zip(d, s)]
     nd, apat, _ = _TABLE[label]
@@ -640,7 +634,7 @@ def classify(spec: AlgebraSpec) -> NormalForm:
     ratios = [x.as_integer_ratio() for row in transform for x in row]
     den = max(d for _, d in ratios)
     ints = [n * (den // d) for n, d in ratios]
-    if not _det3((ints[0:3], ints[3:6], ints[6:9])):
+    if not _adjugate3((ints[0:3], ints[3:6], ints[6:9]))[1]:
         notes.append("the float transform rounds to a singular matrix: exact_transform is "
                      "the certified basis change (the exact head P of transform = P Q)")
     exact = tuple(tuple(Fraction(col[r], s) for col, s in frame[2]) for r in range(3))

@@ -42,15 +42,15 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .algebra_core import _ZERO, AlgebraSpec, ResidualTensor, _defect
-from .tensor_core import Matrix, _Record, _vector, cleared, rational
+from .tensor_core import Matrix, _Record, _scalars, _vector, cleared, rational
 
 
 class NabTriple(_Record):
     """(n, a, b) data of one 3-dimensional algebra, the fields in that order.
 
     n: symmetric Matrix (upper indices), a: covector, b: vector, all of
-    Fractions (a and b pass through ``rational``).  The triple comes from a
-    valid algebra iff b = -2 n a, equivalently t_vector == 0.
+    Fractions (a and b are read by ``_scalars``, which refuses a str).  The
+    triple comes from a valid algebra iff b = -2 n a, equivalently t_vector == 0.
     """
 
     __slots__ = ("n", "a", "b")
@@ -58,11 +58,12 @@ class NabTriple(_Record):
     def __init__(self, n: Matrix, a: tuple, b: tuple):
         if not isinstance(n, Matrix):
             raise TypeError(f"NabTriple needs a Matrix, got {type(n).__name__}")
+        a, b = _scalars(a), _scalars(b)
         if n.dim != 3 or len(a) != 3 or len(b) != 3:
             raise ValueError("NabTriple is strictly 3-dimensional")
         if not n.is_symmetric():
             raise ValueError("n must be symmetric")
-        super().__init__(n, tuple(map(rational, a)), tuple(map(rational, b)))
+        super().__init__(n, a, b)
 
 
 # (l + 1, l + 2) mod 3 for l = 0, 1, 2: the pair with eps_{jkl} = +1, and

@@ -5,8 +5,9 @@ matrices are immutable row tuples.  ``rational`` alone decides the scalar
 type: ``Matrix`` passes every entry through it, so a matrix holds only
 Fractions (ints are converted, floats and bools raise ``TypeError``), and it
 alone reads rational text, for documents, ``--param`` and the library alike:
-``p`` or ``p/q``, no decimal, exponent, ``+`` or whitespace.  ``_vector``
-reads vector arguments: other entries than ints and Fractions go through it.
+``p`` or ``p/q``, no decimal, exponent, ``+`` or whitespace.  ``_scalars``
+reads a matrix row or a vector through it and refuses a str; ``_vector`` reads
+vector arguments and keeps a vector of ints and Fractions as it is.
 ``det`` divides exactly: it reads det(M) of the int matrix M = den m, which
 ``cleared`` gives, off ``int_adjugate``, the one elimination here, fraction-free
 on ints; ``transport`` shares it for adj(M).  ``_Record``, the base of the
@@ -54,17 +55,23 @@ def rational(value) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational scalar")
 
 
-def _vector(values, dim) -> Sequence:
-    """A vector argument of length ``dim``: itself if it holds only ints and Fractions,
-    else its entries through ``rational``.  A str is refused, not read as numerals."""
+def _scalars(values) -> tuple:
+    """The entries of a vector or a matrix row, each through ``rational``.  A str
+    is refused, not read as one-character numerals."""
     if isinstance(values, str):
         raise TypeError("a vector is a sequence of scalars, not a str")
-    if len(values) != dim:
-        raise ValueError(f"vector length {len(values)} does not match dim {dim}")
-    for x in values:
-        if type(x) is not int and type(x) is not Fraction:
-            return tuple(map(rational, values))
-    return values
+    return tuple(map(rational, values))
+
+
+def _vector(values, dim) -> Sequence:
+    """A vector argument of length ``dim``: itself if it holds only ints and Fractions,
+    else ``_scalars(values)``, which refuses a str."""
+    if not isinstance(values, str):
+        if len(values) != dim:
+            raise ValueError(f"vector length {len(values)} does not match dim {dim}")
+        if all(type(x) is int or type(x) is Fraction for x in values):
+            return values
+    return _scalars(values)
 
 
 class _Record:
@@ -118,14 +125,14 @@ class Matrix(_Record):
     """Immutable square matrix of Fractions, built from its rows: the one field ``rows``.
 
     Rows are stored as a tuple of tuples with 0-based Python indexing;
-    ``m[i][j]`` is the entry in row i, column j.  Every entry passes through
-    ``rational`` on construction.
+    ``m[i][j]`` is the entry in row i, column j.  Each row is read by
+    ``_scalars``: its entries pass through ``rational``, and a str is refused.
     """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(map(rational, r)) for r in rows)
+        rows = tuple(map(_scalars, rows))
         if not rows or any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix must be square and non-empty")
         super().__init__(rows)

@@ -27,7 +27,8 @@ transposed matrices, the matrix-vector product, the adjugate and the
 inverse (both read off the library's eliminations), inertia, the dual
 matrix of a dense dim-3 bracket, the forced b and the forced spec of a
 dim-3 spec by the dual route b = -2 n a, the forced omega of a dense dim-3
-bracket, the deformed identity as linear equations in omega with their
+bracket, the trace split (a, alpha) of a bracket in any dimension and its
+trace candidate omega, built densely from alpha, the deformed identity as linear equations in omega with their
 exact solution and the compatible omega store or None read off it, the
 brute-force check that omega's side of the identity vanishes, the exact
 witness of a classification and its whole-input float check.
@@ -565,6 +566,27 @@ def dual_forced(spec):
 def forced_omega(c):
     """The unique compatible 2-form of a dense 3d skew bracket, as a full matrix."""
     return omega_matrix(dual_forced(spec_from_dense(c, omega_matrix(AlgebraSpec.zero(3)))))
+
+
+def trace_split(spec):
+    """(a, alpha) of a spec's bracket, dim >= 2, dense: the trace covector
+    a_k = sum_i c[i][i][k] / (dim - 1) and the trace-free part
+    alpha[i][j][k] = c[i][j][k] - a_k delta_ij + a_j delta_ik."""
+    n, c = spec.dim, c_tensor(spec)
+    a = tuple(sum(c[i][i][k] for i in range(n)) / Fraction(n - 1) for k in range(n))
+    alpha = tuple(tuple(tuple(c[i][j][k] - (a[k] if i == j else 0) + (a[j] if i == k else 0)
+                              for k in range(n)) for j in range(n)) for i in range(n))
+    return a, alpha
+
+
+def trace_omega(spec):
+    """The trace candidate omega_jk = (dim-1)/(dim-2) a_i alpha[i][j][k] of a
+    spec's bracket, dim >= 3, built from ``trace_split``: an omega store."""
+    n = spec.dim
+    a, alpha = trace_split(spec)
+    omega = {(j, k): Fraction(n - 1, n - 2) * sum(a[i] * alpha[i][j][k] for i in range(n))
+             for j in range(n) for k in range(j + 1, n)}
+    return {jk: v for jk, v in omega.items() if v}
 
 
 def deformability_equations(spec):

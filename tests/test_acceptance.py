@@ -11,12 +11,12 @@ from fractions import Fraction
 from itertools import product
 
 from omegalie import (AlgebraSpec, Matrix, NabTriple, check_deformability,
-                      decompose, forced_b, generate, induced_omega,
-                      orbit_sample, parse, reconstruct, residual, serialize,
-                      split_trace, t_vector)
+                      decompose, forced_b, generate, orbit_sample, parse,
+                      reconstruct, residual, serialize, t_vector)
 from omegalie import classify
+from omegalie.decomp_nd import _trace_covector
 from oracles import (deformability, omega_matrix, omega_rhs_is_identically_zero,
-                     transport_error, with_omega)
+                     trace_omega, transport_error, with_omega)
 
 PARAMS = (Fraction(1, 2), Fraction(1), Fraction(2))
 FIRST = ("I", "II", "VI0", "VII0", "VIII", "IX")
@@ -66,7 +66,7 @@ def test_criterion_2_forced_omega_universality():
         trip = decompose(spec)
         b = forced_b(trip.n, trip.a)
         omega_dual = reconstruct(NabTriple(trip.n, trip.a, b)).omega_upper
-        omega_trace = induced_omega(split_trace(spec))
+        omega_trace = trace_omega(spec)
         result = check_deformability(spec)
         assert omega_dual == omega_trace == result.spec.omega_upper
         assert result.compatible
@@ -185,11 +185,12 @@ def test_criterion_6_n_dimensional_consistency():
     rows = 0
     for label, p, spec in all_table_specs():
         rows += 1
-        split = split_trace(spec)
-        assert induced_omega(split) == spec.omega_upper, label
-        assert split.a == tuple(-x for x in decompose(spec).a), label
+        assert check_deformability(spec).spec.omega_upper == spec.omega_upper, label
+        assert trace_omega(spec) == spec.omega_upper, label
+        assert _trace_covector(spec) == tuple(-x for x in decompose(spec).a), label
     finish(6, "n-dimensional consistency", 1.0, started,
-           f"trace route reproduces stored omega on all {rows} table algebras")
+           f"trace route and dense alpha formula reproduce stored omega on all {rows} "
+           "table algebras")
 
 
 def test_criterion_7_no_deformation_types():

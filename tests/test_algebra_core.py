@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 
 from omegalie import (AlgebraSpec, DocumentError, SingularMatrixError, Matrix,
                       NabTriple, bracket, check_deformability, decompose,
-                      forced_b, generate, induced_omega, jacobiator, omega_rhs,
-                      omega_value, orbit_sample, parse, reconstruct, residual,
-                      split_trace, transport)
+                      forced_b, generate, jacobiator, omega_rhs, omega_value,
+                      orbit_sample, parse, reconstruct, residual, transport)
+from omegalie.decomp_nd import _trace_covector
 from omegalie.io_cli import run
 from oracles import (basis, c_tensor, deformed_identity_holds, dense_bracket,
                      dense_omega, dense_residual, dense_transport, diagonal,
                      eps_reconstruct, flat, identity, omega_matrix,
                      omega_rhs_is_identically_zero, residual_components,
-                     spec_from_dense)
+                     spec_from_dense, trace_omega, trace_split)
 from test_io_cli import exact_specs
 
 
@@ -454,7 +454,7 @@ def test_kernels_keep_fraction_entries(spec, seed):
 
     results = [transport(spec, rand_transport(random.Random(seed), spec.dim))]
     if spec.dim >= 2:
-        results.append(split_trace(spec).trace_free)
+        assert all(type(x) is Fraction for x in _trace_covector(spec)), spec
     if spec.dim >= 3:
         results.append(check_deformability(spec).spec)
     if spec.dim == 3:
@@ -504,12 +504,19 @@ def _reconstructed_zeros():
 
 
 def _trace_split_zeros():
-    # type V and [e1, e2] = e2 are all trace: alpha = c - trace part cancels everywhere
-    v = AlgebraSpec.from_entries(3, [(1, 3, 1, -1), (2, 3, 2, -1)])
-    pure = AlgebraSpec.from_entries(2, [(1, 2, 2, 1)])
-    splits = [split_trace(v).trace_free, split_trace(pure).trace_free]
-    assert splits == [AlgebraSpec.zero(3), AlgebraSpec.zero(2)]
-    return splits
+    # c^i_jk = a_k delta^i_j - a_j delta^i_k is all trace: alpha = 0, and the
+    # candidate's two terms a_j a_k - a_k a_j cancel at every (j, k)
+    specs = []
+    for a in ((1, -2, 3), (1, -2, 3, Fraction(1, 2))):
+        dim = len(a)
+        entries = [(j, k, i, a[k - 1] if i == j else -a[j - 1])
+                   for j in range(1, dim) for k in range(j + 1, dim + 1) for i in (j, k)]
+        spec = AlgebraSpec.from_entries(dim, entries, [(1, 2, 5)])
+        assert not any(flat(trace_split(spec)[1])) and trace_omega(spec) == {}
+        forced = check_deformability(spec).spec
+        assert forced == AlgebraSpec.from_entries(dim, entries)
+        specs.append(forced)
+    return specs
 
 
 def _induced_zeros():
@@ -517,7 +524,7 @@ def _induced_zeros():
     specs = []
     for dim in (3, 4):
         spec = AlgebraSpec.from_entries(dim, [(1, 2, 1, 1), (1, 2, 2, 1)], [(1, 2, 5)])
-        assert induced_omega(split_trace(spec)) == {}
+        assert trace_omega(spec) == {}
         forced = check_deformability(spec).spec
         assert forced == AlgebraSpec.from_entries(dim, [(1, 2, 1, 1), (1, 2, 2, 1)])
         specs.append(forced)

@@ -19,14 +19,14 @@ from omegalie import (AlgebraSpec, BianchiLabel, FloatRangeError, Matrix,
                       PARAMETRIC_LABELS, check_deformability, classify,
                       decompose, forced_b, generate, orbit_sample, reconstruct,
                       serialize, t_vector, table_row, transport)
-from omegalie.classify3d import (_LABELS, _TABLE, _certify, _det3, _discrete_classify,
+from omegalie.classify3d import (_LABELS, _TABLE, _certify, _discrete_classify,
                                  _exact_head, _invariants)
 from omegalie.decomp3d import _adjugate3, _triple, _view
 from omegalie.tensor_core import SingularMatrixError, int_adjugate
 from oracles import _discrete_classify as chain_classify
 from oracles import (c_tensor, dense_transport, diagonal, eps_reconstruct,
                      exact_witness_holds, flat, fraction_orbit_sample, omega_matrix,
-                     reconstructed_row, transport_error)
+                     perm_det, reconstructed_row, transport_error)
 
 ALL_LABELS = ("I", "II", "VI0", "VII0", "VIII", "IX", "V", "IV", "IV_x",
               "VI_a", "VI_x", "VI_y", "VI_n", "VII_a", "VII_x", "VIII_a",
@@ -432,6 +432,38 @@ def test_bianchi_list_in_textbook_bases(name, brackets, row):
     assert classify(transport(spec, unimodular)).label == row
 
 
+def _family_row(entries):
+    # (label, exact squared parameter or None) of a bracket with its forced omega
+    forced = check_deformability(AlgebraSpec.from_entries(3, entries)).spec
+    label, param2, _, _ = _exact_head(_view(forced))
+    return label, None if param2 is None else Fraction(*param2)
+
+
+def test_bianchi_one_parameter_families_exactly():
+    # r_{3,l}: [e3, e1] = e1, [e3, e2] = l e2; r'_{3,g}: [e3, e1] = g e1 - e2,
+    # [e3, e2] = e1 + g e2 (Patera and Winternitz), over exact rational parameters
+    def r3(lam):
+        return _family_row([(1, 3, 1, -1), (2, 3, 2, -lam)])
+
+    def r3_prime(g):
+        return _family_row([(1, 3, 1, -g), (1, 3, 2, 1), (2, 3, 1, -1), (2, 3, 2, -g)])
+
+    rng = random.Random(210)
+    drawn = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(400)]
+    drawn += [Fraction(rng.getrandbits(80) - (1 << 79), rng.getrandbits(60) + 1)
+              for _ in range(60)]
+    params = {Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(2), Fraction(-3), *drawn}
+    assert r3(Fraction(1)) == ("V", None) and r3(Fraction(-1)) == ("VI0", None)
+    assert r3_prime(Fraction(0)) == ("VII0", None)
+    for x in params:
+        if x not in (1, -1):
+            assert r3(x) == ("VI_a", ((1 + x) / (1 - x)) ** 2), x
+            if x:
+                assert r3(1 / x) == r3(x), x
+        if x:
+            assert r3_prime(x) == ("VII_a", x * x), x
+
+
 # --- classify: exact invariants on messy representatives -------------------
 
 def test_classify_rescaled_definite_n():
@@ -560,15 +592,15 @@ def test_cofactor_adjugate_matches_the_elimination():
 
 
 def test_direct_determinant_matches_the_cofactors():
-    # the note's and _certify's determinant, along the first row, against
-    # orbit_sample's nine cofactors, on small entries and on 120-bit ones
+    # the note's and _certify's determinant, off orbit_sample's nine cofactors,
+    # against the permutation expansion, on small entries and on 120-bit ones
     rng = random.Random(209)
     cases = [[[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)] for _ in range(2000)]
     cases += [[[rng.getrandbits(120) - (1 << 119) for _ in range(3)] for _ in range(3)]
               for _ in range(200)]
     for rows in cases:
-        assert _det3(rows) == _adjugate3(rows)[1], rows
-    assert any(_det3(rows) == 0 for rows in cases)
+        assert _adjugate3(rows)[1] == perm_det(rows), rows
+    assert any(_adjugate3(rows)[1] == 0 for rows in cases)
 
 
 def test_orbit_samples_classify_back():
@@ -646,8 +678,12 @@ def test_public_api_resolves_without_test_only_names():
     assert not any(hasattr(AlgebraSpec, name) for name in ("c", "omega", "_set"))
     assert not any(hasattr(omegalie.ResidualTensor, name)
                    for name in ("components", "nonzero_components"))
-    assert not hasattr(omegalie.GeneralSplit, "alpha")
-    assert not hasattr(omegalie.GeneralSplit, "dim")
+    # one route to the trace candidate: check_deformability; the alpha split is a test oracle
+    for name in ("GeneralSplit", "split_trace", "induced_omega"):
+        assert not hasattr(omegalie, name) and name not in omegalie.__all__
+        assert not hasattr(omegalie.decomp_nd, name)
+    assert not hasattr(omegalie.decomp_nd, "_induced_upper")
+    assert not hasattr(omegalie.classify3d, "_det3")
     assert not hasattr(omegalie.DeformabilityResult, "candidate")
     with pytest.raises(TypeError):
         AlgebraSpec(2, (((0, 0), (0, 0)), ((0, 0), (0, 0))), ((0, 0), (0, 0)))
@@ -655,14 +691,13 @@ def test_public_api_resolves_without_test_only_names():
 
 PUBLIC_API = [
     "AlgebraSpec", "BianchiLabel", "DeformabilityResult", "DocumentError",
-    "ExactCertificates", "FIRST_TABLE_ORDER", "FloatRangeError",
-    "GeneralSplit", "Inertia", "Matrix", "NabTriple", "NormalForm",
-    "NotAnAlgebraError", "PARAMETRIC_LABELS", "ResidualTensor",
-    "SECOND_TABLE_ORDER", "SingularMatrixError", "bracket",
-    "check_deformability", "classify", "decompose", "document_object",
-    "forced_b", "generate", "induced_omega", "jacobiator", "omega_rhs",
-    "omega_value", "orbit_sample", "parse", "rational", "reconstruct",
-    "residual", "serialize", "split_trace", "t_of", "t_vector", "table_row",
+    "ExactCertificates", "FIRST_TABLE_ORDER", "FloatRangeError", "Inertia",
+    "Matrix", "NabTriple", "NormalForm", "NotAnAlgebraError",
+    "PARAMETRIC_LABELS", "ResidualTensor", "SECOND_TABLE_ORDER",
+    "SingularMatrixError", "bracket", "check_deformability", "classify",
+    "decompose", "document_object", "forced_b", "generate", "jacobiator",
+    "omega_rhs", "omega_value", "orbit_sample", "parse", "rational",
+    "reconstruct", "residual", "serialize", "t_of", "t_vector", "table_row",
     "transport",
 ]
 

@@ -312,3 +312,10 @@ def test_nab_triple_validation():
         NabTriple(identity(2), (0, 0), (0, 0))
     with pytest.raises(TypeError, match="^NabTriple needs a Matrix, got list$"):
         NabTriple([[1, 0, 0], [0, 1, 0], [0, 0, 1]], (0, 0, 1), (0, 0, 0))
+    # a and b are vectors: a str is refused, not read as one-character numerals
+    for a, b in (("100", (0, 0, 0)), ((0, 0, 1), "000"), ("10", (0, 0, 0)), ((0, 0, 1), "")):
+        with pytest.raises(TypeError, match="^a vector is a sequence of scalars, not a str$"):
+            NabTriple(identity(3), a, b)
+    trip = NabTriple(identity(3), ["1/2", 0, 1], (Fraction(1), "-2", 0))
+    assert trip.a == (Fraction(1, 2), 0, 1) and trip.b == (1, -2, 0)
+    assert all(type(x) is Fraction for x in (*trip.a, *trip.b))

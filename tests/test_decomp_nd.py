@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omegalie import (AlgebraSpec, check_deformability, decompose, generate,
-                      induced_omega, residual, split_trace)
-from omegalie.decomp_nd import _induced_upper
-from oracles import c_tensor, deformability, linear_deformability, omega_matrix, with_omega
+from omegalie import AlgebraSpec, check_deformability, decompose, generate, residual
+from omegalie.decomp_nd import _trace_covector
+from oracles import (c_tensor, deformability, linear_deformability, omega_matrix, trace_omega,
+                     trace_split, with_omega)
 
 
 def rand_bracket_spec(rng, dim):
@@ -29,30 +29,29 @@ def table_specs():
             yield label, generate(label, p)
 
 
-# --- split_trace ----------------------------------------------------------
+# --- the trace split -------------------------------------------------------
 
 def test_split_alpha_is_trace_free():
     rng = random.Random(31)
     for dim in (2, 3, 4, 5):
         s = rand_bracket_spec(rng, dim)
-        alpha = c_tensor(split_trace(s).trace_free)
+        alpha = trace_split(s)[1]
         for k in range(dim):
             assert sum(alpha[i][i][k] for i in range(dim)) == 0
 
 
 def test_split_reassembles_the_bracket():
-    # c^i_jk = alpha^i_jk + a_k delta^i_j - a_j delta^i_k
+    # c^i_jk = alpha^i_jk + a_k delta^i_j - a_j delta^i_k, with the library's a
     rng = random.Random(32)
     for dim in (2, 3, 4):
         s = rand_bracket_spec(rng, dim)
-        split = split_trace(s)
-        alpha, c = c_tensor(split.trace_free), c_tensor(s)
+        a, alpha, c = _trace_covector(s), trace_split(s)[1], c_tensor(s)
         for i in range(dim):
             for j in range(dim):
                 for k in range(dim):
                     back = (alpha[i][j][k]
-                            + (split.a[k] if i == j else 0)
-                            - (split.a[j] if i == k else 0))
+                            + (a[k] if i == j else 0)
+                            - (a[j] if i == k else 0))
                     assert back == c[i][j][k]
 
 
@@ -67,47 +66,43 @@ def test_split_trace_covector_matches_the_dense_trace():
             spec = AlgebraSpec.from_entries(
                 dim, [(*key, Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for key in chosen])
             c = c_tensor(spec)
-            a = split_trace(spec).a
+            a = _trace_covector(spec)
             assert a == tuple(sum(c[i][i][k] for i in range(dim)) / Fraction(dim - 1)
                               for k in range(dim)), spec
             assert {type(x) for x in a} == {Fraction}, spec
-
-
-def test_split_requires_dim_at_least_2():
-    with pytest.raises(ValueError):
-        split_trace(AlgebraSpec.zero(1))
 
 
 def test_split_trace_sign_bridge_to_dual_decomposition():
     # the trace covector is exactly minus the dual-decomposition covector
     rng = random.Random(33)
     for label, spec in table_specs():
-        assert split_trace(spec).a == tuple(-x for x in decompose(spec).a), label
+        assert _trace_covector(spec) == tuple(-x for x in decompose(spec).a), label
     for _ in range(30):
         s = rand_bracket_spec(rng, 3)
-        assert split_trace(s).a == tuple(-x for x in decompose(s).a)
+        assert _trace_covector(s) == tuple(-x for x in decompose(s).a)
 
 
-# --- induced_omega --------------------------------------------------------
+# --- the trace candidate ----------------------------------------------------
 
 def test_induced_omega_matches_stored_omega_on_tables():
     for label, spec in table_specs():
-        assert induced_omega(split_trace(spec)) == spec.omega_upper, label
-
-
-def test_induced_omega_requires_dim_at_least_3():
-    with pytest.raises(ValueError):
-        induced_omega(split_trace(AlgebraSpec.zero(2)))
+        assert check_deformability(spec).spec.omega_upper == spec.omega_upper, label
+        assert trace_omega(spec) == spec.omega_upper, label
 
 
 def test_induced_omega_is_skew():
+    # alpha is skew in its lower pair, so a_i alpha[i][j][k] is; the library's
+    # store holds the j < k half of that dense candidate
     rng = random.Random(34)
     for dim in (3, 4, 5):
         s = rand_bracket_spec(rng, dim)
-        om = omega_matrix(with_omega(s, induced_omega(split_trace(s))))
+        a, alpha = trace_split(s)
+        factor = Fraction(dim - 1, dim - 2)
+        om = omega_matrix(check_deformability(s).spec)
         for j in range(dim):
             for k in range(dim):
-                assert om[j][k] == -om[k][j]
+                assert all(alpha[i][j][k] == -alpha[i][k][j] for i in range(dim))
+                assert om[j][k] == factor * sum(a[i] * alpha[i][j][k] for i in range(dim))
 
 
 # --- deformability --------------------------------------------------------
@@ -157,8 +152,10 @@ def test_dim4_scaling_extension_without_twist_is_deformable():
 
 
 def test_deformability_requires_dim_at_least_3():
-    with pytest.raises(ValueError):
-        check_deformability(AlgebraSpec.zero(2))
+    for spec in (AlgebraSpec.zero(1), AlgebraSpec.zero(2),
+                 AlgebraSpec.from_entries(2, [(1, 2, 2, 1)])):
+        with pytest.raises(ValueError, match="^deformability requires dim >= 3$"):
+            check_deformability(spec)
 
 
 def test_candidate_is_kept_even_when_incompatible():
@@ -186,10 +183,9 @@ def sparse_brackets(draw, dims=(3, 8)):
 @given(sparse_brackets())
 @settings(deadline=None, max_examples=200)
 def test_candidate_from_the_bracket_store_matches_the_alpha_formula(spec):
-    # the trace terms cancel, so a_i c[i][j][k] and a_i alpha[i][j][k] give one omega
-    split = split_trace(spec)
-    reference = _induced_upper(split.trace_free.c_upper, split.a)
-    assert check_deformability(spec).spec.omega_upper == {jk: v for jk, v in reference.items() if v}
+    # the trace terms cancel, so a_i c[i][j][k] off the store and the dense
+    # a_i alpha[i][j][k] of the oracle give one omega
+    assert check_deformability(spec).spec.omega_upper == trace_omega(spec)
 
 
 # [e1, e2] = -e3, [e1, e3] = e1, [e2, e3] = e4, [e3, e4] = -e4: deformed, omega_12 = -1

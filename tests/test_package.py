@@ -14,7 +14,7 @@ import pytest
 
 import omegalie
 from omegalie import (AlgebraSpec, BianchiLabel, DeformabilityResult, ExactCertificates,
-                      GeneralSplit, Inertia, Matrix, NabTriple, NormalForm, ResidualTensor)
+                      Inertia, Matrix, NabTriple, NormalForm, ResidualTensor)
 from omegalie.tensor_core import _Record
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -114,7 +114,6 @@ def records():
                  "omega_upper={(0, 1): Fraction(1, 1)})")
     certs_repr = ("ExactCertificates(n_inertia=Inertia(positive=3, negative=0, zero=0), "
                   "a_is_zero=False, causal='spacelike')")
-    a = (Fraction(1), Fraction(0))
     return [
         (Matrix([[1, 2], [3, 4]]), Matrix(((1, Fraction(2)), ("3", 4))), ("rows",),
          f"Matrix([[{one}, Fraction(2, 1)], [Fraction(3, 1), Fraction(4, 1)]])"),
@@ -124,8 +123,6 @@ def records():
         (res(), res(), ("dim", "nonzero"),
          "ResidualTensor(dim=4, nonzero=(((1, 2, 3, 4), Fraction(1, 3)),))"),
         (triple(), triple(), ("n", "a", "b"), triple_repr),
-        (GeneralSplit(spec(), a), GeneralSplit(trace_free=spec(), a=a), ("trace_free", "a"),
-         f"GeneralSplit(trace_free={spec_repr}, a=({one}, {zero}))"),
         (DeformabilityResult(spec(), res()), DeformabilityResult(spec=spec(), defect=res()),
          ("spec", "defect"), f"DeformabilityResult(spec={spec_repr}, defect={res()!r})"),
         (BianchiLabel("IX_a", 1.5), BianchiLabel(name="IX_a", parameter=1.5),
@@ -141,8 +138,8 @@ def records():
 
 RECORDS = records()
 # the records that check no input, built by the one constructor of _Record
-SHARED_CONSTRUCTOR = {Inertia, ResidualTensor, GeneralSplit, DeformabilityResult,
-                      ExactCertificates, NormalForm}
+SHARED_CONSTRUCTOR = {Inertia, ResidualTensor, DeformabilityResult, ExactCertificates,
+                      NormalForm}
 
 
 @pytest.mark.parametrize("first, second, fields, text", RECORDS,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegalie import Inertia, Matrix, SingularMatrixError, rational
+from omegalie import Inertia, Matrix, SingularMatrixError, generate, rational, transport
 from omegalie.classify3d import int_congruence
 from omegalie.tensor_core import cleared, int_adjugate
 from oracles import (adjugate, descartes_inertia, diagonal, fraction_congruence_diagonalize,
@@ -78,6 +78,13 @@ def test_matrix_construction_and_ops():
     for rows in (((1, 2),), ((1, 2), (3,)), ()):
         with pytest.raises(ValueError, match="square and non-empty"):
             Matrix(rows)
+    # a row that is a str is refused, not read as one-character numerals
+    for rows in (["12", "34"], ((1, 2), "34"), "12", ["1"], ["100", "010", "001"]):
+        with pytest.raises(TypeError, match="^a vector is a sequence of scalars, not a str$"):
+            Matrix(rows)
+    with pytest.raises(TypeError, match="^a vector is a sequence of scalars, not a str$"):
+        transport(generate("IX"), Matrix(["100", "010", "001"]))
+    assert Matrix([["1/2", 2], (3, Fraction(4))]) == Matrix(((Fraction(1, 2), 2), (3, 4)))
     with pytest.raises(ValueError, match="dimension mismatch"):
         m @ identity(3)
 
