@@ -23,7 +23,7 @@ from .algebra_core import (AlgebraSpec, ResidualTensor, bracket, jacobiator,
                            omega_rhs, omega_value, residual, transport)
 from .decomp3d import (FIRST_TABLE_ORDER, PARAMETRIC_LABELS, SECOND_TABLE_ORDER,
                        NabTriple, decompose, forced_b, generate, orbit_sample,
-                       reconstruct, t_of, t_vector, table_row)
+                       reconstruct, t_of, table_row)
 from .io_cli import DocumentError, document_object, parse, serialize
 from .tensor_core import Matrix, SingularMatrixError, rational
 
@@ -58,6 +58,5 @@ __all__ = [
     "SingularMatrixError", "bracket", "check_deformability", "classify",
     "decompose", "document_object", "forced_b", "generate", "jacobiator",
     "omega_rhs", "omega_value", "orbit_sample", "parse", "rational",
-    "reconstruct", "residual", "serialize", "t_of", "t_vector", "table_row",
-    "transport",
+    "reconstruct", "residual", "serialize", "t_of", "table_row", "transport",
 ]

@@ -62,10 +62,6 @@ class AlgebraSpec(_Record):
         return hash((self.dim, tuple(self.c_upper.items()), tuple(self.omega_upper.items())))
 
     @classmethod
-    def zero(cls, dim: int) -> "AlgebraSpec":
-        return cls.from_entries(dim)
-
-    @classmethod
     def from_entries(cls, dim, c_entries=(), omega_entries=()) -> "AlgebraSpec":
         """Build a spec from sparse 1-based entries, the document's own form.
 

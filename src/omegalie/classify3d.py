@@ -42,7 +42,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .algebra_core import AlgebraSpec
-from .decomp3d import _TABLE, NabTriple, _adjugate3, _t, _triple, _view
+from .decomp3d import _TABLE, _adjugate3, _t, _triple, _view
 from .tensor_core import Matrix, _Record
 
 
@@ -608,8 +608,6 @@ def classify(spec: AlgebraSpec) -> NormalForm:
     and FloatRangeError when the parameter or the transform cannot be
     reported as floats.
     """
-    if spec.dim != 3:
-        raise ValueError("classify requires dim 3")
     view = _view(spec)
     t, nonzero = _t(view)
     if any(nonzero):

@@ -22,8 +22,8 @@ and lw the least common denominators of c and of omega (kept apart: no power
 of lc need clear omega).  ``_view`` reads a store into it, and its inverse
 ``_store``, the one writer of the cyclic layout, writes one back.  On a view
 t_m = 0 is (N A)_m lw + 2 B_m lc^2 = 0, decided on ints and handed on with t;
-Fractions are built only for stored values, the ``NabTriple`` and t, and the
-forced b is b - t / 2.
+Fractions are built only for stored values, the ``NabTriple`` and t.  The
+forced b = -2 n a is ``forced_b``, written on ints by ``_forced`` for the tables.
 
 The 19 rows of the two normal-form tables (six with a = 0, thirteen with
 a != 0) live here too, with the two writers built on
@@ -50,7 +50,7 @@ class NabTriple(_Record):
 
     n: symmetric Matrix (upper indices), a: covector, b: vector, all of
     Fractions (a and b are read by ``_scalars``, which refuses a str).  The
-    triple comes from a valid algebra iff b = -2 n a, equivalently t_vector == 0.
+    triple comes from a valid algebra iff b = -2 n a, that is b == forced_b(n, a).
     """
 
     __slots__ = ("n", "a", "b")
@@ -100,14 +100,6 @@ def _store(N, A, B, lc, lw) -> AlgebraSpec:
     return AlgebraSpec._from_upper(3, c, om)
 
 
-def _triple_view(t: NabTriple) -> tuple:
-    # the view of a triple: n and a over one denominator, b over its own
-    nums, lc = cleared([*t.n[0], *t.n[1], *t.n[2], *t.a])
-    B, lw = cleared(t.b)
-    N = [[2 * x for x in nums[r:r + 3]] for r in (0, 3, 6)]
-    return N, [2 * x for x in nums[9:]], B, lc, lw
-
-
 def _triple(view) -> NabTriple:
     # n's lower triangle, and above it the same Fractions: is_symmetric then
     # compares each entry with itself, and tuple equality skips __eq__ for that
@@ -149,9 +141,12 @@ def reconstruct(t: NabTriple) -> AlgebraSpec:
 
     c[i][j][k] = n[i][l] - delta_ij a_k + delta_ik a_j for the cyclic
     (j, k) = (l+1, l+2), and omega[l+1][l+2] = b^l, each stored at its
-    j < k key; the triple is cleared to ints once and written by ``_store``.
+    j < k key; n and a are cleared to ints over one denominator, b over its own.
     """
-    return _store(*_triple_view(t))
+    nums, lc = cleared([*t.n[0], *t.n[1], *t.n[2], *t.a])
+    B, lw = cleared(t.b)
+    return _store([[2 * x for x in nums[r:r + 3]] for r in (0, 3, 6)],
+                  [2 * x for x in nums[9:]], B, lc, lw)
 
 
 def forced_b(n: Matrix, a: Sequence) -> tuple:
@@ -163,11 +158,6 @@ def forced_b(n: Matrix, a: Sequence) -> tuple:
     if n.dim != 3 or len(a) != 3:
         raise ValueError("forced_b requires 3-dimensional data")
     return tuple(-2 * sum(x * y for x, y in zip(row, a)) for row in n.rows)
-
-
-def t_vector(t: NabTriple) -> tuple:
-    """Validity defect t = 4 n a + 2 b; zero iff the triple is a valid algebra."""
-    return _t(_triple_view(t))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +215,8 @@ def _row(label: str, param) -> tuple:
 
 
 def _forced(N, A, lc) -> AlgebraSpec:
-    # the spec of n = N / 2lc and a = A / 2lc with b = -2 n a, that is B = -N A over 2 lc^2
+    # the spec of n = N / 2lc and a = A / 2lc with b = -2 n a, that is B = -N A over 2 lc^2;
+    # forced_b's rule on ints, as generate and orbit_sample write no Fraction before _store
     return _store(N, A, [-r[0] * A[0] - r[1] * A[1] - r[2] * A[2] for r in N], lc, 2 * lc * lc)
 
 

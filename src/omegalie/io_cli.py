@@ -56,7 +56,7 @@ from types import SimpleNamespace
 
 from .algebra_core import AlgebraSpec, ResidualTensor, residual
 from .decomp3d import (FIRST_TABLE_ORDER, PARAMETRIC_LABELS, SECOND_TABLE_ORDER, _t,
-                       _t_residual, _triple, _view, generate, orbit_sample, table_row)
+                       _t_residual, _triple, _view, forced_b, generate, orbit_sample, table_row)
 from .tensor_core import rational
 
 SCHEMA_VERSION = 1
@@ -212,13 +212,15 @@ def _residual_lines(res, limit=20):
 
 
 def _read_text(path):
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise DocumentError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _load_spec(args) -> AlgebraSpec:
@@ -243,7 +245,8 @@ def _force_omega(spec: AlgebraSpec) -> AlgebraSpec:
 
 
 def _canonical_row(label):
-    # (n diagonal, a pattern, b pattern) of the table row, at parameter 1
+    # (n diagonal, a pattern, b pattern) of the table row, at parameter 1; b = -2 n a on
+    # ints, not by forced_b, whose Fractions classify's JSON would print as strings
     nd, apat, _ = table_row(label)
     return nd, apat, tuple(-2 * nd[i] * apat[i] for i in range(3))
 
@@ -281,8 +284,7 @@ def _cmd_decompose(args):
     view = _view(spec)
     trip, (t, nonzero) = _triple(view), _t(view)
     return 0, {"command": "decompose", "n": trip.n.rows, "a": trip.a, "b": trip.b,
-               "forced_b": tuple(x - y / 2 for x, y in zip(trip.b, t)),  # t = 2 (b - forced b)
-               "b_is_forced": not any(nonzero), "t": t}
+               "forced_b": forced_b(trip.n, trip.a), "b_is_forced": not any(nonzero), "t": t}
 
 
 def _decompose_text(r):

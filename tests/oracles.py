@@ -320,8 +320,7 @@ def fraction_decompose(spec: AlgebraSpec) -> NabTriple:
 
 
 def fraction_t_vector(trip: NabTriple) -> tuple:
-    """t = 4 n a + 2 b summed in Fractions, the reference of ``t_of`` and
-    ``t_vector``."""
+    """t = 4 n a + 2 b summed in Fractions, the reference of ``t_of``."""
     na = [sum((x * y for x, y in zip(row, trip.a)), Fraction(0)) for row in trip.n.rows]
     return tuple(4 * x + 2 * y for x, y in zip(na, trip.b))
 
@@ -565,7 +564,7 @@ def dual_forced(spec):
 
 def forced_omega(c):
     """The unique compatible 2-form of a dense 3d skew bracket, as a full matrix."""
-    return omega_matrix(dual_forced(spec_from_dense(c, omega_matrix(AlgebraSpec.zero(3)))))
+    return omega_matrix(dual_forced(spec_from_dense(c, omega_matrix(AlgebraSpec.from_entries(3)))))
 
 
 def trace_split(spec):

@@ -12,7 +12,7 @@ from itertools import product
 
 from omegalie import (AlgebraSpec, Matrix, NabTriple, check_deformability,
                       decompose, forced_b, generate, orbit_sample, parse,
-                      reconstruct, residual, serialize, t_vector)
+                      reconstruct, residual, serialize, t_of)
 from omegalie import classify
 from omegalie.decomp_nd import _trace_covector
 from oracles import (deformability, omega_matrix, omega_rhs_is_identically_zero,
@@ -199,8 +199,8 @@ def test_criterion_7_no_deformation_types():
         spec = generate(label)
         trip = decompose(spec)
         assert forced_b(trip.n, trip.a) == (0, 0, 0), label
-        assert spec.omega_upper == AlgebraSpec.zero(3).omega_upper, label
-        assert deformability(spec) == AlgebraSpec.zero(3).omega_upper
+        assert spec.omega_upper == AlgebraSpec.from_entries(3).omega_upper, label
+        assert deformability(spec) == AlgebraSpec.from_entries(3).omega_upper
     finish(7, "no-deformation types", 1.0, started,
            "types I and V force b = 0 and omega = 0")
 
@@ -223,7 +223,7 @@ def test_criterion_8_residual_t_forced_b_equivalence():
         trip = NabTriple(trip.n, trip.a, b)
         spec = reconstruct(trip)
         r_zero = residual(spec).is_zero
-        t_zero = t_vector(trip) == (0, 0, 0)
+        t_zero = t_of(spec) == (0, 0, 0)
         b_forced = b == forced_b(trip.n, trip.a)
         assert r_zero == t_zero == b_forced, trial
         valid_seen += r_zero

@@ -88,7 +88,7 @@ def test_from_entries_refuses_what_documents_refuse():
 
 def test_constructors_refuse_floats():
     # 1.0 == Fraction(1), so a float let in would pass every == check
-    zero = AlgebraSpec.zero(3)
+    zero = AlgebraSpec.from_entries(3)
     for bad in (1.0, 0.5, True):
         with pytest.raises(TypeError):
             Matrix(((1, 0), (0, bad)))
@@ -107,10 +107,9 @@ def test_constructors_refuse_floats():
 
 
 def test_zero_spec():
-    z = AlgebraSpec.zero(3)
+    z = AlgebraSpec.from_entries(3)
     assert z.dim == 3
     assert residual(z).is_zero
-    assert z == AlgebraSpec.from_entries(3)
     # the zero spec stores nothing: its dense c and omega are Fraction zeros
     assert {type(x) for x in flat(c_tensor(z)) + flat(omega_matrix(z))} == {Fraction}
     assert z.c_upper == {} and z.omega_upper == {}
@@ -333,7 +332,7 @@ def test_bracket_and_forms_match_naive_sums():
                 assert type(v) is Fraction, (dim, density, v)
     # zero components on int basis vectors too
     e1, e2, _ = basis(3)
-    zero = AlgebraSpec.zero(3)
+    zero = AlgebraSpec.from_entries(3)
     for v in (*bracket(generate("VIII_a", 2), e1, e1), omega_value(zero, e1, e2),
               *jacobiator(zero, e1, e2, e1), *omega_rhs(zero, e1, e2, e1)):
         assert type(v) is Fraction, v
@@ -401,7 +400,7 @@ def test_transport_preserves_validity_and_invalidity():
 
 
 def test_transport_rejects_singular():
-    s = AlgebraSpec.zero(3)
+    s = AlgebraSpec.from_entries(3)
     with pytest.raises(ValueError, match="transform dimension does not match spec"):
         transport(s, Matrix(((1, 0), (0, 1))))
     with pytest.raises(TypeError, match="^transport needs a Matrix, got list$"):
@@ -412,7 +411,7 @@ def test_transport_rejects_singular():
     for dim in range(1, 6):
         rows = [list(r) for r in rand_transport(rng, dim).rows]
         rows[-1] = [Fraction(-1, 3) * x for x in rows[0]] if dim > 1 else [0]
-        for spec in (AlgebraSpec.zero(dim), sparse_spec(rng, dim, 1.0)):
+        for spec in (AlgebraSpec.from_entries(dim), sparse_spec(rng, dim, 1.0)):
             with pytest.raises(SingularMatrixError):
                 transport(spec, Matrix(rows))
 

@@ -18,7 +18,7 @@ from omegalie import (AlgebraSpec, BianchiLabel, FloatRangeError, Matrix,
                       NabTriple, NormalForm, NotAnAlgebraError,
                       PARAMETRIC_LABELS, check_deformability, classify,
                       decompose, forced_b, generate, orbit_sample, reconstruct,
-                      serialize, t_vector, table_row, transport)
+                      serialize, t_of, table_row, transport)
 from omegalie.classify3d import (_LABELS, _TABLE, _certify, _discrete_classify,
                                  _exact_head, _invariants)
 from omegalie.decomp3d import _adjugate3, _triple, _view
@@ -522,13 +522,13 @@ def test_classify_rejects_incompatible_omega():
     with pytest.raises(NotAnAlgebraError) as exc:
         classify(s)
     assert all(type(x) is Fraction for x in exc.value.t)
-    assert exc.value.t == t_vector(decompose(s))
+    assert exc.value.t == t_of(s)
     assert "more digits than the int-to-text limit" in str(exc.value)
 
 
 def test_classify_rejects_wrong_dim():
     with pytest.raises(ValueError):
-        classify(AlgebraSpec.zero(4))
+        classify(AlgebraSpec.from_entries(4))
 
 
 # --- orbit sampling ---------------------------------------------------------
@@ -668,7 +668,7 @@ def test_public_api_resolves_without_test_only_names():
     assert not hasattr(omegalie, "ExactnessError") and "ExactnessError" not in omegalie.__all__
     assert not hasattr(omegalie.io_cli, "ExactnessError")
     assert not any(hasattr(AlgebraSpec, name) for name in ("zero_value", "c_at", "omega_at"))
-    assert not hasattr(AlgebraSpec.zero(3), "zero_value")
+    assert not hasattr(AlgebraSpec.from_entries(3), "zero_value")
     assert not hasattr(omegalie.tensor_core, "_field")
     assert hasattr(NormalForm, "transform") and not hasattr(NormalForm, "canonical")
     # the store is the only data shape: no dense views, constructor or skew errors
@@ -685,6 +685,10 @@ def test_public_api_resolves_without_test_only_names():
     assert not hasattr(omegalie.decomp_nd, "_induced_upper")
     assert not hasattr(omegalie.classify3d, "_det3")
     assert not hasattr(omegalie.DeformabilityResult, "candidate")
+    # one route per dim-3 fact: t_of is the one t, from_entries(dim) the one zero spec
+    assert not hasattr(omegalie, "t_vector") and "t_vector" not in omegalie.__all__
+    assert not any(hasattr(omegalie.decomp3d, name) for name in ("t_vector", "_triple_view"))
+    assert not hasattr(AlgebraSpec, "zero")
     with pytest.raises(TypeError):
         AlgebraSpec(2, (((0, 0), (0, 0)), ((0, 0), (0, 0))), ((0, 0), (0, 0)))
 
@@ -697,8 +701,7 @@ PUBLIC_API = [
     "SingularMatrixError", "bracket", "check_deformability", "classify",
     "decompose", "document_object", "forced_b", "generate", "jacobiator",
     "omega_rhs", "omega_value", "orbit_sample", "parse", "rational",
-    "reconstruct", "residual", "serialize", "t_of", "t_vector", "table_row",
-    "transport",
+    "reconstruct", "residual", "serialize", "t_of", "table_row", "transport",
 ]
 
 

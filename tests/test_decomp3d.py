@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omegalie import (AlgebraSpec, Matrix, NabTriple, decompose, forced_b,
-                      generate, orbit_sample, reconstruct, residual, t_of, t_vector)
+                      generate, orbit_sample, reconstruct, residual, t_of)
 from omegalie.decomp3d import _store, _t, _t_residual, _view
 from oracles import (c_tensor, diagonal, dual_c, eps_decompose, eps_dual_c,
                      eps_reconstruct, flat, forced_omega, fraction_decompose,
@@ -144,10 +144,10 @@ def test_t_vector_zero_iff_forced_b():
     for _ in range(80):
         trip = rand_triple(rng)
         is_forced = trip.b == forced_b(trip.n, trip.a)
-        assert (t_vector(trip) == (0, 0, 0)) == is_forced
+        assert (t_of(reconstruct(trip)) == (0, 0, 0)) == is_forced
         assert residual(reconstruct(trip)).is_zero == is_forced
     forced = NabTriple(trip.n, trip.a, forced_b(trip.n, trip.a))
-    assert t_vector(forced) == (0, 0, 0)
+    assert t_of(reconstruct(forced)) == (0, 0, 0)
 
 
 def test_forced_omega_matches_forced_b_route():
@@ -219,7 +219,7 @@ def _spec(c=(), om=()):
 
 
 @given(dim3_specs)
-@example(AlgebraSpec.zero(3))  # the empty store
+@example(AlgebraSpec.from_entries(3))  # the empty store
 # c integral with omega_12 = 1/2: no power of c's denominator 1 clears omega
 @example(_spec([(1, 2, 3, 1), (2, 3, 1, -2), (1, 3, 2, 3)], [(1, 2, Fraction(1, 2))]))
 # omega integral with c denominators
@@ -242,13 +242,13 @@ def test_int_view_matches_the_fraction_reference(spec):
     # n is built symmetric: each off-diagonal Fraction sits at (i, j) and (j, i)
     assert all(trip.n[i][j] is trip.n[j][i] for i in range(3) for j in range(3))
     t = t_of(spec)
-    assert t == fraction_t_vector(ref) == t_vector(trip)
-    assert all(type(x) is Fraction for x in (*t, *t_vector(trip)))
+    assert t == fraction_t_vector(ref)
+    assert all(type(x) is Fraction for x in t)
     assert (t == (0, 0, 0)) == residual(spec).is_zero
 
 
 @given(dim3_specs)
-@example(AlgebraSpec.zero(3))  # t = 0 on the empty store
+@example(AlgebraSpec.from_entries(3))  # t = 0 on the empty store
 @example(orbit_sample("IX_a", Fraction(3, 2), seed=5))  # t = 0 on a full store
 # pairwise coprime denominators, t != 0
 @example(_spec([(1, 2, 3, Fraction(1, 10 ** 12 + 39)), (2, 3, 1, Fraction(5, 999_999_999_989)),
@@ -280,7 +280,7 @@ def coprime_stores(draw):
 
 
 @given(coprime_stores())
-@example(AlgebraSpec.zero(3))
+@example(AlgebraSpec.from_entries(3))
 @example(orbit_sample("VIII_xa", Fraction(3, 2), seed=7))  # a full, valid store
 @settings(deadline=None, max_examples=200)
 def test_store_inverts_the_view(spec):
@@ -293,11 +293,11 @@ def test_store_inverts_the_view(spec):
 
 def test_decompose_requires_dim3():
     with pytest.raises(ValueError):
-        decompose(AlgebraSpec.zero(2))
+        decompose(AlgebraSpec.from_entries(2))
     with pytest.raises(ValueError):
-        decompose(AlgebraSpec.zero(4))
+        decompose(AlgebraSpec.from_entries(4))
     with pytest.raises(ValueError):
-        t_of(AlgebraSpec.zero(4))
+        t_of(AlgebraSpec.from_entries(4))
     for n, a in ((identity(2), (0, 0)), (identity(3), (0, 0)), (identity(2), (0, 0, 0))):
         with pytest.raises(ValueError, match="requires 3-dimensional data"):
             forced_b(n, a)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omegalie import AlgebraSpec, check_deformability, decompose, generate, residual
+from omegalie import (AlgebraSpec, Matrix, check_deformability, decompose, generate, residual,
+                      transport)
 from omegalie.decomp_nd import _trace_covector
 from oracles import (c_tensor, deformability, linear_deformability, omega_matrix, trace_omega,
                      trace_split, with_omega)
@@ -124,9 +125,9 @@ def test_every_dim3_bracket_is_deformable(monkeypatch):
 
 def test_abelian_brackets_force_zero_omega():
     for dim in (3, 4, 5):
-        result = check_deformability(AlgebraSpec.zero(dim))
+        result = check_deformability(AlgebraSpec.from_entries(dim))
         assert result.compatible
-        assert result.spec.omega_upper == AlgebraSpec.zero(dim).omega_upper
+        assert result.spec.omega_upper == AlgebraSpec.from_entries(dim).omega_upper
 
 
 def test_dim4_bracket_with_no_compatible_omega():
@@ -148,11 +149,11 @@ def test_dim4_scaling_extension_without_twist_is_deformable():
     s = AlgebraSpec.from_entries(4, [(1, 4, 1, -1), (2, 4, 2, -1), (3, 4, 3, -1)])
     result = check_deformability(s)
     assert result.compatible
-    assert result.spec.omega_upper == AlgebraSpec.zero(4).omega_upper
+    assert result.spec.omega_upper == AlgebraSpec.from_entries(4).omega_upper
 
 
 def test_deformability_requires_dim_at_least_3():
-    for spec in (AlgebraSpec.zero(1), AlgebraSpec.zero(2),
+    for spec in (AlgebraSpec.from_entries(1), AlgebraSpec.from_entries(2),
                  AlgebraSpec.from_entries(2, [(1, 2, 2, 1)])):
         with pytest.raises(ValueError, match="^deformability requires dim >= 3$"):
             check_deformability(spec)
@@ -210,3 +211,32 @@ def test_deformability_agrees_with_the_linear_system_in_omega(spec):
 def test_the_linear_system_finds_a_nonzero_deformation():
     # random sparse brackets rarely force a nonzero omega: the example above does
     assert linear_deformability(DEFORMED_DIM4) == ({(0, 1): -1}, 0)
+
+
+# three dim-4 brackets whose one compatible omega is nonzero, each confirmed by
+# linear_deformability: DEFORMED_DIM4 and two found among sparse +-1 brackets
+DEFORMED_DIM4_MORE = (
+    AlgebraSpec.from_entries(4, [(1, 3, 4, -1), (1, 4, 1, -1), (2, 4, 2, -1)]),
+    AlgebraSpec.from_entries(4, [(1, 3, 1, -1), (1, 3, 3, 1), (1, 4, 3, 1), (1, 4, 4, -1),
+                                 (2, 3, 2, -1)]),
+)
+
+
+def test_the_trace_candidate_is_covariant_in_dim4():
+    # the compatible omega is unique, so it moves with the basis: the candidate
+    # of the transported bracket is the transported candidate, and it stays valid
+    assert [linear_deformability(s) for s in DEFORMED_DIM4_MORE] == [
+        ({(0, 2): 1}, 0), ({(0, 2): -1, (0, 3): -1}, 0)]
+    rng = random.Random(409)
+    for spec in (DEFORMED_DIM4, *DEFORMED_DIM4_MORE):
+        base = check_deformability(spec).spec
+        moved = 0
+        while moved < 100:
+            p = Matrix([[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)])
+            if not p.det():
+                continue
+            result = check_deformability(transport(spec, p))
+            assert result.compatible
+            assert result.spec == transport(base, p)
+            assert residual(result.spec).is_zero
+            moved += 1

@@ -36,7 +36,7 @@ def test_parse_type_ii_document():
 
 def test_parse_empty_document_is_abelian():
     text = '{"dim": 3, "c_entries": [], "omega_entries": []}'
-    assert parse(text) == AlgebraSpec.zero(3)
+    assert parse(text) == AlgebraSpec.from_entries(3)
 
 
 def test_parse_reduces_to_lowest_terms():
@@ -105,7 +105,7 @@ def test_serialize_type_v_entries():
 
 
 def test_serialize_abelian_is_empty():
-    doc = document_object(AlgebraSpec.zero(3))
+    doc = document_object(AlgebraSpec.from_entries(3))
     assert doc == {"dim": 3, "c_entries": [], "omega_entries": []}
 
 
@@ -531,6 +531,20 @@ def test_cli_parse_failures_exit_2(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == "" and "nests" in captured.err
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_cli_refuses_text_that_is_not_utf8(source, tmp_path, capsys, monkeypatch):
+    # stdin under a strict decoder, as Python sets up in UTF-8 locales: one line, exit 2
+    path = "-"
+    if source == "file":
+        path = str(tmp_path / "bad.json")
+        Path(path).write_bytes(b"\xff{}")
+    else:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff{}"), encoding="utf-8"))
+    assert run(["validate", "--json", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: cannot read {path}: not UTF-8 text\n"
 
 
 def test_cli_usage_errors_exit_2(capsys):
