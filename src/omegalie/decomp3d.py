@@ -103,11 +103,13 @@ def _store(N, A, B, lc, lw) -> AlgebraSpec:
 def _triple(view) -> NabTriple:
     # n's lower triangle, and above it the same Fractions: is_symmetric then
     # compares each entry with itself, and tuple equality skips __eq__ for that
-    n, a, b, lc, lw = view
-    low = [[Fraction(x, 2 * lc) for x in r[:i + 1]] for i, r in enumerate(n)]
-    rows = [r + [low[j][i] for j in range(i + 1, 3)] for i, r in enumerate(low)]
-    return NabTriple(Matrix(rows),
-                     tuple(Fraction(x, 2 * lc) for x in a), tuple(Fraction(x, lw) for x in b))
+    ((n00, _, _), (n10, n11, _), (n20, n21, n22)), (a0, a1, a2), (b0, b1, b2), lc, lw = view
+    lc2 = 2 * lc
+    n00, n10, n11 = Fraction(n00, lc2), Fraction(n10, lc2), Fraction(n11, lc2)
+    n20, n21, n22 = Fraction(n20, lc2), Fraction(n21, lc2), Fraction(n22, lc2)
+    return NabTriple(Matrix(((n00, n10, n20), (n10, n11, n21), (n20, n21, n22))),
+                     (Fraction(a0, lc2), Fraction(a1, lc2), Fraction(a2, lc2)),
+                     (Fraction(b0, lw), Fraction(b1, lw), Fraction(b2, lw)))
 
 
 def _t(view) -> tuple:

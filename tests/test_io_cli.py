@@ -1157,3 +1157,46 @@ def test_report_writer_rejects_what_it_cannot_write():
                 [Fraction(1)], {"a": {1, 2}}, {1, 2}, b"bytes"):
         with pytest.raises(TypeError):
             _dumps(bad)
+
+
+def strict_json(text):
+    # JSON as RFC 8259 reads it: Infinity, -Infinity and NaN are not numbers
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_cli_classify_b_past_the_float_range_exits_2():
+    # the canonical b = -2 n a of VIII_a and IX_a is 2 parameter: past half the
+    # largest float it is no float, and classify exits 2 as for the parameter
+    for p, code in (("8" + "0" * 307, 0), ("9" + "0" * 307, 2), ("1" + "0" * 308, 2)):
+        for row in ("VIII_a", "IX_a"):
+            for make in (["generate", row, "--param", p],
+                         ["orbit-sample", row, "--param", p, "--seed", "3"]):
+                made, doc, _ = run_streams(make, "")
+                assert made == 0, make
+                for argv in (["classify", "--json"], ["classify"]):
+                    got, out, err = run_streams(argv, doc)
+                    assert got == code, (make, argv)
+                    if code == 2:
+                        assert out == "" and err == ("error: the parameter or transform "
+                                                     "lies outside the float range\n"), (make, argv)
+                    elif argv == ["classify", "--json"]:
+                        assert abs(strict_json(out)["canonical_row"]["b"][2]) == 16e307
+                    else:
+                        assert "inf" not in out and "nan" not in out
+
+
+def test_cli_classify_reports_far_from_1_are_json():
+    # the specs that test_classify_at_magnitudes_far_from_1 classifies: each
+    # report is JSON with no Infinity or NaN
+    specs = [AlgebraSpec.from_entries(3, [(2, 3, 1, b), (1, 3, 2, -b), (1, 2, 3, b)])
+             for b in (10 ** 103, 10 ** 150)]
+    specs += [generate(label, p) for label, p in (
+        ("IX_a", 10 ** 160), ("VIII_a", 10 ** 160), ("VI_a", 10 ** 160),
+        ("VII_a", 10 ** 160), ("IX_a", Fraction(1, 10 ** 160)))]
+    for spec in specs:
+        code, out, _ = run_streams(["classify", "--json"], serialize(spec))
+        assert code == 0
+        report = strict_json(out)
+        assert report["label"] in ("IX", "IX_a", "VIII_a", "VI_a", "VII_a")
