@@ -29,8 +29,8 @@ from .tensor_core import Matrix, SingularMatrixError, rational
 
 # name -> the module that defines it, imported when the name is first read
 _DEFERRED = {name: module for module, names in (
-    ("classify3d", ("BianchiLabel", "ExactCertificates", "FloatRangeError", "Inertia",
-                    "NormalForm", "NotAnAlgebraError", "classify")),
+    ("classify3d", ("BianchiLabel", "ExactCertificates", "FloatRangeError", "NormalForm",
+                    "NotAnAlgebraError", "classify")),
     ("decomp_nd", ("DeformabilityResult", "check_deformability")),
 ) for name in (module, *names)}
 
@@ -52,7 +52,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraSpec", "BianchiLabel", "DeformabilityResult", "DocumentError",
-    "ExactCertificates", "FIRST_TABLE_ORDER", "FloatRangeError", "Inertia",
+    "ExactCertificates", "FIRST_TABLE_ORDER", "FloatRangeError",
     "Matrix", "NabTriple", "NormalForm", "NotAnAlgebraError",
     "PARAMETRIC_LABELS", "ResidualTensor", "SECOND_TABLE_ORDER",
     "SingularMatrixError", "bracket", "check_deformability", "classify",

@@ -18,7 +18,7 @@ ratio q / det(n) is zero, so it takes no parameter.
 
 ``classify`` reads the decomposition once as ints, n = N / 2lc and
 a = A / 2lc, diagonalizes N = p diag(d) p^T once (``int_congruence``) and
-reads ``Inertia`` and the other invariants off (d, p^T a).  Every reduction
+reads the inertia and the other invariants off (d, p^T a).  Every reduction
 stage acts on one frame (d, a, P) by index, and the frame arithmetic is
 written out for dimension 3, on named components in three-term sums.  The
 exact head (sign sorting, shears, gauge swap, scalings, and rational Cayley
@@ -84,19 +84,6 @@ _COLLAPSE_NOTES = {
 }
 
 
-class Inertia(_Record):
-    """Sylvester signature counts of a symmetric matrix: ``positive``, ``negative``, ``zero``."""
-
-    __slots__ = ("positive", "negative", "zero")
-
-    @property
-    def rank(self) -> int:
-        return self.positive + self.negative
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.positive, self.negative, self.zero)
-
-
 class BianchiLabel(_Record):
     """A table row's ``name`` plus its continuous ``parameter`` when the row has one."""
 
@@ -105,6 +92,8 @@ class BianchiLabel(_Record):
     def __init__(self, name: str, parameter: float | None = None):
         if name not in _TABLE:
             raise ValueError(f"unknown label {name!r}")
+        if parameter is not None and not _TABLE[name][2]:
+            raise ValueError(f"label {name} does not take a parameter")
         if parameter is not None and not parameter > 0:
             raise ValueError("parameter must be positive")
         super().__init__(name, parameter)
@@ -117,10 +106,11 @@ class BianchiLabel(_Record):
 
 class ExactCertificates(_Record):
     """Rational-arithmetic invariants backing a classification, the fields in order:
-    ``n_inertia`` in canonical orientation (positive >= negative), ``a_is_zero`` and
-    ``causal``, the causal character of a: zero, kernel-only, spacelike, timelike or null."""
+    ``n_inertia``, the Sylvester counts (positive, negative, zero) of n as ints in
+    canonical orientation (positive >= negative), and ``causal``, the causal
+    character of a: zero, kernel-only, spacelike, timelike or null."""
 
-    __slots__ = ("n_inertia", "a_is_zero", "causal")
+    __slots__ = ("n_inertia", "causal")
 
 
 class NormalForm(_Record):
@@ -218,7 +208,6 @@ def _invariants(d, a):
     on rank 3, None otherwise; scaling d and a scales it by a positive square."""
     (d0, d1, d2), (a0, a1, a2) = d, a
     praw, qraw = (d0 > 0) + (d1 > 0) + (d2 > 0), (d0 < 0) + (d1 < 0) + (d2 < 0)
-    canon = Inertia(max(praw, qraw), min(praw, qraw), 3 - praw - qraw)
     rank = praw + qraw
     a_zero = not (a0 or a1 or a2)
     kernel_only = not (a_zero or d0 * a0 or d1 * a1 or d2 * a2)
@@ -243,7 +232,7 @@ def _invariants(d, a):
         ratio = (a0 * a0 + a1 * a1 + a2 * a2, (d0 or 1) * (d1 or 1) * (d2 or 1))
     elif rank == 3:
         ratio = (qf, d0 * d1 * d2)
-    return ExactCertificates(canon, a_zero, causal), ratio
+    return ExactCertificates((max(praw, qraw), min(praw, qraw), 3 - rank), causal), ratio
 
 
 def _sign(ratio) -> int:

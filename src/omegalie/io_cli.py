@@ -132,48 +132,46 @@ def serialize(spec: AlgebraSpec) -> str:
     return _dumps(document_object(spec)) + "\n"
 
 
-def _write_list(xs, pad, writers):
-    inner, get = pad + "  ", writers[0].get
+def _write_list(xs, pad):
+    inner = pad + "  "
     return "[" + inner + ("," + inner).join(
-        [w(x) if (w := get(type(x))) else _dumps(x, inner, writers) for x in xs]
+        [w(x) if (w := _SCALARS.get(type(x))) else _dumps(x, inner) for x in xs]
     ) + pad + "]" if xs else "[]"
 
 
-def _write_dict(d, pad, writers):
-    inner, get = pad + "  ", writers[0].get
+def _write_dict(d, pad):
+    inner = pad + "  "
     return "{" + inner + ("," + inner).join(
-        [_encode_str(k) + ": " + (w(x) if (w := get(type(x := d[k])))
-                                  else _dumps(x, inner, writers)) for k in sorted(d)]
+        [_encode_str(k) + ": " + (w(x) if (w := _SCALARS.get(type(x := d[k])))
+                                  else _dumps(x, inner)) for k in sorted(d)]
     ) + pad + "}" if d else "{}"
 
 
+# json's types, and the exact values a report holds, each formatted where the walk
+# meets it: a Fraction as its string, a spec as its document, a residual as its components
 _encode_str = json.encoder.encode_basestring_ascii
 _SCALARS = {str: _encode_str, int: int.__repr__, type(None): lambda _: "null",
             bool: ("false", "true").__getitem__, float: lambda x: (
                 float.__repr__(x) if math.isfinite(x)
-                else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity")}
-_CONTAINERS = {list: _write_list, tuple: _write_list, dict: _write_dict}
-_JSON = (_SCALARS, _CONTAINERS)
-# a report also holds exact values, each formatted where the walk meets it: a
-# Fraction as its string, a spec as its document, a residual as its components
-_REPORT = ({**_SCALARS, Fraction: lambda x: _encode_str(_rat_str(x))},
-           {**_CONTAINERS, AlgebraSpec: lambda s, pad, w: _write_dict(document_object(s), pad, w),
-            ResidualTensor: lambda res, pad, w: _write_list(
-                [{"indices": idx, "value": v} for idx, v in res.nonzero], pad, w)})
+                else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"),
+            Fraction: lambda x: _encode_str(_rat_str(x))}
+_CONTAINERS = {list: _write_list, tuple: _write_list, dict: _write_dict,
+               AlgebraSpec: lambda s, pad: _write_dict(document_object(s), pad),
+               ResidualTensor: lambda res, pad: _write_list(
+                   [{"indices": idx, "value": v} for idx, v in res.nonzero], pad)}
 
 
-def _dumps(obj, pad="\n", writers=_JSON) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte; json skips its
-    C encoder when an indent is set.  ``pad`` is the newline and indent before obj's
-    closing bracket.  A non-str dict key or a value json cannot encode raises TypeError.
-    ``writers`` are (scalar, container) writers by type: ``_REPORT`` writes a report."""
-    scalars, containers = writers
+def _dumps(obj, pad="\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, on json's types;
+    json skips its C encoder when an indent is set.  ``pad`` is the newline and indent
+    before obj's closing bracket.  A non-str dict key or a value of a type neither
+    table writes raises TypeError."""
     kind = type(obj)
-    if kind not in scalars and kind not in containers:  # a subclass, in json's order
+    if kind not in _SCALARS and kind not in _CONTAINERS:  # a subclass, in json's order
         kind = next((t for t in (str, int, float, list, tuple, dict) if isinstance(obj, t)), None)
         if kind is None:
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    return scalars[kind](obj) if kind in scalars else containers[kind](obj, pad, writers)
+    return _SCALARS[kind](obj) if kind in _SCALARS else _CONTAINERS[kind](obj, pad)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +186,7 @@ class _Failure(Exception):
 def _emit(args, report):
     if args.json:
         report["schema"] = SCHEMA_VERSION
-        sys.stdout.write(_dumps(report, writers=_REPORT) + "\n")
+        sys.stdout.write(_dumps(report) + "\n")
     elif "error" in report:
         print(f"invalid: {report['error']}", file=sys.stderr)
     else:  # the whole text first: a value past the digit limit prints nothing
@@ -317,8 +315,8 @@ def _cmd_classify(args):
         "label": nf.label.name,
         "parameter": nf.parameter,
         "certificates": {
-            "n_inertia": certs.n_inertia.as_tuple(),
-            "a_is_zero": certs.a_is_zero,
+            "n_inertia": certs.n_inertia,
+            "a_is_zero": certs.causal == "zero",
             "causal": certs.causal,
         },
         "canonical_row": {

@@ -12,7 +12,7 @@ vector arguments and keeps a vector of ints and Fractions as it is.
 ``cleared`` gives, off ``int_adjugate``, the one elimination here, fraction-free
 on ints; ``transport`` shares it for adj(M).  ``_Record``, the base of the
 package's immutable records (``Matrix``, ``AlgebraSpec``, ...), builds, copies and
-pickles them.  The congruence diagonalization and ``Inertia`` live in ``classify3d``.
+pickles them.  The congruence diagonalization lives in ``classify3d``.
 """
 
 from __future__ import annotations

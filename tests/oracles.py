@@ -41,7 +41,7 @@ import sys
 from fractions import Fraction
 from itertools import permutations
 
-from omegalie import (AlgebraSpec, ExactCertificates, Inertia, Matrix, NabTriple,
+from omegalie import (AlgebraSpec, ExactCertificates, Matrix, NabTriple,
                       SingularMatrixError, forced_b, jacobiator, omega_rhs,
                       reconstruct, table_row, transport)
 from omegalie.classify3d import _half_log2, _root
@@ -406,7 +406,7 @@ def fraction_congruence_diagonalize(m):
 # What classify3d ran before it looked labels up in the map built from its
 # table: rank, inertia, the kernel test and the sign of q decide the label by
 # hand, and each parametric row fixes its parameter's sign.  Copied verbatim,
-# with the B(v, v) and the sign counts (once ``Inertia.of_diagonal``) it reads.
+# with the B(v, v) and the sign counts it reads; the inertia is a plain triple.
 
 
 def _form(d, v):
@@ -414,11 +414,12 @@ def _form(d, v):
     return sum(x * y * y for x, y in zip(d, v))
 
 
-def of_diagonal(d) -> Inertia:
-    """Sign counts of a congruence diagonal (Sylvester's law of inertia)."""
+def of_diagonal(d) -> tuple[int, int, int]:
+    """Sign counts (positive, negative, zero) of a congruence diagonal
+    (Sylvester's law of inertia)."""
     pos = sum(1 for x in d if x > 0)
     neg = sum(1 for x in d if x < 0)
-    return Inertia(pos, neg, len(d) - pos - neg)
+    return pos, neg, len(d) - pos - neg
 
 
 _AZERO_LABELS = {(0, 0, 3): "I", (1, 0, 2): "II", (1, 1, 1): "VI0",
@@ -428,10 +429,9 @@ _AZERO_LABELS = {(0, 0, 3): "I", (1, 0, 2): "II", (1, 1, 1): "VI0",
 def _discrete_classify(d, a):
     """Label, squared parameter (num, den) and certificates, read off n = p diag(d) p^T, a = p^T a."""
     (d, dd), (a, ad) = d, a
-    inert = of_diagonal(d)
-    praw, qraw = inert.positive, inert.negative
-    canon = Inertia(max(praw, qraw), min(praw, qraw), inert.zero)
-    rank = canon.rank
+    praw, qraw, zero = of_diagonal(d)
+    canon = (max(praw, qraw), min(praw, qraw), zero)
+    rank = praw + qraw
     a_zero = all(x == 0 for x in a)
     kernel_only = (not a_zero) and all(x * y == 0 for x, y in zip(d, a))
     qf = _form(d, a)  # a^T n a times dd ad^2 > 0
@@ -452,7 +452,7 @@ def _discrete_classify(d, a):
     # each ratio below is the invariant times (ad / dd)^2
     param2 = None
     if a_zero:
-        label = _AZERO_LABELS[canon.as_tuple()]
+        label = _AZERO_LABELS[canon]
     elif rank == 0:
         label = "V"
     elif rank == 1:
@@ -462,17 +462,17 @@ def _discrete_classify(d, a):
             # a x a = rho adjugate(n), a full orbit invariant; a = a_k p^-T e_k
             # and adjugate(n) = d_i d_j (p^-T e_k)(p^-T e_k)^T, k the zero of d
             rho = (sum(x * x for x in a), math.prod(x for x in d if x))
-            if canon.as_tuple() == (1, 1, 1):
+            if canon == (1, 1, 1):
                 label, param2 = "VI_a", (-rho[0], rho[1])
             else:
                 label, param2 = "VII_a", rho
-        elif canon.as_tuple() == (1, 1, 1):
+        elif canon == (1, 1, 1):
             label = "VI_n" if qf == 0 else "VI_x"
         else:
             label = "VII_x"
     else:
         det = math.prod(d)  # r = qf / det
-        if canon.as_tuple() == (3, 0, 0):
+        if canon == (3, 0, 0):
             label, param2 = "IX_a", (qf, det)
         elif qf * det > 0:
             label, param2 = "VIII_a", (qf, det)
@@ -484,7 +484,7 @@ def _discrete_classify(d, a):
         param2 = (param2[0] * dd * dd, param2[1] * ad * ad)
         if param2[0] * param2[1] <= 0:
             raise AssertionError(f"parameter invariant lost positivity for {label}: {param2}")
-    return label, param2, ExactCertificates(canon, a_zero, causal)
+    return label, param2, ExactCertificates(canon, causal)
 
 
 # --- the generic dim-3 kernels ------------------------------------------------
@@ -556,10 +556,9 @@ def _invariants(d, a):
     """Certificates of n = diag(d) and a, and the row's ratio (num, den): the
     invariant a x a / adjugate(n) on rank 2 with a in ker n, a^T n a / det(n)
     on rank 3, None otherwise; scaling d and a scales it by a positive square."""
-    inert = of_diagonal(d)
-    praw, qraw = inert.positive, inert.negative
-    canon = Inertia(max(praw, qraw), min(praw, qraw), inert.zero)
-    rank = canon.rank
+    praw, qraw, zero = of_diagonal(d)
+    canon = (max(praw, qraw), min(praw, qraw), zero)
+    rank = praw + qraw
     a_zero = all(x == 0 for x in a)
     kernel_only = (not a_zero) and all(x * y == 0 for x, y in zip(d, a))
     qf = _form(d, a)  # a^T n a times dd ad^2 > 0
@@ -583,7 +582,7 @@ def _invariants(d, a):
         ratio = (sum(x * x for x in a), math.prod(x for x in d if x))
     elif rank == 3:
         ratio = (qf, math.prod(d))
-    return ExactCertificates(canon, a_zero, causal), ratio
+    return ExactCertificates(canon, causal), ratio
 
 
 def _join(pairs):

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import omegalie
-from omegalie import (AlgebraSpec, BianchiLabel, FloatRangeError, Matrix,
+from omegalie import (AlgebraSpec, BianchiLabel, ExactCertificates, FloatRangeError, Matrix,
                       NabTriple, NormalForm, NotAnAlgebraError,
                       PARAMETRIC_LABELS, check_deformability, classify,
                       decompose, forced_b, generate, orbit_sample, reconstruct,
@@ -106,6 +106,8 @@ def test_bianchi_label_validation():
         BianchiLabel("IXa")
     with pytest.raises(ValueError):
         BianchiLabel("IX_a", -1.0)
+    with pytest.raises(ValueError, match="label IX does not take a parameter"):
+        BianchiLabel("IX", 2.0)
 
 
 # --- classify: canonical inputs -------------------------------------------
@@ -129,8 +131,21 @@ def test_classify_is_idempotent_on_tables():
 def test_classify_certificate_inertia_is_canonically_ordered():
     for label in ALL_LABELS:
         p = 1 if label in PARAMETRIC_LABELS else None
-        cert = classify(generate(label, p)).certificates
-        assert cert.n_inertia.positive >= cert.n_inertia.negative
+        positive, negative, _ = classify(generate(label, p)).certificates.n_inertia
+        assert positive >= negative
+
+
+def test_certificates_are_plain_values():
+    # the inertia is the int triple the report prints, the causal character a str,
+    # and a = 0 is read off it: no record of their own and no a_is_zero field
+    assert ExactCertificates.__slots__ == ("n_inertia", "causal")
+    for (inertia, causal), _ in _LABELS.items():
+        assert type(inertia) is tuple and [type(x) for x in inertia] == [int] * 3
+        assert type(causal) is str
+    for label in ALL_LABELS:
+        p = Fraction(3, 2) if label in PARAMETRIC_LABELS else None
+        inertia = classify(orbit_sample(label, p, seed=1)).certificates.n_inertia
+        assert type(inertia) is tuple and [type(x) for x in inertia] == [int] * 3
 
 
 def test_vi_x_vi_y_witness_transform():
@@ -658,7 +673,9 @@ def test_public_api_resolves_without_test_only_names():
                    for name in ("zero", "from_rational", "scale", "T", "astype_float",
                                 "diagonal", "identity", "transpose", "apply"))
     assert not hasattr(omegalie.classify3d, "_rvec")
-    assert not hasattr(omegalie.Inertia, "swapped")
+    # the inertia is a plain int triple: no record class of its own
+    assert not hasattr(omegalie, "Inertia") and "Inertia" not in omegalie.__all__
+    assert "Inertia" not in omegalie._DEFERRED and not hasattr(omegalie.classify3d, "Inertia")
     assert not hasattr(omegalie.DeformabilityResult, "omega")
     assert not hasattr(NabTriple, "satisfies_forced_b")
     assert not hasattr(AlgebraSpec, "basis")
@@ -695,7 +712,7 @@ def test_public_api_resolves_without_test_only_names():
 
 PUBLIC_API = [
     "AlgebraSpec", "BianchiLabel", "DeformabilityResult", "DocumentError",
-    "ExactCertificates", "FIRST_TABLE_ORDER", "FloatRangeError", "Inertia",
+    "ExactCertificates", "FIRST_TABLE_ORDER", "FloatRangeError",
     "Matrix", "NabTriple", "NormalForm", "NotAnAlgebraError",
     "PARAMETRIC_LABELS", "ResidualTensor", "SECOND_TABLE_ORDER",
     "SingularMatrixError", "bracket", "check_deformability", "classify",

@@ -1,11 +1,13 @@
 """Document format and command-line behavior, including exit codes."""
 
 import collections
+import importlib
 import io
 import itertools
 import json
 import math
 import random
+import shlex
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -20,7 +22,7 @@ from omegalie import (FIRST_TABLE_ORDER, PARAMETRIC_LABELS, SECOND_TABLE_ORDER,
                       AlgebraSpec, DocumentError, NotAnAlgebraError,
                       ResidualTensor, classify, classify3d, decomp3d, generate,
                       orbit_sample, parse, rational, serialize)
-from omegalie.io_cli import (_REPORT, SCHEMA_VERSION, _build_parser, _dumps,
+from omegalie.io_cli import (SCHEMA_VERSION, _build_parser, _dumps,
                              _force_omega, _read_plain, document_object, main, run)
 from oracles import (c_tensor, dual_forced, dual_forced_b, fraction_decompose,
                      omega_matrix, spec_from_dense, with_omega)
@@ -107,6 +109,15 @@ def test_serialize_type_v_entries():
 def test_serialize_abelian_is_empty():
     doc = document_object(AlgebraSpec.from_entries(3))
     assert doc == {"dim": 3, "c_entries": [], "omega_entries": []}
+
+
+def test_serialize_writes_a_subclass_of_the_spec():
+    # serialize reads the spec through document_object, not by its exact type
+    class Spec(AlgebraSpec):
+        pass
+    entries = [(1, 2, 3, "1/2")], [(1, 3, 2)]
+    assert serialize(Spec.from_entries(3, *entries)) == serialize(
+        AlgebraSpec.from_entries(3, *entries))
 
 
 def test_serialize_orders_entries_canonically():
@@ -340,6 +351,41 @@ def cli(argv, doc):
     finally:
         sys.stdin = stdin
     return code, out.getvalue()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_shell_examples():
+    """(argv of each command of the pipeline, the lines it shows) of every
+    ``$ omegalie A | omegalie B`` example in README's CLI section, in order."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## CLI\n")[1].split("\n## ")[0]
+    examples = []
+    for block in section.split("```")[1::2]:
+        for example in ("\n" + block).split("\n$ ")[1:]:
+            line, *shown = example.rstrip("\n").split("\n")
+            argvs = [shlex.split(command) for command in line.split("|")]
+            assert all(argv[0] == "omegalie" for argv in argvs), line
+            examples.append(([argv[1:] for argv in argvs], shown))
+    return examples
+
+
+def test_readme_shell_examples_print_what_they_show():
+    examples = readme_shell_examples()
+    assert len(examples) == 5
+    for argvs, shown in examples:
+        out = ""
+        for argv in argvs:
+            code, out = cli(argv, out)
+            assert code == 0, argv
+        if "--json" not in argvs[-1]:
+            assert out.splitlines() == shown, argvs
+            continue
+        # the --json example elides the keys around the exact and float transforms
+        keys = json.loads("{" + "\n".join(shown).split("...")[1].strip().rstrip(",") + "}")
+        assert set(keys) == {"exact_transform", "transform", "transform_error"}
+        report = json.loads(out)
+        assert {key: report[key] for key in keys} == keys, argvs
 
 
 def assert_force_and_decompose_follow_the_dual_route(spec):
@@ -671,14 +717,25 @@ def run_streams(argv, doc):
     return code, out.getvalue(), err.getvalue()
 
 
+def import_script(directory, name):
+    # a script of the checkout's tools/ or bench/, imported as a module
+    sys.path.insert(0, str(ROOT / directory))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.pop(0)
+
+
+def test_cli_diff_counts_source_lines_as_the_benchmark_does():
+    # cli_diff's summary line gives each tree's src.lines beside its differing outputs
+    cli_diff, bench_run = import_script("tools", "cli_diff"), import_script("bench", "run")
+    assert cli_diff.src_lines(cli_diff.package_dir(ROOT / "src")) == bench_run.src_lines()
+
+
 def test_cli_diff_error_set_reaches_one_message_per_case():
     # tools/cli_diff.py compares these outputs byte for byte between two trees:
     # a case that stopped exiting 2 with its own message would pin nothing
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-    try:
-        import cli_diff
-    finally:
-        sys.path.pop(0)
+    cli_diff = import_script("tools", "cli_diff")
     cases = [(["validate", "--json"], doc) for doc in cli_diff.MALFORMED_DOCUMENTS]
     cases += [([command, *row, *seed], "") for command, seed in (("generate", []),
               ("orbit-sample", ["--seed", "1"])) for row in cli_diff.ROW_ERRORS]
@@ -1149,12 +1206,12 @@ def _nested(depth):
 @given(st.integers(1, 3).flatmap(_nested))
 @settings(deadline=None, max_examples=200)
 def test_report_writer_formats_exact_values_as_their_plain_json(value):
-    assert _dumps(value, writers=_REPORT) == json.dumps(_plain(value), indent=2, sort_keys=True)
+    assert _dumps(value) == json.dumps(_plain(value), indent=2, sort_keys=True)
 
 
 def test_report_writer_rejects_what_it_cannot_write():
-    for bad in ({1: "x"}, {"a": 1, 2: "b"}, {None: 1}, {(1, 2): 1}, Fraction(1, 2),
-                [Fraction(1)], {"a": {1, 2}}, {1, 2}, b"bytes"):
+    for bad in ({1: "x"}, {"a": 1, 2: "b"}, {None: 1}, {(1, 2): 1}, {"a": {1, 2}}, {1, 2},
+                b"bytes"):
         with pytest.raises(TypeError):
             _dumps(bad)
 

@@ -14,7 +14,7 @@ import pytest
 
 import omegalie
 from omegalie import (AlgebraSpec, BianchiLabel, DeformabilityResult, ExactCertificates,
-                      Inertia, Matrix, NabTriple, NormalForm, ResidualTensor)
+                      Matrix, NabTriple, NormalForm, ResidualTensor)
 from omegalie.tensor_core import _Record
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -102,7 +102,7 @@ def records():
     """(two equal but separately built instances, field names, repr) of each record class."""
     spec = lambda: AlgebraSpec.from_entries(3, [(1, 2, 3, "1/2")], [(1, 2, 1)])
     res = lambda: ResidualTensor(4, (((1, 2, 3, 4), Fraction(1, 3)),))
-    certs = lambda: ExactCertificates(Inertia(3, 0, 0), False, "spacelike")
+    certs = lambda: ExactCertificates((3, 0, 0), "spacelike")
     triple = lambda: NabTriple(Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), (0, 0, 1), (0, 0, -2))
     normal = lambda: NormalForm(BianchiLabel("IX_a", 1.5), Matrix([[1]]), ((1.0,),), certs(),
                                 ("a note",), 0.0, triple())
@@ -112,13 +112,10 @@ def records():
                    f"b=({zero}, {zero}, Fraction(-2, 1)))")
     spec_repr = ("AlgebraSpec(dim=3, c_upper={(0, 1, 2): Fraction(1, 2)}, "
                  "omega_upper={(0, 1): Fraction(1, 1)})")
-    certs_repr = ("ExactCertificates(n_inertia=Inertia(positive=3, negative=0, zero=0), "
-                  "a_is_zero=False, causal='spacelike')")
+    certs_repr = "ExactCertificates(n_inertia=(3, 0, 0), causal='spacelike')"
     return [
         (Matrix([[1, 2], [3, 4]]), Matrix(((1, Fraction(2)), ("3", 4))), ("rows",),
          f"Matrix([[{one}, Fraction(2, 1)], [Fraction(3, 1), Fraction(4, 1)]])"),
-        (Inertia(2, 1, 0), Inertia(positive=2, negative=1, zero=0),
-         ("positive", "negative", "zero"), "Inertia(positive=2, negative=1, zero=0)"),
         (spec(), spec(), ("dim", "c_upper", "omega_upper"), spec_repr),
         (res(), res(), ("dim", "nonzero"),
          "ResidualTensor(dim=4, nonzero=(((1, 2, 3, 4), Fraction(1, 3)),))"),
@@ -127,7 +124,7 @@ def records():
          ("spec", "defect"), f"DeformabilityResult(spec={spec_repr}, defect={res()!r})"),
         (BianchiLabel("IX_a", 1.5), BianchiLabel(name="IX_a", parameter=1.5),
          ("name", "parameter"), "BianchiLabel(name='IX_a', parameter=1.5)"),
-        (certs(), certs(), ("n_inertia", "a_is_zero", "causal"), certs_repr),
+        (certs(), certs(), ("n_inertia", "causal"), certs_repr),
         (normal(), normal(), ("label", "exact_transform", "transform", "certificates", "notes",
                               "transform_error", "decomposition"),
          "NormalForm(label=BianchiLabel(name='IX_a', parameter=1.5), "
@@ -138,8 +135,7 @@ def records():
 
 RECORDS = records()
 # the records that check no input, built by the one constructor of _Record
-SHARED_CONSTRUCTOR = {Inertia, ResidualTensor, DeformabilityResult, ExactCertificates,
-                      NormalForm}
+SHARED_CONSTRUCTOR = {ResidualTensor, DeformabilityResult, ExactCertificates, NormalForm}
 
 
 @pytest.mark.parametrize("first, second, fields, text", RECORDS,

@@ -65,7 +65,9 @@ The generated documents count as outputs too.  Every exit code, stdout and
 stderr that differs between the trees is printed as a unified diff; when
 both stdouts are JSON objects, the top-level keys that differ are listed
 too, and the run ends with one line per such key giving the number of
-outputs it differs in.  The exit code is 1 when any output differs, else 0.
+outputs it differs in.  The summary line also gives each tree's line count
+of ``omegalie``, counted as ``bench/run.py`` counts ``src.lines``.  The exit
+code is 1 when any output differs, else 0.
 """
 
 from __future__ import annotations
@@ -276,6 +278,12 @@ def package_dir(path):
     raise SystemExit(f"error: no omegalie package in {path} or {path / 'src'}")
 
 
+def src_lines(src):
+    """All lines of every ``*.py`` file of the ``omegalie`` package in src."""
+    return sum(len(p.read_text(encoding="utf-8").splitlines())
+               for p in (src / "omegalie").rglob("*.py"))
+
+
 def run_tree(src, seeds):
     """Every output of one tree: {case name: [exit code, stdout, stderr]}."""
     sys.path[:0] = [str(src), str(ROOT / "bench")]
@@ -396,8 +404,8 @@ def main(argv=None):
     parser.add_argument("new", metavar="NEW_SRC")
     parser.add_argument("--seeds", default="1,5,9001", help="comma-separated workload seeds")
     args = parser.parse_args(argv)
-    old = collect(package_dir(args.old), args.seeds)
-    new = collect(package_dir(args.new), args.seeds)
+    old_src, new_src = package_dir(args.old), package_dir(args.new)
+    old, new = collect(old_src, args.seeds), collect(new_src, args.seeds)
     differ = 0
     key_counts = collections.Counter()
     for case in sorted(old.keys() | new.keys()):
@@ -416,7 +424,8 @@ def main(argv=None):
                 sys.stdout.writelines(difflib.unified_diff(
                     str(x).splitlines(True), str(y).splitlines(True), "old", "new"))
                 print()
-    print(f"{len(old.keys() | new.keys())} outputs compared, {differ} differ")
+    print(f"{len(old.keys() | new.keys())} outputs compared, {differ} differ; "
+          f"src/omegalie lines: old {src_lines(old_src)}, new {src_lines(new_src)}")
     for key, count in sorted(key_counts.items()):
         print(f"{key}: {count} outputs")
     return 1 if differ else 0
