@@ -211,7 +211,7 @@ def _invariants(d, a):
     rank = praw + qraw
     a_zero = not (a0 or a1 or a2)
     kernel_only = not (a_zero or d0 * a0 or d1 * a1 or d2 * a2)
-    qf = d0 * a0 * a0 + d1 * a1 * a1 + d2 * a2 * a2  # a^T n a times dd ad^2 > 0
+    qf = _form(d, a)  # a^T n a times dd ad^2 > 0
     if a_zero:
         causal = "zero"
     elif kernel_only:
@@ -310,7 +310,7 @@ def _permute(frame, order, signs):
             [_times(cols[o0], s0, 1), _times(cols[o1], s1, 1), _times(cols[o2], s2, 1)])
 
 
-def _scale(frame, nums, dens=(1, 1, 1)):
+def _scale(frame, nums, dens):
     # e'_i = lam_i e_i, lam_i = nums[i] / dens[i]; d'_i = det(Q) d_i / lam_i^2
     ((d0, d1, d2), dd), ((a0, a1, a2), ad), (c0, c1, c2) = frame
     (k0, k1, k2), (m0, m1, m2) = nums, dens

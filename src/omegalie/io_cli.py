@@ -201,11 +201,11 @@ def _lines(lines):
     return "".join(line + "\n" for line in lines)
 
 
-def _residual_lines(res, limit=20):
+def _residual_lines(res):
     lines = [f"  residual[m={m} l={l} j={j} k={k}] = {_rat_str(v)}"
-             for (m, l, j, k), v in res.nonzero[:limit]]
-    if len(res.nonzero) > limit:
-        lines.append(f"  ... and {len(res.nonzero) - limit} more")
+             for (m, l, j, k), v in res.nonzero[:20]]
+    if len(res.nonzero) > 20:
+        lines.append(f"  ... and {len(res.nonzero) - 20} more")
     return lines
 
 
@@ -225,6 +225,9 @@ def _load_spec(args) -> AlgebraSpec:
     spec = parse(_read_text(args.file))
     if args.force_omega:
         spec = _force_omega(spec)
+    rule = _DIM_RULES.get(args.command)
+    if rule and spec.dim < 3 or rule == "3" and spec.dim != 3:
+        raise _Usage(f"{args.command} requires dim {rule}, got dim {spec.dim}")
     return spec
 
 
@@ -277,8 +280,6 @@ def _validate_text(r):
 
 def _cmd_decompose(args):
     spec = _load_spec(args)
-    if spec.dim != 3:
-        raise _Usage(f"decompose requires dim 3, got dim {spec.dim}")
     view = _view(spec)
     trip, (t, nonzero) = _triple(view), _t(view)
     return 0, {"command": "decompose", "n": trip.n.rows, "a": trip.a, "b": trip.b,
@@ -296,8 +297,6 @@ def _decompose_text(r):
 
 def _cmd_classify(args):
     spec = _load_spec(args)
-    if spec.dim != 3:
-        raise _Usage(f"classify requires dim 3, got dim {spec.dim}")
     from .classify3d import FloatRangeError, NotAnAlgebraError, classify
     try:
         nf = classify(spec)
@@ -393,8 +392,6 @@ def _tables_text(r):
 
 def _cmd_deformability(args):
     spec = _load_spec(args)
-    if spec.dim < 3:
-        raise _Usage(f"deformability requires dim >= 3, got dim {spec.dim}")
     from .decomp_nd import check_deformability
     result = check_deformability(spec)
     report = {"command": "deformability", "dim": spec.dim, "deformable": result.compatible}
@@ -425,41 +422,43 @@ def _deformability_text(r):
 # One command table, read in place: ``_build_parser`` builds the argparse
 # parser from it, ``_read_plain`` reads its plain command lines straight into
 # the namespace that parser would build, and ``_emit`` renders a report with
-# the command's template.  An argument without a default is required.
+# the command's template.  Each argument is stated once, in ``_ARGUMENTS``,
+# with the dest argparse derives from its name (``_DESTS`` derives it alike);
+# one without a default is required.  ``_load_spec`` checks ``_DIM_RULES``.
 
-_OPTIONS = {  # option -> add_argument keywords
-    "--json": {"dest": "json", "action": "store_true", "default": False,
+_ARGUMENTS = {  # name -> add_argument keywords
+    "--json": {"action": "store_true", "default": False,
                "help": "emit a machine-readable JSON report (schema-versioned)"},
-    "--force-omega": {"dest": "force_omega", "action": "store_true", "default": False,
+    "--force-omega": {"action": "store_true", "default": False,
                       "help": "replace the supplied omega by the forced one first"},
-    "--param": {"dest": "param", "metavar": "P", "default": None,
+    "--param": {"metavar": "P", "default": None,
                 "help": "positive rational parameter for parametric rows"},
-    "--seed": {"dest": "seed", "type": int, "required": True, "metavar": "N",
+    "--seed": {"type": int, "required": True, "metavar": "N",
                "help": "seed for the deterministic sampler"},
-}
-_POSITIONALS = {  # dest -> add_argument keywords
     "file": {"nargs": "?", "default": "-", "metavar": "FILE",
              "help": "document path, or - for standard input (default)"},
     "label": {"metavar": "LABEL", "help": "table row name, e.g. IX_a"},
 }
-# name -> (handler, human template, positional, options after --json, help), in
-# help order; the options are added after the positional, as argparse lists missing ones
+_DESTS = {name: name.lstrip("-").replace("-", "_") for name in _ARGUMENTS}
+# name -> (handler, human template, arguments after --json, help), in help order;
+# the positional comes first among the arguments, as argparse lists missing ones
 _COMMANDS = {
-    "validate": (_cmd_validate, _validate_text, "file", ("--force-omega",),
+    "validate": (_cmd_validate, _validate_text, ("file", "--force-omega"),
                  "check the deformed Jacobi identity (prints t for dim 3)"),
-    "decompose": (_cmd_decompose, _decompose_text, "file", ("--force-omega",),
+    "decompose": (_cmd_decompose, _decompose_text, ("file", "--force-omega"),
                   "decompose a dim-3 spec into (n, a, b)"),
-    "classify": (_cmd_classify, _classify_text, "file", ("--force-omega",),
+    "classify": (_cmd_classify, _classify_text, ("file", "--force-omega"),
                  "classify a dim-3 spec onto its normal-form table row"),
-    "generate": (_cmd_row, _row_text, "label", ("--param",),
+    "generate": (_cmd_row, _row_text, ("label", "--param"),
                  "print the canonical document of a table row"),
-    "orbit-sample": (_cmd_row, _row_text, "label", ("--param", "--seed"),
+    "orbit-sample": (_cmd_row, _row_text, ("label", "--param", "--seed"),
                      "print a seeded random transport of a table row"),
-    "tables": (_cmd_tables, _tables_text, None, (),
+    "tables": (_cmd_tables, _tables_text, (),
                "re-emit both normal-form tables as a grid plus documents"),
-    "deformability": (_cmd_deformability, _deformability_text, "file", ("--force-omega",),
+    "deformability": (_cmd_deformability, _deformability_text, ("file", "--force-omega"),
                       "check whether a bracket (dim >= 3) admits a compatible omega"),
 }
+_DIM_RULES = {"decompose": "3", "classify": "3", "deformability": ">= 3"}  # command -> dim
 
 
 @functools.cache
@@ -473,13 +472,10 @@ def _build_parser():
                     "(n, a, b) decomposition, Bianchi-style classification, "
                     "normal-form tables, and orbit sampling.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, (handler, _, positional, options, help_) in _COMMANDS.items():
+    for name, (handler, _, arguments, help_) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_, description=help_)
-        p.add_argument("--json", **_OPTIONS["--json"])
-        if positional:
-            p.add_argument(positional, **_POSITIONALS[positional])
-        for option in options:
-            p.add_argument(option, **_OPTIONS[option])
+        for argument in ("--json", *arguments):
+            p.add_argument(argument, **_ARGUMENTS[argument])
         p.set_defaults(handler=handler)
     return parser
 
@@ -491,34 +487,31 @@ def _read_plain(argv):
     with ``-``.  None for every other argv."""
     if not argv or (entry := _COMMANDS.get(argv[0])) is None:
         return None
-    handler, _, positional, options, _ = entry
-    options, values, rest = ("--json", *options), {}, iter(argv[1:])
+    names, values, rest = ("--json", *entry[2]), {}, iter(argv[1:])
+    positional = names[1] if names[1:] and names[1][0] != "-" else None  # listed first
     for arg in rest:
-        if arg in options:
-            keywords = _OPTIONS[arg]
+        if arg in names and arg != positional:
+            keywords = _ARGUMENTS[arg]
             if keywords.get("action") == "store_true":
-                values[keywords["dest"]] = True
+                values[_DESTS[arg]] = True
                 continue
             value = next(rest, "--")  # argparse reads a missing value as an option
             if value[:1] == "-" and value != "-":
                 return None
             try:
-                values[keywords["dest"]] = keywords.get("type", str)(value)
+                values[_DESTS[arg]] = keywords.get("type", str)(value)
             except ValueError:  # argparse's "invalid int value"
                 return None
         elif positional is None or positional in values or arg[:1] == "-" and arg != "-":
             return None
         else:
             values[positional] = arg
-    arguments = [(_OPTIONS[option]["dest"], _OPTIONS[option]) for option in options]
-    if positional:
-        arguments.append((positional, _POSITIONALS[positional]))
-    for dest, keywords in arguments:
-        if dest not in values:
-            if "default" not in keywords:
+    for name in names:
+        if (dest := _DESTS[name]) not in values:
+            if "default" not in (keywords := _ARGUMENTS[name]):
                 return None
             values[dest] = keywords["default"]
-    return SimpleNamespace(command=argv[0], handler=handler, **values)
+    return SimpleNamespace(command=argv[0], handler=entry[0], **values)
 
 
 def run(argv=None) -> int:

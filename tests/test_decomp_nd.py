@@ -1,5 +1,6 @@
 """General-dimension trace split and the forced-omega (deformability) check."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -211,6 +212,33 @@ def test_deformability_agrees_with_the_linear_system_in_omega(spec):
 def test_the_linear_system_finds_a_nonzero_deformation():
     # random sparse brackets rarely force a nonzero omega: the example above does
     assert linear_deformability(DEFORMED_DIM4) == ({(0, 1): -1}, 0)
+
+
+def dim4_census():
+    # the c_entries of every dim-4 bracket with one to four entries of +-1, the first
+    # +1: r slots (i, j, k), i < j, in lexicographic order, then the signs of the others
+    slots = [(i, j, k) for i in range(1, 5) for j in range(i + 1, 5) for k in range(1, 5)]
+    for r in range(1, 5):
+        for chosen in itertools.combinations(slots, r):
+            for signs in itertools.product((1, -1), repeat=r - 1):
+                yield [(*slot, sign) for slot, sign in zip(chosen, (1, *signs))]
+
+
+def test_a_stride_of_the_dim4_census_agrees_with_the_linear_system():
+    # every 401st of the 93,680 census brackets: 234, one of them deformed only
+    # by a nonzero omega
+    deformed = checked = 0
+    for entries in itertools.islice(dim4_census(), 0, None, 401):
+        spec = AlgebraSpec.from_entries(4, entries)
+        omega, free = linear_deformability(spec)
+        result = check_deformability(spec)
+        assert free == 0
+        assert (omega is not None) == result.compatible
+        if omega is not None:
+            assert omega == result.spec.omega_upper
+            deformed += bool(omega)
+        checked += 1
+    assert checked == 234 and deformed >= 1
 
 
 # three dim-4 brackets whose one compatible omega is nonzero, each confirmed by

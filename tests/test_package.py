@@ -1,7 +1,9 @@
 """The package surface: what importing it and each command load, and the
 contract of its immutable record classes."""
 
+import ast
 import copy
+import importlib
 import json
 import pickle
 import re
@@ -180,3 +182,36 @@ def test_record_contract(first, second, fields, text):
     for args, kwargs in refused:
         with pytest.raises(TypeError, match=re.escape(f"takes the fields ({', '.join(fields)})")):
             cls(*args, **kwargs)
+
+
+def test_readme_library_example_gives_what_its_comments_show():
+    # each expression line of the Library section's python block evaluates to the
+    # literal its comment opens with; the decompose line's comment is prose
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library\n")[1]
+    block = section.split("```python\n")[1].split("```")[0]
+    namespace, shown = {}, []
+    for line in block.splitlines():
+        code, _, comment = line.partition("  #")
+        if isinstance(ast.parse(code.strip() or "pass").body[0], ast.Expr):
+            expected = ast.literal_eval(comment.strip().split(":")[0])
+            shown.append((code.strip(), eval(code, namespace), expected))
+        else:
+            exec(code, namespace)
+    assert [code for code, _, _ in shown] == [
+        "residual(spec).is_zero", "check_deformability(spec).spec.omega_upper",
+        "classify(spec).label.name"]
+    for code, value, expected in shown:
+        assert value == expected and type(value) is type(expected), code
+    trip = namespace["trip"]
+    assert trip.n.rows == ((0, 0, 0), (0, 0, 0), (0, 0, 1))
+    assert trip.a == trip.b == (0, 0, 0)
+
+
+def test_packaging_metadata_names_the_package_version_and_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["version"] == omegalie.__version__
+    module, _, name = project["scripts"]["omegalie"].partition(":")
+    target = getattr(importlib.import_module(module), name)
+    assert callable(target) and target is omegalie.io_cli.main
